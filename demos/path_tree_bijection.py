@@ -2,8 +2,10 @@
 """The worked path-to-tree example, step by step.
 
 Reproduces the package's central construction on a 2-Dyck path of
-down-size 10: the two canonical decompositions, the cyclic shift, the
-recursive map into a ternary tree, label transport, and the inverse map.
+down-size 10: the two canonical decompositions, the cyclic shift, the map
+into a ternary tree, label transport, and the inverse map.  The paper
+defines the map recursively over the last-step decomposition; the package
+computes it in one pass over the path, so paths of any depth work.
 
 Run:  python3 demos/path_tree_bijection.py
 """

@@ -3,9 +3,11 @@
 The package covers generalized Dyck paths with down-steps of drop k,
 their colored-level (Motzkin/Schroder style) and ballot extensions, the
 peak and double-descent statistics in residue classes modulo k, the
-cyclic-shift machinery, the recursive bijection with (k+1)-ary positional
-trees, closed-form counts, and a truncated generating-function engine.
-All arithmetic is exact.
+cyclic-shift machinery, the bijection with (k+1)-ary positional trees,
+closed-form counts, and a truncated generating-function engine.  The paper
+defines the bijection recursively; here it is computed from one matching
+pass over the path, with explicit stacks instead of recursion, so paths
+and trees of any depth are handled.  All arithmetic is exact.
 """
 
 from .core import (
@@ -35,6 +37,7 @@ from .core import (
     tree_from_json,
     tree_from_json_text,
     tree_to_json,
+    tree_to_json_text,
     validate,
 )
 from .statistics import (

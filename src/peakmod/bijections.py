@@ -1,17 +1,28 @@
-"""The recursive bijection between k-Dyck paths and (k+1)-ary trees.
+"""The bijection between k-Dyck paths and (k+1)-ary trees.
 
-A nonempty path splits around its final down-step as P_0 u ... u P_k d;
-the tree of P puts the tree of the i-fold cyclic shift of P_i at child
-position i+1.  One node is created per down-step, and the statistic vector
-(pk_0, ..., pk_{k-1}, dd) of the path becomes the position-count vector
-(e_1, ..., e_{k+1}) of the tree.
+The paper defines it recursively: a nonempty path splits around its final
+down-step as P_0 u ... u P_k d, and the tree of P puts the tree of the
+i-fold cyclic shift of P_i at child position i+1.  One node is created per
+down-step, and the statistic vector (pk_0, ..., pk_{k-1}, dd) of the path
+becomes the position-count vector (e_1, ..., e_{k+1}) of the tree.
+
+Here the recursion is unrolled over one matching pass (``_closing_ups``).
+Take a factor Q of the path with right-peak blocks Q_0..Q_{kn-1} and
+trailing run d^n.  The tree of its i-fold shift is a spine of n nodes
+linked at position k+1.  Spine node w holds at position j+1 (j < k) the
+tree of the j-fold shift of block wk + ((j - i) mod k), and the ups
+separating window w are the ones closed by the w-th last down of Q.  So a
+shift is an index offset, never a rebuilt path: the builder keeps
+(start, end, shift) ranges on an explicit stack, and :func:`tree_to_path`
+walks the spines back the same way.
 
 The labeled variant transports the feature labels of the original path
 onto tree nodes: the root takes the rightmost peak's label, child i+1
 (i < k) takes the label of the rightmost peak of part P_i, and child k+1
 takes the label of the vertex closing part P_k, which is a double descent
-whenever P_k is nonempty.  Provenance tags on down-steps carry the labels
-through the block moves of the cyclic shifts.
+whenever P_k is nonempty.  On the spine of a factor ending at index b,
+node 0 thus carries the peak of down b-n and node w >= 1 the double
+descent of down b-w, so labels are a lookup by down-step index.
 """
 
 from __future__ import annotations
@@ -25,40 +36,50 @@ from .core import (
     EmptyPathError,
     FamilySpec,
     LatticePath,
+    NodeLabel,
     PositionalTree,
     Step,
-    recursion_headroom,
+    tree_from_records,
 )
 from .statistics import label_features
 from .transforms import (
-    _kappa_items,
-    _last_step_split,
+    _closing_ups,
     _require_pure,
     check_permutation,
+    permute_subtrees,
 )
+
+
+def _build(path: LatticePath,
+           labels: dict[int, NodeLabel] | None) -> PositionalTree:
+    """The tree of a nonempty pure path; ``labels`` is keyed by down-step."""
+    k = path.spec.k
+    closes, run = _closing_ups(path)
+    records: list = []
+    todo = [(0, len(path.steps), 0, -1, 0)]  # (start, end, shift, parent, pos)
+    while todo:
+        lo, hi, shift, parent, pos = todo.pop()
+        n = run[hi - 1]
+        for w in range(n):
+            node = len(records)
+            down = hi - n if w == 0 else hi - w
+            records.append((parent, pos,
+                            None if labels is None else labels[down]))
+            seps = closes[hi - 1 - w]
+            starts = [lo] + [p + 1 for p in seps]
+            for j in range(k):
+                s = (j - shift) % k
+                if starts[s] < seps[s]:
+                    todo.append((starts[s], seps[s], j, node, j + 1))
+            lo = starts[k]
+            parent, pos = node, k + 1
+    return tree_from_records(k + 1, records)
 
 
 def path_to_tree(path: LatticePath) -> PositionalTree | None:
     """Map a pure k-Dyck path to its (k+1)-ary tree (None when empty)."""
     _require_pure(path, "path_to_tree")
-    k = path.spec.k
-    arity = k + 1
-
-    def build(items: list[Step]) -> PositionalTree | None:
-        if not items:
-            return None
-        parts, _d, suffix = _last_step_split(items, k)
-        if suffix:
-            raise ValueError("unexpected level steps")
-        children = []
-        for i, part in enumerate(parts):
-            if part:
-                sub = build(_kappa_items(part, k, i))
-                children.append((i + 1, sub))
-        return PositionalTree(arity, tuple(children))
-
-    with recursion_headroom(path.down_size):
-        return build(list(path.steps))
+    return _build(path, None) if path.steps else None
 
 
 def path_to_labeled_tree(path: LatticePath) -> PositionalTree:
@@ -66,44 +87,18 @@ def path_to_labeled_tree(path: LatticePath) -> PositionalTree:
     if path.is_empty():
         raise EmptyPathError("cannot label the tree of an empty path")
     _require_pure(path, "path_to_labeled_tree")
-    k = path.spec.k
-    arity = k + 1
     # labels keyed by the down-step whose left endpoint carries the feature
-    by_down = {i + 1: lab for i, lab in label_features(path).items()}
-
-    def step_of(item: tuple[Step, int]) -> Step:
-        return item[0]
-
-    def rightmost_peak_down(items: list[tuple[Step, int]]) -> int:
-        for j in range(len(items) - 1, 0, -1):
-            if items[j][0].kind == "d" and items[j - 1][0].kind == "u":
-                return items[j][1]
-        raise EmptyPathError("path has no peak")
-
-    def build(items: list[tuple[Step, int]], label_tag: int) -> PositionalTree:
-        parts, d_item, _suffix = _last_step_split(items, k, step_of)
-        children = []
-        for i, part in enumerate(parts):
-            if not part:
-                continue
-            if i < k:
-                shifted = _kappa_items(part, k, i, step_of)
-                child = build(shifted, rightmost_peak_down(shifted))
-            else:
-                child = build(part, d_item[1])
-            children.append((i + 1, child))
-        return PositionalTree(arity, tuple(children), by_down[label_tag])
-
-    tagged = [(s, i) for i, s in enumerate(path.steps)]
-    with recursion_headroom(path.down_size):
-        return build(tagged, rightmost_peak_down(tagged))
+    return _build(path, {i + 1: lab
+                         for i, lab in label_features(path).items()})
 
 
 def tree_to_path(tree: PositionalTree | None, k: int) -> LatticePath:
     """Inverse of :func:`path_to_tree` for trees of arity k+1.
 
-    Child i+1 contributes the (k-i)-fold cyclic shift of its own path,
-    undoing the i-fold shift applied on the way in.
+    A subtree read with shift i is a spine along position k+1; window w of
+    its path holds, in slot s, the path of spine node w's child at
+    position (s + i) mod k + 1, read with that shift, then an up-step.
+    The windows are followed by one down-step per spine node.
     """
     spec = FamilySpec(k)
     if tree is None:
@@ -111,21 +106,26 @@ def tree_to_path(tree: PositionalTree | None, k: int) -> LatticePath:
     if tree.arity != k + 1:
         raise ArityMismatchError(
             f"tree arity {tree.arity} does not match k+1 = {k + 1}")
-
-    def build(node: PositionalTree | None) -> list[Step]:
-        if node is None:
-            return []
-        steps: list[Step] = []
-        for i in range(k + 1):
-            part = build(node.child(i + 1))
-            steps.extend(_kappa_items(part, k, (k - i) % k))
-            if i < k:
-                steps.append(UP)
-        steps.append(DOWN)
-        return steps
-
-    with recursion_headroom(tree.node_count()):
-        return LatticePath(spec, tuple(build(tree)))
+    steps: list[Step] = []
+    todo: list = [(tree, 0)]  # steps, or (subtree, shift) still to expand
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Step):
+            steps.append(item)
+            continue
+        node, shift = item
+        spine = []
+        while node is not None:
+            spine.append(dict(node.children))
+            node = spine[-1].get(k + 1)
+        todo.extend([DOWN] * len(spine))
+        for kids in reversed(spine):
+            for s in range(k - 1, -1, -1):
+                todo.append(UP)
+                j = (s + shift) % k
+                if j + 1 in kids:
+                    todo.append((kids[j + 1], j))
+    return LatticePath(spec, tuple(steps))
 
 
 def permute_statistics(path: LatticePath,
@@ -137,8 +137,6 @@ def permute_statistics(path: LatticePath,
     image, so it is a bijection on each family and composes like the
     underlying permutations.
     """
-    from .transforms import permute_subtrees
-
     k = path.spec.k
     sig = check_permutation(sigma, k + 1)
     tree = path_to_tree(path)

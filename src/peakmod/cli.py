@@ -28,7 +28,7 @@ from .core import (
     parse_path,
     render_path,
     tree_from_json_text,
-    tree_to_json,
+    tree_to_json_text,
 )
 from .counting import (
     NonIntegerResultError,
@@ -233,7 +233,7 @@ def cmd_map(args) -> int:
         elif op == "psi":
             tree = path_to_labeled_tree(path) if args.labels and path.steps \
                 else path_to_tree(path)
-            _dump_json(tree_to_json(tree))
+            print(tree_to_json_text(tree))
         else:
             if args.sigma is None:
                 raise ValueError("map permute needs --sigma")
@@ -252,7 +252,7 @@ def cmd_map(args) -> int:
             raise ValueError("map permute needs --sigma")
         sigma = _ints(args.sigma)
         tree = tree_from_json_text(_read_text(args.tree), len(sigma))
-        _dump_json(tree_to_json(permute_subtrees(tree, sigma)))
+        print(tree_to_json_text(permute_subtrees(tree, sigma)))
         return 0
     raise ValueError(f"unknown map operation {op!r}")
 

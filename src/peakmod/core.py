@@ -20,28 +20,11 @@ represented by ``None`` throughout the package.
 
 from __future__ import annotations
 
-import sys
+import json
+import re
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-
-@contextmanager
-def recursion_headroom(depth: int):
-    """Temporarily raise the interpreter recursion limit if needed.
-
-    Tree and bijection recursions nest as deep as the structure itself;
-    callers size the headroom from a known count (down-size, node count).
-    """
-    need = depth * 2 + 200
-    old = sys.getrecursionlimit()
-    if need > old:
-        sys.setrecursionlimit(need)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +398,11 @@ class NodeLabel:
 
     @classmethod
     def parse(cls, text: str) -> "NodeLabel":
+        if not isinstance(text, str):
+            raise TreeError(f"node label must be a string, got {text!r}")
         if text == "r":
             return cls(LABEL_RIGHTMOST)
-        if text.startswith("dd_"):
+        if text.startswith("dd_") and text[3:].isdigit():
             return cls(LABEL_DD, ordinal=int(text[3:]))
         if text.startswith("p"):
             body = text[1:]
@@ -443,12 +428,13 @@ def dd_label(ordinal: int) -> NodeLabel:
 # positional trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositionalTree:
     """A nonempty rooted tree whose children occupy explicit slots 1..arity.
 
     ``children`` holds (position, subtree) pairs, kept sorted by position.
     The empty tree is represented by ``None`` wherever a tree is optional.
+    Every operation on whole trees is iterative, so depth is unbounded.
     """
 
     arity: int
@@ -482,24 +468,54 @@ class PositionalTree:
         return sum(1 for _ in self.iter_nodes())
 
     def iter_nodes(self) -> Iterator["PositionalTree"]:
-        """Preorder traversal, children in position order.
-
-        Iterative, so arbitrarily deep trees are fine.
-        """
+        """Preorder traversal, children in position order."""
         stack = [self]
         while stack:
             node = stack.pop()
             yield node
             stack.extend(c for _, c in reversed(node.children))
 
-    def strip_labels(self) -> "PositionalTree":
-        with recursion_headroom(self.node_count()):
-            return self._strip_labels()
+    def records(self) -> list[tuple[int, int, "PositionalTree"]]:
+        """(parent index, position, node) in breadth-first order.
 
-    def _strip_labels(self) -> "PositionalTree":
-        return PositionalTree(
-            self.arity,
-            tuple((p, c._strip_labels()) for p, c in self.children))
+        The root comes first as (-1, 0, root); siblings follow each other
+        in position order.  :func:`tree_from_records` inverts this.
+        """
+        out = [(-1, 0, self)]
+        for idx, (_, _, node) in enumerate(out):  # grows while iterating
+            out.extend((idx, pos, child) for pos, child in node.children)
+        return out
+
+    def _shape(self) -> list[tuple[int, int, NodeLabel | None]]:
+        return [(p, pos, node.label) for p, pos, node in self.records()]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PositionalTree):
+            return NotImplemented
+        return self is other or (self.arity == other.arity
+                                 and self._shape() == other._shape())
+
+    def __hash__(self) -> int:
+        return hash((self.arity, tuple(self._shape())))
+
+    def strip_labels(self) -> "PositionalTree":
+        return tree_from_records(self.arity, [
+            (p, pos, None) for p, pos, _ in self.records()])
+
+
+def tree_from_records(arity: int, records) -> PositionalTree:
+    """Assemble a tree from (parent index, position, label) records.
+
+    Record 0 is the root, whose parent and position are ignored; every
+    other record names an earlier one as its parent.  Nodes are built
+    bottom-up, children before parents.
+    """
+    kids: list[list] = [[] for _ in records]
+    for idx in range(len(records) - 1, 0, -1):
+        parent, pos, label = records[idx]
+        kids[parent].append((pos, PositionalTree(arity, tuple(kids[idx]),
+                                                 label)))
+    return PositionalTree(arity, tuple(kids[0]), records[0][2])
 
 
 def tree_node_count(tree: PositionalTree | None) -> int:
@@ -511,49 +527,145 @@ def tree_to_json(tree: PositionalTree | None):
     optional "label" entry.  The empty tree serializes to ``None``."""
     if tree is None:
         return None
-    obj: dict = {}
-    if tree.label is not None:
-        obj["label"] = tree.label.json_str()
-    for pos, child in tree.children:
-        obj[str(pos)] = tree_to_json(child)
-    return obj
+    objs: list[dict] = []
+    for parent, pos, node in tree.records():
+        obj = {} if node.label is None else {"label": node.label.json_str()}
+        if parent >= 0:
+            objs[parent][str(pos)] = obj
+        objs.append(obj)
+    return objs[0]
+
+
+def tree_to_json_text(tree: PositionalTree | None) -> str:
+    """The compact wire form: ``json.dumps(tree_to_json(tree),
+    sort_keys=True, separators=(",", ":"))``, written without recursion."""
+    if tree is None:
+        return "null"
+    out: list[str] = []
+    todo: list = [("", tree)]  # (text, node or None), emitted text first
+    while todo:
+        text, node = todo.pop()
+        out.append(text)
+        if node is None:
+            continue
+        kids = node.children
+        if node.arity > 9:  # keys sort as strings: "10" < "2" < "label"
+            kids = sorted(kids, key=lambda pc: str(pc[0]))
+        label = ("" if node.label is None
+                 else f'"label":"{node.label.json_str()}"')
+        out.append("{")
+        todo.append(("," + label + "}" if kids and label else label + "}",
+                     None))
+        for n in range(len(kids) - 1, -1, -1):
+            pos, child = kids[n]
+            todo.append((f',"{pos}":' if n else f'"{pos}":', child))
+    return "".join(out)
 
 
 def tree_from_json(obj, arity: int) -> PositionalTree | None:
     """Inverse of :func:`tree_to_json`."""
     if obj is None:
         return None
-    if not isinstance(obj, dict):
-        raise TreeError(f"expected an object, got {type(obj).__name__}")
-    label = None
-    children = []
-    for key, value in obj.items():
-        if key == "label":
-            label = NodeLabel.parse(value)
-            continue
-        if not key.isdigit():
-            raise TreeError(f"bad child position key {key!r}")
-        pos = int(key)
-        if not 1 <= pos <= arity:
-            raise PositionOutOfRangeError(
-                f"child position {pos} outside 1..{arity}")
-        children.append((pos, tree_from_json(value, arity)))
-    return PositionalTree(arity, tuple(children), label)
+    records = []
+    queue = [(-1, 0, obj)]
+    for idx, (parent, pos, value) in enumerate(queue):  # grows as it goes
+        if not isinstance(value, dict):
+            raise TreeError(f"expected an object, got {type(value).__name__}")
+        label = None
+        for key, child in value.items():
+            if key == "label":
+                label = NodeLabel.parse(child)
+            elif not key.isdecimal():
+                raise TreeError(f"bad child position key {key!r}")
+            elif not 1 <= int(key) <= arity:
+                raise PositionOutOfRangeError(
+                    f"child position {int(key)} outside 1..{arity}")
+            else:
+                queue.append((idx, int(key), child))
+        records.append((parent, pos, label))
+    return tree_from_records(arity, records)
+
+
+_WS = re.compile(r"[ \t\n\r]*")
+
+
+def _skip(text: str, i: int) -> int:
+    """The index of the first non-whitespace character from i on."""
+    return _WS.match(text, i).end() if text[i: i + 1] in " \t\n\r" else i
+
+
+def _json_key(text: str, i: int) -> tuple[str, int]:
+    """Read ``"key" :`` at i; return the key and the index of its value."""
+    if text[i: i + 1] != '"':
+        raise json.JSONDecodeError(
+            "Expecting property name enclosed in double quotes", text, i)
+    key, i = json.decoder.scanstring(text, i + 1)
+    i = _skip(text, i)
+    if text[i: i + 1] != ":":
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+    return key, _skip(text, i + 1)
+
+
+def _json_object(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise DuplicatePositionError(
+            f"duplicate key among {sorted(k for k, _ in pairs)}")
+    return obj
+
+
+def _json_loads(text: str):
+    """``json.loads`` with an explicit stack of open containers instead of
+    recursion; a key repeated within one object raises
+    :class:`DuplicatePositionError` when the object closes."""
+    scan = json.JSONDecoder().scan_once
+    frames: list[list] = []  # [items] for an array, [pairs, key] for an object
+    i = _skip(text, 0)
+    while True:
+        c = text[i: i + 1]
+        if c == "{" or c == "[":
+            i = _skip(text, i + 1)
+            if text[i: i + 1] == ("}" if c == "{" else "]"):
+                value, i = ({} if c == "{" else []), i + 1
+            elif c == "[":
+                frames.append([[]])
+                continue
+            else:
+                key, i = _json_key(text, i)
+                frames.append([[], key])
+                continue
+        else:
+            try:
+                value, i = scan(text, i)
+            except StopIteration as exc:
+                raise json.JSONDecodeError("Expecting value", text,
+                                           exc.value) from None
+        while frames:  # hand the finished value to its container
+            frame = frames[-1]
+            is_obj = len(frame) == 2
+            frame[0].append((frame[1], value) if is_obj else value)
+            i = _skip(text, i)
+            c = text[i: i + 1]
+            if c == ",":
+                i = _skip(text, i + 1)
+                if is_obj:
+                    frame[1], i = _json_key(text, i)
+                break
+            if c != ("}" if is_obj else "]"):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+            frames.pop()
+            value, i = (_json_object(frame[0]) if is_obj else frame[0]), i + 1
+        else:
+            i = _skip(text, i)
+            if i != len(text):
+                raise json.JSONDecodeError("Extra data", text, i)
+            return value
 
 
 def tree_from_json_text(text: str, arity: int) -> PositionalTree | None:
     """Parse the JSON text form, rejecting duplicate position keys."""
-    import json
-
-    def no_dup_pairs(pairs):
-        keys = [k for k, _ in pairs]
-        if len(set(keys)) != len(keys):
-            raise DuplicatePositionError(
-                f"duplicate key among {sorted(keys)}")
-        return dict(pairs)
-
     try:
-        obj = json.loads(text, object_pairs_hook=no_dup_pairs)
+        obj = _json_loads(text)
     except DuplicatePositionError:
         raise
     except ValueError as exc:

@@ -96,78 +96,79 @@ def _node_text(node: PositionalTree) -> str:
     return node.label.display() if node.label is not None else "*"
 
 
+def _preorder(tree: PositionalTree) -> list[tuple]:
+    """(node, parent index, depth, position) in preorder, without recursion."""
+    out: list[tuple] = []
+    stack = [(tree, -1, 0, 0)]
+    while stack:
+        node, parent, depth, pos = stack.pop()
+        idx = len(out)
+        out.append((node, parent, depth, pos))
+        stack.extend((child, idx, depth + 1, p)
+                     for p, child in reversed(node.children))
+    return out
+
+
 def render_tree_ascii(tree: PositionalTree | None) -> str:
     if tree is None:
         return ""
-    lines = [_node_text(tree)]
-
-    def rec(node: PositionalTree, depth: int) -> None:
-        for pos, child in node.children:
-            lines.append("  " * depth + f"{pos}: {_node_text(child)}")
-            rec(child, depth + 1)
-
-    rec(tree, 1)
-    return "\n".join(lines)
+    return "\n".join(_node_text(node) if parent < 0 else
+                     "  " * depth + f"{pos}: {_node_text(node)}"
+                     for node, parent, depth, pos in _preorder(tree))
 
 
 def render_tree_svg(tree: PositionalTree | None, unit: int = 40) -> str:
     if tree is None:
         return ('<svg xmlns="http://www.w3.org/2000/svg" width="0" '
                 'height="0" viewBox="0 0 0 0"></svg>')
+    order = _preorder(tree)
+    kids: list[list[int]] = [[] for _ in order]
+    for idx, (_, parent, _, _) in enumerate(order):
+        if parent >= 0:
+            kids[parent].append(idx)
     # leaves take consecutive horizontal slots; parents sit midway
-    positions: dict[int, tuple[float, int]] = {}
-    next_slot = [0]
-
-    def place(node: PositionalTree, depth: int) -> float:
-        if not node.children:
-            x = float(next_slot[0])
-            next_slot[0] += 1
-        else:
-            xs = [place(child, depth + 1) for _, child in node.children]
-            x = sum(xs) / len(xs)
-        positions[id(node)] = (x, depth)
-        return x
-
-    depth_of = {}
-
-    def depth_max(node: PositionalTree, depth: int) -> int:
-        depth_of[id(node)] = depth
-        if not node.children:
-            return depth
-        return max(depth_max(c, depth + 1) for _, c in node.children)
-
-    place(tree, 0)
-    deepest = depth_max(tree, 0)
+    xs = [0.0] * len(order)
+    leaves = 0
+    for idx in range(len(order)):
+        if not kids[idx]:
+            xs[idx] = float(leaves)
+            leaves += 1
+    for idx in range(len(order) - 1, -1, -1):
+        if kids[idx]:
+            xs[idx] = sum(xs[c] for c in kids[idx]) / len(kids[idx])
+    deepest = max(depth for _, _, depth, _ in order)
     margin = unit
-    width = int((next_slot[0] - 1) * unit + 2 * margin) if next_slot[0] > 1 \
+    width = int((leaves - 1) * unit + 2 * margin) if leaves > 1 \
         else 2 * margin
     height = deepest * unit + 2 * margin
 
-    def xy(node: PositionalTree) -> tuple[int, int]:
-        x, d = positions[id(node)]
-        return int(margin + x * unit), margin + d * unit
+    def xy(idx: int) -> tuple[int, int]:
+        return int(margin + xs[idx] * unit), margin + order[idx][2] * unit
 
-    edges = []
-    nodes = []
-
-    def draw(node: PositionalTree) -> None:
-        px, py = xy(node)
-        for pos, child in node.children:
-            cx, cy = xy(child)
+    edges = []  # in preorder of the lower end
+    for idx, (_, parent, _, pos) in enumerate(order):
+        if parent >= 0:
+            (px, py), (cx, cy) = xy(parent), xy(idx)
             edges.append(f'<line x1="{px}" y1="{py}" x2="{cx}" y2="{cy}" '
                          'stroke="black"/>')
             edges.append(f'<text x="{(px + cx) // 2 + 2}" '
                          f'y="{(py + cy) // 2}" font-size="10">{pos}</text>')
-            draw(child)
-        r = unit // 3
+    # postorder is the reverse of a preorder that visits children last first
+    right_first, stack = [], [0]
+    while stack:
+        idx = stack.pop()
+        right_first.append(idx)
+        stack.extend(kids[idx])
+    nodes = []
+    r = unit // 3
+    for idx in reversed(right_first):
+        px, py = xy(idx)
         nodes.append(f'<circle cx="{px}" cy="{py}" r="{r}" fill="white" '
                      'stroke="black"/>')
-        text = _node_text(node)
+        text = _node_text(order[idx][0])
         if text != "*":
             nodes.append(f'<text x="{px}" y="{py + 4}" font-size="11" '
                          f'text-anchor="middle">{text}</text>')
-
-    draw(tree)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
     parts.extend(edges)

@@ -16,15 +16,16 @@ with L a (possibly empty) run of trailing level steps, or P = L alone when
 the path consists of level steps only.  Ballot paths ending at height m
 split at the m last up-steps leaving heights 0..m-1 for good.
 
-The splitting helpers work on plain step items as well as on tagged
-(step, provenance) pairs; the labeled path-to-tree map relies on that to
-carry original feature identities through block moves.
+All of these cut a path at last-passage up-steps.  ``_closing_ups`` finds
+them for every down-step of a pure path in one pass, which lets Deutsch's
+involution and the path/tree bijection split any factor of the path by
+index lookups instead of copying it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from .core import (
     DOWN,
@@ -37,132 +38,101 @@ from .core import (
     Step,
     WrongEndHeightError,
     WrongKError,
-    recursion_headroom,
     step_rise,
+    tree_from_records,
 )
-
-T = TypeVar("T")
-
-
-def _ident(x: Step) -> Step:
-    return x
 
 
 # ---------------------------------------------------------------------------
 # index-level splitting helpers (shared with the bijection module)
 # ---------------------------------------------------------------------------
 
-def _profile(items: Sequence[T], k: int, start: int,
-             step_of: Callable[[T], Step]) -> list[int]:
-    h = start
-    out = [h]
-    for it in items:
-        h += step_rise(step_of(it), k)
-        out.append(h)
-    return out
-
-
-def _trailing_downs(items: Sequence[T], step_of: Callable[[T], Step]) -> int:
-    n = 0
-    for it in reversed(items):
-        if step_of(it).kind != "d":
-            break
-        n += 1
-    return n
-
-
-def _last_up_positions(items: Sequence[T], k: int, start: int, count: int,
-                       step_of: Callable[[T], Step]) -> list[int]:
+def _last_up_positions(steps: Sequence[Step], k: int, start: int,
+                       count: int) -> list[int]:
     """Index of the last up-step leaving height start+j, for j in 0..count-1."""
-    heights = _profile(items, k, start, step_of)
     last: dict[int, int] = {}
-    for idx, it in enumerate(items):
-        if step_of(it).kind == "u":
-            last[heights[idx]] = idx
+    h = start
+    for idx, s in enumerate(steps):
+        if s.kind == "u":
+            last[h] = idx
+        h += step_rise(s, k)
     try:
         return [last[start + j] for j in range(count)]
     except KeyError as exc:
         raise ValueError(f"no up-step leaves height {exc.args[0]}") from exc
 
 
-def _right_peak_split(items: Sequence[T], k: int,
-                      step_of: Callable[[T], Step] = _ident
-                      ) -> tuple[int, list[T], list[list[T]], list[T]]:
-    """Split into (n, separator ups, blocks, trailing down-run)."""
-    n = _trailing_downs(items, step_of)
-    if n == 0:
-        raise EmptyPathError("path has no trailing down-run")
-    body = list(items[: len(items) - n])
-    seps = _last_up_positions(body, k, 0, k * n, step_of)
-    blocks = []
+def _cut(steps: Sequence[Step], seps: list[int]) -> list[list[Step]]:
+    """The runs of steps between consecutive separators, then the rest."""
+    parts = []
     prev = -1
     for p in seps:
-        blocks.append(body[prev + 1: p])
+        parts.append(list(steps[prev + 1: p]))
         prev = p
-    if prev != len(body) - 1:
+    parts.append(list(steps[prev + 1:]))
+    return parts
+
+
+def _right_peak_split(steps: Sequence[Step],
+                      k: int) -> tuple[int, list[list[Step]]]:
+    """Split into the trailing down-run length n and blocks Q_0..Q_{kn-1}."""
+    n = 0
+    while n < len(steps) and steps[-1 - n].kind == "d":
+        n += 1
+    if n == 0:
+        raise EmptyPathError("path has no trailing down-run")
+    body = steps[: len(steps) - n]
+    *blocks, rest = _cut(body, _last_up_positions(body, k, 0, k * n))
+    if rest:
         raise ValueError("malformed path: steps remain after the last block")
-    return n, [body[p] for p in seps], blocks, list(items[len(items) - n:])
+    return n, blocks
 
 
-def _kappa_items(items: Sequence[T], k: int, power: int,
-                 step_of: Callable[[T], Step] = _ident) -> list[T]:
+def _kappa_items(steps: Sequence[Step], k: int, power: int) -> list[Step]:
     """Apply the cyclic shift ``power`` times by the direct slot formula."""
-    if not items:
-        return []
     i = power % k
-    if i == 0:
-        return list(items)
-    n, seps, blocks, suffix = _right_peak_split(items, k, step_of)
-    out: list[T] = []
+    if not steps or i == 0:
+        return list(steps)
+    n, blocks = _right_peak_split(steps, k)
+    out: list[Step] = []
     for j in range(k * n):
-        src = j + k - i if (j % k) < i else j - i
-        out.extend(blocks[src])
-        out.append(seps[j])
-    out.extend(suffix)
+        out.extend(blocks[j + k - i if (j % k) < i else j - i])
+        out.append(UP)
+    out.extend([DOWN] * n)
     return out
 
 
-def _last_step_split(items: Sequence[T], k: int,
-                     step_of: Callable[[T], Step] = _ident
-                     ) -> tuple[list[list[T]] | None, T | None, list[T]]:
-    """Split as (parts P_0..P_k, final down item, trailing level run).
+def _closing_ups(path: LatticePath) -> tuple[list, list[int]]:
+    """One left-to-right pass over a pure path, read from its start height.
 
-    Returns (None, None, L) in the degenerate all-level (or empty) case.
+    For the down-step t leaving height H, ``closes[t]`` lists the k
+    up-steps it closes: the last ups before t leaving heights H-k .. H-1.
+    ``run[t]`` is the length of the down-run ending at t.  A factor of the
+    path that is itself a k-Dyck path and ends with the down-run d^n at
+    index b has its right-peak separators, window by window, in
+    closes[b-1], closes[b-2], ..., closes[b-n].
     """
-    t = len(items)
-    while t > 0 and step_of(items[t - 1]).kind == "l":
-        t -= 1
-    suffix = list(items[t:])
-    if t == 0:
-        return None, None, suffix
-    d_item = items[t - 1]
-    if step_of(d_item).kind != "d":
-        raise ValueError("malformed path: expected a down-step before the "
-                         "level suffix")
-    body = list(items[: t - 1])
-    seps = _last_up_positions(body, k, 0, k, step_of)
-    parts = []
-    prev = -1
-    for p in seps:
-        parts.append(body[prev + 1: p])
-        prev = p
-    parts.append(body[prev + 1:])
-    return parts, d_item, suffix
-
-
-def _ballot_split(items: Sequence[T], k: int, m: int, start: int,
-                  step_of: Callable[[T], Step] = _ident) -> list[list[T]]:
-    """Split a path ending m above its start at the m last-passage ups."""
-    if m == 0:
-        return [list(items)]
-    seps = _last_up_positions(items, k, start, m, step_of)
-    parts = []
-    prev = -1
-    for p in seps:
-        parts.append(list(items[prev + 1: p]))
-        prev = p
-    parts.append(list(items[prev + 1:]))
-    return parts
+    k = path.spec.k
+    last_up: list[int] = []  # last_up[h]: the latest up leaving height h
+    closes: list = [None] * len(path.steps)
+    run = [0] * len(path.steps)
+    h = r = 0
+    for t, s in enumerate(path.steps):
+        if s.kind == "u":
+            if h < len(last_up):
+                last_up[h] = t
+            else:
+                last_up.append(t)
+            h += 1
+            r = 0
+        else:
+            h -= k
+            if h < 0:
+                raise ValueError("path dips below its start height")
+            closes[t] = last_up[h: h + k]
+            r += 1
+            run[t] = r
+    return closes, run
 
 
 def _require_pure(path: LatticePath, op: str) -> None:
@@ -172,10 +142,6 @@ def _require_pure(path: LatticePath, op: str) -> None:
     if path.spec.end_height != 0:
         raise WrongEndHeightError(
             f"{op} requires a path returning to its start height")
-
-
-def _pure_spec(k: int) -> FamilySpec:
-    return FamilySpec(k)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +173,7 @@ class RightPeakDecomposition:
             steps.extend(block.steps)
             steps.append(UP)
         steps.extend([DOWN] * self.suffix_downs)
-        return LatticePath(_pure_spec(self.k), tuple(steps))
+        return LatticePath(FamilySpec(self.k), tuple(steps))
 
 
 def right_peak_decompose(path: LatticePath) -> RightPeakDecomposition:
@@ -216,8 +182,8 @@ def right_peak_decompose(path: LatticePath) -> RightPeakDecomposition:
         raise EmptyPathError("cannot decompose the empty path")
     _require_pure(path, "right_peak_decompose")
     k = path.spec.k
-    n, _seps, blocks, _suffix = _right_peak_split(list(path.steps), k)
-    spec = _pure_spec(k)
+    n, blocks = _right_peak_split(path.steps, k)
+    spec = FamilySpec(k)
     return RightPeakDecomposition(
         k, tuple(LatticePath(spec, tuple(b)) for b in blocks), n)
 
@@ -257,14 +223,20 @@ def last_step_decompose(path: LatticePath) -> LastStepDecomposition:
         raise WrongEndHeightError(
             "last-step decomposition needs a height-0 family")
     k = path.spec.k
-    parts, _d, suffix = _last_step_split(list(path.steps), k)
+    steps = path.steps
+    t = len(steps)
+    while t > 0 and steps[t - 1].kind == "l":
+        t -= 1
     spec = FamilySpec(k, dict(path.spec.levels))
-    if parts is None:
-        return LastStepDecomposition(spec, None, tuple(suffix))
+    if t == 0:
+        return LastStepDecomposition(spec, None, steps)
+    if steps[t - 1].kind != "d":
+        raise ValueError("malformed path: expected a down-step before the "
+                         "level suffix")
+    body = steps[: t - 1]
+    parts = _cut(body, _last_up_positions(body, k, 0, k))
     return LastStepDecomposition(
-        spec,
-        tuple(LatticePath(spec, tuple(p)) for p in parts),
-        tuple(suffix))
+        spec, tuple(LatticePath(spec, tuple(p)) for p in parts), steps[t:])
 
 
 @dataclass(frozen=True)
@@ -293,7 +265,8 @@ def ballot_decompose(path: LatticePath,
         raise WrongEndHeightError(
             f"path ends {path.spec.end_height} above its start, not {m}")
     k = path.spec.k
-    part_items = _ballot_split(list(path.steps), k, m, path.start_height)
+    part_items = _cut(path.steps, _last_up_positions(
+        path.steps, k, path.start_height, m))
     part_spec = FamilySpec(k, dict(path.spec.levels))
     return BallotDecomposition(
         path.spec, m,
@@ -316,7 +289,7 @@ def cyclic_shift(path: LatticePath, power: int = 1) -> LatticePath:
         raise ValueError("power must be >= 0")
     _require_pure(path, "cyclic_shift")
     k = path.spec.k
-    new_steps = _kappa_items(list(path.steps), k, power)
+    new_steps = _kappa_items(path.steps, k, power)
     return LatticePath(path.spec, tuple(new_steps), path.start_height)
 
 
@@ -327,24 +300,24 @@ def cyclic_shift(path: LatticePath, power: int = 1) -> LatticePath:
 def deutsch_involution(path: LatticePath) -> LatticePath:
     """Deutsch's involution on Dyck paths (k = 1 only).
 
-    Recursively maps P_0 u P_1 d to eta(P_1) u eta(P_0) d, exchanging the
-    peak and double-descent counts.
+    Maps P_0 u P_1 d to eta(P_1) u eta(P_0) d, exchanging the peak and
+    double-descent counts.  The factors wait on an explicit stack as index
+    ranges; each splits at the up-step its final down closes.
     """
     if path.spec.k != 1:
         raise WrongKError("the involution is defined for k = 1")
     _require_pure(path, "deutsch_involution")
-
-    def build(items: list[Step]) -> list[Step]:
-        if not items:
-            return []
-        parts, _d, suffix = _last_step_split(items, 1)
-        if suffix:
-            raise ValueError("unexpected level steps")
-        p0, p1 = parts
-        return build(p1) + [UP] + build(p0) + [DOWN]
-
-    with recursion_headroom(path.down_size):
-        steps = build(list(path.steps))
+    closes, _ = _closing_ups(path)
+    steps: list[Step] = []
+    todo: list = [(0, len(path.steps))]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Step):
+            steps.append(item)
+        elif item[0] < item[1]:
+            lo, hi = item
+            (p,) = closes[hi - 1]
+            todo += [DOWN, (lo, p), UP, (p + 1, hi - 1)]
     return LatticePath(path.spec, tuple(steps), path.start_height)
 
 
@@ -363,17 +336,11 @@ def check_permutation(sigma: Sequence[int], m: int) -> tuple[int, ...]:
 
 def permute_subtrees(tree: PositionalTree | None,
                      sigma: Sequence[int]) -> PositionalTree | None:
-    """Move every child from position i to position sigma(i), recursively."""
+    """Move every child from position i to position sigma(i), at every node."""
     if tree is None:
         return None
     sig = check_permutation(sigma, tree.arity)
-
-    def rec(node: PositionalTree) -> PositionalTree:
-        return PositionalTree(
-            node.arity,
-            tuple((sig[pos - 1], rec(child))
-                  for pos, child in node.children),
-            node.label)
-
-    with recursion_headroom(tree.node_count()):
-        return rec(tree)
+    # the root's record has position 0, which tree_from_records ignores
+    return tree_from_records(tree.arity, [
+        (parent, sig[pos - 1], node.label)
+        for parent, pos, node in tree.records()])

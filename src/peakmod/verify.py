@@ -402,7 +402,7 @@ def verify_ballot(max_k: int = 3, max_m: int = 4, max_n: int = 4,
             for n in range(identity_max_n + 1):
                 bad = None
                 for p in gen_ballot(k, m, n):
-                    if not _ballot_identity_holds(p, k, m, ell, r):
+                    if not _residue_split_holds(p, k, m, ell, r):
                         bad = p.text()
                         break
                 rep.record(f"residue recursion k={k} m={m} n={n}",
@@ -411,8 +411,8 @@ def verify_ballot(max_k: int = 3, max_m: int = 4, max_n: int = 4,
     return rep
 
 
-def _ballot_identity_holds(path: LatticePath, k: int, m: int,
-                           ell: int, r: int) -> bool:
+def _residue_split_holds(path: LatticePath, k: int, m: int,
+                         ell: int, r: int) -> bool:
     """Starred counts split over the ballot parts: shifted plain counts
     plus one for each nonempty part whose floor sits in the residue class."""
     dec = ballot_decompose(path)

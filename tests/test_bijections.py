@@ -150,6 +150,43 @@ class TestDeepStructures:
         from peakmod import permute_subtrees
         assert e_vector(permute_subtrees(tree, (3, 2, 1))) == (0, 0, n - 1)
 
+    def test_hundred_thousand_deep_chain(self):
+        # u^n d^n is a chain along position 2; every map runs on explicit
+        # stacks, so the interpreter limit is neither hit nor raised
+        import sys
+
+        from peakmod import deutsch_involution
+        from peakmod.core import DOWN, UP
+
+        limit = sys.getrecursionlimit()
+        n = 10 ** 5
+        path = LatticePath(FamilySpec(1), (UP,) * n + (DOWN,) * n)
+        zigzag = LatticePath(FamilySpec(1), (UP, DOWN) * n)
+        tree = path_to_tree(path)
+        assert e_vector(tree) == (0, n - 1) == stat_vector(path).key()
+        labeled = path_to_labeled_tree(path)
+        node, depth = labeled, 0
+        while node.children:
+            (pos, node), = node.children
+            depth += 1
+            assert (pos, node.label.display()) == (2, f"d_{n - depth}")
+        assert depth == n - 1
+        assert tree_to_path(tree, 1) == path
+        assert permute_statistics(path, (2, 1)) == zigzag
+        assert deutsch_involution(path) == zigzag
+        assert deutsch_involution(zigzag) == path
+        assert sys.getrecursionlimit() == limit
+
+    def test_no_module_raises_the_recursion_limit(self):
+        from pathlib import Path
+
+        import peakmod
+
+        package = Path(peakmod.__file__).parent
+        offenders = [f.name for f in sorted(package.glob("*.py"))
+                     if "setrecursionlimit" in f.read_text()]
+        assert offenders == []
+
 
 class TestPermuteStatistics:
     def test_identity(self, example_path):

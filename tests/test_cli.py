@@ -169,6 +169,15 @@ class TestMap:
                            "--tree", '{"1":{}}', "--sigma", "3,2,1")
         assert code == 0 and json.loads(out) == {"3": {}}
 
+    def test_psi_round_trip_deeper_than_recursion_limit(self, capsys):
+        path = "u" * 1500 + "d" * 1500
+        code, tree_json, _ = run(capsys, "map", "psi", "--k", "1",
+                                 "--path", path)
+        assert code == 0 and tree_json.startswith('{"2":{"2":')
+        code, out, _ = run(capsys, "map", "psi-inv", "--k", "1",
+                           "--tree", tree_json.strip())
+        assert code == 0 and out.strip() == path
+
 
 class TestStdinAndFlags:
     def test_path_from_stdin(self, capsys, monkeypatch):
@@ -261,6 +270,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "map", "kappa", "--k", "2",
                            "--path", "ud")
         assert code == 2
+
+    def test_non_string_label_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "map", "psi-inv", "--k", "2",
+                             "--tree", '{"label": 5}')
+        assert code == 2 and out == "" and "label" in err
 
     def test_argparse_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,7 @@ from peakmod import (
     ParseError,
     PositionOutOfRangeError,
     PositionalTree,
+    TreeError,
     WrongEndHeightError,
     height_profile,
     level,
@@ -21,6 +22,7 @@ from peakmod import (
     tree_from_json,
     tree_from_json_text,
     tree_to_json,
+    tree_to_json_text,
     validate,
 )
 from peakmod.core import DOWN, UP
@@ -203,3 +205,104 @@ class TestTrees:
                                (3, leaf)))
         from peakmod import e_vector
         assert sum(e_vector(t)) == t.node_count() - 1
+
+
+def _deep_chain(depth, arity=3, pos=1):
+    node = PositionalTree(arity, (), NodeLabel.parse("dd_1"))
+    for _ in range(depth - 1):
+        node = PositionalTree(arity, ((pos, node),), NodeLabel.parse("r"))
+    return node
+
+
+class TestTreeWireFormat:
+    def _trees(self):
+        leaf = PositionalTree(12, (), NodeLabel.parse("p0_1"))
+        yield None
+        yield PositionalTree(3)
+        yield PositionalTree(3, ((1, PositionalTree(3)),
+                                 (3, PositionalTree(3))))
+        # keys sort as strings, so "10" < "2" < "label"
+        yield PositionalTree(12, ((2, leaf), (10, PositionalTree(12)),
+                                  (12, leaf)), NodeLabel.parse("r"))
+
+    def test_text_matches_sorted_compact_json(self, example_path):
+        import json
+
+        from peakmod import path_to_labeled_tree
+        trees = list(self._trees()) + [path_to_labeled_tree(example_path)]
+        for tree in trees:
+            want = json.dumps(tree_to_json(tree), sort_keys=True,
+                              separators=(",", ":"))
+            assert tree_to_json_text(tree) == want
+            arity = 3 if tree is None else tree.arity
+            assert tree_from_json_text(want, arity) == tree
+
+    def test_reader_accepts_any_json_layout(self):
+        text = ' {\n "3" : { } ,\t"label" : "r\\u0030" , "1":{}}\r\n'
+        with pytest.raises(TreeError):  # "r0" is not a label
+            tree_from_json_text(text, 3)
+        tree = tree_from_json_text(text.replace("\\u0030", ""), 3)
+        assert tree == PositionalTree(3, ((1, PositionalTree(3)),
+                                          (3, PositionalTree(3))),
+                                      NodeLabel.parse("r"))
+
+    @pytest.mark.parametrize("text", [
+        "", "{", '{"1": {}', '{"1" {}}', '{"1": {},}', "[1 2]", "{} {}",
+        '{"1": tru}', '"abc', "{1: {}}"])
+    def test_malformed_json_is_a_tree_error(self, text):
+        with pytest.raises(TreeError) as exc:
+            tree_from_json_text(text, 3)
+        assert type(exc.value) is TreeError
+
+    @pytest.mark.parametrize("text,error", [
+        ('{"1": {"2": {}, "2": {}}}', DuplicatePositionError),
+        ('{"01": {}, "1": {}}', DuplicatePositionError),
+        ('{"4": {}}', PositionOutOfRangeError),
+        ('{"x": {}}', TreeError),
+        ('{"1": null}', TreeError),
+        ('{"1": []}', TreeError),
+        ("[]", TreeError),
+        ('{"label": 5}', TreeError),
+        ('{"label": ["r"]}', TreeError),
+        ('{"label": "dd_"}', TreeError)])
+    def test_bad_trees_keep_their_error_class(self, text, error):
+        with pytest.raises(error):
+            tree_from_json_text(text, 3)
+
+    def test_null_is_the_empty_tree(self):
+        assert tree_from_json_text(" null ", 3) is None
+
+
+class TestDeepTrees:
+    # every operation on whole trees runs on explicit stacks, so a chain
+    # far deeper than the default recursion limit is an ordinary value
+    DEPTH = 5000
+
+    def test_equality_and_hash(self):
+        a, b = _deep_chain(self.DEPTH), _deep_chain(self.DEPTH)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != _deep_chain(self.DEPTH, pos=2)
+        assert a != _deep_chain(self.DEPTH + 1)
+        assert len({a, b}) == 1
+
+    def test_strip_labels(self):
+        stripped = _deep_chain(self.DEPTH).strip_labels()
+        assert stripped.node_count() == self.DEPTH
+        assert all(node.label is None for node in stripped.iter_nodes())
+
+    def test_json_round_trips(self):
+        import json
+
+        tree = _deep_chain(self.DEPTH)
+        assert tree_from_json(tree_to_json(tree), 3) == tree
+        text = tree_to_json_text(tree)
+        assert text.startswith('{"1":{"1":') and text.count("{") == \
+            self.DEPTH
+        assert tree_from_json_text(text, 3) == tree
+        assert tree_from_json_text(text.replace(":", ": "), 3) == tree
+        with pytest.raises(TreeError):
+            tree_from_json_text(text[:-1], 3)
+        small = _deep_chain(50)
+        assert tree_to_json_text(small) == json.dumps(
+            tree_to_json(small), sort_keys=True, separators=(",", ":"))
+

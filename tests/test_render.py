@@ -2,7 +2,13 @@
 
 import re
 
-from peakmod import FamilySpec, LatticePath, parse_path, path_to_labeled_tree
+from peakmod import (
+    FamilySpec,
+    LatticePath,
+    PositionalTree,
+    parse_path,
+    path_to_labeled_tree,
+)
 from peakmod.render import (
     render_path_ascii,
     render_path_svg,
@@ -81,3 +87,16 @@ class TestTreeRender:
 
     def test_svg_empty(self):
         assert render_tree_svg(None).startswith("<svg")
+
+    def test_deeper_than_recursion_limit(self):
+        depth = 5000
+        node = PositionalTree(3)
+        for _ in range(depth - 1):
+            node = PositionalTree(3, ((2, node),))
+        lines = render_tree_ascii(node).splitlines()
+        assert len(lines) == depth
+        assert lines[-1] == "  " * (depth - 1) + "2: *"
+        svg = render_tree_svg(node)
+        assert svg.count("<circle") == depth
+        assert svg.count("<line") == depth - 1
+
