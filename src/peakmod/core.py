@@ -428,7 +428,7 @@ def dd_label(ordinal: int) -> NodeLabel:
 # positional trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PositionalTree:
     """A nonempty rooted tree whose children occupy explicit slots 1..arity.
 
@@ -497,6 +497,9 @@ class PositionalTree:
 
     def __hash__(self) -> int:
         return hash((self.arity, tuple(self._shape())))
+
+    def __repr__(self) -> str:
+        return f"PositionalTree({self.arity}, {tree_to_json_text(self)})"
 
     def strip_labels(self) -> "PositionalTree":
         return tree_from_records(self.arity, [

@@ -21,19 +21,22 @@ families ending at height m = ell*k + r multiply out
 
     g = (prod_{i<=r} (q_i f + 1))^(ell+1) * (prod_{r<i<k} (q_i f + 1))^ell,
 
-optionally with an x^m prefactor when x tracks length.  Fixed-point
-iteration solves the equations; the positive x-valuation of every
-right-hand side makes coefficients through order N exact after N+1
-rounds.
+optionally with an x^m prefactor when x tracks length.  Both equations
+for f are solved coefficient by coefficient: with P_0 = 1 and
+P_{j+1} = P_j + q_j (f P_j), the x^d coefficient of every P_j needs only
+f_1..f_d, and f_n reads P_{k+1} and f below degree n.  Each coefficient
+of f and of the partial products is computed exactly once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Sequence
 
 from .core import FamilySpec
+from .transforms import permute_coordinates
 
 
 class NonIntegerResultError(ArithmeticError):
@@ -157,25 +160,17 @@ def count_ballot_joint(k: int, ell: int, r: int, n: int,
 def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
     """Independent route to :func:`count_joint` via series reversion.
 
-    Expands (prod_i (q_i f + 1))^n as a polynomial in f and the markers
-    and reads off (1/n) times the coefficient of f^(n-1) prod q_i^(r_i).
+    Lagrange inversion of f = x * Phi(f) with Phi(f) = prod_i (q_i f + 1)
+    gives [x^n] f = (1/n) [f^(n-1)] Phi(f)^n.  Phi(f)^n is expanded as a
+    :class:`TruncSeries` in f, truncated at f^(n-1), and the count is
+    (1/n) times the coefficient of f^(n-1) prod q_i^(r_i).  No solver
+    and no closed form is involved.
     """
     r = tuple(int(x) for x in r)
     _check_joint_args(k, n, r)
-    # variables: exponent tuples (e_f, e_0, ..., e_k)
-    nvars = k + 2
-    base: dict[tuple[int, ...], int] = {(0,) * nvars: 1}
-    for i in range(k + 1):
-        term = [0] * nvars
-        term[0] = 1
-        term[i + 1] = 1
-        factor = {tuple(term): 1, (0,) * nvars: 1}
-        base = _poly_mul(base, factor)
-    power = {(0,) * nvars: 1}
-    for _ in range(n):
-        power = _poly_mul(power, base)
-    target = (n - 1,) + r
-    return _exact_int(Fraction(power.get(target, 0), n),
+    f = TruncSeries.x_power(1, n - 1, k + 1)
+    power = _marked_product(f, range(k + 1)).pow(n)
+    return _exact_int(Fraction(power.coeffs[n - 1].get(r, 0), n),
                       f"lagrange_coefficient({k}, {n}, {r})")
 
 
@@ -194,17 +189,15 @@ def _poly_add(p: dict, q: dict) -> dict:
     return out
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
+def _poly_dot(pairs: Iterable[tuple[dict, dict]]) -> dict:
+    """The sum of p * q over the (p, q) pairs."""
     out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            nc = out.get(e, 0) + c1 * c2
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-    return out
+    for p, q in pairs:
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def _poly_bump(p: dict, i: int) -> dict:
@@ -217,7 +210,7 @@ def _poly_bump(p: dict, i: int) -> dict:
     return out
 
 
-def _poly_str(p: dict, nmarkers: int) -> str:
+def _poly_str(p: dict) -> str:
     if not p:
         return "0"
     parts = []
@@ -246,34 +239,24 @@ class TruncSeries:
 
     __slots__ = ("order", "nmarkers", "coeffs")
 
-    def __init__(self, order: int, nmarkers: int,
-                 coeffs: Sequence[dict] | None = None):
+    def __init__(self, order: int, nmarkers: int, coeffs: Sequence[dict]):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = order
         self.nmarkers = nmarkers
-        if coeffs is None:
-            coeffs = [{} for _ in range(order + 1)]
         self.coeffs = tuple(dict(c) for c in coeffs)
 
     # construction helpers ---------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, nmarkers: int) -> "TruncSeries":
-        return cls(order, nmarkers)
-
-    @classmethod
     def one(cls, order: int, nmarkers: int) -> "TruncSeries":
-        coeffs = [{} for _ in range(order + 1)]
-        coeffs[0] = {(0,) * nmarkers: 1}
-        return cls(order, nmarkers, coeffs)
+        return cls.x_power(0, order, nmarkers)
 
     @classmethod
-    def x_power(cls, j: int, order: int, nmarkers: int,
-                scale: int = 1) -> "TruncSeries":
+    def x_power(cls, j: int, order: int, nmarkers: int) -> "TruncSeries":
         coeffs = [{} for _ in range(order + 1)]
-        if j <= order and scale:
-            coeffs[j] = {(0,) * nmarkers: scale}
+        if j <= order:
+            coeffs[j] = {(0,) * nmarkers: 1}
         return cls(order, nmarkers, coeffs)
 
     # arithmetic ---------------------------------------------------------------
@@ -288,16 +271,9 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        out = [{} for _ in range(self.order + 1)]
-        for da, pa in enumerate(self.coeffs):
-            if not pa:
-                continue
-            for db in range(self.order + 1 - da):
-                pb = other.coeffs[db]
-                if not pb:
-                    continue
-                out[da + db] = _poly_add(out[da + db], _poly_mul(pa, pb))
-        return self._like(out)
+        a, b = self.coeffs, other.coeffs
+        return self._like([_poly_dot((a[i], b[d - i]) for i in range(d + 1))
+                           for d in range(self.order + 1)])
 
     def _check(self, other: "TruncSeries") -> None:
         if (self.order, self.nmarkers) != (other.order, other.nmarkers):
@@ -332,20 +308,14 @@ class TruncSeries:
         return [sum(p.values()) for p in self.coeffs]
 
     def permute_markers(self, sigma: Sequence[int]) -> "TruncSeries":
-        """Move marker i to slot sigma[i] (0-based images)."""
+        """Move marker i to slot sigma[i] (0-based images).
+
+        Raises BadPermutationError, a ValueError, unless sigma permutes
+        0..nmarkers-1.
+        """
         sig = list(sigma)
-        if sorted(sig) != list(range(self.nmarkers)):
-            raise ValueError(f"{sigma} is not a permutation of the markers")
-        out = []
-        for p in self.coeffs:
-            q = {}
-            for e, c in p.items():
-                e2 = [0] * self.nmarkers
-                for i, v in enumerate(e):
-                    e2[sig[i]] = v
-                q[tuple(e2)] = c
-            out.append(q)
-        return self._like(out)
+        return self._like([permute_coordinates(p, sig, self.nmarkers, 0)
+                           for p in self.coeffs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
@@ -359,7 +329,7 @@ class TruncSeries:
     # output -----------------------------------------------------------------
 
     def dump_lines(self) -> list[str]:
-        return [f"x^{d}: {_poly_str(p, self.nmarkers)}"
+        return [f"x^{d}: {_poly_str(p)}"
                 for d, p in enumerate(self.coeffs)]
 
     def to_json(self) -> dict:
@@ -386,6 +356,33 @@ def _marked_product(f: TruncSeries, indices: Iterable[int]) -> TruncSeries:
     return out
 
 
+def _solve(k: int, order: int, s: int,
+           levels: Sequence[tuple[int, int]]) -> TruncSeries:
+    """Solve f = sum_a c_a x^a (f + 1) + x^s prod_{i<=k} (q_i f + 1).
+
+    ``prods[j][d]`` is [x^d] P_j for P_0 = 1, P_{j+1} = P_j + q_j (f P_j).
+    Since s >= 1 and every run-length a >= 1, f_n needs only f_1..f_{n-1}
+    and rows d <= n - s of the partial products.
+    """
+    one = {(0,) * (k + 1): 1}
+    f: list[dict] = [{}]
+    prods = [[one] + [{}] * order] + [[one] for _ in range(k + 1)]
+    for n in range(1, order + 1):
+        d = n - s
+        if d > 0:
+            for j in range(k + 1):
+                fp = _poly_dot((f[e], prods[j][d - e])
+                               for e in range(1, d + 1))
+                prods[j + 1].append(_poly_add(prods[j][d], _poly_bump(fp, j)))
+        fn = prods[k + 1][d] if d >= 0 else {}
+        for a, c in levels:
+            if a <= n:
+                below = one if a == n else f[n - a]
+                fn = _poly_add(fn, {e: c * v for e, v in below.items()})
+        f.append(fn)
+    return TruncSeries(order, k + 1, f)
+
+
 def solve_f(k: int, order: int) -> TruncSeries:
     """Joint generating series of pure k-Dyck paths by down-size.
 
@@ -393,14 +390,9 @@ def solve_f(k: int, order: int) -> TruncSeries:
     (pk_0, ..., pk_{k-1}, dd) over paths of down-size n; the constant term
     vanishes because only nonempty paths are counted.
     """
-    nm = k + 1
-    f = TruncSeries.zero(order, nm)
-    for _ in range(order + 1):
-        nf = _marked_product(f, range(k + 1)).mul_x(1)
-        if nf == f:
-            break
-        f = nf
-    return f
+    if k < 1:
+        raise ValueError("need k >= 1")
+    return _solve(k, order, 1, ())
 
 
 def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
@@ -410,19 +402,7 @@ def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
     statistics (wpk_0, ..., wpk_{k-1}, wdd) over paths of length L, and is
     symmetric in all k+1 markers.
     """
-    k = spec.k
-    nm = k + 1
-    c_a = TruncSeries.zero(order, nm)
-    for a, c in spec.levels:
-        c_a = c_a + TruncSeries.x_power(a, order, nm, scale=c)
-    f = TruncSeries.zero(order, nm)
-    for _ in range(order + 1):
-        nf = (c_a * f.plus_one()
-              + _marked_product(f, range(k + 1)).mul_x(k + 1))
-        if nf == f:
-            break
-        f = nf
-    return f
+    return _solve(spec.k, order, spec.k + 1, spec.levels)
 
 
 def _ballot_product(f: TruncSeries, k: int, m: int) -> TruncSeries:

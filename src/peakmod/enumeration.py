@@ -8,7 +8,8 @@ before down-steps before level steps sorted by run-length and color).
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
 is 10**7 objects and can be overridden per call or through the
-PEAKMOD_MAX_OBJECTS environment variable.
+PEAKMOD_MAX_OBJECTS environment variable; a negative cap is rejected with
+a ValueError before anything is generated.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterable, Iterator
 
 from .core import DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step
 from .statistics import PLAIN, VARIANTS, stat_vector
+from .transforms import permute_coordinates
 
 DEFAULT_MAX_OBJECTS = 10 ** 7
 ENV_MAX_OBJECTS = "PEAKMOD_MAX_OBJECTS"
@@ -31,10 +33,20 @@ class ResourceLimitError(RuntimeError):
 
 def resolve_cap(max_objects: int | None) -> int:
     if max_objects is not None:
+        if max_objects < 0:
+            raise ValueError(f"--limit (max_objects) must be >= 0, "
+                             f"got {max_objects}")
         return max_objects
     env = os.environ.get(ENV_MAX_OBJECTS)
     if env is not None:
-        return int(env)
+        try:
+            cap = int(env)
+            if cap < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{ENV_MAX_OBJECTS} must be an integer >= 0, "
+                             f"got {env!r}") from None
+        return cap
     return DEFAULT_MAX_OBJECTS
 
 
@@ -198,15 +210,16 @@ class Histogram:
         return sorted(self.counts.items())
 
     def permuted(self, sigma: Iterable[int]) -> "Histogram":
-        """Move the value in coordinate i to coordinate sigma(i) (1-based)."""
-        sig = [int(x) for x in sigma]
-        new: dict[tuple[int, ...], int] = {}
-        for key, c in self.counts.items():
-            out = [0] * len(key)
-            for i, v in enumerate(key):
-                out[sig[i] - 1] = v
-            new[tuple(out)] = new.get(tuple(out), 0) + c
-        return Histogram(self.variant, self.k, new, self.total)
+        """Move the value in coordinate i to coordinate sigma(i) (1-based).
+
+        Raises BadPermutationError unless sigma permutes 1..m, where m is
+        the length of the statistic tuples.
+        """
+        sig = list(sigma)
+        m = len(next(iter(self.counts), sig))
+        return Histogram(self.variant, self.k,
+                         permute_coordinates(self.counts, sig, m, 1),
+                         self.total)
 
     def marginal(self, coord: int) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -325,13 +325,27 @@ def deutsch_involution(path: LatticePath) -> LatticePath:
 # subtree permutation
 # ---------------------------------------------------------------------------
 
-def check_permutation(sigma: Sequence[int], m: int) -> tuple[int, ...]:
-    """Validate sigma as images of 1..m and return it as a tuple."""
+def check_permutation(sigma: Sequence[int], m: int,
+                      first: int = 1) -> tuple[int, ...]:
+    """Validate sigma as images of first..first+m-1 and return a tuple."""
     sig = tuple(int(x) for x in sigma)
-    if len(sig) != m or sorted(sig) != list(range(1, m + 1)):
+    if sorted(sig) != list(range(first, first + m)):
         raise BadPermutationError(
-            f"{list(sigma)} is not a permutation of 1..{m}")
+            f"{list(sigma)} is not a permutation of {first}..{first + m - 1}")
     return sig
+
+
+def permute_coordinates(table: dict[tuple[int, ...], int],
+                        sigma: Sequence[int], m: int,
+                        first: int) -> dict[tuple[int, ...], int]:
+    """Move coordinate i of every m-coordinate key to coordinate
+    sigma[i] - first, keeping the values.
+
+    sigma is checked by :func:`check_permutation`, so no two keys merge.
+    """
+    sig = check_permutation(sigma, m, first)
+    source = sorted(range(m), key=lambda i: sig[i])
+    return {tuple(key[i] for i in source): c for key, c in table.items()}
 
 
 def permute_subtrees(tree: PositionalTree | None,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable
 
 from .bijections import (
     path_to_labeled_tree,
@@ -41,6 +40,7 @@ from .counting import (
     solve_g_kac,
 )
 from .enumeration import (
+    _compositions,
     gen_ballot,
     gen_k_dyck,
     gen_kac,
@@ -260,16 +260,6 @@ def _labels_agree(path: LatticePath, k: int) -> bool:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _feature_vectors(n: int, slots: int) -> Iterable[tuple[int, ...]]:
-    """All nonnegative integer vectors of the given length summing to n."""
-    if slots == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _feature_vectors(n - first, slots - 1):
-            yield (first,) + rest
-
-
 def verify_closed_forms(max_k: int = 3, max_n: int = 5) -> VerifyReport:
     rep = VerifyReport("closed-forms", {"max_k": max_k, "max_n": max_n})
     for k in range(1, max_k + 1):
@@ -277,7 +267,7 @@ def verify_closed_forms(max_k: int = 3, max_n: int = 5) -> VerifyReport:
             hist = histogram(gen_k_dyck(k, n), PLAIN)
             rep.expect(f"family size k={k} n={n}",
                        fuss_catalan(k, n), hist.total)
-            for r in _feature_vectors(n - 1, k + 1):
+            for r in _compositions(n - 1, k + 1):
                 want = hist.counts.get(r, 0)
                 rep.expect(f"joint count k={k} n={n} r={r}", want,
                            count_joint(k, n, r), inputs={"r": r})
@@ -393,7 +383,7 @@ def verify_ballot(max_k: int = 3, max_m: int = 4, max_n: int = 4,
             ell, r = divmod(m, k)
             for n in range(1, max_n + 1):
                 hist = histogram(gen_ballot(k, m, n), PLAIN_STARRED)
-                for s in _feature_vectors(n, k + 1):
+                for s in _compositions(n, k + 1):
                     rep.expect(
                         f"ballot closed form k={k} m={m} n={n} s={s}",
                         hist.counts.get(s, 0),

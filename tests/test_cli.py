@@ -291,6 +291,24 @@ class TestExitCodes:
         code, _, _ = run(capsys, "enumerate", "--k", "2", "--down-size", "3")
         assert code == 3
 
+    def test_series_rejects_k_below_one(self, capsys):
+        for k in ("0", "-1"):
+            code, out, err = run(capsys, "count", "series", "--k", k,
+                                 "--order", "3")
+            assert code == 2 and out == "" and "k >= 1" in err
+
+    def test_negative_limit_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--k", "2",
+                             "--down-size", "3", "--limit", "-1")
+        assert code == 2 and out == "" and "--limit" in err
+
+    def test_negative_env_cap_is_bad_input(self, capsys, monkeypatch):
+        for value in ("-5", "abc"):
+            monkeypatch.setenv("PEAKMOD_MAX_OBJECTS", value)
+            code, out, err = run(capsys, "enumerate", "--k", "2",
+                                 "--down-size", "3")
+            assert code == 2 and out == "" and "PEAKMOD_MAX_OBJECTS" in err
+
     def test_verify_failure_exit(self, capsys, monkeypatch):
         # sabotage one suite to prove the exit code surfaces failures
         import peakmod.verify as verify_mod

@@ -285,6 +285,13 @@ class TestDeepTrees:
         assert a != _deep_chain(self.DEPTH + 1)
         assert len({a, b}) == 1
 
+    def test_repr(self):
+        tree = _deep_chain(self.DEPTH)
+        text = repr(tree)
+        assert text == f"PositionalTree(3, {tree_to_json_text(tree)})"
+        assert repr(_deep_chain(2, pos=2)) == \
+            'PositionalTree(3, {"2":{"label":"dd_1"},"label":"r"})'
+
     def test_strip_labels(self):
         stripped = _deep_chain(self.DEPTH).strip_labels()
         assert stripped.node_count() == self.DEPTH

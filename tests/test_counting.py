@@ -2,6 +2,8 @@
 
 from itertools import permutations
 
+import pytest
+
 from peakmod import (
     FamilySpec,
     TruncSeries,
@@ -177,6 +179,13 @@ class TestSolveF:
             for sigma in permutations(range(k + 1)):
                 assert f.permute_markers(sigma) == f
 
+    def test_rejects_k_below_one(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k >= 1"):
+                solve_f(k, 3)
+            with pytest.raises(ValueError, match="k >= 1"):
+                solve_g(k, 1, 3)
+
     def test_fuss_catalan_at_ones(self):
         for k in (1, 2, 3):
             f = solve_f(k, 5)
@@ -285,6 +294,35 @@ class TestThreeWayAgreement:
                 coeff = f.coefficient(n)
                 for rv in _vectors(n - 1, k + 1):
                     assert coeff.get(rv, 0) == count_joint(k, n, rv)
+
+
+class TestBeyondEnumeration:
+    # the series and reversion routes against the closed forms at sizes
+    # the brute-force oracle cannot reach
+    def test_solve_f_equals_joint_closed_form(self):
+        for k in (1, 2):
+            f = solve_f(k, 16)
+            for n in range(1, 17):
+                coeff = f.coefficient(n)
+                for rv in _vectors(n - 1, k + 1):
+                    assert coeff.get(rv, 0) == count_joint(k, n, rv), (k, n)
+
+    def test_solve_g_equals_ballot_closed_form(self):
+        for k in (1, 2):
+            for m in range(4):
+                ell, r = divmod(m, k)
+                g = solve_g(k, m, 12)
+                for n in range(13):
+                    coeff = g.coefficient(n)
+                    for s in _vectors(n, k + 1):
+                        assert coeff.get(s, 0) == \
+                            count_ballot_joint(k, ell, r, n, s), (k, m, n, s)
+
+    def test_lagrange_equals_joint_closed_form(self):
+        for k, n in ((2, 8), (3, 6)):
+            for r in _vectors(n - 1, k + 1):
+                assert lagrange_coefficient(k, n, r) == \
+                    count_joint(k, n, r), (k, n, r)
 
 
 class TestSolveGKac:

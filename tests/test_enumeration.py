@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from peakmod import (
+    BadPermutationError,
     FamilySpec,
     ResourceLimitError,
     fuss_catalan,
@@ -156,6 +157,12 @@ class TestHistogram:
                 h = histogram(gen_k_dyck(k, n), PLAIN)
                 for sigma in permutations(range(1, k + 2)):
                     assert h.permuted(sigma) == h
+
+    def test_permuted_rejects_non_permutation(self):
+        h = histogram(gen_k_dyck(2, 3), PLAIN)
+        for sigma in ((1, 1, 3), (1, 2), (1, 2, 3, 4), (0, 1, 2)):
+            with pytest.raises(BadPermutationError):
+                h.permuted(sigma)
 
     def test_weak_invariance(self):
         for spec in (MOTZKIN, SCHROEDER):
