@@ -54,7 +54,7 @@ def _build(path: LatticePath,
            labels: dict[int, NodeLabel] | None) -> PositionalTree:
     """The tree of a nonempty pure path; ``labels`` is keyed by down-step."""
     k = path.spec.k
-    closes, run = _closing_ups(path)
+    closes, run, _ = _closing_ups(path)
     records: list = []
     todo = [(0, len(path.steps), 0, -1, 0)]  # (start, end, shift, parent, pos)
     while todo:

@@ -458,12 +458,6 @@ class PositionalTree:
                     f"child arity {child.arity} != parent arity {self.arity}")
         object.__setattr__(self, "children", kids)
 
-    def child(self, pos: int) -> "PositionalTree | None":
-        for p, c in self.children:
-            if p == pos:
-                return c
-        return None
-
     def node_count(self) -> int:
         return sum(1 for _ in self.iter_nodes())
 
@@ -519,10 +513,6 @@ def tree_from_records(arity: int, records) -> PositionalTree:
         kids[parent].append((pos, PositionalTree(arity, tuple(kids[idx]),
                                                  label)))
     return PositionalTree(arity, tuple(kids[0]), records[0][2])
-
-
-def tree_node_count(tree: PositionalTree | None) -> int:
-    return 0 if tree is None else tree.node_count()
 
 
 def tree_to_json(tree: PositionalTree | None):

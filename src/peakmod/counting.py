@@ -293,9 +293,15 @@ class TruncSeries:
         return self._like(out)
 
     def pow(self, e: int) -> "TruncSeries":
+        """self**e by repeated squaring."""
         out = TruncSeries.one(self.order, self.nmarkers)
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     # queries --------------------------------------------------------------

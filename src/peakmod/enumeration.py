@@ -70,7 +70,7 @@ def gen_k_dyck(k: int, n: int,
     """All pure k-Dyck paths of down-size n, in lexicographic order (u < d)."""
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    yield from _gen_updown(FamilySpec(k), k * n, n, _Budget(resolve_cap(max_objects)))
+    yield from gen_kac(FamilySpec(k), (k + 1) * n, max_objects)
 
 
 def gen_ballot(k: int, m: int, n: int,
@@ -82,30 +82,8 @@ def gen_ballot(k: int, m: int, n: int,
     """
     if k < 1 or m < 0 or n < 0:
         raise ValueError("need k >= 1, m >= 0, n >= 0")
-    spec = FamilySpec(k, end_height=m)
-    yield from _gen_updown(spec, k * n + m, n, _Budget(resolve_cap(max_objects)))
-
-
-def _gen_updown(spec: FamilySpec, ups: int, downs: int,
-                budget: _Budget) -> Iterator[LatticePath]:
-    k = spec.k
-    prefix: list[Step] = []
-
-    def rec(u_left: int, d_left: int, h: int) -> Iterator[LatticePath]:
-        if u_left == 0 and d_left == 0:
-            budget.tick()
-            yield LatticePath(spec, tuple(prefix))
-            return
-        if u_left:
-            prefix.append(UP)
-            yield from rec(u_left - 1, d_left, h + 1)
-            prefix.pop()
-        if d_left and h >= k:
-            prefix.append(DOWN)
-            yield from rec(u_left, d_left - 1, h - k)
-            prefix.pop()
-
-    yield from rec(ups, downs, 0)
+    yield from gen_kac(FamilySpec(k, end_height=m), (k + 1) * n + m,
+                       max_objects)
 
 
 def gen_kac(spec: FamilySpec, length: int,

@@ -16,10 +16,14 @@ with L a (possibly empty) run of trailing level steps, or P = L alone when
 the path consists of level steps only.  Ballot paths ending at height m
 split at the m last up-steps leaving heights 0..m-1 for good.
 
-All of these cut a path at last-passage up-steps.  ``_closing_ups`` finds
-them for every down-step of a pure path in one pass, which lets Deutsch's
-involution and the path/tree bijection split any factor of the path by
-index lookups instead of copying it.
+All of these cut a path at last-passage up-steps, and ``_closing_ups`` is
+the one scan that finds them.  Its final ``last_up`` list holds the cuts
+of the whole path: the right-peak separators of a path ending in d^n are
+its first kn entries, and the ballot cuts its first m.  The last-step cuts
+are the k ups closed by the final down-step.  The cyclic shift copies each
+block once, straight from its index range.  Deutsch's involution and the
+path/tree bijection read the per-down-step lists of the same pass to split
+any factor of the path by index lookups instead of copying it.
 """
 
 from __future__ import annotations
@@ -34,86 +38,33 @@ from .core import (
     EmptyPathError,
     FamilySpec,
     LatticePath,
+    NegativeHeightError,
     PositionalTree,
     Step,
     WrongEndHeightError,
     WrongKError,
-    step_rise,
     tree_from_records,
 )
 
 
 # ---------------------------------------------------------------------------
-# index-level splitting helpers (shared with the bijection module)
+# the last-passage scan (shared with the bijection module)
 # ---------------------------------------------------------------------------
 
-def _last_up_positions(steps: Sequence[Step], k: int, start: int,
-                       count: int) -> list[int]:
-    """Index of the last up-step leaving height start+j, for j in 0..count-1."""
-    last: dict[int, int] = {}
-    h = start
-    for idx, s in enumerate(steps):
-        if s.kind == "u":
-            last[h] = idx
-        h += step_rise(s, k)
-    try:
-        return [last[start + j] for j in range(count)]
-    except KeyError as exc:
-        raise ValueError(f"no up-step leaves height {exc.args[0]}") from exc
+def _closing_ups(path: LatticePath) -> tuple[list, list[int], list[int]]:
+    """One left-to-right pass over a path, read from its start height.
 
-
-def _cut(steps: Sequence[Step], seps: list[int]) -> list[list[Step]]:
-    """The runs of steps between consecutive separators, then the rest."""
-    parts = []
-    prev = -1
-    for p in seps:
-        parts.append(list(steps[prev + 1: p]))
-        prev = p
-    parts.append(list(steps[prev + 1:]))
-    return parts
-
-
-def _right_peak_split(steps: Sequence[Step],
-                      k: int) -> tuple[int, list[list[Step]]]:
-    """Split into the trailing down-run length n and blocks Q_0..Q_{kn-1}."""
-    n = 0
-    while n < len(steps) and steps[-1 - n].kind == "d":
-        n += 1
-    if n == 0:
-        raise EmptyPathError("path has no trailing down-run")
-    body = steps[: len(steps) - n]
-    *blocks, rest = _cut(body, _last_up_positions(body, k, 0, k * n))
-    if rest:
-        raise ValueError("malformed path: steps remain after the last block")
-    return n, blocks
-
-
-def _kappa_items(steps: Sequence[Step], k: int, power: int) -> list[Step]:
-    """Apply the cyclic shift ``power`` times by the direct slot formula."""
-    i = power % k
-    if not steps or i == 0:
-        return list(steps)
-    n, blocks = _right_peak_split(steps, k)
-    out: list[Step] = []
-    for j in range(k * n):
-        out.extend(blocks[j + k - i if (j % k) < i else j - i])
-        out.append(UP)
-    out.extend([DOWN] * n)
-    return out
-
-
-def _closing_ups(path: LatticePath) -> tuple[list, list[int]]:
-    """One left-to-right pass over a pure path, read from its start height.
-
-    For the down-step t leaving height H, ``closes[t]`` lists the k
-    up-steps it closes: the last ups before t leaving heights H-k .. H-1.
-    ``run[t]`` is the length of the down-run ending at t.  A factor of the
-    path that is itself a k-Dyck path and ends with the down-run d^n at
-    index b has its right-peak separators, window by window, in
-    closes[b-1], closes[b-2], ..., closes[b-n].
+    ``last_up[h]`` ends as the last up-step leaving height h.  For the
+    down-step t leaving height H, ``closes[t]`` lists the k up-steps it
+    closes: the last ups before t leaving heights H-k .. H-1.  ``run[t]``
+    is the length of the down-run ending at t; a level step keeps the
+    height and ends the run.  A factor of the path that is itself a k-Dyck
+    path and ends with the down-run d^n at index b has its right-peak
+    separators, window by window, in closes[b-1], closes[b-2], ...,
+    closes[b-n].  A dip below the start height raises NegativeHeightError.
     """
     k = path.spec.k
-    last_up: list[int] = []  # last_up[h]: the latest up leaving height h
+    last_up: list[int] = []
     closes: list = [None] * len(path.steps)
     run = [0] * len(path.steps)
     h = r = 0
@@ -125,14 +76,24 @@ def _closing_ups(path: LatticePath) -> tuple[list, list[int]]:
                 last_up.append(t)
             h += 1
             r = 0
-        else:
+        elif s.kind == "d":
             h -= k
             if h < 0:
-                raise ValueError("path dips below its start height")
+                raise NegativeHeightError("path dips below its start height")
             closes[t] = last_up[h: h + k]
             r += 1
             run[t] = r
-    return closes, run
+        else:
+            r = 0
+    return closes, run, last_up
+
+
+def _cut(spec: FamilySpec, steps: Sequence[Step],
+         seps: list[int]) -> tuple[LatticePath, ...]:
+    """The paths between consecutive separators, then the rest."""
+    starts = [0] + [p + 1 for p in seps]
+    ends = seps + [len(steps)]
+    return tuple(LatticePath(spec, steps[a:b]) for a, b in zip(starts, ends))
 
 
 def _require_pure(path: LatticePath, op: str) -> None:
@@ -182,10 +143,11 @@ def right_peak_decompose(path: LatticePath) -> RightPeakDecomposition:
         raise EmptyPathError("cannot decompose the empty path")
     _require_pure(path, "right_peak_decompose")
     k = path.spec.k
-    n, blocks = _right_peak_split(path.steps, k)
-    spec = FamilySpec(k)
-    return RightPeakDecomposition(
-        k, tuple(LatticePath(spec, tuple(b)) for b in blocks), n)
+    _, run, last_up = _closing_ups(path)
+    n = run[-1]
+    # the rest after the last block's up-step is empty
+    blocks = _cut(FamilySpec(k), path.steps[:-n], last_up[:k * n])[:-1]
+    return RightPeakDecomposition(k, blocks, n)
 
 
 @dataclass(frozen=True)
@@ -222,21 +184,19 @@ def last_step_decompose(path: LatticePath) -> LastStepDecomposition:
     if path.spec.end_height != 0:
         raise WrongEndHeightError(
             "last-step decomposition needs a height-0 family")
-    k = path.spec.k
     steps = path.steps
     t = len(steps)
     while t > 0 and steps[t - 1].kind == "l":
         t -= 1
-    spec = FamilySpec(k, dict(path.spec.levels))
+    spec = path.spec
     if t == 0:
         return LastStepDecomposition(spec, None, steps)
     if steps[t - 1].kind != "d":
         raise ValueError("malformed path: expected a down-step before the "
                          "level suffix")
-    body = steps[: t - 1]
-    parts = _cut(body, _last_up_positions(body, k, 0, k))
+    closes, _, _ = _closing_ups(path)
     return LastStepDecomposition(
-        spec, tuple(LatticePath(spec, tuple(p)) for p in parts), steps[t:])
+        spec, _cut(spec, steps[: t - 1], closes[t - 1]), steps[t:])
 
 
 @dataclass(frozen=True)
@@ -264,13 +224,10 @@ def ballot_decompose(path: LatticePath,
     elif m != path.spec.end_height:
         raise WrongEndHeightError(
             f"path ends {path.spec.end_height} above its start, not {m}")
-    k = path.spec.k
-    part_items = _cut(path.steps, _last_up_positions(
-        path.steps, k, path.start_height, m))
-    part_spec = FamilySpec(k, dict(path.spec.levels))
+    _, _, last_up = _closing_ups(path)
+    part_spec = FamilySpec(path.spec.k, path.spec.levels)
     return BallotDecomposition(
-        path.spec, m,
-        tuple(LatticePath(part_spec, tuple(p)) for p in part_items))
+        path.spec, m, _cut(part_spec, path.steps, last_up[:m]))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +246,20 @@ def cyclic_shift(path: LatticePath, power: int = 1) -> LatticePath:
         raise ValueError("power must be >= 0")
     _require_pure(path, "cyclic_shift")
     k = path.spec.k
-    new_steps = _kappa_items(path.steps, k, power)
-    return LatticePath(path.spec, tuple(new_steps), path.start_height)
+    i = power % k
+    if not path.steps or i == 0:
+        return path
+    _, run, last_up = _closing_ups(path)
+    n = run[-1]
+    seps = last_up[:k * n]
+    starts = [0] + [p + 1 for p in seps]
+    steps: list[Step] = []
+    for j in range(k * n):
+        b = j + k - i if j % k < i else j - i
+        steps += path.steps[starts[b]: seps[b]]
+        steps.append(UP)
+    return LatticePath(path.spec, tuple(steps) + path.steps[-n:],
+                       path.start_height)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +276,7 @@ def deutsch_involution(path: LatticePath) -> LatticePath:
     if path.spec.k != 1:
         raise WrongKError("the involution is defined for k = 1")
     _require_pure(path, "deutsch_involution")
-    closes, _ = _closing_ups(path)
+    closes, _, _ = _closing_ups(path)
     steps: list[Step] = []
     todo: list = [(0, len(path.steps))]
     while todo:

@@ -299,10 +299,6 @@ def verify_closed_forms(max_k: int = 3, max_n: int = 5) -> VerifyReport:
 # series engine
 # ---------------------------------------------------------------------------
 
-def _all_marker_permutations(nm: int):
-    return permutations(range(nm))
-
-
 def verify_series(max_k: int = 2, max_n: int = 5, weak_max_len: int = 8,
                   ballot_max_m: int = 3, ballot_max_n: int = 4
                   ) -> VerifyReport:
@@ -317,7 +313,7 @@ def verify_series(max_k: int = 2, max_n: int = 5, weak_max_len: int = 8,
             want = {key: c for key, c in hist.counts.items()} if n else {}
             rep.expect(f"series vs enumeration k={k} n={n}", want,
                        f.coefficient(n))
-        for sigma in _all_marker_permutations(k + 1):
+        for sigma in permutations(range(k + 1)):
             rep.record(f"series marker symmetry k={k} sigma={sigma}",
                        f.permute_markers(sigma) == f,
                        inputs={"k": k, "sigma": sigma})
@@ -328,7 +324,7 @@ def verify_series(max_k: int = 2, max_n: int = 5, weak_max_len: int = 8,
             want = hist.counts if length else {}
             rep.expect(f"weak series vs enumeration {name} len={length}",
                        want, f.coefficient(length))
-        for sigma in _all_marker_permutations(spec.k + 1):
+        for sigma in permutations(range(spec.k + 1)):
             rep.record(f"weak series symmetry {name} sigma={sigma}",
                        f.permute_markers(sigma) == f,
                        inputs={"family": name, "sigma": sigma})

@@ -8,38 +8,19 @@ path/tree bijection, the closed forms, the functional equations, the
 ballot results, and the classical involution.
 """
 
-from itertools import permutations
-
 from peakmod import (
-    FamilySpec,
     count_ballot_joint,
-    count_joint,
-    count_marginal,
-    count_pk,
-    cyclic_shift,
-    e_vector,
     fuss_catalan,
     gen_ballot,
     gen_k_dyck,
-    gen_kac,
     histogram,
-    lagrange_coefficient,
-    parse_path,
-    path_to_labeled_tree,
-    path_to_tree,
-    permute_statistics,
-    stat_vector,
-    tree_to_json,
 )
-from peakmod.statistics import PLAIN, WEAK
 from peakmod.verify import (
-    EXAMPLE_PATH,
-    FIG1_TREE_JSON,
-    FIG2_TALLY,
-    FIG3_TALLY,
-    MOTZKIN,
     verify_ballot,
     verify_bijection,
+    verify_closed_forms,
+    verify_equidistribution,
+    verify_figures,
     verify_involution,
     verify_series,
 )
@@ -50,46 +31,27 @@ def _passed(number: int, text: str) -> None:
 
 
 def test_criterion_01_figure2_tally():
-    hist = histogram(gen_k_dyck(2, 3), PLAIN)
-    assert hist.counts == FIG2_TALLY
-    assert hist.total == 12
+    report = verify_figures()
+    assert report.ok, report.summary_lines()
     _passed(1, "2-Dyck down-size-3 tally matches exactly (total 12)")
 
 
 def test_criterion_02_figure3_tally():
-    hist = histogram(gen_kac(MOTZKIN, 5), WEAK)
-    assert hist.counts == FIG3_TALLY
-    assert hist.total == 21
+    report = verify_figures()
+    assert report.ok, report.summary_lines()
     _passed(2, "Motzkin length-5 weak tally matches exactly (total 21)")
 
 
 def test_criterion_03_worked_example():
-    spec = FamilySpec(2)
-    block = parse_path("uuduuuuududd", spec)
-    assert cyclic_shift(block).text() == "uuuduuuduudd"
-    big = parse_path(EXAMPLE_PATH, spec)
-    tree = path_to_tree(big)
-    assert tree.node_count() == 10
-    assert e_vector(tree) == (3, 3, 3)
-    assert tree_to_json(path_to_labeled_tree(big)) == FIG1_TREE_JSON
+    report = verify_figures()
+    assert report.ok, report.summary_lines()
     _passed(3, "worked cyclic shift and the 10-node labeled ternary tree")
 
 
 def test_criterion_04_joint_equidistribution():
     for k, max_n in ((1, 10), (2, 6), (3, 4)):
-        for n in range(max_n + 1):
-            paths = list(gen_k_dyck(k, n))
-            hist = histogram(paths, PLAIN)
-            for sigma in permutations(range(1, k + 2)):
-                assert hist.permuted(sigma) == hist, (k, n, sigma)
-                images = set()
-                for p in paths:
-                    q = permute_statistics(p, sigma)
-                    images.add(q)
-                    old, new = stat_vector(p).key(), stat_vector(q).key()
-                    assert all(new[sigma[i] - 1] == old[i]
-                               for i in range(k + 1)), (p.text(), sigma)
-                assert len(images) == len(paths), (k, n, sigma)
+        report = verify_equidistribution(k=k, max_n=max_n)
+        assert report.ok, report.summary_lines()
     _passed(4, "all (k+1)! permutations realized bijectively "
                "(k=1 n<=10, k=2 n<=6, k=3 n<=4)")
 
@@ -102,19 +64,8 @@ def test_criterion_05_bijection_round_trip():
 
 
 def test_criterion_06_closed_forms():
-    for k in (1, 2, 3):
-        for n in range(1, 6):
-            hist = histogram(gen_k_dyck(k, n), PLAIN)
-            seen = 0
-            for r, want in hist.counts.items():
-                assert count_joint(k, n, r) == want
-                assert lagrange_coefficient(k, n, r) == want
-                seen += want
-            assert seen == fuss_catalan(k, n)
-            for r in range(n):
-                assert count_marginal(k, n, r) == count_pk(k, n, n - 1 - r)
-                assert count_marginal(k, n, r) == \
-                    sum(c for key, c in hist.counts.items() if key[0] == r)
+    report = verify_closed_forms(max_k=3, max_n=5)
+    assert report.ok, report.summary_lines()
     _passed(6, "joint formula, series reversion, and enumeration agree "
                "(k<=3 n<=5); marginals reverse")
 

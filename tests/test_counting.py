@@ -341,6 +341,12 @@ class TestSolveGKac:
         assert g.coefficient(0) == {} and g.coefficient(1) == {}
         assert g.coefficient(2) == {(0, 0): 1}
 
+    def test_end_height_beyond_order_is_zero(self):
+        # the factor x^m leaves nothing below degree m; the powers of the
+        # marked products are squared, so m = 3000 costs a dozen products
+        g = solve_g_kac(MOTZKIN, 3000, 6)
+        assert [g.coefficient(n) for n in range(7)] == [{}] * 7
+
 
 class TestTruncSeries:
     def test_dump_format(self):
@@ -367,6 +373,13 @@ class TestTruncSeries:
         assert x.mul_marker(1).coefficient(1) == {(0, 1): 1}
         assert x.pow(3).coefficient(3) == {(0, 0): 1}
         assert (one * x) == x
+
+    def test_pow_equals_repeated_product(self):
+        for base in (solve_f(2, 6).plus_one(), solve_f_kac(MOTZKIN, 6)):
+            product = TruncSeries.one(base.order, base.nmarkers)
+            for e in range(7):
+                assert base.pow(e) == product, e
+                product = product * base
 
     def test_all_coefficients_nonnegative(self):
         for series in (solve_f(2, 5), solve_f_kac(MOTZKIN, 6),

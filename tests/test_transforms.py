@@ -16,7 +16,9 @@ from peakmod import (
     cyclic_shift,
     deutsch_involution,
     e_vector,
+    gen_ballot,
     gen_k_dyck,
+    gen_kac,
     height_profile,
     last_step_decompose,
     lift,
@@ -26,7 +28,14 @@ from peakmod import (
     stat_vector,
 )
 
-from conftest import EXAMPLE_BLOCK, K2, MOTZKIN, dyck, k_dyck_paths
+from conftest import (
+    EXAMPLE_BLOCK,
+    K2,
+    MOTZKIN,
+    SCHROEDER,
+    dyck,
+    k_dyck_paths,
+)
 
 
 class TestLift:
@@ -101,6 +110,22 @@ class TestCyclicShift:
     @given(k_dyck_paths())
     def test_kth_power_is_identity(self, path):
         assert cyclic_shift(path, path.spec.k) == path
+
+    def test_hundred_thousand_down_steps(self):
+        # w windows of two slots with "uud" in the first slot of each, then
+        # d^w: down-size 2w = 10^5.  One shift swaps the slots of every
+        # window; the cuts come from one scan, so the interpreter limit is
+        # neither hit nor raised
+        import sys
+
+        limit = sys.getrecursionlimit()
+        w = 5 * 10 ** 4
+        path = dyck("uuduu" * w + "d" * w)
+        shifted = cyclic_shift(path)
+        assert shifted == dyck("uuudu" * w + "d" * w)
+        assert cyclic_shift(shifted) == path
+        assert cyclic_shift(path, 2) == path
+        assert sys.getrecursionlimit() == limit
 
     @given(k_dyck_paths())
     def test_lowering_preserves_block_residues(self, path):
@@ -192,6 +217,39 @@ class TestBallotDecompose:
             for n in range(3):
                 for p in gen_ballot(k, m, n):
                     assert ballot_decompose(p).reassemble() == p
+
+
+class TestLastPassageCuts:
+    def test_level_bearing_reassembly(self):
+        for levels in ({1: 1}, {2: 1}, {1: 2, 3: 1}):
+            for m in (0, 2):
+                spec = FamilySpec(1, levels, m)
+                for length in range(8):
+                    for p in gen_kac(spec, length):
+                        assert ballot_decompose(p).reassemble() == p
+                        if m == 0:
+                            assert last_step_decompose(p).reassemble() == p
+
+    def test_lifted_cuts_match_unlifted(self):
+        paths = [p for k, max_n in ((1, 5), (2, 4), (3, 3))
+                 for n in range(max_n + 1) for p in gen_k_dyck(k, n)]
+        paths += [p for n in range(4) for p in gen_ballot(2, 2, n)]
+        paths += [p for spec in (MOTZKIN, SCHROEDER)
+                  for length in range(7) for p in gen_kac(spec, length)]
+        for p in paths:
+            pure = p.spec.end_height == 0 and not p.spec.has_levels
+            for amount in (1, 2, 3):
+                q = lift(p, amount)
+                assert ballot_decompose(q) == ballot_decompose(p)
+                if p.spec.end_height == 0:
+                    assert last_step_decompose(q) == last_step_decompose(p)
+                if pure and not p.is_empty():
+                    assert right_peak_decompose(q) == \
+                        right_peak_decompose(p)
+                if pure:
+                    for power in range(p.spec.k + 1):
+                        assert cyclic_shift(q, power) == \
+                            lift(cyclic_shift(p, power), amount)
 
 
 class TestDeutschInvolution:
