@@ -105,14 +105,6 @@ class Step:
             return f"l{self.length}_{self.color}"
         return self.kind
 
-    def sort_key(self) -> tuple:
-        # canonical order: u < d < level steps by (length, color)
-        if self.kind == "u":
-            return (0,)
-        if self.kind == "d":
-            return (1,)
-        return (2, self.length, self.color)
-
 
 UP = Step("u")
 DOWN = Step("d")
@@ -127,15 +119,6 @@ def level(a: int, b: int) -> Step:
     except KeyError:
         s = _LEVEL_CACHE[a, b] = Step("l", a, b)
         return s
-
-
-def step_rise(step: Step, k: int) -> int:
-    """Height change contributed by ``step`` in a family with parameter k."""
-    if step.kind == "u":
-        return 1
-    if step.kind == "d":
-        return -k
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +218,21 @@ class LatticePath:
         if self.start_height < 0:
             raise NegativeHeightError(
                 f"start height {self.start_height} is negative")
-        k = self.spec.k
+        spec = self.spec
+        k = spec.k
         h = self.start_height
+        # h >= 0 on entry and only a down-step lowers it
         for idx, s in enumerate(self.steps):
-            self.spec.check_step(s)
-            h += step_rise(s, k)
-            if h < 0:
-                raise NegativeHeightError(
-                    f"height {h} after step {idx} is negative")
+            kind = s.kind
+            if kind == "u":
+                h += 1
+            elif kind == "d":
+                h -= k
+                if h < 0:
+                    raise NegativeHeightError(
+                        f"height {h} after step {idx} is negative")
+            else:
+                spec.check_step(s)
         want = self.start_height + self.spec.end_height
         if h != want:
             raise WrongEndHeightError(
@@ -297,7 +287,10 @@ def height_profile(path: LatticePath) -> list[int]:
     h = path.start_height
     out = [h]
     for s in path.steps:
-        h += step_rise(s, k)
+        if s.kind == "u":
+            h += 1
+        elif s.kind == "d":
+            h -= k
         out.append(h)
     return out
 

@@ -4,6 +4,10 @@ These generators are the brute-force oracle behind every identity in the
 package: depth-first backtracking over step choices with height pruning,
 yielding each object exactly once in a deterministic order (up-steps
 before down-steps before level steps sorted by run-length and color).
+The path walk keeps its remaining length and height as running state and
+its choices on an explicit stack, so path length is unbounded: nothing
+recurses to the depth of a path.  Every yielded path is still validated
+by the :class:`LatticePath` constructor.
 
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
@@ -98,32 +102,45 @@ def gen_kac(spec: FamilySpec, length: int,
     budget = _Budget(resolve_cap(max_objects))
     k = spec.k
     m = spec.end_height
-    levels = list(spec.level_steps())
+    # (step, height change, length) in the canonical order u < d < levels
+    moves = [(UP, 1, 1), (DOWN, -k, 1)]
+    moves += [(s, 0, s.length) for s in spec.level_steps()]
+    nmoves = len(moves)
+    # A state (rem, h) is kept only if the end height is still reachable:
+    # heights move by +1 (u), -k (d) or 0 per unit of length.  At rem = 0
+    # that leaves h == m, so every prefix that uses up the length is a path.
+    if length < m:
+        return
+    if length == 0:
+        budget.tick()
+        yield LatticePath(spec, ())
+        return
     prefix: list[Step] = []
-
-    def rec(rem: int, h: int) -> Iterator[LatticePath]:
-        if rem == 0:
-            if h == m:
+    taken: list[int] = []       # index into moves of each step in prefix
+    rem, h, i = length, 0, 0    # i: the next move to try after prefix
+    while True:
+        if i < nmoves:
+            step, rise, size = moves[i]
+            i += 1
+            nrem = rem - size
+            nh = h + rise
+            if nrem < 0 or nh < 0 or nh + nrem < m or nh - k * nrem > m:
+                continue
+            if nrem == 0:
                 budget.tick()
-                yield LatticePath(spec, tuple(prefix))
-            return
-        # reachability: heights move by +1 (u), -k (d), or 0 per unit length
-        if h + rem < m or h - k * rem > m:
-            return
-        prefix.append(UP)
-        yield from rec(rem - 1, h + 1)
-        prefix.pop()
-        if h >= k:
-            prefix.append(DOWN)
-            yield from rec(rem - 1, h - k)
+                yield LatticePath(spec, (*prefix, step))
+                continue
+            prefix.append(step)
+            taken.append(i)
+            rem, h, i = nrem, nh, 0
+        elif taken:
             prefix.pop()
-        for step in levels:
-            if step.length <= rem:
-                prefix.append(step)
-                yield from rec(rem - step.length, h)
-                prefix.pop()
-
-    yield from rec(length, 0)
+            i = taken.pop()
+            _, rise, size = moves[i - 1]
+            rem += size
+            h -= rise
+        else:
+            return
 
 
 def gen_trees(arity: int, n: int,

@@ -102,21 +102,41 @@ def stat_vector(path: LatticePath, variant: str = PLAIN) -> StatVector:
     On level-free paths the weak variants coincide with the plain ones.
     The non-starred variants drop the rightmost (weak) peak, which is the
     one with the largest step index.
+
+    One pass over the steps with a running height gives the same counts
+    as tallying :func:`peaks` / :func:`weak_peaks` and
+    :func:`double_descents` / :func:`weak_double_descents`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     k = path.spec.k
-    if variant in (PLAIN, PLAIN_STARRED):
-        pts = peaks(path)
-        dd = len(double_descents(path))
-    else:
-        pts = weak_peaks(path)
-        dd = len(weak_double_descents(path))
-    if variant in (PLAIN, WEAK) and pts:
-        pts = pts[:-1]
+    weak = variant in (WEAK, WEAK_STARRED)
     pk = [0] * k
-    for _, h in pts:
-        pk[h % k] += 1
+    dd = 0
+    # the latest peak's residue is held back until a later peak turns up,
+    # and counted at the end only by the starred variants
+    held = -1
+    h = path.start_height
+    prev = ""
+    for s in path.steps:
+        kind = s.kind
+        if kind == "u":
+            h += 1
+        elif kind == "d":
+            if prev == "u":
+                if held >= 0:
+                    pk[held] += 1
+                held = h % k
+            elif prev == "d" or (weak and prev == "l"):
+                dd += 1
+            h -= k
+        elif kind == "l" and weak and prev in ("u", ""):
+            if held >= 0:
+                pk[held] += 1
+            held = h % k
+        prev = kind
+    if held >= 0 and variant in (PLAIN_STARRED, WEAK_STARRED):
+        pk[held] += 1
     return StatVector(k, variant, tuple(pk), dd)
 
 

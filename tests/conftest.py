@@ -19,6 +19,25 @@ EXAMPLE_BLOCK = "uuduuuuududd"
 EXAMPLE_PATH_TEXT = EXAMPLE_BLOCK + "u" + EXAMPLE_BLOCK + "u" + "uud" + "d"
 
 
+def oracle_grid():
+    """(spec, length) pairs on which the brute-force oracle is checked.
+
+    Pure and ballot families with k <= 3 and end height m <= 3 (down-size
+    up to 6, 4, 3 for k = 1, 2, 3), and the level-bearing families with
+    levels {1:1}, {2:1} or {1:2, 3:1}, k <= 2, end height 0..2 and length
+    up to 7.  Some of the latter open with a level step.
+    """
+    for k, max_n in ((1, 6), (2, 4), (3, 3)):
+        for m in range(4):
+            for n in range(max_n + 1):
+                yield FamilySpec(k, end_height=m), (k + 1) * n + m
+    for levels in ({1: 1}, {2: 1}, {1: 2, 3: 1}):
+        for k in (1, 2):
+            for m in range(3):
+                for length in range(8):
+                    yield FamilySpec(k, levels, m), length
+
+
 @pytest.fixture
 def example_path() -> LatticePath:
     return parse_path(EXAMPLE_PATH_TEXT, K2)

@@ -291,6 +291,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, "enumerate", "--k", "2", "--down-size", "3")
         assert code == 3
 
+    def test_deep_family_reaches_the_cap(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--k", "1",
+                             "--down-size", "1000", "--limit", "1")
+        assert code == 3 and out == "u" * 1000 + "d" * 1000 + "\n"
+        assert "cap" in err and "Traceback" not in err
+        code, out, err = run(capsys, "histogram", "--k", "1",
+                             "--down-size", "1000", "--limit", "1")
+        assert code == 3 and out == ""
+        assert "cap" in err and "Traceback" not in err
+
     def test_series_rejects_k_below_one(self, capsys):
         for k in ("0", "-1"):
             code, out, err = run(capsys, "count", "series", "--k", k,

@@ -11,6 +11,7 @@ from peakmod import (
     NegativeHeightError,
     NodeLabel,
     ParseError,
+    PathError,
     PositionOutOfRangeError,
     PositionalTree,
     TreeError,
@@ -27,7 +28,7 @@ from peakmod import (
 )
 from peakmod.core import DOWN, UP
 
-from conftest import K2, MOTZKIN, k_dyck_paths
+from conftest import K1, K2, MOTZKIN, k_dyck_paths
 
 
 class TestFamilySpec:
@@ -88,6 +89,31 @@ class TestValidate:
         assert height_profile(p) == [2, 0, 1, 2]
         with pytest.raises(NegativeHeightError):
             validate(K2, [DOWN, UP, UP], start_height=1)
+
+    @pytest.mark.parametrize("spec, steps, start, error, message", [
+        (K1, [DOWN], 0, NegativeHeightError,
+         "height -1 after step 0 is negative"),
+        (MOTZKIN, [UP, level(1, 1), DOWN, level(1, 1), DOWN], 0,
+         NegativeHeightError, "height -1 after step 4 is negative"),
+        (MOTZKIN, [level(3, 1)], 0, IllegalStepError,
+         "level run-length 3 not allowed by this family"),
+        (MOTZKIN, [level(1, 2)], 0, IllegalStepError,
+         "color 2 out of range 1..1 for level run-length 1"),
+        (FamilySpec(1, {2: 2}), [level(2, 3)], 0, IllegalStepError,
+         "color 3 out of range 1..2 for level run-length 2"),
+        (K1, [UP], 0, WrongEndHeightError,
+         "path ends at height 1, expected 0"),
+        (K1, [DOWN], -1, NegativeHeightError, "start height -1 is negative"),
+        # the first offending step wins
+        (MOTZKIN, [UP, level(3, 1), DOWN, DOWN], 0, IllegalStepError,
+         "level run-length 3 not allowed by this family"),
+        (MOTZKIN, [UP, DOWN, DOWN, level(3, 1)], 0, NegativeHeightError,
+         "height -1 after step 2 is negative"),
+    ])
+    def test_error_surface(self, spec, steps, start, error, message):
+        with pytest.raises(PathError) as err:
+            validate(spec, steps, start)
+        assert type(err.value) is error and str(err.value) == message
 
     def test_ballot_up_count(self):
         spec = FamilySpec(2, end_height=1)

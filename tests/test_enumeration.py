@@ -1,5 +1,6 @@
 """Exhaustive generators and histogram construction."""
 
+import sys
 from itertools import permutations
 
 import pytest
@@ -16,10 +17,12 @@ from peakmod import (
     histogram,
     histogram_from_keys,
     stat_vector,
+    validate,
 )
+from peakmod.core import DOWN, UP
 from peakmod.statistics import PLAIN, PLAIN_STARRED, WEAK
 
-from conftest import MOTZKIN, SCHROEDER
+from conftest import MOTZKIN, SCHROEDER, oracle_grid
 
 FIG2_TALLY = {(0, 0, 2): 1, (0, 1, 1): 3, (1, 0, 1): 3,
               (1, 1, 0): 3, (0, 2, 0): 1, (2, 0, 0): 1}
@@ -115,6 +118,73 @@ class TestGenTrees:
     def test_unique(self):
         trees = list(gen_trees(3, 4))
         assert len(set(trees)) == len(trees) == fuss_catalan(2, 4)
+
+
+def reference_walk(spec, length):
+    """Step tuples of the family by plain recursion, u < d < level steps."""
+    k, m = spec.k, spec.end_height
+    moves = [(UP, 1, 1), (DOWN, -k, 1)]
+    moves += [(s, 0, s.length) for s in spec.level_steps()]
+    out = []
+
+    def rec(prefix, rem, h):
+        if rem == 0:
+            if h == m:
+                out.append(tuple(prefix))
+            return
+        for step, rise, size in moves:
+            # a height above m + k*rem can no longer come down to m
+            if size <= rem and 0 <= h + rise <= m + k * (rem - size):
+                rec(prefix + [step], rem - size, h + rise)
+
+    rec([], length, 0)
+    return out
+
+
+class TestOracleStream:
+    def test_same_paths_in_the_same_order(self):
+        for spec, length in oracle_grid():
+            assert [p.steps for p in gen_kac(spec, length)] == \
+                reference_walk(spec, length), (spec, length)
+
+    def test_family_wrappers(self):
+        for k in (1, 2, 3):
+            for m in range(4):
+                for n in range(4):
+                    want = reference_walk(FamilySpec(k, end_height=m),
+                                          (k + 1) * n + m)
+                    assert [p.steps for p in gen_ballot(k, m, n)] == want
+                    if m == 0:
+                        assert [p.steps for p in gen_k_dyck(k, n)] == want
+
+    def test_output_revalidates(self):
+        for spec, length in oracle_grid():
+            for p in gen_kac(spec, length):
+                assert p == validate(p.spec, p.steps, p.start_height)
+
+    def test_exactly_cap_objects_pass(self):
+        for spec, length in ((FamilySpec(2), 9), (MOTZKIN, 6),
+                             (FamilySpec(1, {1: 2, 3: 1}, 1), 5)):
+            want = reference_walk(spec, length)
+            for cap in (0, 1, len(want) // 2, len(want) - 1):
+                stream = gen_kac(spec, length, max_objects=cap)
+                assert [next(stream).steps for _ in range(cap)] == \
+                    want[:cap]
+                with pytest.raises(ResourceLimitError):
+                    next(stream)
+            got = list(gen_kac(spec, length, max_objects=len(want)))
+            assert [p.steps for p in got] == want
+
+
+class TestDeepFamilies:
+    def test_first_path_of_a_deep_family(self):
+        limit = sys.getrecursionlimit()
+        n = 10 ** 4
+        first = next(gen_k_dyck(1, n))
+        assert first.steps == (UP,) * n + (DOWN,) * n
+        first = next(gen_kac(MOTZKIN, 2 * n))
+        assert first.steps == (UP,) * n + (DOWN,) * n
+        assert sys.getrecursionlimit() == limit
 
 
 class TestResourceCap:

@@ -9,6 +9,7 @@ from peakmod import (
     PositionalTree,
     double_descents,
     e_vector,
+    gen_kac,
     label_features,
     parse_path,
     peaks,
@@ -16,9 +17,22 @@ from peakmod import (
     weak_double_descents,
     weak_peaks,
 )
-from peakmod.statistics import PLAIN, PLAIN_STARRED, WEAK, WEAK_STARRED
+from peakmod.statistics import (
+    PLAIN,
+    PLAIN_STARRED,
+    VARIANTS,
+    WEAK,
+    WEAK_STARRED,
+)
 
-from conftest import EXAMPLE_BLOCK, K2, MOTZKIN, dyck, k_dyck_paths
+from conftest import (
+    EXAMPLE_BLOCK,
+    K2,
+    MOTZKIN,
+    dyck,
+    k_dyck_paths,
+    oracle_grid,
+)
 
 
 class TestPeaks:
@@ -139,6 +153,39 @@ class TestWeakBlocks:
         p = parse_path("ul1_1d", MOTZKIN)
         assert len(weak_peaks(p)) == 1
         assert len(weak_double_descents(p)) == 1
+
+
+def block_tallies(path):
+    """The statistic vector of each variant, tallied from the block lists;
+    the non-starred variants drop the rightmost peak."""
+    k = path.spec.k
+    plain = (peaks(path), double_descents(path))
+    weak = (weak_peaks(path), weak_double_descents(path))
+    out = {}
+    for variant, (pts, dds) in ((PLAIN, plain), (WEAK, weak),
+                                (PLAIN_STARRED, plain), (WEAK_STARRED, weak)):
+        if variant in (PLAIN, WEAK):
+            pts = pts[:-1]
+        pk = [0] * k
+        for _, h in pts:
+            pk[h % k] += 1
+        out[variant] = tuple(pk) + (len(dds),)
+    return out
+
+
+class TestOnePassStatVector:
+    def test_matches_block_tallies(self):
+        # the oracle grid and its copies lifted to start heights 1..3
+        opening_levels = 0
+        for spec, length in oracle_grid():
+            for p in gen_kac(spec, length):
+                if p.steps and p.steps[0].kind == "l":
+                    opening_levels += 1
+                for start in range(4):
+                    q = LatticePath(spec, p.steps, start) if start else p
+                    got = {v: stat_vector(q, v).key() for v in VARIANTS}
+                    assert got == block_tallies(q), (q.text(), start)
+        assert opening_levels > 0
 
 
 class TestLabelFeatures:
