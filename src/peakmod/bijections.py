@@ -6,23 +6,28 @@ i-fold cyclic shift of P_i at child position i+1.  One node is created per
 down-step, and the statistic vector (pk_0, ..., pk_{k-1}, dd) of the path
 becomes the position-count vector (e_1, ..., e_{k+1}) of the tree.
 
-Here the recursion is unrolled over one matching pass (``_closing_ups``).
+Inside the package a tree is a list of (parent index, position, label)
+records, each parent before its children, as ``PositionalTree.records``
+yields them; :class:`PositionalTree` is built only where a public function
+returns a tree.
+
+The recursion is unrolled over one matching pass (``_closing_ups``).
 Take a factor Q of the path with right-peak blocks Q_0..Q_{kn-1} and
 trailing run d^n.  The tree of its i-fold shift is a spine of n nodes
 linked at position k+1.  Spine node w holds at position j+1 (j < k) the
 tree of the j-fold shift of block wk + ((j - i) mod k), and the ups
 separating window w are the ones closed by the w-th last down of Q.  So a
 shift is an index offset, never a rebuilt path: the builder keeps
-(start, end, shift) ranges on an explicit stack, and :func:`tree_to_path`
-walks the spines back the same way.
+(start, end, shift) ranges on an explicit stack, and :func:`_walk` places
+each window back from the sizes of the subtrees before it.
 
 The labeled variant transports the feature labels of the original path
 onto tree nodes: the root takes the rightmost peak's label, child i+1
 (i < k) takes the label of the rightmost peak of part P_i, and child k+1
 takes the label of the vertex closing part P_k, which is a double descent
 whenever P_k is nonempty.  On the spine of a factor ending at index b,
-node 0 thus carries the peak of down b-n and node w >= 1 the double
-descent of down b-w, so labels are a lookup by down-step index.
+node 0 thus carries the peak ending at down b-n and node w >= 1 the double
+descent ending at down b-w, so labels are a lookup by block index.
 """
 
 from __future__ import annotations
@@ -38,48 +43,86 @@ from .core import (
     LatticePath,
     NodeLabel,
     PositionalTree,
-    Step,
     tree_from_records,
 )
 from .statistics import label_features
-from .transforms import (
-    _closing_ups,
-    _require_pure,
-    check_permutation,
-    permute_subtrees,
-)
+from .transforms import _closing_ups, _require_pure, check_permutation
 
 
-def _build(path: LatticePath,
-           labels: dict[int, NodeLabel] | None) -> PositionalTree:
-    """The tree of a nonempty pure path; ``labels`` is keyed by down-step."""
+def _records(path: LatticePath, labels: dict[int, NodeLabel] | None
+             ) -> list[tuple[int, int, NodeLabel | None]]:
+    """The records of a pure path's tree, labeled when ``labels`` is the
+    path's :func:`label_features`."""
     k = path.spec.k
-    closes, run, _ = _closing_ups(path)
+    steps = path.steps
+    closes = _closing_ups(path)
     records: list = []
-    todo = [(0, len(path.steps), 0, -1, 0)]  # (start, end, shift, parent, pos)
+    # (start, end, shift, parent, pos) of the factors still to place
+    todo = [(0, len(steps), 0, -1, 0)] if steps else []
     while todo:
         lo, hi, shift, parent, pos = todo.pop()
-        n = run[hi - 1]
+        n = 1  # the factor opens with an up, so its final down-run is in it
+        while steps[hi - 1 - n].kind == "d":
+            n += 1
         for w in range(n):
             node = len(records)
-            down = hi - n if w == 0 else hi - w
+            block = hi - n - 1 if w == 0 else hi - w - 1
             records.append((parent, pos,
-                            None if labels is None else labels[down]))
+                            None if labels is None else labels[block]))
             seps = closes[hi - 1 - w]
-            starts = [lo] + [p + 1 for p in seps]
             for j in range(k):
                 s = (j - shift) % k
-                if starts[s] < seps[s]:
-                    todo.append((starts[s], seps[s], j, node, j + 1))
-            lo = starts[k]
+                begin = seps[s - 1] + 1 if s else lo
+                if begin < seps[s]:
+                    todo.append((begin, seps[s], j, node, j + 1))
+            lo = seps[-1] + 1
             parent, pos = node, k + 1
-    return tree_from_records(k + 1, records)
+    return records
+
+
+def _walk(spec: FamilySpec, records) -> LatticePath:
+    """The path in the pure family ``spec`` of the tree given by records.
+
+    Read with shift i, a subtree is a spine along position k+1: window w
+    holds, in slot s, the path of spine node w's child at position
+    (s + i) mod k + 1, read with that shift, then an up-step; one down per
+    spine node follows the windows.  A subtree of m nodes spells (k+1)m
+    steps, so each window is placed from its parent's, and the (k+1)m
+    steps from the window of node v (m its subtree's size) end in a down
+    of its spine, a different one for each spine node.
+    """
+    k = spec.k
+    a = k + 1
+    span = [a] * len(records)  # the steps spelled by each node's subtree
+    kids = [-1] * (a * len(records))  # kids[a*v + j]: child at position j+1
+    for idx in range(len(records) - 1, 0, -1):
+        parent, pos, _ = records[idx]
+        span[parent] += span[idx]
+        kids[a * parent + pos - 1] = idx
+    order = [[(s + i) % k for s in range(k)] for i in range(k)]  # by shift
+    start = [0] * len(records)  # where each node's window starts
+    shift = [0] * len(records)
+    steps = [UP] * (a * len(records))
+    for v in range(len(records)):  # parents before children
+        at, i, base = start[v], shift[v], a * v
+        steps[at + span[v] - 1] = DOWN
+        for j in order[i]:
+            c = kids[base + j]
+            if c >= 0:
+                start[c], shift[c] = at, j
+                at += span[c]
+            at += 1
+        c = kids[base + k]
+        if c >= 0:
+            start[c], shift[c] = at, i
+    return LatticePath(spec, tuple(steps))
 
 
 def path_to_tree(path: LatticePath) -> PositionalTree | None:
     """Map a pure k-Dyck path to its (k+1)-ary tree (None when empty)."""
     _require_pure(path, "path_to_tree")
-    return _build(path, None) if path.steps else None
+    records = _records(path, None)
+    return tree_from_records(path.spec.k + 1, records) if records else None
 
 
 def path_to_labeled_tree(path: LatticePath) -> PositionalTree:
@@ -87,45 +130,16 @@ def path_to_labeled_tree(path: LatticePath) -> PositionalTree:
     if path.is_empty():
         raise EmptyPathError("cannot label the tree of an empty path")
     _require_pure(path, "path_to_labeled_tree")
-    # labels keyed by the down-step whose left endpoint carries the feature
-    return _build(path, {i + 1: lab
-                         for i, lab in label_features(path).items()})
+    return tree_from_records(path.spec.k + 1,
+                             _records(path, label_features(path)))
 
 
 def tree_to_path(tree: PositionalTree | None, k: int) -> LatticePath:
-    """Inverse of :func:`path_to_tree` for trees of arity k+1.
-
-    A subtree read with shift i is a spine along position k+1; window w of
-    its path holds, in slot s, the path of spine node w's child at
-    position (s + i) mod k + 1, read with that shift, then an up-step.
-    The windows are followed by one down-step per spine node.
-    """
-    spec = FamilySpec(k)
-    if tree is None:
-        return LatticePath(spec)
-    if tree.arity != k + 1:
+    """Inverse of :func:`path_to_tree` for trees of arity k+1."""
+    if tree is not None and tree.arity != k + 1:
         raise ArityMismatchError(
             f"tree arity {tree.arity} does not match k+1 = {k + 1}")
-    steps: list[Step] = []
-    todo: list = [(tree, 0)]  # steps, or (subtree, shift) still to expand
-    while todo:
-        item = todo.pop()
-        if isinstance(item, Step):
-            steps.append(item)
-            continue
-        node, shift = item
-        spine = []
-        while node is not None:
-            spine.append(dict(node.children))
-            node = spine[-1].get(k + 1)
-        todo.extend([DOWN] * len(spine))
-        for kids in reversed(spine):
-            for s in range(k - 1, -1, -1):
-                todo.append(UP)
-                j = (s + shift) % k
-                if j + 1 in kids:
-                    todo.append((kids[j + 1], j))
-    return LatticePath(spec, tuple(steps))
+    return _walk(FamilySpec(k), tree.records() if tree else [])
 
 
 def permute_statistics(path: LatticePath,
@@ -137,9 +151,12 @@ def permute_statistics(path: LatticePath,
     image, so it is a bijection on each family and composes like the
     underlying permutations.
     """
-    k = path.spec.k
-    sig = check_permutation(sigma, k + 1)
-    tree = path_to_tree(path)
-    if tree is None:
+    spec = path.spec
+    sig = check_permutation(sigma, spec.k + 1)
+    _require_pure(path, "permute_statistics")
+    if path.is_empty():
         return path
-    return tree_to_path(permute_subtrees(tree, sig), k)
+    # the root's record has position 0, which _walk ignores
+    return _walk(FamilySpec(spec.k) if spec.has_levels else spec,
+                 [(parent, sig[pos - 1], None)
+                  for parent, pos, _ in _records(path, None)])

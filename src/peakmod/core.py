@@ -186,6 +186,8 @@ class FamilySpec:
     def check_step(self, step: Step) -> None:
         if step.kind in ("u", "d"):
             return
+        if step.kind != "l":
+            raise IllegalStepError(f"unknown step kind {step.kind!r}")
         c = self.color_count(step.length)
         if c == 0:
             raise IllegalStepError(
@@ -462,28 +464,28 @@ class PositionalTree:
             yield node
             stack.extend(c for _, c in reversed(node.children))
 
-    def records(self) -> list[tuple[int, int, "PositionalTree"]]:
-        """(parent index, position, node) in breadth-first order.
+    def records(self) -> list[tuple[int, int, NodeLabel | None]]:
+        """(parent index, position, label) in breadth-first order.
 
-        The root comes first as (-1, 0, root); siblings follow each other
+        The root comes first as (-1, 0, label); siblings follow each other
         in position order.  :func:`tree_from_records` inverts this.
         """
-        out = [(-1, 0, self)]
-        for idx, (_, _, node) in enumerate(out):  # grows while iterating
-            out.extend((idx, pos, child) for pos, child in node.children)
+        out = [(-1, 0, self.label)]
+        nodes = [self]
+        for idx, node in enumerate(nodes):  # grows while iterating
+            for pos, child in node.children:
+                out.append((idx, pos, child.label))
+                nodes.append(child)
         return out
-
-    def _shape(self) -> list[tuple[int, int, NodeLabel | None]]:
-        return [(p, pos, node.label) for p, pos, node in self.records()]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PositionalTree):
             return NotImplemented
         return self is other or (self.arity == other.arity
-                                 and self._shape() == other._shape())
+                                 and self.records() == other.records())
 
     def __hash__(self) -> int:
-        return hash((self.arity, tuple(self._shape())))
+        return hash((self.arity, tuple(self.records())))
 
     def __repr__(self) -> str:
         return f"PositionalTree({self.arity}, {tree_to_json_text(self)})"
@@ -514,8 +516,8 @@ def tree_to_json(tree: PositionalTree | None):
     if tree is None:
         return None
     objs: list[dict] = []
-    for parent, pos, node in tree.records():
-        obj = {} if node.label is None else {"label": node.label.json_str()}
+    for parent, pos, label in tree.records():
+        obj = {} if label is None else {"label": label.json_str()}
         if parent >= 0:
             objs[parent][str(pos)] = obj
         objs.append(obj)

@@ -7,7 +7,8 @@ before down-steps before level steps sorted by run-length and color).
 The path walk keeps its remaining length and height as running state and
 its choices on an explicit stack, so path length is unbounded: nothing
 recurses to the depth of a path.  Every yielded path is still validated
-by the :class:`LatticePath` constructor.
+by the :class:`LatticePath` constructor.  The tree walk does the same
+over slot-occupancy masks, independently of the paths.
 
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
@@ -23,7 +24,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step
+from .core import (DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step,
+                   tree_from_records)
 from .statistics import PLAIN, VARIANTS, stat_vector
 from .transforms import permute_coordinates
 
@@ -149,34 +151,36 @@ def gen_trees(arity: int, n: int,
     """All positional trees of the given arity on n nodes.
 
     Yields None for n = 0 (the empty tree).  The count matches the number
-    of (arity-1)-Dyck paths of down-size n.
+    of (arity-1)-Dyck paths of down-size n.  Trees come lazily: an
+    explicit stack holds the nodes' slot-occupancy masks in breadth-first
+    order (a Łukasiewicz-style word), each tried in increasing order.
     """
     if arity < 1 or n < 0:
         raise ValueError("need arity >= 1 and n >= 0")
     budget = _Budget(resolve_cap(max_objects))
-
-    def rec(nodes: int) -> Iterator[PositionalTree | None]:
-        if nodes == 0:
-            yield None
-            return
-        for sizes in _compositions(nodes - 1, arity):
-            options = [list(rec(s)) for s in sizes]
-            yield from _assemble(options, 0, [])
-
-    def _assemble(options, idx, chosen):
-        if idx == len(options):
-            children = tuple((i + 1, t) for i, t in enumerate(chosen)
-                             if t is not None)
-            yield PositionalTree(arity, children)
-            return
-        for t in options[idx]:
-            chosen.append(t)
-            yield from _assemble(options, idx + 1, chosen)
-            chosen.pop()
-
-    for tree in rec(n):
+    if n == 0:
         budget.tick()
-        yield tree
+        yield None
+        return
+    pops = [bin(mask).count("1") for mask in range(1 << arity)]
+    masks: list[int] = []  # bit j of a mask: position j+1 holds a child
+    slots: list = []       # (parent, position, None); node i fills slot i-1
+    mask = 0               # the next mask to try for node len(masks)
+    while mask < len(pops) or masks:
+        if mask == len(pops):
+            mask = masks.pop()
+            del slots[len(slots) - pops[mask]:]
+        elif len(masks) < len(slots) + pops[mask] < n:
+            # the next node finds an open slot, and no slot is left over
+            slots += [(len(masks), pos, None) for pos in range(1, arity + 1)
+                      if mask >> (pos - 1) & 1]
+            masks.append(mask)
+            mask = -1
+        elif len(slots) + pops[mask] == len(masks) == n - 1:
+            budget.tick()
+            yield tree_from_records(arity, [(-1, 0, None)] + slots)
+            mask = len(pops) - 1  # the last node can only be a leaf
+        mask += 1
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -169,15 +169,17 @@ def label_features(path: LatticePath) -> dict[int, NodeLabel]:
 def e_vector(tree: PositionalTree | None, arity: int | None = None
              ) -> tuple[int, ...]:
     """Counts (e_1, ..., e_m): how many nodes sit at each child position."""
-    if tree is None:
-        if arity is None:
-            raise ValueError("arity required for the empty tree")
-        return (0,) * arity
-    m = tree.arity
+    m = arity if tree is None else tree.arity
+    if m is None:
+        raise ValueError("arity required for the empty tree")
     if arity is not None and arity != m:
         raise ValueError(f"arity mismatch: tree has {m}, requested {arity}")
+    return _position_counts(tree.records() if tree else [], m)
+
+
+def _position_counts(records, m: int) -> tuple[int, ...]:
+    """(e_1, ..., e_m) of the tree given by its records."""
     counts = [0] * m
-    for node in tree.iter_nodes():
-        for pos, _ in node.children:
-            counts[pos - 1] += 1
+    for _, pos, _ in records[1:]:  # the root has no position
+        counts[pos - 1] += 1
     return tuple(counts)

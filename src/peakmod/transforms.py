@@ -16,14 +16,14 @@ with L a (possibly empty) run of trailing level steps, or P = L alone when
 the path consists of level steps only.  Ballot paths ending at height m
 split at the m last up-steps leaving heights 0..m-1 for good.
 
-All of these cut a path at last-passage up-steps, and ``_closing_ups`` is
-the one scan that finds them.  Its final ``last_up`` list holds the cuts
-of the whole path: the right-peak separators of a path ending in d^n are
-its first kn entries, and the ballot cuts its first m.  The last-step cuts
-are the k ups closed by the final down-step.  The cyclic shift copies each
-block once, straight from its index range.  Deutsch's involution and the
-path/tree bijection read the per-down-step lists of the same pass to split
-any factor of the path by index lookups instead of copying it.
+All of these cut a path at last-passage up-steps, and ``_last_ups`` is
+the scan that finds them.  Its ``last_up`` list holds the cuts of the
+whole path: the right-peak separators of a path ending in d^n are its
+first kn entries, the last-step cuts its first k and the ballot cuts its
+first m.  The cyclic shift copies each block once, straight from its index
+range.  Deutsch's involution and the path/tree bijection split any factor
+of the path by index lookups instead of copying it: ``_closing_ups`` is
+the same scan keeping the ups that each down-step closes.
 """
 
 from __future__ import annotations
@@ -48,44 +48,55 @@ from .core import (
 
 
 # ---------------------------------------------------------------------------
-# the last-passage scan (shared with the bijection module)
+# the last-passage scans (shared with the bijection module)
 # ---------------------------------------------------------------------------
 
-def _closing_ups(path: LatticePath) -> tuple[list, list[int], list[int]]:
-    """One left-to-right pass over a path, read from its start height.
+def _last_ups(path: LatticePath) -> tuple[list[int], int]:
+    """``last_up`` and the number of steps after the last up, in one pass.
 
-    ``last_up[h]`` ends as the last up-step leaving height h.  For the
-    down-step t leaving height H, ``closes[t]`` lists the k up-steps it
-    closes: the last ups before t leaving heights H-k .. H-1.  ``run[t]``
-    is the length of the down-run ending at t; a level step keeps the
-    height and ends the run.  A factor of the path that is itself a k-Dyck
-    path and ends with the down-run d^n at index b has its right-peak
-    separators, window by window, in closes[b-1], closes[b-2], ...,
-    closes[b-n].  A dip below the start height raises NegativeHeightError.
+    ``last_up[h]`` ends as the last up-step leaving height h, read from the
+    start height; a dip below it raises NegativeHeightError.  A nonempty
+    pure path ends with the down-run d^n, n the second result.
     """
     k = path.spec.k
-    last_up: list[int] = []
+    steps = path.steps
+    last_up = [0] * (len(steps) + 1)
+    h = top = 0  # top: one past the last up so far
+    for t, s in enumerate(steps):
+        kind = s.kind
+        if kind == "u":
+            last_up[h] = t
+            h += 1
+            top = t + 1
+        elif kind == "d":
+            h -= k
+            if h < 0:
+                raise NegativeHeightError("path dips below its start height")
+    return last_up, len(steps) - top
+
+
+def _closing_ups(path: LatticePath) -> list:
+    """The same pass over a pure path, keeping the cuts of every down-step.
+
+    ``closes[t]`` lists the k up-steps that the down-step t closes.  A
+    factor of the path that is itself a k-Dyck path and ends with the
+    down-run d^n at index b has its right-peak separators, window by
+    window, in closes[b-1], closes[b-2], ..., closes[b-n].
+    """
+    k = path.spec.k
+    last_up = [0] * (len(path.steps) + 1)
     closes: list = [None] * len(path.steps)
-    run = [0] * len(path.steps)
-    h = r = 0
+    h = 0
     for t, s in enumerate(path.steps):
         if s.kind == "u":
-            if h < len(last_up):
-                last_up[h] = t
-            else:
-                last_up.append(t)
+            last_up[h] = t
             h += 1
-            r = 0
-        elif s.kind == "d":
+        else:
             h -= k
             if h < 0:
                 raise NegativeHeightError("path dips below its start height")
             closes[t] = last_up[h: h + k]
-            r += 1
-            run[t] = r
-        else:
-            r = 0
-    return closes, run, last_up
+    return closes
 
 
 def _cut(spec: FamilySpec, steps: Sequence[Step],
@@ -143,8 +154,7 @@ def right_peak_decompose(path: LatticePath) -> RightPeakDecomposition:
         raise EmptyPathError("cannot decompose the empty path")
     _require_pure(path, "right_peak_decompose")
     k = path.spec.k
-    _, run, last_up = _closing_ups(path)
-    n = run[-1]
+    last_up, n = _last_ups(path)
     # the rest after the last block's up-step is empty
     blocks = _cut(FamilySpec(k), path.steps[:-n], last_up[:k * n])[:-1]
     return RightPeakDecomposition(k, blocks, n)
@@ -194,9 +204,11 @@ def last_step_decompose(path: LatticePath) -> LastStepDecomposition:
     if steps[t - 1].kind != "d":
         raise ValueError("malformed path: expected a down-step before the "
                          "level suffix")
-    closes, _, _ = _closing_ups(path)
+    # only level steps follow the final down, so the ups it closes are
+    # the last ones leaving heights 0..k-1
+    last_up, _ = _last_ups(path)
     return LastStepDecomposition(
-        spec, _cut(spec, steps[: t - 1], closes[t - 1]), steps[t:])
+        spec, _cut(spec, steps[: t - 1], last_up[:spec.k]), steps[t:])
 
 
 @dataclass(frozen=True)
@@ -224,7 +236,7 @@ def ballot_decompose(path: LatticePath,
     elif m != path.spec.end_height:
         raise WrongEndHeightError(
             f"path ends {path.spec.end_height} above its start, not {m}")
-    _, _, last_up = _closing_ups(path)
+    last_up, _ = _last_ups(path)
     part_spec = FamilySpec(path.spec.k, path.spec.levels)
     return BallotDecomposition(
         path.spec, m, _cut(part_spec, path.steps, last_up[:m]))
@@ -249,8 +261,7 @@ def cyclic_shift(path: LatticePath, power: int = 1) -> LatticePath:
     i = power % k
     if not path.steps or i == 0:
         return path
-    _, run, last_up = _closing_ups(path)
-    n = run[-1]
+    last_up, n = _last_ups(path)
     seps = last_up[:k * n]
     starts = [0] + [p + 1 for p in seps]
     steps: list[Step] = []
@@ -276,7 +287,7 @@ def deutsch_involution(path: LatticePath) -> LatticePath:
     if path.spec.k != 1:
         raise WrongKError("the involution is defined for k = 1")
     _require_pure(path, "deutsch_involution")
-    closes, _, _ = _closing_ups(path)
+    closes = _closing_ups(path)
     steps: list[Step] = []
     todo: list = [(0, len(path.steps))]
     while todo:
@@ -325,5 +336,5 @@ def permute_subtrees(tree: PositionalTree | None,
     sig = check_permutation(sigma, tree.arity)
     # the root's record has position 0, which tree_from_records ignores
     return tree_from_records(tree.arity, [
-        (parent, sig[pos - 1], node.label)
-        for parent, pos, node in tree.records()])
+        (parent, sig[pos - 1], label)
+        for parent, pos, label in tree.records()])

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .bijections import (
+    _records,
+    _walk,
     path_to_labeled_tree,
     path_to_tree,
     permute_statistics,
@@ -52,7 +54,9 @@ from .statistics import (
     PLAIN_STARRED,
     WEAK,
     WEAK_STARRED,
+    _position_counts,
     e_vector,
+    label_features,
     stat_vector,
 )
 from .transforms import ballot_decompose, cyclic_shift, deutsch_involution
@@ -161,16 +165,17 @@ def verify_equidistribution(k: int = 2, max_n: int = 5,
     for n in range(max_n + 1):
         paths = list(gen_k_dyck(k, n))
         hist = histogram(paths, PLAIN)
+        olds = [stat_vector(p).key() for p in paths]
         for sigma in permutations(range(1, k + 2)):
             rep.record(f"histogram invariance n={n} sigma={sigma}",
                        hist.permuted(sigma) == hist,
                        inputs={"k": k, "n": n, "sigma": sigma})
             bad = None
             images = set()
-            for p in paths:
+            for p, old in zip(paths, olds):
                 q = permute_statistics(p, sigma)
                 images.add(q)
-                old, new = stat_vector(p).key(), stat_vector(q).key()
+                new = stat_vector(q).key()
                 if any(new[sigma[i] - 1] != old[i] for i in range(k + 1)):
                     bad = (p.text(), old, new)
                     break
@@ -204,14 +209,14 @@ def verify_bijection(max_k: int = 3, max_n: int = 5,
             count = 0
             for p in gen_k_dyck(k, n):
                 count += 1
-                tree = path_to_tree(p)
-                if tree_to_path(tree, k) != p:
+                records = _records(p, None)
+                if _walk(p.spec, records) != p:
                     bad_round = p.text()
                     break
-                if stat_vector(p).key() != e_vector(tree, k + 1):
+                if stat_vector(p).key() != _position_counts(records, k + 1):
                     bad_stats = p.text()
                     break
-                if n and not _labels_agree(p, k):
+                if n and not _labels_agree(p, k, records):
                     bad_stats = p.text() + " (labels)"
                     break
             rep.record(f"path round trip k={k} n={n}", bad_round is None,
@@ -234,25 +239,21 @@ def verify_bijection(max_k: int = 3, max_n: int = 5,
     return rep
 
 
-def _labels_agree(path: LatticePath, k: int) -> bool:
-    """Every node at position i+1 carries a residue-i peak label (i < k)
-    or a double-descent label (i = k); the root is the unique r."""
-    tree = path_to_labeled_tree(path)
-    if tree.strip_labels() != path_to_tree(path):
+def _labels_agree(path: LatticePath, k: int, records: list) -> bool:
+    """The labeled tree has the unlabeled ``records``' shape, every node at
+    position i+1 carries a residue-i peak label (i < k) or a
+    double-descent label (i = k), and the root is the unique r."""
+    labeled = _records(path, label_features(path))
+    if [(p, pos, None) for p, pos, _ in labeled] != records:
         return False
-    if tree.label.kind != LABEL_RIGHTMOST:
+    if labeled[0][2].kind != LABEL_RIGHTMOST:
         return False
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        for pos, child in node.children:
-            lab = child.label
-            if pos <= k:
-                if lab.kind != LABEL_PEAK or lab.residue != pos - 1:
-                    return False
-            elif lab.kind != LABEL_DD:
+    for _, pos, lab in labeled[1:]:
+        if pos <= k:
+            if lab.kind != LABEL_PEAK or lab.residue != pos - 1:
                 return False
-            stack.append(child)
+        elif lab.kind != LABEL_DD:
+            return False
     return True
 
 

@@ -18,6 +18,7 @@ from peakmod import (
     path_to_labeled_tree,
     path_to_tree,
     permute_statistics,
+    permute_subtrees,
     stat_vector,
     tree_to_json,
     tree_to_path,
@@ -230,3 +231,34 @@ class TestPermuteStatistics:
         for p in gen_k_dyck(2, 4):
             assert permute_statistics(permute_statistics(p, tau), sigma) == \
                 permute_statistics(p, composed)
+
+    def test_matches_the_tree_composition(self):
+        # reference: permute the subtrees of the PositionalTree and map the
+        # tree back, as permute_statistics did before it ran on records
+        for k, max_n in ((1, 10), (2, 6), (3, 4)):
+            for n in range(max_n + 1):
+                for p in gen_k_dyck(k, n):
+                    tree = path_to_tree(p)
+                    for sigma in permutations(range(1, k + 2)):
+                        want = p if tree is None else tree_to_path(
+                            permute_subtrees(tree, sigma), k)
+                        assert permute_statistics(p, sigma) == want, \
+                            (p.text(), sigma)
+
+
+class TestRecordsInside:
+    def test_no_node_is_built(self, monkeypatch):
+        # the statistic permutation and the path side of the verify loops
+        # run on records; PositionalTree is built only where a function
+        # returns one
+        from peakmod.verify import verify_equidistribution
+
+        def refuse(self):
+            raise AssertionError("a PositionalTree was built")
+
+        monkeypatch.setattr(PositionalTree, "__post_init__", refuse)
+        image = permute_statistics(dyck("uuduuduud"), (3, 1, 2))
+        assert image.text() == "uuuuuuddd"
+        assert verify_equidistribution(k=2, max_n=3, weak_max_len=2).ok
+        with pytest.raises(AssertionError):
+            path_to_tree(dyck("uud"))

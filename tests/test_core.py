@@ -26,7 +26,7 @@ from peakmod import (
     tree_to_json_text,
     validate,
 )
-from peakmod.core import DOWN, UP
+from peakmod.core import DOWN, UP, Step
 
 from conftest import K1, K2, MOTZKIN, k_dyck_paths
 
@@ -109,6 +109,9 @@ class TestValidate:
          "level run-length 3 not allowed by this family"),
         (MOTZKIN, [UP, DOWN, DOWN, level(3, 1)], 0, NegativeHeightError,
          "height -1 after step 2 is negative"),
+        # a step kind outside u, d and l is not taken for a level step
+        (MOTZKIN, [Step("x", 1, 1)], 0, IllegalStepError,
+         "unknown step kind 'x'"),
     ])
     def test_error_surface(self, spec, steps, start, error, message):
         with pytest.raises(PathError) as err:

@@ -1,14 +1,16 @@
 """Exhaustive generators and histogram construction."""
 
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from peakmod import (
     BadPermutationError,
     FamilySpec,
+    PositionalTree,
     ResourceLimitError,
+    e_vector,
     fuss_catalan,
     gen_ballot,
     gen_k_dyck,
@@ -20,6 +22,7 @@ from peakmod import (
     validate,
 )
 from peakmod.core import DOWN, UP
+from peakmod.enumeration import _compositions
 from peakmod.statistics import PLAIN, PLAIN_STARRED, WEAK
 
 from conftest import MOTZKIN, SCHROEDER, oracle_grid
@@ -119,6 +122,38 @@ class TestGenTrees:
         trees = list(gen_trees(3, 4))
         assert len(set(trees)) == len(trees) == fuss_catalan(2, 4)
 
+    def test_first_tree_comes_before_the_rest(self):
+        # the walk is lazy: the first tree needs no list of the others
+        first = next(gen_trees(2, 13, max_objects=1))
+        assert first.node_count() == 13
+
+    def test_deep_first_tree(self):
+        # and iterative: the first tree of 10^4 nodes is a chain
+        limit = sys.getrecursionlimit()
+        first = next(gen_trees(2, 10 ** 4, max_objects=1))
+        assert e_vector(first) == (10 ** 4 - 1, 0)
+        assert sys.getrecursionlimit() == limit
+
+    def test_same_trees_as_subtree_products(self):
+        # reference: a tree is a root over one smaller tree (or none) per
+        # position, with the sizes summing to n - 1
+        def reference(arity, n):
+            trees = {0: [None]}
+            for size in range(1, n + 1):
+                trees[size] = []
+                for sizes in _compositions(size - 1, arity):
+                    for kids in product(*(trees[s] for s in sizes)):
+                        trees[size].append(PositionalTree(arity, tuple(
+                            (i + 1, t) for i, t in enumerate(kids)
+                            if t is not None)))
+            return trees[n]
+
+        for arity, max_n in ((1, 6), (2, 6), (3, 5), (4, 4)):
+            for n in range(max_n + 1):
+                got = list(gen_trees(arity, n))
+                assert len(set(got)) == len(got)
+                assert set(got) == set(reference(arity, n))
+
 
 def reference_walk(spec, length):
     """Step tuples of the family by plain recursion, u < d < level steps."""
@@ -193,6 +228,16 @@ class TestResourceCap:
             list(gen_k_dyck(2, 3, max_objects=5))
         with pytest.raises(ResourceLimitError):
             list(gen_trees(3, 3, max_objects=5))
+
+    @pytest.mark.parametrize("arity, n, cap", [
+        (3, 3, 0), (3, 3, 1), (3, 3, 5), (3, 3, 11), (2, 0, 0), (2, 9, 100),
+    ])
+    def test_trees_yielded_up_to_the_cap(self, arity, n, cap):
+        got = []
+        with pytest.raises(ResourceLimitError):
+            for tree in gen_trees(arity, n, max_objects=cap):
+                got.append(tree)
+        assert len(got) == cap
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("PEAKMOD_MAX_OBJECTS", "2")

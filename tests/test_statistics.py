@@ -243,3 +243,22 @@ class TestEVector:
         assert e_vector(None, 4) == (0, 0, 0, 0)
         with pytest.raises(ValueError):
             e_vector(None)
+
+    def test_records_count_matches_the_node_walk(self):
+        # reference: the children of every node, reached by iter_nodes
+        from peakmod import gen_trees
+
+        def node_counts(tree):
+            counts = [0] * tree.arity
+            for node in tree.iter_nodes():
+                for pos, _ in node.children:
+                    counts[pos - 1] += 1
+            return tuple(counts)
+
+        for arity, max_n in ((1, 5), (2, 6), (3, 5), (4, 4), (12, 3)):
+            for n in range(1, max_n + 1):
+                for tree in gen_trees(arity, n):
+                    assert e_vector(tree) == node_counts(tree)
+                    assert e_vector(tree, arity) == node_counts(tree)
+        with pytest.raises(ValueError):
+            e_vector(PositionalTree(3), 4)
