@@ -55,7 +55,7 @@ def _records(path: LatticePath, labels: dict[int, NodeLabel] | None
     path's :func:`label_features`."""
     k = path.spec.k
     steps = path.steps
-    closes = _closing_ups(path)
+    closes = _closing_ups(path)[0]
     records: list = []
     # (start, end, shift, parent, pos) of the factors still to place
     todo = [(0, len(steps), 0, -1, 0)] if steps else []

@@ -188,7 +188,9 @@ def cmd_count(args) -> int:
     elif args.what == "narayana":
         print(narayana(_require(args, "--n"), int(_require(args, "--r"))))
     elif args.what == "ballot":
-        ell, r = divmod(args.m, args.k)
+        if args.k < 1:
+            raise ValueError("need k >= 1")
+        ell, r = divmod(args.end_height, args.k)
         print(count_ballot_joint(args.k, ell, r, _require(args, "--n"),
                                  _ints(_require(args, "--s"))))
     elif args.what == "series":
@@ -272,6 +274,11 @@ _SUITE_PARAMS = {
 
 
 def cmd_verify(args) -> int:
+    for flag in ("k", "max_k", "max_n", "max_len", "max_m", "max_nodes"):
+        value = getattr(args, flag)
+        least = 1 if flag in ("k", "max_k") else 0
+        if value is not None and value < least:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}")
     kwargs = {}
     for param, flag in _SUITE_PARAMS[args.suite]:
         value = getattr(args, flag)
@@ -332,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "ballot", "series"))
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=0)
     p.add_argument("--r", type=str, default=None,
                    help="statistic value, or comma vector for joint")
     p.add_argument("--s", type=str, default=None,
@@ -340,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None,
                    help="truncation order for series")
     p.add_argument("--levels", type=str, default=None)
-    p.add_argument("--end-height", type=int, default=0)
+    p.add_argument("--end-height", "--m", dest="end_height", type=int,
+                   default=0, help="end height m for ballot and series")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_count)
 

@@ -24,6 +24,7 @@ import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -109,16 +110,11 @@ class Step:
 UP = Step("u")
 DOWN = Step("d")
 
-_LEVEL_CACHE: dict[tuple[int, int], Step] = {}
 
-
+@cache
 def level(a: int, b: int) -> Step:
     """The level step of run-length ``a`` in color ``b``."""
-    try:
-        return _LEVEL_CACHE[a, b]
-    except KeyError:
-        s = _LEVEL_CACHE[a, b] = Step("l", a, b)
-        return s
+    return Step("l", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +401,6 @@ class NodeLabel:
             if i.isdigit() and j.isdigit():
                 return cls(LABEL_PEAK, residue=int(i), ordinal=int(j))
         raise TreeError(f"unrecognized node label {text!r}")
-
-
-def rightmost_label() -> NodeLabel:
-    return NodeLabel(LABEL_RIGHTMOST)
-
-
-def peak_label(residue: int, ordinal: int) -> NodeLabel:
-    return NodeLabel(LABEL_PEAK, residue=residue, ordinal=ordinal)
-
-
-def dd_label(ordinal: int) -> NodeLabel:
-    return NodeLabel(LABEL_DD, ordinal=ordinal)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,8 @@ def _check_joint_args(k: int, n: int, r: tuple[int, ...]) -> None:
 def count_marginal(k: int, n: int, r: int) -> int:
     """Paths of down-size n on which one fixed statistic equals r:
     (1/n) C(n, r) C(kn, n-1-r)."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     if n < 1 or not 0 <= r <= n - 1:
         raise ValueError("need n >= 1 and 0 <= r <= n-1")
     return _exact_int(Fraction(comb(n, r) * comb(k * n, n - 1 - r), n),
@@ -104,6 +106,8 @@ def count_pk(k: int, n: int, r: int) -> int:
     total: (1/n) C(n, r+1) C(kn, r).  Reversal partner of
     :func:`count_marginal`: count_pk(k, n, n-1-r) == count_marginal(k, n, r).
     """
+    if k < 1:
+        raise ValueError("need k >= 1")
     if n < 1 or not 0 <= r <= n - 1:
         raise ValueError("need n >= 1 and 0 <= r <= n-1")
     return _exact_int(Fraction(comb(n, r + 1) * comb(k * n, r), n),

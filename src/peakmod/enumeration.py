@@ -241,14 +241,10 @@ def histogram(paths: Iterable[LatticePath], variant: str = PLAIN) -> Histogram:
     """Tally the statistic vectors of a homogeneous path stream."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    counts: Counter = Counter()
-    k = None
-    total = 0
-    for p in paths:
-        k = p.spec.k
-        counts[stat_vector(p, variant).key()] += 1
-        total += 1
-    return Histogram(variant, k, dict(counts), total)
+    counts = Counter(stat_vector(p, variant).key() for p in paths)
+    # a key is (pk_0, ..., pk_{k-1}, dd)
+    k = len(next(iter(counts))) - 1 if counts else None
+    return Histogram(variant, k, dict(counts), sum(counts.values()))
 
 
 def histogram_from_keys(keys: Iterable[tuple[int, ...]],
@@ -256,9 +252,5 @@ def histogram_from_keys(keys: Iterable[tuple[int, ...]],
                         k: int | None = None) -> Histogram:
     """Build a histogram directly from statistic tuples (tree e-vectors,
     precomputed keys, and the like)."""
-    counts: Counter = Counter()
-    total = 0
-    for key in keys:
-        counts[tuple(key)] += 1
-        total += 1
-    return Histogram(variant, k, dict(counts), total)
+    counts = Counter(map(tuple, keys))
+    return Histogram(variant, k, dict(counts), sum(counts.values()))

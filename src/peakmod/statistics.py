@@ -16,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    LABEL_DD,
+    LABEL_PEAK,
+    LABEL_RIGHTMOST,
     EmptyPathError,
     LatticePath,
     NodeLabel,
     PositionalTree,
-    dd_label,
     height_profile,
-    peak_label,
-    rightmost_label,
 )
 
 PLAIN = "plain"
@@ -159,10 +159,10 @@ def label_features(path: LatticePath) -> dict[int, NodeLabel]:
     for i, h in pts[:-1]:
         res = h % k
         ordinals[res] += 1
-        labels[i] = peak_label(res, ordinals[res])
-    labels[pts[-1][0]] = rightmost_label()
+        labels[i] = NodeLabel(LABEL_PEAK, residue=res, ordinal=ordinals[res])
+    labels[pts[-1][0]] = NodeLabel(LABEL_RIGHTMOST)
     for j, i in enumerate(double_descents(path), start=1):
-        labels[i] = dd_label(j)
+        labels[i] = NodeLabel(LABEL_DD, ordinal=j)
     return labels
 
 

@@ -16,20 +16,22 @@ with L a (possibly empty) run of trailing level steps, or P = L alone when
 the path consists of level steps only.  Ballot paths ending at height m
 split at the m last up-steps leaving heights 0..m-1 for good.
 
-All of these cut a path at last-passage up-steps, and ``_last_ups`` is
-the scan that finds them.  Its ``last_up`` list holds the cuts of the
-whole path: the right-peak separators of a path ending in d^n are its
-first kn entries, the last-step cuts its first k and the ballot cuts its
-first m.  The cyclic shift copies each block once, straight from its index
-range.  Deutsch's involution and the path/tree bijection split any factor
-of the path by index lookups instead of copying it: ``_closing_ups`` is
-the same scan keeping the ups that each down-step closes.
+All of these cut a path at last-passage up-steps, and ``_closing_ups`` is
+the one scan that finds them.  Its final ``last_up`` list holds the cuts
+of the whole path: the right-peak separators of a path ending in d^n are
+its first kn entries, the last-step cuts its first k and the ballot cuts
+its first m.  ``_cut`` splits a path at such cuts and ``_join``, its
+inverse, glues parts back with an up-step after each; the cyclic shift
+joins the blocks straight from their index ranges in rotated order.
+Deutsch's involution and the path/tree bijection split any factor of the
+path by index lookups instead of copying it, through the same scan's
+``closes``: the ups that each down-step closes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     DOWN,
@@ -48,19 +50,24 @@ from .core import (
 
 
 # ---------------------------------------------------------------------------
-# the last-passage scans (shared with the bijection module)
+# the last-passage scan (shared with the bijection module)
 # ---------------------------------------------------------------------------
 
-def _last_ups(path: LatticePath) -> tuple[list[int], int]:
-    """``last_up`` and the number of steps after the last up, in one pass.
+def _closing_ups(path: LatticePath) -> tuple[list, list[int], int]:
+    """``closes``, ``last_up`` and the number of steps after the last up.
 
     ``last_up[h]`` ends as the last up-step leaving height h, read from the
-    start height; a dip below it raises NegativeHeightError.  A nonempty
-    pure path ends with the down-run d^n, n the second result.
+    start height; a level step keeps the height, and a dip below the start
+    raises NegativeHeightError.  ``closes[t]`` lists the k up-steps that the
+    down-step t closes.  A factor of the path that is itself a k-Dyck path
+    and ends with the down-run d^n at index b has its right-peak separators,
+    window by window, in closes[b-1], closes[b-2], ..., closes[b-n].  A
+    nonempty pure path ends with the down-run d^n, n the third result.
     """
     k = path.spec.k
     steps = path.steps
     last_up = [0] * (len(steps) + 1)
+    closes: list = [None] * len(steps)
     h = top = 0  # top: one past the last up so far
     for t, s in enumerate(steps):
         kind = s.kind
@@ -72,31 +79,8 @@ def _last_ups(path: LatticePath) -> tuple[list[int], int]:
             h -= k
             if h < 0:
                 raise NegativeHeightError("path dips below its start height")
-    return last_up, len(steps) - top
-
-
-def _closing_ups(path: LatticePath) -> list:
-    """The same pass over a pure path, keeping the cuts of every down-step.
-
-    ``closes[t]`` lists the k up-steps that the down-step t closes.  A
-    factor of the path that is itself a k-Dyck path and ends with the
-    down-run d^n at index b has its right-peak separators, window by
-    window, in closes[b-1], closes[b-2], ..., closes[b-n].
-    """
-    k = path.spec.k
-    last_up = [0] * (len(path.steps) + 1)
-    closes: list = [None] * len(path.steps)
-    h = 0
-    for t, s in enumerate(path.steps):
-        if s.kind == "u":
-            last_up[h] = t
-            h += 1
-        else:
-            h -= k
-            if h < 0:
-                raise NegativeHeightError("path dips below its start height")
             closes[t] = last_up[h: h + k]
-    return closes
+    return closes, last_up, len(steps) - top
 
 
 def _cut(spec: FamilySpec, steps: Sequence[Step],
@@ -105,6 +89,19 @@ def _cut(spec: FamilySpec, steps: Sequence[Step],
     starts = [0] + [p + 1 for p in seps]
     ends = seps + [len(steps)]
     return tuple(LatticePath(spec, steps[a:b]) for a, b in zip(starts, ends))
+
+
+def _join(parts: Iterable[Sequence[Step]], ups: int,
+          tail: Sequence[Step]) -> list[Step]:
+    """The inverse of :func:`_cut`: the parts, with an up-step after each of
+    the first ``ups``, then ``tail``."""
+    steps: list[Step] = []
+    for i, part in enumerate(parts):
+        steps += part
+        if i < ups:
+            steps.append(UP)
+    steps += tail
+    return steps
 
 
 def _require_pure(path: LatticePath, op: str) -> None:
@@ -140,12 +137,9 @@ class RightPeakDecomposition:
     suffix_downs: int
 
     def reassemble(self) -> LatticePath:
-        steps: list[Step] = []
-        for block in self.blocks:
-            steps.extend(block.steps)
-            steps.append(UP)
-        steps.extend([DOWN] * self.suffix_downs)
-        return LatticePath(FamilySpec(self.k), tuple(steps))
+        return LatticePath(FamilySpec(self.k), _join(
+            (b.steps for b in self.blocks), len(self.blocks),
+            [DOWN] * self.suffix_downs))
 
 
 def right_peak_decompose(path: LatticePath) -> RightPeakDecomposition:
@@ -154,7 +148,7 @@ def right_peak_decompose(path: LatticePath) -> RightPeakDecomposition:
         raise EmptyPathError("cannot decompose the empty path")
     _require_pure(path, "right_peak_decompose")
     k = path.spec.k
-    last_up, n = _last_ups(path)
+    _, last_up, n = _closing_ups(path)
     # the rest after the last block's up-step is empty
     blocks = _cut(FamilySpec(k), path.steps[:-n], last_up[:k * n])[:-1]
     return RightPeakDecomposition(k, blocks, n)
@@ -177,16 +171,11 @@ class LastStepDecomposition:
         return self.parts is None
 
     def reassemble(self) -> LatticePath:
-        steps: list[Step] = []
-        if self.parts is not None:
-            k = self.spec.k
-            for i, part in enumerate(self.parts):
-                steps.extend(part.steps)
-                if i < k:
-                    steps.append(UP)
-            steps.append(DOWN)
-        steps.extend(self.level_suffix)
-        return LatticePath(self.spec, tuple(steps))
+        if self.parts is None:
+            return LatticePath(self.spec, self.level_suffix)
+        return LatticePath(self.spec, _join(
+            (p.steps for p in self.parts), self.spec.k,
+            (DOWN, *self.level_suffix)))
 
 
 def last_step_decompose(path: LatticePath) -> LastStepDecomposition:
@@ -206,7 +195,7 @@ def last_step_decompose(path: LatticePath) -> LastStepDecomposition:
                          "level suffix")
     # only level steps follow the final down, so the ups it closes are
     # the last ones leaving heights 0..k-1
-    last_up, _ = _last_ups(path)
+    _, last_up, _ = _closing_ups(path)
     return LastStepDecomposition(
         spec, _cut(spec, steps[: t - 1], last_up[:spec.k]), steps[t:])
 
@@ -220,12 +209,8 @@ class BallotDecomposition:
     parts: tuple[LatticePath, ...]
 
     def reassemble(self) -> LatticePath:
-        steps: list[Step] = []
-        for i, part in enumerate(self.parts):
-            steps.extend(part.steps)
-            if i < self.end_height:
-                steps.append(UP)
-        return LatticePath(self.spec, tuple(steps))
+        return LatticePath(self.spec, _join(
+            (p.steps for p in self.parts), self.end_height, ()))
 
 
 def ballot_decompose(path: LatticePath,
@@ -236,7 +221,7 @@ def ballot_decompose(path: LatticePath,
     elif m != path.spec.end_height:
         raise WrongEndHeightError(
             f"path ends {path.spec.end_height} above its start, not {m}")
-    last_up, _ = _last_ups(path)
+    _, last_up, _ = _closing_ups(path)
     part_spec = FamilySpec(path.spec.k, path.spec.levels)
     return BallotDecomposition(
         path.spec, m, _cut(part_spec, path.steps, last_up[:m]))
@@ -261,16 +246,13 @@ def cyclic_shift(path: LatticePath, power: int = 1) -> LatticePath:
     i = power % k
     if not path.steps or i == 0:
         return path
-    last_up, n = _last_ups(path)
+    _, last_up, n = _closing_ups(path)
     seps = last_up[:k * n]
     starts = [0] + [p + 1 for p in seps]
-    steps: list[Step] = []
-    for j in range(k * n):
-        b = j + k - i if j % k < i else j - i
-        steps += path.steps[starts[b]: seps[b]]
-        steps.append(UP)
-    return LatticePath(path.spec, tuple(steps) + path.steps[-n:],
-                       path.start_height)
+    order = [j + k - i if j % k < i else j - i for j in range(k * n)]
+    return LatticePath(path.spec, _join(
+        [path.steps[starts[b]: seps[b]] for b in order], k * n,
+        path.steps[-n:]), path.start_height)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +269,7 @@ def deutsch_involution(path: LatticePath) -> LatticePath:
     if path.spec.k != 1:
         raise WrongKError("the involution is defined for k = 1")
     _require_pure(path, "deutsch_involution")
-    closes = _closing_ups(path)
+    closes = _closing_ups(path)[0]
     steps: list[Step] = []
     todo: list = [(0, len(path.steps))]
     while todo:

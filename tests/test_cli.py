@@ -115,6 +115,16 @@ class TestCount:
         total = sum(t["coefficient"] for t in doc["coefficients"][2]["terms"])
         assert total == 7
 
+    @pytest.mark.parametrize("argv", [
+        ("count", "ballot", "--k", "2", "--n", "2", "--s", "1,1,0"),
+        ("count", "series", "--k", "1", "--order", "3"),
+        ("count", "series", "--k", "1", "--order", "3", "--levels", "1:1"),
+    ])
+    def test_m_and_end_height_are_one_option(self, capsys, argv):
+        by_m = run(capsys, *argv, "--m", "1")
+        assert by_m == run(capsys, *argv, "--end-height", "1")
+        assert by_m[0] == 0 and by_m != run(capsys, *argv)
+
 
 class TestMap:
     def test_kappa_worked_example(self, capsys):
@@ -306,6 +316,29 @@ class TestExitCodes:
             code, out, err = run(capsys, "count", "series", "--k", k,
                                  "--order", "3")
             assert code == 2 and out == "" and "k >= 1" in err
+
+    @pytest.mark.parametrize("what,extra", [
+        ("ballot", ("--m", "1", "--s", "1,1")),
+        ("marginal", ("--r", "0")),
+        ("pk", ("--r", "0")),
+    ])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_count_rejects_k_below_one(self, capsys, what, extra, k):
+        code, out, err = run(capsys, "count", what, "--k", k, "--n", "2",
+                             *extra)
+        assert code == 2 and out == "" and "k >= 1" in err
+
+    @pytest.mark.parametrize("suite,flag,value", [
+        ("bijection", "--max-k", "0"),
+        ("bijection", "--max-n", "-1"),
+        ("bijection", "--max-nodes", "-1"),
+        ("equidistribution", "--k", "0"),
+        ("equidistribution", "--max-len", "-1"),
+        ("ballot", "--max-m", "-1"),
+    ])
+    def test_verify_rejects_bad_bounds(self, capsys, suite, flag, value):
+        code, out, err = run(capsys, "verify", suite, flag, value)
+        assert code == 2 and out == "" and flag in err
 
     def test_negative_limit_is_bad_input(self, capsys):
         code, out, err = run(capsys, "enumerate", "--k", "2",

@@ -124,6 +124,13 @@ class TestValidate:
         assert p.up_count == 2 * p.down_size + 1
 
 
+class TestLevelSteps:
+    def test_one_object_per_step(self):
+        assert level(1, 1) is level(1, 1)
+        assert level(2, 3) is level(2, 3) and level(2, 3) == Step("l", 2, 3)
+        assert level(1, 2) is not level(2, 1)
+
+
 class TestHeightProfile:
     def test_uud(self):
         assert height_profile(parse_path("uud", K2)) == [0, 1, 2, 0]

@@ -261,6 +261,20 @@ class TestHistogram:
         assert h.total == 0 and h.counts == {}
         assert h.to_json() == {"total": 0, "entries": []}
 
+    def test_k_is_the_stream_k(self):
+        assert histogram(iter(()), PLAIN).k is None
+        for k in (1, 2, 3):
+            assert histogram(gen_k_dyck(k, 3), PLAIN).k == k
+        assert histogram(gen_kac(MOTZKIN, 4), WEAK).k == MOTZKIN.k
+
+    def test_equals_histogram_from_keys(self):
+        for spec, L in ((FamilySpec(2), 9), (MOTZKIN, 6), (SCHROEDER, 6)):
+            for variant in (PLAIN, WEAK, PLAIN_STARRED):
+                paths = list(gen_kac(spec, L))
+                keys = [stat_vector(p, variant).key() for p in paths]
+                assert histogram(paths, variant) == \
+                    histogram_from_keys(keys, variant, spec.k)
+
     def test_json_sorted(self):
         h = histogram(gen_k_dyck(2, 3), PLAIN)
         stats = [tuple(e["stats"]) for e in h.to_json()["entries"]]
