@@ -4,12 +4,20 @@ verification suites, and static rendering.
 Every output is byte-deterministic for a given set of flags.  Exit codes:
 0 success, 1 verification failure, 2 usage or bad input, 3 resource cap
 exceeded.  The object cap honours the PEAKMOD_MAX_OBJECTS environment
-variable and the --limit flag.
+variable and the --limit flag.  A flag that the chosen ``count`` kind or
+``verify`` suite does not read is a usage error (exit 2), never ignored.
+
+The argument parser is built on the first :func:`main` call and reused by
+every later call in the same process.  That saves its construction only
+for in-process callers that call :func:`main` more than once (tests,
+benchmarks, library users); a one-shot ``peakmod`` command builds it once
+either way.  Importing this module builds no parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterator
@@ -140,6 +148,15 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _reject_unread(args, command: str, reads, unset: dict) -> None:
+    """Raise ValueError for a flag that differs from its unset value but
+    is not among the ``reads`` of this command."""
+    for dest, value in unset.items():
+        if dest not in reads and getattr(args, dest) != value:
+            flag = dest.replace("_", "-")
+            raise ValueError(f"{command} does not read --{flag}")
+
+
 def _dump_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
@@ -175,7 +192,21 @@ def cmd_histogram(args) -> int:
     return 0
 
 
+_COUNT_UNSET = {"k": 1, "n": None, "r": None, "s": None, "order": None,
+                "levels": None, "end_height": 0, "format": "text"}
+_COUNT_READS = {
+    "joint": ("k", "n", "r"),
+    "marginal": ("k", "n", "r"),
+    "pk": ("k", "n", "r"),
+    "narayana": ("n", "r"),
+    "ballot": ("k", "n", "s", "end_height"),
+    "series": ("k", "order", "levels", "end_height", "format"),
+}
+
+
 def cmd_count(args) -> int:
+    _reject_unread(args, f"count {args.what}", _COUNT_READS[args.what],
+                   _COUNT_UNSET)
     if args.what == "joint":
         print(count_joint(args.k, _require(args, "--n"),
                           _ints(_require(args, "--r"))))
@@ -273,8 +304,14 @@ _SUITE_PARAMS = {
 }
 
 
+_VERIFY_FLAGS = ("k", "max_k", "max_n", "max_len", "max_m", "max_nodes")
+
+
 def cmd_verify(args) -> int:
-    for flag in ("k", "max_k", "max_n", "max_len", "max_m", "max_nodes"):
+    _reject_unread(args, f"verify {args.suite}",
+                   [flag for _, flag in _SUITE_PARAMS[args.suite]],
+                   dict.fromkeys(_VERIFY_FLAGS))
+    for flag in _VERIFY_FLAGS:
         value = getattr(args, flag)
         least = 1 if flag in ("k", "max_k") else 0
         if value is not None and value < least:
@@ -317,6 +354,7 @@ def cmd_render(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peakmod",

@@ -31,9 +31,11 @@ of f and of the partial products is computed exactly once.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import add
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .core import FamilySpec
 from .transforms import permute_coordinates
@@ -168,14 +170,22 @@ def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
     gives [x^n] f = (1/n) [f^(n-1)] Phi(f)^n.  Phi(f)^n is expanded as a
     :class:`TruncSeries` in f, truncated at f^(n-1), and the count is
     (1/n) times the coefficient of f^(n-1) prod q_i^(r_i).  No solver
-    and no closed form is involved.
+    and no closed form is involved.  The expansion is made once per
+    (k, n) and kept for the most recent (k, n) only, so a sweep over every
+    r of one (k, n) expands Phi(f)^n once.
     """
     r = tuple(int(x) for x in r)
     _check_joint_args(k, n, r)
-    f = TruncSeries.x_power(1, n - 1, k + 1)
-    power = _marked_product(f, range(k + 1)).pow(n)
-    return _exact_int(Fraction(power.coeffs[n - 1].get(r, 0), n),
+    return _exact_int(Fraction(_lagrange_top(k, n).get(r, 0), n),
                       f"lagrange_coefficient({k}, {n}, {r})")
+
+
+@lru_cache(maxsize=1)
+def _lagrange_top(k: int, n: int) -> Mapping[tuple[int, ...], int]:
+    """[f^(n-1)] Phi(f)^n as a read-only marker polynomial."""
+    f = TruncSeries.x_power(1, n - 1, k + 1)
+    return MappingProxyType(_marked_product(f, range(k + 1)).pow(n)
+                            .coeffs[n - 1])
 
 
 # ---------------------------------------------------------------------------

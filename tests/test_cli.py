@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import peakmod
+from peakmod import cli
 from peakmod.cli import main
 
 from conftest import EXAMPLE_PATH_TEXT
@@ -340,6 +345,49 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", suite, flag, value)
         assert code == 2 and out == "" and flag in err
 
+    @pytest.mark.parametrize("suite,flag,value", [
+        ("involution", "--max-k", "7"),
+        ("involution", "--max-nodes", "9"),
+        ("figures", "--k", "2"),
+        ("closed-forms", "--max-len", "3"),
+        ("equidistribution", "--max-k", "2"),
+        ("bijection", "--max-m", "1"),
+        ("ballot", "--max-nodes", "3"),
+        ("series", "--k", "2"),
+    ])
+    def test_verify_rejects_unread_flags(self, capsys, suite, flag, value):
+        code, out, err = run(capsys, "verify", suite, flag, value)
+        assert code == 2 and out == ""
+        assert flag in err and suite in err
+
+    @pytest.mark.parametrize("base,extra,flag", [
+        (("ballot", "--k", "1", "--m", "1", "--n", "2", "--s", "1,1"),
+         ("--levels", "1:1"), "--levels"),
+        (("ballot", "--k", "2", "--m", "1", "--n", "2", "--s", "1,1,0"),
+         ("--format", "json"), "--format"),
+        (("ballot", "--k", "2", "--m", "1", "--n", "2", "--s", "1,1,0"),
+         ("--r", "1"), "--r"),
+        (("joint", "--k", "2", "--n", "3", "--r", "0,1,1"),
+         ("--format", "json"), "--format"),
+        (("joint", "--k", "2", "--n", "3", "--r", "0,1,1"),
+         ("--levels", "1:1"), "--levels"),
+        (("joint", "--k", "2", "--n", "3", "--r", "0,1,1"),
+         ("--m", "1"), "--end-height"),
+        (("marginal", "--k", "2", "--n", "3", "--r", "0"),
+         ("--order", "3"), "--order"),
+        (("pk", "--k", "2", "--n", "3", "--r", "1"),
+         ("--s", "1,1,0"), "--s"),
+        (("narayana", "--n", "4", "--r", "2"),
+         ("--end-height", "1"), "--end-height"),
+        (("narayana", "--n", "4", "--r", "2"), ("--k", "2"), "--k"),
+        (("series", "--k", "1", "--order", "3"), ("--n", "3"), "--n"),
+        (("series", "--k", "1", "--order", "3"), ("--s", "1,1"), "--s"),
+    ])
+    def test_count_rejects_unread_flags(self, capsys, base, extra, flag):
+        code, out, err = run(capsys, "count", *base, *extra)
+        assert code == 2 and out == ""
+        assert f"count {base[0]} does not read {flag}" in err
+
     def test_negative_limit_is_bad_input(self, capsys):
         code, out, err = run(capsys, "enumerate", "--k", "2",
                              "--down-size", "3", "--limit", "-1")
@@ -366,3 +414,53 @@ class TestExitCodes:
                             dict(verify_mod.SUITES))
         code, out, _ = run(capsys, "verify", "figures")
         assert code == 1
+
+
+class TestParserReuse:
+    """One parser serves every main call of a process, keeping no state."""
+
+    SEQUENCE = [
+        ("map", "psi", "--k", "2", "--path", EXAMPLE_PATH_TEXT, "--labels"),
+        ("map", "psi", "--k", "2", "--path", EXAMPLE_PATH_TEXT),
+        ("count", "series", "--k", "1", "--order", "3", "--m", "2"),
+        ("enumerate", "--bogus"),
+        ("count", "series", "--k", "1", "--order", "3"),
+        ("--help",),
+        ("enumerate", "--k", "2", "--down-size", "2"),
+        ("histogram", "--k", "1", "--down-size", "3", "--format", "csv"),
+        ("histogram", "--k", "1", "--down-size", "3"),
+        ("verify", "figures"),
+        ("render", "--k", "2", "--path", "uud", "--labels"),
+        ("count", "joint", "--k", "2", "--n", "3", "--r", "0,1,1"),
+        ("map", "kappa", "--k", "2", "--path", "uuduuuuududd"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_calls_match_a_fresh_parser(self, capsys, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        parser = cli.build_parser()
+        shared = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert cli.build_parser() is parser
+        assert shared == fresh
+        codes = [code for code, _, _ in fresh]
+        assert ("SystemExit", 2) in codes and ("SystemExit", 0) in codes
+        assert fresh[0] != fresh[1] and fresh[2] != fresh[4]
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(peakmod.__file__))
+        code = ("import peakmod.cli as cli; "
+                "print(cli.build_parser.cache_info().currsize)")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0 and done.stdout == "0\n", done.stderr

@@ -1,5 +1,6 @@
 """Closed-form counts, series solvers, and their three-way agreement."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -24,6 +25,7 @@ from peakmod import (
     solve_g_kac,
     stat_vector,
 )
+from peakmod.counting import _lagrange_top
 from peakmod.statistics import PLAIN, PLAIN_STARRED, WEAK, WEAK_STARRED
 
 from conftest import MOTZKIN, SCHROEDER
@@ -155,6 +157,25 @@ class TestLagrange:
                 for r in _vectors(n - 1, k + 1):
                     assert lagrange_coefficient(k, n, r) == \
                         count_joint(k, n, r)
+
+    def test_one_cached_expansion_serves_interleaved_sweeps(self):
+        # Sweeps of several (k, n), each cut in three chunks and shuffled,
+        # so the one-entry cache is refilled many times, twice at least
+        # between two n of the same k.  Off-sum vectors give the zeros.
+        chunks = []
+        for k, n in ((2, 10), (3, 8), (2, 8), (3, 6)):
+            vectors = [r for total in (n - 2, n - 1, n)
+                       for r in _vectors(total, k + 1)]
+            chunks += [(k, n, vectors[i::3]) for i in range(3)]
+        random.Random(8).shuffle(chunks)
+        assert any(a[0] == b[0] and a[1] != b[1]
+                   for a, b in zip(chunks, chunks[1:]))
+        assert _lagrange_top.cache_info().maxsize == 1
+        for k, n, vectors in chunks:
+            for r in vectors:
+                assert lagrange_coefficient(k, n, r) == \
+                    count_joint(k, n, r), (k, n, r)
+            assert _lagrange_top.cache_info().currsize == 1
 
 
 class TestSolveF:
