@@ -4,8 +4,13 @@ verification suites, and static rendering.
 Every output is byte-deterministic for a given set of flags.  Exit codes:
 0 success, 1 verification failure, 2 usage or bad input, 3 resource cap
 exceeded.  The object cap honours the PEAKMOD_MAX_OBJECTS environment
-variable and the --limit flag.  A flag that the chosen ``count`` kind or
-``verify`` suite does not read is a usage error (exit 2), never ignored.
+variable and the --limit flag.
+
+One rule covers all six subcommands: an invocation that lacks a flag its
+mode requires, or sets a flag its mode does not read to anything but its
+default, exits 2; no flag is ignored.  So ``map deutsch`` reads only
+``--path``, ``map permute --tree`` reads ``--tree`` and ``--sigma``, and
+``render --tree`` reads ``--k``, ``--arity`` and ``--format``.
 
 The argument parser is built on the first :func:`main` call and reused by
 every later call in the same process.  That saves its construction only
@@ -77,13 +82,98 @@ VARIANT_FLAGS = {
 
 
 # ---------------------------------------------------------------------------
+# the flag contract
+# ---------------------------------------------------------------------------
+
+# mode -> (flags it requires, other flags it reads), by argparse dest.  A
+# mode is the subcommand, then its kind, operation or suite if it takes
+# one, then, where it takes one of two flags (_EITHER_OR), the one given.
+# A verify mode maps each flag it reads to the suite parameter the flag
+# sets (None: read by the command itself).
+_CONTRACT = {
+    "enumerate --down-size": (("down_size",), ("k", "end_height", "limit")),
+    "enumerate --length": (("length",),
+                           ("k", "levels", "end_height", "limit")),
+    "histogram --down-size": (("down_size",), ("k", "end_height", "limit",
+                                               "variant", "format")),
+    "histogram --length": (("length",), ("k", "levels", "end_height",
+                                         "limit", "variant", "format")),
+    "count joint": (("n", "r"), ("k",)),
+    "count marginal": (("n", "r"), ("k",)),
+    "count pk": (("n", "r"), ("k",)),
+    "count narayana": (("n", "r"), ()),
+    "count ballot": (("n", "s"), ("k", "end_height")),
+    "count series": (("order",), ("k", "levels", "end_height", "format")),
+    "map kappa": (("path",), ("k", "power")),
+    "map lift": (("path",), ("k", "power")),
+    "map psi": (("path",), ("k", "labels")),
+    "map psi-inv": (("tree",), ("k",)),
+    "map deutsch": (("path",), ()),
+    "map permute --path": (("path", "sigma"), ("k",)),
+    "map permute --tree": (("tree", "sigma"), ()),
+    "render --path": (("path",),
+                      ("k", "levels", "end_height", "format", "labels")),
+    "render --tree": (("tree",), ("k", "arity", "format")),
+    "verify figures": ((), {"format": None}),
+    "verify equidistribution": ((), {"format": None, "k": "k",
+                                     "max_n": "max_n",
+                                     "max_len": "weak_max_len"}),
+    "verify bijection": ((), {"format": None, "max_k": "max_k",
+                              "max_n": "max_n", "max_nodes": "max_nodes"}),
+    "verify closed-forms": ((), {"format": None, "max_k": "max_k",
+                                 "max_n": "max_n"}),
+    "verify series": ((), {"format": None, "max_k": "max_k",
+                           "max_n": "max_n", "max_len": "weak_max_len",
+                           "max_m": "ballot_max_m"}),
+    "verify ballot": ((), {"format": None, "max_k": "max_k",
+                           "max_m": "max_m", "max_n": "max_n"}),
+    "verify involution": ((), {"format": None, "max_n": "max_semilength"}),
+}
+
+# the modes that take exactly one of two flags, named by the flag given
+_EITHER_OR = {
+    "enumerate": ("down_size", "length"),
+    "histogram": ("down_size", "length"),
+    "map permute": ("path", "tree"),
+    "render": ("path", "tree"),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _check_flags(args) -> None:
+    """Raise ValueError unless every flag the mode requires is given and
+    every flag it does not read keeps its declared default."""
+    mode = " ".join([args.command] + [getattr(args, dest) for dest in
+                                      ("what", "op", "suite") if dest in args])
+    pair = _EITHER_OR.get(mode)
+    if pair:
+        given = [dest for dest in pair if getattr(args, dest) is not None]
+        if len(given) != 1:
+            a, b = map(_flag, pair)
+            raise ValueError(f"{a} and {b} are exclusive" if given
+                             else f"{mode} needs {a} or {b}")
+        mode += " " + _flag(given[0])
+    needs, reads = _CONTRACT[mode]
+    for dest, default in args.flag_defaults.items():
+        if dest not in needs and dest not in reads and \
+                getattr(args, dest) != default:
+            raise ValueError(f"{mode} does not read {_flag(dest)}")
+    for dest in needs:
+        if getattr(args, dest) is None:
+            raise ValueError(f"{mode} needs {_flag(dest)}")
+
+
+# ---------------------------------------------------------------------------
 # shared flag handling
 # ---------------------------------------------------------------------------
 
-def _parse_levels(text: str) -> dict[int, int]:
+def _parse_levels(text: str | None) -> dict[int, int]:
     """Grammar a:c[,a:c]*  mapping run-length to color count."""
     levels: dict[int, int] = {}
-    for chunk in text.split(","):
+    for chunk in text.split(",") if text else ():
         a, _, c = chunk.partition(":")
         if not (a.strip().isdigit() and c.strip().isdigit()):
             raise ValueError(f"bad --levels entry {chunk!r} (want a:c)")
@@ -110,16 +200,9 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _family_stream(args) -> Iterator[LatticePath]:
-    levels = _parse_levels(args.levels) if args.levels else {}
     if args.length is not None:
-        if args.down_size is not None:
-            raise ValueError("--down-size and --length are exclusive")
-        spec = FamilySpec(args.k, levels, args.end_height)
+        spec = FamilySpec(args.k, _parse_levels(args.levels), args.end_height)
         return gen_kac(spec, args.length, max_objects=args.limit)
-    if args.down_size is None:
-        raise ValueError("one of --down-size or --length is required")
-    if levels:
-        raise ValueError("level-bearing families are enumerated by --length")
     if args.end_height:
         return gen_ballot(args.k, args.end_height, args.down_size,
                           max_objects=args.limit)
@@ -132,29 +215,8 @@ def _read_text(value: str) -> str:
     return value
 
 
-def _require(args, flag: str) -> str:
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
-    if value is None:
-        raise ValueError(f"count {args.what} needs {flag}")
-    return value
-
-
-def _path_spec(args) -> FamilySpec:
-    levels = _parse_levels(args.levels) if getattr(args, "levels", None) else {}
-    return FamilySpec(args.k, levels, getattr(args, "end_height", 0))
-
-
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
-
-
-def _reject_unread(args, command: str, reads, unset: dict) -> None:
-    """Raise ValueError for a flag that differs from its unset value but
-    is not among the ``reads`` of this command."""
-    for dest, value in unset.items():
-        if dest not in reads and getattr(args, dest) != value:
-            flag = dest.replace("_", "-")
-            raise ValueError(f"{command} does not read --{flag}")
 
 
 def _dump_json(obj) -> None:
@@ -192,40 +254,21 @@ def cmd_histogram(args) -> int:
     return 0
 
 
-_COUNT_UNSET = {"k": 1, "n": None, "r": None, "s": None, "order": None,
-                "levels": None, "end_height": 0, "format": "text"}
-_COUNT_READS = {
-    "joint": ("k", "n", "r"),
-    "marginal": ("k", "n", "r"),
-    "pk": ("k", "n", "r"),
-    "narayana": ("n", "r"),
-    "ballot": ("k", "n", "s", "end_height"),
-    "series": ("k", "order", "levels", "end_height", "format"),
-}
-
-
 def cmd_count(args) -> int:
-    _reject_unread(args, f"count {args.what}", _COUNT_READS[args.what],
-                   _COUNT_UNSET)
     if args.what == "joint":
-        print(count_joint(args.k, _require(args, "--n"),
-                          _ints(_require(args, "--r"))))
+        print(count_joint(args.k, args.n, _ints(args.r)))
     elif args.what == "marginal":
-        print(count_marginal(args.k, _require(args, "--n"),
-                             int(_require(args, "--r"))))
+        print(count_marginal(args.k, args.n, int(args.r)))
     elif args.what == "pk":
-        print(count_pk(args.k, _require(args, "--n"),
-                       int(_require(args, "--r"))))
+        print(count_pk(args.k, args.n, int(args.r)))
     elif args.what == "narayana":
-        print(narayana(_require(args, "--n"), int(_require(args, "--r"))))
+        print(narayana(args.n, int(args.r)))
     elif args.what == "ballot":
         if args.k < 1:
             raise ValueError("need k >= 1")
         ell, r = divmod(args.end_height, args.k)
-        print(count_ballot_joint(args.k, ell, r, _require(args, "--n"),
-                                 _ints(_require(args, "--s"))))
+        print(count_ballot_joint(args.k, ell, r, args.n, _ints(args.s)))
     elif args.what == "series":
-        _require(args, "--order")
         series = _build_series(args)
         if args.format == "json":
             _dump_json(series.to_json())
@@ -236,7 +279,7 @@ def cmd_count(args) -> int:
 
 
 def _build_series(args):
-    levels = _parse_levels(args.levels) if args.levels else {}
+    levels = _parse_levels(args.levels)
     if levels:
         spec = FamilySpec(args.k, levels)
         if args.end_height:
@@ -248,78 +291,41 @@ def _build_series(args):
 
 
 def cmd_map(args) -> int:
-    op = args.op
-    if op in ("kappa", "lift", "psi", "deutsch") or \
-            (op == "permute" and args.path is not None):
-        if args.path is None:
-            raise ValueError(f"map {op} needs --path")
-        k = 1 if op == "deutsch" else args.k
-        path = parse_path(_read_text(args.path), FamilySpec(k))
-        if op == "kappa":
-            print(render_path(cyclic_shift(path, args.power)))
-        elif op == "lift":
-            lifted = lift(path, args.power)
-            _dump_json({"start_height": lifted.start_height,
-                        "steps": render_path(lifted)})
-        elif op == "deutsch":
-            print(render_path(deutsch_involution(path)))
-        elif op == "psi":
-            tree = path_to_labeled_tree(path) if args.labels and path.steps \
-                else path_to_tree(path)
-            print(tree_to_json_text(tree))
+    if args.tree is not None:  # psi-inv, or permute --tree
+        if args.op == "psi-inv":
+            tree = tree_from_json_text(_read_text(args.tree), args.k + 1)
+            print(render_path(tree_to_path(tree, args.k)))
         else:
-            if args.sigma is None:
-                raise ValueError("map permute needs --sigma")
-            print(render_path(permute_statistics(path, _ints(args.sigma))))
+            sigma = _ints(args.sigma)
+            tree = tree_from_json_text(_read_text(args.tree), len(sigma))
+            print(tree_to_json_text(permute_subtrees(tree, sigma)))
         return 0
-    if op == "psi-inv":
-        if args.tree is None:
-            raise ValueError("map psi-inv needs --tree")
-        tree = tree_from_json_text(_read_text(args.tree), args.k + 1)
-        print(render_path(tree_to_path(tree, args.k)))
-        return 0
-    if op == "permute":
-        if args.tree is None:
-            raise ValueError("map permute needs --path or --tree")
-        if args.sigma is None:
-            raise ValueError("map permute needs --sigma")
-        sigma = _ints(args.sigma)
-        tree = tree_from_json_text(_read_text(args.tree), len(sigma))
-        print(tree_to_json_text(permute_subtrees(tree, sigma)))
-        return 0
-    raise ValueError(f"unknown map operation {op!r}")
-
-
-_SUITE_PARAMS = {
-    "figures": (),
-    "equidistribution": (("k", "k"), ("max_n", "max_n"),
-                         ("weak_max_len", "max_len")),
-    "bijection": (("max_k", "max_k"), ("max_n", "max_n"),
-                  ("max_nodes", "max_nodes")),
-    "closed-forms": (("max_k", "max_k"), ("max_n", "max_n")),
-    "series": (("max_k", "max_k"), ("max_n", "max_n"),
-               ("weak_max_len", "max_len"), ("ballot_max_m", "max_m")),
-    "ballot": (("max_k", "max_k"), ("max_m", "max_m"), ("max_n", "max_n")),
-    "involution": (("max_semilength", "max_n"),),
-}
-
-
-_VERIFY_FLAGS = ("k", "max_k", "max_n", "max_len", "max_m", "max_nodes")
+    # deutsch reads no --k, so k is 1 for it here
+    path = parse_path(_read_text(args.path), FamilySpec(args.k))
+    if args.op == "kappa":
+        print(render_path(cyclic_shift(path, args.power)))
+    elif args.op == "lift":
+        lifted = lift(path, args.power)
+        _dump_json({"start_height": lifted.start_height,
+                    "steps": render_path(lifted)})
+    elif args.op == "deutsch":
+        print(render_path(deutsch_involution(path)))
+    elif args.op == "psi":
+        tree = path_to_labeled_tree(path) if args.labels and path.steps \
+            else path_to_tree(path)
+        print(tree_to_json_text(tree))
+    else:
+        print(render_path(permute_statistics(path, _ints(args.sigma))))
+    return 0
 
 
 def cmd_verify(args) -> int:
-    _reject_unread(args, f"verify {args.suite}",
-                   [flag for _, flag in _SUITE_PARAMS[args.suite]],
-                   dict.fromkeys(_VERIFY_FLAGS))
-    for flag in _VERIFY_FLAGS:
-        value = getattr(args, flag)
-        least = 1 if flag in ("k", "max_k") else 0
-        if value is not None and value < least:
-            raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}")
     kwargs = {}
-    for param, flag in _SUITE_PARAMS[args.suite]:
+    for flag, param in _CONTRACT[f"verify {args.suite}"][1].items():
         value = getattr(args, flag)
-        if value is not None:
+        if param and value is not None:
+            if value < (least := 1 if flag in ("k", "max_k") else 0):
+                raise ValueError(f"{_flag(flag)} must be >= {least}")
             kwargs[param] = value
     report = SUITES[args.suite](**kwargs)
     if args.format == "json":
@@ -331,14 +337,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if (args.path is None) == (args.tree is None):
-        raise ValueError("render needs exactly one of --path or --tree")
     if args.path is not None:
-        spec = _path_spec(args)
+        spec = FamilySpec(args.k, _parse_levels(args.levels), args.end_height)
         path = parse_path(_read_text(args.path), spec)
-        labels = None
-        if args.labels and path.steps and not spec.has_levels:
-            labels = label_features(path)
+        labels = label_features(path) if args.labels and path.steps else None
         out = render_path_ascii(path, labels) if args.format == "ascii" \
             else render_path_svg(path, labels)
     else:
@@ -427,13 +429,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", action="store_true")
     p.set_defaults(func=cmd_render)
 
+    # each option's declared default, read once for _check_flags (argparse
+    # lists a parser's options only in its _actions)
+    for p in sub.choices.values():
+        p.set_defaults(flag_defaults={
+            a.dest: a.default for a in p._actions
+            if a.option_strings and a.dest != "help"})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"peakmod: {exc}", file=sys.stderr)

@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: outputs, formats, exit codes."""
 
 import json
+import io
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -388,6 +391,46 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"count {base[0]} does not read {flag}" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("kappa", "--k", "2", "--path", "uud", "--sigma", "3,2,1",
+          "--labels", "--tree", "{}"), "--tree"),
+        (("deutsch", "--k", "2", "--path", "uudd"), "--k"),
+        (("deutsch", "--k", "5", "--path", "uudd"), "--k"),
+        (("psi-inv", "--k", "2", "--tree", "{}", "--path", "ud"), "--path"),
+        (("kappa", "--k", "2", "--path", "uud", "--sigma", "2,1"),
+         "--sigma"),
+        (("lift", "--k", "2", "--path", "uud", "--labels"), "--labels"),
+        (("psi", "--k", "2", "--path", "uud", "--power", "2"), "--power"),
+        (("permute", "--k", "2", "--path", "uuuuuuddd", "--tree", '{"1":{}}',
+          "--sigma", "3,2,1"), "--tree"),
+        (("permute", "--path", "ud", "--tree", "{}"), "--tree"),
+        (("permute", "--tree", '{"1":{}}', "--sigma", "3,2,1", "--k", "2"),
+         "--k"),
+    ])
+    def test_map_rejects_unread_flags(self, capsys, argv, flag):
+        code, out, err = run(capsys, "map", *argv)
+        assert code == 2 and out == "" and flag in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("--tree", "{}", "--levels", "1:1", "--end-height", "3",
+          "--labels"), "--levels"),
+        (("--k", "2", "--path", "uud", "--arity", "3"), "--arity"),
+        (("--tree", "{}", "--levels", "1:1"), "--levels"),
+        (("--tree", "{}", "--end-height", "1"), "--end-height"),
+        (("--tree", "{}", "--labels"), "--labels"),
+    ])
+    def test_render_rejects_unread_flags(self, capsys, argv, flag):
+        code, out, err = run(capsys, "render", *argv)
+        assert code == 2 and out == "" and flag in err
+
+    def test_render_labels_need_a_pure_path(self, capsys):
+        code, out, err = run(capsys, "render", "--path", "l1_1ud",
+                             "--levels", "1:1", "--labels")
+        assert code == 2 and out == "" and "pure k-Dyck" in err
+        code, out, _ = run(capsys, "render", "--path", "", "--levels", "1:1",
+                           "--labels")
+        assert code == 0 and out == "\n"
+
     def test_negative_limit_is_bad_input(self, capsys):
         code, out, err = run(capsys, "enumerate", "--k", "2",
                              "--down-size", "3", "--limit", "-1")
@@ -464,3 +507,27 @@ class TestParserReuse:
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert done.returncode == 0 and done.stdout == "0\n", done.stderr
+
+
+def _readme_examples():
+    """The peakmod lines of the README's command-line block."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text().split("## Command-line interface", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.partition("#")[0].strip() for line in block.splitlines())
+    return [line for line in lines if line.startswith("peakmod ")]
+
+
+class TestReadmeExamples:
+    def test_block_found(self):
+        assert len(_readme_examples()) > 20
+
+    @pytest.mark.parametrize("line", _readme_examples())
+    def test_example_runs(self, capsys, monkeypatch, line):
+        # a piped line runs both commands: the first one's stdout is fed
+        # to the second through stdin
+        out = ""
+        for command in line.split("|"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            code, out, err = run(capsys, *shlex.split(command)[1:])
+            assert code == 0 and out, err
