@@ -77,6 +77,7 @@ from .enumeration import (
     DEFAULT_MAX_OBJECTS,
     Histogram,
     ResourceLimitError,
+    family_histogram,
     gen_ballot,
     gen_k_dyck,
     gen_kac,

@@ -43,6 +43,7 @@ from .core import (
     LatticePath,
     NodeLabel,
     PositionalTree,
+    pure_spec,
     tree_from_records,
 )
 from .statistics import label_features
@@ -139,7 +140,7 @@ def tree_to_path(tree: PositionalTree | None, k: int) -> LatticePath:
     if tree is not None and tree.arity != k + 1:
         raise ArityMismatchError(
             f"tree arity {tree.arity} does not match k+1 = {k + 1}")
-    return _walk(FamilySpec(k), tree.records() if tree else [])
+    return _walk(pure_spec(k), tree.records() if tree else [])
 
 
 def permute_statistics(path: LatticePath,
@@ -157,6 +158,6 @@ def permute_statistics(path: LatticePath,
     if path.is_empty():
         return path
     # the root's record has position 0, which _walk ignores
-    return _walk(FamilySpec(spec.k) if spec.has_levels else spec,
+    return _walk(pure_spec(spec.k),
                  [(parent, sig[pos - 1], None)
                   for parent, pos, _ in _records(path, None)])

@@ -10,7 +10,8 @@ One rule covers all six subcommands: an invocation that lacks a flag its
 mode requires, or sets a flag its mode does not read to anything but its
 default, exits 2; no flag is ignored.  So ``map deutsch`` reads only
 ``--path``, ``map permute --tree`` reads ``--tree`` and ``--sigma``, and
-``render --tree`` reads ``--k``, ``--arity`` and ``--format``.
+``render --tree`` reads ``--format`` and either ``--arity`` or ``--k``
+(then the arity is k + 1).
 
 The argument parser is built on the first :func:`main` call and reused by
 every later call in the same process.  That saves its construction only
@@ -25,7 +26,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import Iterator
 
 from .bijections import (
     path_to_labeled_tree,
@@ -35,7 +35,6 @@ from .bijections import (
 )
 from .core import (
     FamilySpec,
-    LatticePath,
     PathError,
     TreeError,
     parse_path,
@@ -57,10 +56,10 @@ from .counting import (
 )
 from .enumeration import (
     ResourceLimitError,
-    gen_ballot,
-    gen_k_dyck,
+    ballot_family,
+    family_histogram,
     gen_kac,
-    histogram,
+    k_dyck_family,
 )
 from .render import (
     render_path_ascii,
@@ -87,7 +86,8 @@ VARIANT_FLAGS = {
 
 # mode -> (flags it requires, other flags it reads), by argparse dest.  A
 # mode is the subcommand, then its kind, operation or suite if it takes
-# one, then, where it takes one of two flags (_EITHER_OR), the one given.
+# one, then, where it takes one of two flags (_EITHER_OR), the one given,
+# and last an optional flag that narrows the mode (_NARROWED_BY), if given.
 # A verify mode maps each flag it reads to the suite parameter the flag
 # sets (None: read by the command itself).
 _CONTRACT = {
@@ -113,7 +113,8 @@ _CONTRACT = {
     "map permute --tree": (("tree", "sigma"), ()),
     "render --path": (("path",),
                       ("k", "levels", "end_height", "format", "labels")),
-    "render --tree": (("tree",), ("k", "arity", "format")),
+    "render --tree": (("tree",), ("k", "format")),
+    "render --tree --arity": (("tree", "arity"), ("format",)),
     "verify figures": ((), {"format": None}),
     "verify equidistribution": ((), {"format": None, "k": "k",
                                      "max_n": "max_n",
@@ -138,6 +139,9 @@ _EITHER_OR = {
     "render": ("path", "tree"),
 }
 
+# the modes that an optional flag, when given, narrows to a mode of its own
+_NARROWED_BY = {"render --tree": "arity"}
+
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
@@ -156,6 +160,9 @@ def _check_flags(args) -> None:
             raise ValueError(f"{a} and {b} are exclusive" if given
                              else f"{mode} needs {a} or {b}")
         mode += " " + _flag(given[0])
+    narrow = _NARROWED_BY.get(mode)
+    if narrow and getattr(args, narrow) is not None:
+        mode += " " + _flag(narrow)
     needs, reads = _CONTRACT[mode]
     for dest, default in args.flag_defaults.items():
         if dest not in needs and dest not in reads and \
@@ -199,14 +206,14 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the object cap")
 
 
-def _family_stream(args) -> Iterator[LatticePath]:
+def _family(args) -> tuple[FamilySpec, int]:
+    """The spec and total length of the family the flags name."""
     if args.length is not None:
-        spec = FamilySpec(args.k, _parse_levels(args.levels), args.end_height)
-        return gen_kac(spec, args.length, max_objects=args.limit)
+        return (FamilySpec(args.k, _parse_levels(args.levels),
+                           args.end_height), args.length)
     if args.end_height:
-        return gen_ballot(args.k, args.end_height, args.down_size,
-                          max_objects=args.limit)
-    return gen_k_dyck(args.k, args.down_size, max_objects=args.limit)
+        return ballot_family(args.k, args.end_height, args.down_size)
+    return k_dyck_family(args.k, args.down_size)
 
 
 def _read_text(value: str) -> str:
@@ -228,7 +235,7 @@ def _dump_json(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    for path in _family_stream(args):
+    for path in gen_kac(*_family(args), max_objects=args.limit):
         print(render_path(path))
     return 0
 
@@ -241,14 +248,13 @@ _CSV_DD = {"plain": "dd", "weak": "wdd",
 
 def cmd_histogram(args) -> int:
     variant = VARIANT_FLAGS[args.variant]
-    hist = histogram(_family_stream(args), variant)
+    hist = family_histogram(*_family(args), variant, args.limit)
     if args.format == "json":
         _dump_json(hist.to_json())
         return 0
-    k = hist.k if hist.k is not None else args.k
     prefix = _CSV_PREFIX[variant]
-    header = [f"{prefix}{i}" for i in range(k)] + [_CSV_DD[variant], "count"]
-    print(",".join(header))
+    header = [f"{prefix}{i}" for i in range(hist.k)]
+    print(",".join(header + [_CSV_DD[variant], "count"]))
     for key, count in hist.entries():
         print(",".join(str(x) for x in (*key, count)))
     return 0

@@ -194,17 +194,25 @@ class FamilySpec:
                 f"for level run-length {step.length}")
 
 
+@cache
+def pure_spec(k: int) -> FamilySpec:
+    """The level-free family of drop k ending at its start height, built
+    once per k."""
+    return FamilySpec(k)
+
+
 # ---------------------------------------------------------------------------
 # lattice paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticePath:
     """A validated step sequence within a family.
 
     Construction validates everything: steps must be legal for the spec,
     every prefix height (from ``start_height``) must be nonnegative, and
-    the final height must equal start_height + spec.end_height.
+    the final height must equal start_height + spec.end_height.  A path is
+    a frozen value kept in slots, with no per-instance ``__dict__``.
     """
 
     spec: FamilySpec

@@ -6,9 +6,18 @@ yielding each object exactly once in a deterministic order (up-steps
 before down-steps before level steps sorted by run-length and color).
 The path walk keeps its remaining length and height as running state and
 its choices on an explicit stack, so path length is unbounded: nothing
-recurses to the depth of a path.  Every yielded path is still validated
-by the :class:`LatticePath` constructor.  The tree walk does the same
-over slot-occupancy masks, independently of the paths.
+recurses to the depth of a path.  The tree walk does the same over
+slot-occupancy masks, independently of the paths.
+
+The path walk also carries the statistic of its prefix: the peak and
+double-descent counters, and the residue of the latest (weak) peak, which
+is held back until a later peak closes.  Each step updates them from
+:data:`peakmod.statistics.TRANSITIONS`, and each depth keeps the state
+from before its step, so paths that share a prefix share its statistic.
+:func:`family_histogram` tallies these states and :func:`gen_kac` yields
+the paths of the same walk.  Either way every path is still built and
+validated by the :class:`LatticePath` constructor and counted against the
+cap.
 
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
@@ -22,11 +31,13 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step,
                    tree_from_records)
-from .statistics import PLAIN, VARIANTS, stat_vector
+from .statistics import (PEAK, PLAIN, STARRED, TRANSITIONS, VARIANTS,
+                         stat_vector)
 from .transforms import permute_coordinates
 
 DEFAULT_MAX_OBJECTS = 10 ** 7
@@ -71,12 +82,25 @@ class _Budget:
                 "pass max_objects to raise it)")
 
 
+def k_dyck_family(k: int, n: int) -> tuple[FamilySpec, int]:
+    """The spec and total length of the pure k-Dyck paths of down-size n."""
+    if k < 1 or n < 0:
+        raise ValueError("need k >= 1 and n >= 0")
+    return FamilySpec(k), (k + 1) * n
+
+
+def ballot_family(k: int, m: int, n: int) -> tuple[FamilySpec, int]:
+    """The spec and total length of the (k, m)-ballot paths of down-size n
+    (k*n + m ups, ending at m)."""
+    if k < 1 or m < 0 or n < 0:
+        raise ValueError("need k >= 1, m >= 0, n >= 0")
+    return FamilySpec(k, end_height=m), (k + 1) * n + m
+
+
 def gen_k_dyck(k: int, n: int,
                max_objects: int | None = None) -> Iterator[LatticePath]:
     """All pure k-Dyck paths of down-size n, in lexicographic order (u < d)."""
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    yield from gen_kac(FamilySpec(k), (k + 1) * n, max_objects)
+    yield from gen_kac(*k_dyck_family(k, n), max_objects)
 
 
 def gen_ballot(k: int, m: int, n: int,
@@ -86,10 +110,7 @@ def gen_ballot(k: int, m: int, n: int,
     Level-bearing ballot families are enumerated by total length instead;
     see :func:`gen_kac` with a spec whose end_height is m.
     """
-    if k < 1 or m < 0 or n < 0:
-        raise ValueError("need k >= 1, m >= 0, n >= 0")
-    yield from gen_kac(FamilySpec(k, end_height=m), (k + 1) * n + m,
-                       max_objects)
+    yield from gen_kac(*ballot_family(k, m, n), max_objects)
 
 
 def gen_kac(spec: FamilySpec, length: int,
@@ -98,6 +119,18 @@ def gen_kac(spec: FamilySpec, length: int,
 
     Up and down steps have length 1 and a level step of run-length a has
     length a.  Works for end_height 0 and for ballot-style end heights.
+    """
+    return map(itemgetter(0), _walk(spec, length, max_objects, {}))
+
+
+def _walk(spec: FamilySpec, length: int, max_objects: int | None,
+          blocks: dict) -> Iterator[tuple[LatticePath, tuple, int]]:
+    """(path, key, held) for every path of the family, in canonical order.
+
+    ``blocks`` is a :data:`~peakmod.statistics.TRANSITIONS` table, or empty
+    for no statistic.  ``key`` packs (pk_0, ..., pk_{k-1}, dd) over the
+    blocks of the path but its latest peak, whose residue is ``held`` (-1
+    for none), into one integer: see :func:`_packing`.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -108,6 +141,13 @@ def gen_kac(spec: FamilySpec, length: int,
     moves = [(UP, 1, 1), (DOWN, -k, 1)]
     moves += [(s, 0, s.length) for s in spec.level_steps()]
     nmoves = len(moves)
+    # closes[p][j]: the block that move j closes right after move p, or at
+    # the start for p = nmoves
+    kinds = [s.kind for s, _, _ in moves] + [""]
+    closes = [[blocks.get((before, s.kind)) for s, _, _ in moves]
+              for before in kinds]
+    weight = _packing(k, length)
+    key = 0
     # A state (rem, h) is kept only if the end height is still reachable:
     # heights move by +1 (u), -k (d) or 0 per unit of length.  At rem = 0
     # that leaves h == m, so every prefix that uses up the length is a path.
@@ -115,34 +155,63 @@ def gen_kac(spec: FamilySpec, length: int,
         return
     if length == 0:
         budget.tick()
-        yield LatticePath(spec, ())
+        yield LatticePath(spec, ()), key, -1
         return
     prefix: list[Step] = []
-    taken: list[int] = []       # index into moves of each step in prefix
+    # per step in prefix: the next move to try after it, and the closes
+    # row, held residue and key from before it
+    undo: list[tuple] = []
     rem, h, i = length, 0, 0    # i: the next move to try after prefix
+    row, held = closes[nmoves], -1
     while True:
         if i < nmoves:
             step, rise, size = moves[i]
+            block = row[i]
             i += 1
             nrem = rem - size
             nh = h + rise
             if nrem < 0 or nh < 0 or nh + nrem < m or nh - k * nrem > m:
                 continue
+            if block is None:
+                nkey, nheld = key, held
+            elif block == PEAK:  # count the held peak and hold this one
+                nkey, nheld = key + weight[held], h % k
+            else:  # DD
+                nkey, nheld = key + weight[k], held
             if nrem == 0:
                 budget.tick()
-                yield LatticePath(spec, (*prefix, step))
+                yield LatticePath(spec, (*prefix, step)), nkey, nheld
                 continue
             prefix.append(step)
-            taken.append(i)
+            undo.append((i, row, held, key))
+            row, held, key = closes[i - 1], nheld, nkey
             rem, h, i = nrem, nh, 0
-        elif taken:
+        elif undo:
             prefix.pop()
-            i = taken.pop()
+            i, row, held, key = undo.pop()
             _, rise, size = moves[i - 1]
             rem += size
             h -= rise
         else:
             return
+
+
+def _packing(k: int, length: int) -> list[int]:
+    """Weights that pack (pk_0, ..., pk_{k-1}, dd) into one integer: a
+    counter of a length-L family is at most L, so coordinate i is digit i
+    in base L + 1.  The last weight, at index -1, is 0: adding it counts
+    nothing, as for the residue -1 of no peak."""
+    base = length + 1
+    return [base ** i for i in range(k + 1)] + [0]
+
+
+def _unpack(key: int, k: int, length: int) -> tuple[int, ...]:
+    """The counters that the weights of :func:`_packing` packed into key."""
+    digits = []
+    for _ in range(k + 1):
+        key, digit = divmod(key, length + 1)
+        digits.append(digit)
+    return tuple(digits)
 
 
 def gen_trees(arity: int, n: int,
@@ -235,6 +304,26 @@ class Histogram:
         if not isinstance(other, Histogram):
             return NotImplemented
         return self.counts == other.counts and self.total == other.total
+
+
+def family_histogram(spec: FamilySpec, length: int, variant: str = PLAIN,
+                     max_objects: int | None = None) -> Histogram:
+    """The histogram of a whole family, equal to
+    ``histogram(gen_kac(spec, length, max_objects), variant)`` and tallied
+    on the walk's own statistic, with its k set to spec.k."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    k = spec.k
+    walk = _walk(spec, length, max_objects, TRANSITIONS[variant])
+    if variant in STARRED:  # count the held peak too
+        weight = _packing(k, length)
+        tally = Counter()
+        for (key, held), c in Counter(map(itemgetter(1, 2), walk)).items():
+            tally[key + weight[held]] += c
+    else:
+        tally = Counter(map(itemgetter(1), walk))
+    counts = {_unpack(key, k, length): c for key, c in tally.items()}
+    return Histogram(variant, k, counts, sum(counts.values()))
 
 
 def histogram(paths: Iterable[LatticePath], variant: str = PLAIN) -> Histogram:

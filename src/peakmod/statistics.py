@@ -9,6 +9,15 @@ count it too, which is the right bookkeeping for ballot paths.
 
 Residue classes are heights reduced modulo k, so a statistic vector has k
 peak counters plus one double-descent counter.
+
+Read left to right, every block closes on the step that ends it, and
+:data:`TRANSITIONS` says which: for each variant, the (previous kind,
+kind) pairs on which a step closes a peak at the current height (the
+height before the step) or a double descent, with ``""`` for the start of
+the path.  The family walk of :mod:`peakmod.enumeration` reads the table to
+carry the statistic along its own stack.  :func:`stat_vector` scans one
+path with the same rules written out inline, which is the faster loop for
+a single path.
 """
 
 from __future__ import annotations
@@ -31,6 +40,16 @@ WEAK = "weak"
 PLAIN_STARRED = "plain_starred"
 WEAK_STARRED = "weak_starred"
 VARIANTS = (PLAIN, WEAK, PLAIN_STARRED, WEAK_STARRED)
+STARRED = (PLAIN_STARRED, WEAK_STARRED)
+
+# the blocks a step closes, by (previous kind, kind); "" is the start
+PEAK = "peak"
+DD = "dd"
+_PLAIN_BLOCKS = {("u", "d"): PEAK, ("d", "d"): DD}
+_WEAK_BLOCKS = {**_PLAIN_BLOCKS,
+                ("u", "l"): PEAK, ("", "l"): PEAK, ("l", "d"): DD}
+TRANSITIONS = {PLAIN: _PLAIN_BLOCKS, WEAK: _WEAK_BLOCKS,
+               PLAIN_STARRED: _PLAIN_BLOCKS, WEAK_STARRED: _WEAK_BLOCKS}
 
 
 @dataclass(frozen=True)
@@ -135,7 +154,7 @@ def stat_vector(path: LatticePath, variant: str = PLAIN) -> StatVector:
                 pk[held] += 1
             held = h % k
         prev = kind
-    if held >= 0 and variant in (PLAIN_STARRED, WEAK_STARRED):
+    if held >= 0 and variant in STARRED:
         pk[held] += 1
     return StatVector(k, variant, tuple(pk), dd)
 

@@ -45,6 +45,7 @@ from .core import (
     Step,
     WrongEndHeightError,
     WrongKError,
+    pure_spec,
     tree_from_records,
 )
 
@@ -137,7 +138,7 @@ class RightPeakDecomposition:
     suffix_downs: int
 
     def reassemble(self) -> LatticePath:
-        return LatticePath(FamilySpec(self.k), _join(
+        return LatticePath(pure_spec(self.k), _join(
             (b.steps for b in self.blocks), len(self.blocks),
             [DOWN] * self.suffix_downs))
 
@@ -150,7 +151,7 @@ def right_peak_decompose(path: LatticePath) -> RightPeakDecomposition:
     k = path.spec.k
     _, last_up, n = _closing_ups(path)
     # the rest after the last block's up-step is empty
-    blocks = _cut(FamilySpec(k), path.steps[:-n], last_up[:k * n])[:-1]
+    blocks = _cut(pure_spec(k), path.steps[:-n], last_up[:k * n])[:-1]
     return RightPeakDecomposition(k, blocks, n)
 
 
@@ -222,9 +223,15 @@ def ballot_decompose(path: LatticePath,
         raise WrongEndHeightError(
             f"path ends {path.spec.end_height} above its start, not {m}")
     _, last_up, _ = _closing_ups(path)
-    part_spec = FamilySpec(path.spec.k, path.spec.levels)
+    spec = path.spec
+    if not m:  # the parts are paths of the path's own family
+        part_spec = spec
+    elif spec.levels:
+        part_spec = FamilySpec(spec.k, spec.levels)
+    else:
+        part_spec = pure_spec(spec.k)
     return BallotDecomposition(
-        path.spec, m, _cut(part_spec, path.steps, last_up[:m]))
+        spec, m, _cut(part_spec, path.steps, last_up[:m]))
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,13 @@ from .counting import (
 )
 from .enumeration import (
     _compositions,
+    ballot_family,
+    family_histogram,
     gen_ballot,
     gen_k_dyck,
-    gen_kac,
     gen_trees,
     histogram,
+    k_dyck_family,
 )
 from .statistics import (
     PLAIN,
@@ -131,10 +133,10 @@ FIG1_TREE_JSON = {
 
 def verify_figures() -> VerifyReport:
     rep = VerifyReport("figures", {})
-    h2 = histogram(gen_k_dyck(2, 3), PLAIN)
+    h2 = family_histogram(*k_dyck_family(2, 3), PLAIN)
     rep.expect("2-dyck down-size-3 tally", FIG2_TALLY, h2.counts)
     rep.expect("2-dyck down-size-3 total", 12, h2.total)
-    h3 = histogram(gen_kac(MOTZKIN, 5), WEAK)
+    h3 = family_histogram(MOTZKIN, 5, WEAK)
     rep.expect("motzkin length-5 tally", FIG3_TALLY, h3.counts)
     rep.expect("motzkin length-5 total", 21, h3.total)
 
@@ -185,7 +187,7 @@ def verify_equidistribution(k: int = 2, max_n: int = 5,
                                "witness": bad})
     for spec, name in ((MOTZKIN, "motzkin"), (SCHROEDER, "schroeder")):
         for length in range(weak_max_len + 1):
-            hist = histogram(gen_kac(spec, length), WEAK)
+            hist = family_histogram(spec, length, WEAK)
             for sigma in permutations(range(1, spec.k + 2)):
                 rep.record(
                     f"weak invariance {name} len={length} sigma={sigma}",
@@ -203,6 +205,7 @@ def verify_bijection(max_k: int = 3, max_n: int = 5,
                      max_nodes: int = 5) -> VerifyReport:
     rep = VerifyReport("bijection", {"max_k": max_k, "max_n": max_n,
                                      "max_nodes": max_nodes})
+    tree_bad = {}  # (arity, n) -> the first tree failing its round trip
     for k in range(1, max_k + 1):
         for n in range(max_n + 1):
             bad_round = bad_stats = None
@@ -223,20 +226,29 @@ def verify_bijection(max_k: int = 3, max_n: int = 5,
                        inputs={"k": k, "n": n, "witness": bad_round})
             rep.record(f"statistic transport k={k} n={n}", bad_stats is None,
                        inputs={"k": k, "n": n, "witness": bad_stats})
-            trees = sum(1 for _ in gen_trees(k + 1, n))
+            trees, tree_bad[k + 1, n] = _tree_pass(k + 1, n, n <= max_nodes)
             rep.expect(f"family sizes match k={k} n={n}", count, trees,
                        inputs={"k": k, "n": n})
     for arity in range(2, max_k + 2):
-        k = arity - 1
         for n in range(max_nodes + 1):
-            bad = None
-            for t in gen_trees(arity, n):
-                if path_to_tree(tree_to_path(t, k)) != t:
-                    bad = tree_to_json(t)
-                    break
+            bad = tree_bad[arity, n] if n <= max_n else \
+                _tree_pass(arity, n, True)[1]
             rep.record(f"tree round trip arity={arity} n={n}", bad is None,
                        inputs={"arity": arity, "n": n, "witness": bad})
     return rep
+
+
+def _tree_pass(arity: int, n: int, round_trip: bool) -> tuple[int, object]:
+    """One walk over the trees of the given arity on n nodes: how many
+    there are and, if ``round_trip``, the JSON of the first tree that the
+    path map does not bring back (None if every one comes back)."""
+    count, bad = 0, None
+    for t in gen_trees(arity, n):
+        count += 1
+        if round_trip and bad is None and \
+                path_to_tree(tree_to_path(t, arity - 1)) != t:
+            bad = tree_to_json(t)
+    return count, bad
 
 
 def _labels_agree(path: LatticePath, k: int, records: list) -> bool:
@@ -265,7 +277,7 @@ def verify_closed_forms(max_k: int = 3, max_n: int = 5) -> VerifyReport:
     rep = VerifyReport("closed-forms", {"max_k": max_k, "max_n": max_n})
     for k in range(1, max_k + 1):
         for n in range(1, max_n + 1):
-            hist = histogram(gen_k_dyck(k, n), PLAIN)
+            hist = family_histogram(*k_dyck_family(k, n), PLAIN)
             rep.expect(f"family size k={k} n={n}",
                        fuss_catalan(k, n), hist.total)
             for r in _compositions(n - 1, k + 1):
@@ -286,12 +298,10 @@ def verify_closed_forms(max_k: int = 3, max_n: int = 5) -> VerifyReport:
                 rep.expect(f"peak-total count k={k} n={n} r={r}",
                            total_peaks, count_pk(k, n, r))
     for n in range(1, max_n + 1):
-        peak_hist: dict[int, int] = {}
-        for p in gen_k_dyck(1, n):
-            t = stat_vector(p).total_peaks() + 1
-            peak_hist[t] = peak_hist.get(t, 0) + 1
+        # all peaks but the rightmost, so r peaks show as r - 1
+        peak_hist = family_histogram(*k_dyck_family(1, n)).marginal(0)
         for r in range(1, n + 1):
-            rep.expect(f"narayana n={n} r={r}", peak_hist.get(r, 0),
+            rep.expect(f"narayana n={n} r={r}", peak_hist.get(r - 1, 0),
                        narayana(n, r))
     return rep
 
@@ -310,7 +320,7 @@ def verify_series(max_k: int = 2, max_n: int = 5, weak_max_len: int = 8,
         f = solve_f(k, max_n)
         rep.expect(f"empty-path coefficient k={k}", {}, f.coefficient(0))
         for n in range(max_n + 1):
-            hist = histogram(gen_k_dyck(k, n), PLAIN)
+            hist = family_histogram(*k_dyck_family(k, n), PLAIN)
             want = {key: c for key, c in hist.counts.items()} if n else {}
             rep.expect(f"series vs enumeration k={k} n={n}", want,
                        f.coefficient(n))
@@ -321,7 +331,7 @@ def verify_series(max_k: int = 2, max_n: int = 5, weak_max_len: int = 8,
     for spec, name in ((MOTZKIN, "motzkin"), (SCHROEDER, "schroeder")):
         f = solve_f_kac(spec, weak_max_len)
         for length in range(weak_max_len + 1):
-            hist = histogram(gen_kac(spec, length), WEAK)
+            hist = family_histogram(spec, length, WEAK)
             want = hist.counts if length else {}
             rep.expect(f"weak series vs enumeration {name} len={length}",
                        want, f.coefficient(length))
@@ -333,7 +343,8 @@ def verify_series(max_k: int = 2, max_n: int = 5, weak_max_len: int = 8,
         for m in range(ballot_max_m + 1):
             g = solve_g(k, m, ballot_max_n)
             for n in range(ballot_max_n + 1):
-                hist = histogram(gen_ballot(k, m, n), PLAIN_STARRED)
+                hist = family_histogram(*ballot_family(k, m, n),
+                                        PLAIN_STARRED)
                 rep.expect(f"ballot series k={k} m={m} n={n}",
                            hist.counts, g.coefficient(n))
             _check_grouped_symmetry(rep, g, k, m, f"ballot series k={k} m={m}")
@@ -343,7 +354,7 @@ def verify_series(max_k: int = 2, max_n: int = 5, weak_max_len: int = 8,
             g = solve_g_kac(levels, m, order)
             spec_m = FamilySpec(k, {1: 1}, end_height=m)
             for length in range(order + 1):
-                hist = histogram(gen_kac(spec_m, length), WEAK_STARRED)
+                hist = family_histogram(spec_m, length, WEAK_STARRED)
                 rep.expect(f"level ballot series k={k} m={m} len={length}",
                            hist.counts, g.coefficient(length))
             _check_grouped_symmetry(rep, g, k, m,
@@ -379,7 +390,8 @@ def verify_ballot(max_k: int = 3, max_m: int = 4, max_n: int = 4,
         for m in range(max_m + 1):
             ell, r = divmod(m, k)
             for n in range(1, max_n + 1):
-                hist = histogram(gen_ballot(k, m, n), PLAIN_STARRED)
+                hist = family_histogram(*ballot_family(k, m, n),
+                                        PLAIN_STARRED)
                 for s in _compositions(n, k + 1):
                     rep.expect(
                         f"ballot closed form k={k} m={m} n={n} s={s}",
@@ -438,7 +450,7 @@ def verify_involution(max_semilength: int = 8,
         rep.record(f"involution exchanges counts n={n}", bad is None,
                    inputs={"n": n, "witness": bad})
     for n in range(1, narayana_max_n + 1):
-        hist = histogram(gen_k_dyck(1, n), PLAIN)
+        hist = family_histogram(*k_dyck_family(1, n), PLAIN)
         pk_m = hist.marginal(0)
         dd_m = hist.marginal(1)
         rep.record(f"peak/dd reversal n={n}",

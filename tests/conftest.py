@@ -5,8 +5,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from peakmod import FamilySpec, LatticePath, parse_path
+from peakmod import (
+    FamilySpec,
+    LatticePath,
+    double_descents,
+    parse_path,
+    peaks,
+    weak_double_descents,
+    weak_peaks,
+)
 from peakmod.core import DOWN, UP
+from peakmod.statistics import PLAIN, PLAIN_STARRED, WEAK, WEAK_STARRED
 
 K1 = FamilySpec(1)
 K2 = FamilySpec(2)
@@ -36,6 +45,24 @@ def oracle_grid():
             for m in range(3):
                 for length in range(8):
                     yield FamilySpec(k, levels, m), length
+
+
+def block_tallies(path):
+    """The statistic vector of each variant, tallied from the block lists;
+    the non-starred variants drop the rightmost peak."""
+    k = path.spec.k
+    plain = (peaks(path), double_descents(path))
+    weak = (weak_peaks(path), weak_double_descents(path))
+    out = {}
+    for variant, (pts, dds) in ((PLAIN, plain), (WEAK, weak),
+                                (PLAIN_STARRED, plain), (WEAK_STARRED, weak)):
+        if variant in (PLAIN, WEAK):
+            pts = pts[:-1]
+        pk = [0] * k
+        for _, h in pts:
+            pk[h % k] += 1
+        out[variant] = tuple(pk) + (len(dds),)
+    return out
 
 
 @pytest.fixture

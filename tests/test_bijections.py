@@ -262,3 +262,25 @@ class TestRecordsInside:
         assert verify_equidistribution(k=2, max_n=3, weak_max_len=2).ok
         with pytest.raises(AssertionError):
             path_to_tree(dyck("uud"))
+
+
+class TestVerifyBijectionWalks:
+    @pytest.mark.parametrize("max_n,max_nodes", [(5, 5), (2, 4), (4, 2)])
+    def test_each_tree_family_is_walked_once(self, monkeypatch, max_n,
+                                             max_nodes):
+        import peakmod.verify as verify
+
+        walks = []
+        gen_trees = verify.gen_trees
+
+        def recording(arity, n, *args):
+            walks.append((arity, n))
+            return gen_trees(arity, n, *args)
+
+        monkeypatch.setattr(verify, "gen_trees", recording)
+        rep = verify.verify_bijection(max_k=2, max_n=max_n,
+                                      max_nodes=max_nodes)
+        assert rep.ok and rep.checks == 2 * (3 * (max_n + 1) + max_nodes + 1)
+        assert sorted(walks) == sorted(set(walks)) == [
+            (arity, n) for arity in (2, 3)
+            for n in range(max(max_n, max_nodes) + 1)]

@@ -418,10 +418,25 @@ class TestExitCodes:
         (("--tree", "{}", "--levels", "1:1"), "--levels"),
         (("--tree", "{}", "--end-height", "1"), "--end-height"),
         (("--tree", "{}", "--labels"), "--labels"),
+        (("--tree", "{}", "--k", "5", "--arity", "3"), "--k"),
     ])
     def test_render_rejects_unread_flags(self, capsys, argv, flag):
         code, out, err = run(capsys, "render", *argv)
         assert code == 2 and out == "" and flag in err
+
+    def test_render_tree_reads_k_or_arity(self, capsys):
+        code, out, err = run(capsys, "render", "--tree", "{}", "--k", "5",
+                             "--arity", "3")
+        assert code == 2 and out == ""
+        assert "render --tree --arity does not read --k" in err
+        tree = '{"1":{},"3":{}}'
+        code, by_arity, _ = run(capsys, "render", "--tree", tree,
+                                "--arity", "3")
+        assert code == 0
+        code, by_k, _ = run(capsys, "render", "--tree", tree, "--k", "2")
+        assert code == 0 and by_k == by_arity
+        code, _, err = run(capsys, "render", "--tree", tree, "--k", "1")
+        assert code == 2 and "outside 1..2" in err
 
     def test_render_labels_need_a_pure_path(self, capsys):
         code, out, err = run(capsys, "render", "--path", "l1_1ud",

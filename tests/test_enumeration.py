@@ -1,6 +1,10 @@
 """Exhaustive generators and histogram construction."""
 
+import copy
+import pickle
 import sys
+from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import permutations, product
 
 import pytest
@@ -8,9 +12,11 @@ import pytest
 from peakmod import (
     BadPermutationError,
     FamilySpec,
+    LatticePath,
     PositionalTree,
     ResourceLimitError,
     e_vector,
+    family_histogram,
     fuss_catalan,
     gen_ballot,
     gen_k_dyck,
@@ -23,9 +29,9 @@ from peakmod import (
 )
 from peakmod.core import DOWN, UP
 from peakmod.enumeration import _compositions
-from peakmod.statistics import PLAIN, PLAIN_STARRED, WEAK
+from peakmod.statistics import PLAIN, PLAIN_STARRED, VARIANTS, WEAK
 
-from conftest import MOTZKIN, SCHROEDER, oracle_grid
+from conftest import MOTZKIN, SCHROEDER, block_tallies, oracle_grid
 
 FIG2_TALLY = {(0, 0, 2): 1, (0, 1, 1): 3, (1, 0, 1): 3,
               (1, 1, 0): 3, (0, 2, 0): 1, (2, 0, 0): 1}
@@ -334,3 +340,106 @@ class TestHistogram:
                 marg = h.marginal(coord)
                 for r in range(n):
                     assert marg.get(r, 0) == pk_total.get(n - 1 - r, 0)
+
+
+class TestFamilyHistogram:
+    def test_equals_the_stream_and_the_block_tallies(self):
+        for spec, length in oracle_grid():
+            paths = list(gen_kac(spec, length))
+            blocks = [block_tallies(p) for p in paths]
+            for variant in VARIANTS:
+                got = family_histogram(spec, length, variant)
+                assert got == histogram(paths, variant), (spec, length)
+                assert got.counts == Counter(b[variant] for b in blocks)
+                assert got.variant == variant and got.k == spec.k
+
+    def test_length_zero_is_the_empty_path(self):
+        for spec in (FamilySpec(3), MOTZKIN, SCHROEDER):
+            for variant in VARIANTS:
+                h = family_histogram(spec, 0, variant)
+                assert h.counts == {(0,) * (spec.k + 1): 1} and h.total == 1
+
+    def test_length_below_the_end_height_is_empty(self):
+        for spec, length in ((FamilySpec(2, end_height=3), 2),
+                             (FamilySpec(1, {1: 1}, 2), 1),
+                             (FamilySpec(1, end_height=1), 0)):
+            for variant in VARIANTS:
+                h = family_histogram(spec, length, variant)
+                assert h.counts == {} and h.total == 0 and h.k == spec.k
+                assert h == histogram(gen_kac(spec, length), variant)
+
+    def test_exactly_cap_paths_then_the_cap(self):
+        for spec, length in ((FamilySpec(2), 9), (MOTZKIN, 6),
+                             (FamilySpec(1, {1: 2, 3: 1}, 1), 5)):
+            size = sum(1 for _ in gen_kac(spec, length))
+            for variant in VARIANTS:
+                h = family_histogram(spec, length, variant, max_objects=size)
+                assert h.total == size
+                with pytest.raises(ResourceLimitError):
+                    family_histogram(spec, length, variant, size - 1)
+        with pytest.raises(ResourceLimitError):
+            family_histogram(MOTZKIN, 0, max_objects=0)
+
+    def test_first_cap_of_a_deep_family(self):
+        limit = sys.getrecursionlimit()
+        for variant in (PLAIN, PLAIN_STARRED):
+            with pytest.raises(ResourceLimitError):
+                family_histogram(FamilySpec(1), 2 * 10 ** 4, variant,
+                                 max_objects=1)
+        assert sys.getrecursionlimit() == limit
+
+    def test_every_path_is_built_and_validated(self, monkeypatch):
+        want = [p.steps for p in gen_kac(MOTZKIN, 6)]
+        built = []
+        init = LatticePath.__post_init__
+
+        def recording(self):
+            built.append(self.steps)
+            init(self)
+
+        monkeypatch.setattr(LatticePath, "__post_init__", recording)
+        family_histogram(MOTZKIN, 6, WEAK)
+        assert built == want
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            family_histogram(MOTZKIN, 3, "starred")
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            family_histogram(MOTZKIN, -1)
+        with pytest.raises(ValueError, match="--limit"):
+            family_histogram(MOTZKIN, 3, max_objects=-1)
+
+
+class TestPathValues:
+    """LatticePath is a frozen value with slots."""
+
+    def test_frozen(self):
+        p = next(gen_kac(MOTZKIN, 3))
+        for field in ("spec", "steps", "start_height"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(p, field, getattr(p, field))
+            with pytest.raises(FrozenInstanceError):
+                delattr(p, field)
+        assert not hasattr(p, "__dict__")
+
+    def test_equality_and_hash(self):
+        for spec, length in ((FamilySpec(2), 6), (MOTZKIN, 4)):
+            paths = list(gen_kac(spec, length))
+            copies = [LatticePath(spec, list(p.steps)) for p in paths]
+            assert copies == paths
+            assert [hash(q) for q in copies] == [hash(p) for p in paths]
+            assert len(set(paths) | set(copies)) == len(paths)
+        p = LatticePath(FamilySpec(2), (UP, UP, DOWN))
+        assert p != LatticePath(FamilySpec(2), p.steps, 1)
+        assert p != LatticePath(FamilySpec(2, end_height=3), (UP, UP, UP))
+        assert p != p.steps
+
+    def test_repr_and_copies(self):
+        p = LatticePath(FamilySpec(1), (UP, DOWN), 2)
+        assert repr(p) == (
+            "LatticePath(spec=FamilySpec(k=1, levels=(), end_height=0), "
+            "steps=(Step(kind='u', length=1, color=0), "
+            "Step(kind='d', length=1, color=0)), start_height=2)")
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p),
+                  copy.deepcopy(p)):
+            assert q == p and hash(q) == hash(p)

@@ -18,8 +18,12 @@ from peakmod import (
     weak_peaks,
 )
 from peakmod.statistics import (
+    DD,
+    PEAK,
     PLAIN,
     PLAIN_STARRED,
+    STARRED,
+    TRANSITIONS,
     VARIANTS,
     WEAK,
     WEAK_STARRED,
@@ -29,6 +33,7 @@ from conftest import (
     EXAMPLE_BLOCK,
     K2,
     MOTZKIN,
+    block_tallies,
     dyck,
     k_dyck_paths,
     oracle_grid,
@@ -155,24 +160,6 @@ class TestWeakBlocks:
         assert len(weak_double_descents(p)) == 1
 
 
-def block_tallies(path):
-    """The statistic vector of each variant, tallied from the block lists;
-    the non-starred variants drop the rightmost peak."""
-    k = path.spec.k
-    plain = (peaks(path), double_descents(path))
-    weak = (weak_peaks(path), weak_double_descents(path))
-    out = {}
-    for variant, (pts, dds) in ((PLAIN, plain), (WEAK, weak),
-                                (PLAIN_STARRED, plain), (WEAK_STARRED, weak)):
-        if variant in (PLAIN, WEAK):
-            pts = pts[:-1]
-        pk = [0] * k
-        for _, h in pts:
-            pk[h % k] += 1
-        out[variant] = tuple(pk) + (len(dds),)
-    return out
-
-
 class TestOnePassStatVector:
     def test_matches_block_tallies(self):
         # the oracle grid and its copies lifted to start heights 1..3
@@ -186,6 +173,44 @@ class TestOnePassStatVector:
                     got = {v: stat_vector(q, v).key() for v in VARIANTS}
                     assert got == block_tallies(q), (q.text(), start)
         assert opening_levels > 0
+
+
+def table_scan(path, variant):
+    """The statistic vector read off TRANSITIONS step by step."""
+    k = path.spec.k
+    blocks = TRANSITIONS[variant]
+    pk, dd, held = [0] * k, 0, -1
+    h, prev = path.start_height, ""
+    for s in path.steps:
+        block = blocks.get((prev, s.kind))
+        if block == PEAK:
+            if held >= 0:
+                pk[held] += 1
+            held = h % k
+        elif block == DD:
+            dd += 1
+        h += {"u": 1, "d": -k}.get(s.kind, 0)
+        prev = s.kind
+    if held >= 0 and variant in STARRED:
+        pk[held] += 1
+    return tuple(pk) + (dd,)
+
+
+class TestTransitions:
+    def test_the_table(self):
+        plain = {("u", "d"): PEAK, ("d", "d"): DD}
+        weak = {**plain, ("u", "l"): PEAK, ("", "l"): PEAK, ("l", "d"): DD}
+        assert TRANSITIONS == {PLAIN: plain, PLAIN_STARRED: plain,
+                               WEAK: weak, WEAK_STARRED: weak}
+        assert STARRED == (PLAIN_STARRED, WEAK_STARRED)
+
+    def test_matches_block_tallies(self):
+        for spec, length in oracle_grid():
+            for p in gen_kac(spec, length):
+                for start in range(3):
+                    q = LatticePath(spec, p.steps, start) if start else p
+                    got = {v: table_scan(q, v) for v in VARIANTS}
+                    assert got == block_tallies(q), (q.text(), start)
 
 
 class TestLabelFeatures:

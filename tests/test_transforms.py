@@ -317,3 +317,42 @@ class TestPermuteSubtrees:
             permute_subtrees(_chain([1]), (1, 1, 3))
         with pytest.raises(BadPermutationError):
             permute_subtrees(_chain([1]), (1, 2))
+
+
+class TestSpecReuse:
+    def test_no_spec_is_built_for_pure_inputs(self, monkeypatch):
+        from peakmod import path_to_tree, tree_to_path
+        from peakmod.core import pure_spec
+
+        path = dyck(EXAMPLE_BLOCK)
+        tree = path_to_tree(path)
+        ballots = [next(gen_ballot(2, m, 2)) for m in (0, 1, 3)]
+
+        def calls():
+            dec = right_peak_decompose(path)
+            parts = [ballot_decompose(b) for b in ballots]
+            return (dec, dec.reassemble(), tree_to_path(tree, 2), parts,
+                    [d.reassemble() for d in parts])
+
+        want = calls()
+        pure_spec(2)  # built once per k
+
+        def refuse(self):
+            raise AssertionError("a FamilySpec was built")
+
+        monkeypatch.setattr(FamilySpec, "__post_init__", refuse)
+        assert calls() == want
+
+    def test_parts_keep_their_families(self):
+        levels = FamilySpec(2, {1: 1})
+        dec = right_peak_decompose(LatticePath(levels, dyck(EXAMPLE_BLOCK)
+                                               .steps))
+        assert {b.spec for b in dec.blocks} == {K2}
+        assert dec.reassemble().spec == K2
+        for spec in (FamilySpec(1, {1: 1}, 2), FamilySpec(2, end_height=1),
+                     FamilySpec(1, {2: 1})):
+            for p in gen_kac(spec, 5):
+                dec = ballot_decompose(p)
+                assert {q.spec for q in dec.parts} == \
+                    {FamilySpec(spec.k, spec.levels)}
+                assert dec.reassemble() == p
