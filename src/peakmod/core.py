@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
@@ -274,6 +274,23 @@ class LatticePath:
 
     def __str__(self) -> str:
         return render_path(self)
+
+
+# dataclass(frozen=True, slots=True) makes the class anew for its slots, but
+# the __setattr__ and __delattr__ it generates still name the class it
+# replaced.  A name that is no field then reaches super() with that stale
+# class and raises TypeError (seen on CPython 3.11).  These two refuse every
+# name with FrozenInstanceError instead.
+def _refuse_assignment(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+LatticePath.__setattr__ = _refuse_assignment
+LatticePath.__delattr__ = _refuse_deletion
 
 
 def validate(spec: FamilySpec, steps: Iterable[Step],

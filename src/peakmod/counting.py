@@ -26,6 +26,19 @@ for f are solved coefficient by coefficient: with P_0 = 1 and
 P_{j+1} = P_j + q_j (f P_j), the x^d coefficient of every P_j needs only
 f_1..f_d, and f_n reads P_{k+1} and f below degree n.  Each coefficient
 of f and of the partial products is computed exactly once.
+
+Inside the engine a monomial q_0^e_0 ... q_k^e_k is one integer, the
+packed key sum_i e_i * B^i (the layout of
+:func:`peakmod.enumeration._packing`), so multiplying two monomials adds
+their keys and multiplying by q_i adds B^i.  No product may carry into
+the next digit, so every exponent of the product must stay below B.  The
+solvers, the ballot products and the Lagrange expansion use B = order + 1:
+a coefficient at x^d (or f^d) has total marker degree at most d <= order,
+since every marker comes with a factor f of x-degree at least one.
+:meth:`TruncSeries.__mul__` takes B from its operands, one more than the
+sum of their largest exponents, and :meth:`TruncSeries.pow` one more than
+e times the largest, so hand-built series of any nonnegative exponents
+multiply exactly.  Tuples appear only in the :class:`TruncSeries` API.
 """
 
 from __future__ import annotations
@@ -33,11 +46,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .core import FamilySpec
+from .enumeration import _unpack
 from .transforms import permute_coordinates
 
 
@@ -168,7 +182,7 @@ def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
 
     Lagrange inversion of f = x * Phi(f) with Phi(f) = prod_i (q_i f + 1)
     gives [x^n] f = (1/n) [f^(n-1)] Phi(f)^n.  Phi(f)^n is expanded as a
-    :class:`TruncSeries` in f, truncated at f^(n-1), and the count is
+    series in f, truncated at f^(n-1), and the count is
     (1/n) times the coefficient of f^(n-1) prod q_i^(r_i).  No solver
     and no closed form is involved.  The expansion is made once per
     (k, n) and kept for the most recent (k, n) only, so a sweep over every
@@ -183,13 +197,14 @@ def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
 @lru_cache(maxsize=1)
 def _lagrange_top(k: int, n: int) -> Mapping[tuple[int, ...], int]:
     """[f^(n-1)] Phi(f)^n as a read-only marker polynomial."""
-    f = TruncSeries.x_power(1, n - 1, k + 1)
-    return MappingProxyType(_marked_product(f, range(k + 1)).pow(n)
+    f = [{0: 1} if d == 1 else {} for d in range(n)]
+    phi = _marked_product(f, [n ** i for i in range(k + 1)])
+    return MappingProxyType(_unpacked(_series_pow(phi, n), k + 1, n)
                             .coeffs[n - 1])
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials (exponent-tuple keyed)
+# sparse multivariate polynomials and packed series
 # ---------------------------------------------------------------------------
 
 def _poly_add(p: dict, q: dict) -> dict:
@@ -203,24 +218,59 @@ def _poly_add(p: dict, q: dict) -> dict:
     return out
 
 
-def _poly_dot(pairs: Iterable[tuple[dict, dict]]) -> dict:
-    """The sum of p * q over the (p, q) pairs."""
+def _poly_dot(pairs: Iterable[tuple[dict, dict]], shift: int = 0) -> dict:
+    """The sum of p * q over the (p, q) pairs, times the monomial packed
+    as shift."""
     out: dict = {}
+    get = out.get
     for p, q in pairs:
+        q = q.items()
         for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
+            e1 += shift
+            for e2, c2 in q:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
-def _poly_bump(p: dict, i: int) -> dict:
-    """Multiply by the single marker q_i."""
-    out = {}
-    for e, c in p.items():
-        e2 = list(e)
-        e2[i] += 1
-        out[tuple(e2)] = c
+def _unpacked(rows: list[dict], nmarkers: int, base: int) -> TruncSeries:
+    """The packed series rows, in base ``base``, as a TruncSeries."""
+    return TruncSeries(len(rows) - 1, nmarkers,
+                       [{_unpack(e, nmarkers, base): c for e, c in p.items()}
+                        for p in rows])
+
+
+def _series_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    """The product of two packed series of one order."""
+    return [_poly_dot((a[i], b[d - i]) for i in range(d + 1))
+            for d in range(len(a))]
+
+
+def _series_pow(a: list[dict], e: int) -> list[dict]:
+    """A packed series to the power e, by repeated squaring."""
+    out = [{0: 1}] + [{}] * (len(a) - 1)
+    while e:
+        if e & 1:
+            out = _series_mul(out, a)
+        e >>= 1
+        if e:
+            a = _series_mul(a, a)
+    return out
+
+
+def _next_row(rows: list[dict], f: list[dict], d: int, w: int) -> dict:
+    """[x^d] of P + q (f P), for the packed series f and P = rows (rows
+    0..d suffice) and the marker q packed as w."""
+    return _poly_add(rows[d], _poly_dot(((f[e], rows[d - e])
+                                         for e in range(d + 1)), w))
+
+
+def _marked_product(f: list[dict], weights: Iterable[int]) -> list[dict]:
+    """prod over the markers q of (q f + 1), for the packed series f and
+    the markers packed as weights."""
+    out = [{0: 1}] + [{}] * (len(f) - 1)
+    for w in weights:
+        out = [_next_row(out, f, d, w) for d in range(len(f))]
     return out
 
 
@@ -248,7 +298,8 @@ class TruncSeries:
     """Power series in x mod x^(order+1) with marker-polynomial coefficients.
 
     Coefficient polynomials are dicts from exponent tuples (one slot per
-    marker) to integers; instances are never mutated after construction.
+    marker, each exponent >= 0) to integers; instances are never mutated
+    after construction.
     """
 
     __slots__ = ("order", "nmarkers", "coeffs")
@@ -285,19 +336,34 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        return self._like([_poly_dot((a[i], b[d - i]) for i in range(d + 1))
-                           for d in range(self.order + 1)])
+        # no exponent of the product exceeds the sum of the two largest
+        base = self._top() + other._top() + 1
+        return _unpacked(_series_mul(self._packed(base), other._packed(base)),
+                         self.nmarkers, base)
 
     def _check(self, other: "TruncSeries") -> None:
         if (self.order, self.nmarkers) != (other.order, other.nmarkers):
             raise ValueError("series shape mismatch")
 
+    def _top(self) -> int:
+        """The largest exponent of any marker, 0 for no term.  Raises
+        ValueError on a negative exponent, which no digit can hold."""
+        exponents = [x for p in self.coeffs for e in p for x in e]
+        if exponents and min(exponents) < 0:
+            raise ValueError("marker exponents must be >= 0")
+        return max(exponents, default=0)
+
+    def _packed(self, base: int) -> list[dict]:
+        weights = [base ** i for i in range(self.nmarkers)]
+        return [{sum(map(mul, e, weights)): c for e, c in p.items()}
+                for p in self.coeffs]
+
     def plus_one(self) -> "TruncSeries":
         return self + TruncSeries.one(self.order, self.nmarkers)
 
     def mul_marker(self, i: int) -> "TruncSeries":
-        return self._like([_poly_bump(p, i) for p in self.coeffs])
+        return self._like([{e[:i] + (e[i] + 1,) + e[i + 1:]: c
+                            for e, c in p.items()} for p in self.coeffs])
 
     def mul_x(self, j: int) -> "TruncSeries":
         out = [{} for _ in range(self.order + 1)]
@@ -307,16 +373,13 @@ class TruncSeries:
         return self._like(out)
 
     def pow(self, e: int) -> "TruncSeries":
-        """self**e by repeated squaring."""
-        out = TruncSeries.one(self.order, self.nmarkers)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        """self**e by repeated squaring, for e >= 0."""
+        if e < 0:
+            raise ValueError("need e >= 0")
+        # a monomial of self**e is a product of e monomials of self
+        base = e * self._top() + 1
+        return _unpacked(_series_pow(self._packed(base), e), self.nmarkers,
+                         base)
 
     # queries --------------------------------------------------------------
 
@@ -368,39 +431,33 @@ class TruncSeries:
 # functional equation solvers
 # ---------------------------------------------------------------------------
 
-def _marked_product(f: TruncSeries, indices: Iterable[int]) -> TruncSeries:
-    """prod over i of (q_i f + 1)."""
-    out = TruncSeries.one(f.order, f.nmarkers)
-    for i in indices:
-        out = out * f.mul_marker(i).plus_one()
-    return out
-
-
 def _solve(k: int, order: int, s: int,
-           levels: Sequence[tuple[int, int]]) -> TruncSeries:
-    """Solve f = sum_a c_a x^a (f + 1) + x^s prod_{i<=k} (q_i f + 1).
+           levels: Sequence[tuple[int, int]]) -> list[dict]:
+    """Solve f = sum_a c_a x^a (f + 1) + x^s prod_{i<=k} (q_i f + 1) as a
+    packed series in base order + 1.
 
     ``prods[j][d]`` is [x^d] P_j for P_0 = 1, P_{j+1} = P_j + q_j (f P_j).
     Since s >= 1 and every run-length a >= 1, f_n needs only f_1..f_{n-1}
     and rows d <= n - s of the partial products.
     """
-    one = {(0,) * (k + 1): 1}
+    if k < 1:
+        raise ValueError("need k >= 1")
+    weights = [(order + 1) ** j for j in range(k + 1)]
+    one = {0: 1}
     f: list[dict] = [{}]
     prods = [[one] + [{}] * order] + [[one] for _ in range(k + 1)]
     for n in range(1, order + 1):
         d = n - s
         if d > 0:
             for j in range(k + 1):
-                fp = _poly_dot((f[e], prods[j][d - e])
-                               for e in range(1, d + 1))
-                prods[j + 1].append(_poly_add(prods[j][d], _poly_bump(fp, j)))
+                prods[j + 1].append(_next_row(prods[j], f, d, weights[j]))
         fn = prods[k + 1][d] if d >= 0 else {}
         for a, c in levels:
             if a <= n:
                 below = one if a == n else f[n - a]
                 fn = _poly_add(fn, {e: c * v for e, v in below.items()})
         f.append(fn)
-    return TruncSeries(order, k + 1, f)
+    return f
 
 
 def solve_f(k: int, order: int) -> TruncSeries:
@@ -410,9 +467,7 @@ def solve_f(k: int, order: int) -> TruncSeries:
     (pk_0, ..., pk_{k-1}, dd) over paths of down-size n; the constant term
     vanishes because only nonempty paths are counted.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    return _solve(k, order, 1, ())
+    return _unpacked(_solve(k, order, 1, ()), k + 1, order + 1)
 
 
 def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
@@ -422,14 +477,18 @@ def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
     statistics (wpk_0, ..., wpk_{k-1}, wdd) over paths of length L, and is
     symmetric in all k+1 markers.
     """
-    return _solve(spec.k, order, spec.k + 1, spec.levels)
+    return _unpacked(_solve(spec.k, order, spec.k + 1, spec.levels),
+                     spec.k + 1, order + 1)
 
 
-def _ballot_product(f: TruncSeries, k: int, m: int) -> TruncSeries:
+def _ballot_product(f: list[dict], k: int, m: int) -> TruncSeries:
+    """The ballot series of the packed solution f (base order + 1)."""
     ell, r = divmod(m, k)
-    low = _marked_product(f, range(r + 1))
-    high = _marked_product(f, range(r + 1, k))
-    return low.pow(ell + 1) * high.pow(ell)
+    weights = [len(f) ** i for i in range(k)]
+    low = _marked_product(f, weights[:r + 1])
+    high = _marked_product(f, weights[r + 1:])
+    return _unpacked(_series_mul(_series_pow(low, ell + 1),
+                                 _series_pow(high, ell)), k + 1, len(f))
 
 
 def solve_g(k: int, m: int, order: int) -> TruncSeries:
@@ -440,11 +499,12 @@ def solve_g(k: int, m: int, order: int) -> TruncSeries:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _ballot_product(solve_f(k, order), k, m)
+    return _ballot_product(_solve(k, order, 1, ()), k, m)
 
 
 def solve_g_kac(spec: FamilySpec, m: int, order: int) -> TruncSeries:
     """Weak starred series of level-bearing ballot paths by total length."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _ballot_product(solve_f_kac(spec, order), spec.k, m).mul_x(m)
+    return _ballot_product(_solve(spec.k, order, spec.k + 1, spec.levels),
+                           spec.k, m).mul_x(m)

@@ -205,11 +205,14 @@ def _packing(k: int, length: int) -> list[int]:
     return [base ** i for i in range(k + 1)] + [0]
 
 
-def _unpack(key: int, k: int, length: int) -> tuple[int, ...]:
-    """The counters that the weights of :func:`_packing` packed into key."""
+def _unpack(key: int, ndigits: int, base: int) -> tuple[int, ...]:
+    """The digits of key in base ``base``, least significant first: the
+    inverse of packing coordinate i at weight base**i, as :func:`_packing`
+    does with base L + 1 and the series engine of :mod:`peakmod.counting`
+    with its own bases."""
     digits = []
-    for _ in range(k + 1):
-        key, digit = divmod(key, length + 1)
+    for _ in range(ndigits):
+        key, digit = divmod(key, base)
         digits.append(digit)
     return tuple(digits)
 
@@ -322,7 +325,8 @@ def family_histogram(spec: FamilySpec, length: int, variant: str = PLAIN,
             tally[key + weight[held]] += c
     else:
         tally = Counter(map(itemgetter(1), walk))
-    counts = {_unpack(key, k, length): c for key, c in tally.items()}
+    counts = {_unpack(key, k + 1, length + 1): c
+              for key, c in tally.items()}
     return Histogram(variant, k, counts, sum(counts.values()))
 
 

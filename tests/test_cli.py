@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, formats, exit codes."""
 
+import hashlib
 import json
 import io
 import os
@@ -122,6 +123,36 @@ class TestCount:
         doc = json.loads(out)
         total = sum(t["coefficient"] for t in doc["coefficients"][2]["terms"])
         assert total == 7
+
+    # SHA-256 of the stdout of every `count series` call on the grid below,
+    # concatenated in grid order, as the tuple-keyed series engine printed
+    # it.  The orders reach the highest order the benchmark's series-scale
+    # workload runs for each k.
+    SERIES_ORDERS = {1: 24, 2: 12, 3: 9}
+    SERIES_DIGESTS = {
+        "text": "f3ede26b6623bd686d6562fd2334f4e5"
+                "f92a039a41f806fe298a05976771c2f7",
+        "json": "ad1773b2239d30f8b37b3a55a702b846"
+                "043058fa9a2cf1c8da54dc90a77fb63b",
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_series_output_is_pinned(self, capsys, fmt):
+        digest = hashlib.sha256()
+        for k, top in self.SERIES_ORDERS.items():
+            for levels in (None, "1:1", "2:1"):
+                for m in range(5):
+                    for order in range(top + 1):
+                        argv = ["count", "series", "--k", str(k),
+                                "--order", str(order), "--format", fmt]
+                        if levels:
+                            argv += ["--levels", levels]
+                        if m:
+                            argv += ["--end-height", str(m)]
+                        code, out, _ = run(capsys, *argv)
+                        assert code == 0, argv
+                        digest.update(out.encode())
+        assert digest.hexdigest() == self.SERIES_DIGESTS[fmt]
 
     @pytest.mark.parametrize("argv", [
         ("count", "ballot", "--k", "2", "--n", "2", "--s", "1,1,0"),

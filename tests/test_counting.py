@@ -345,6 +345,23 @@ class TestBeyondEnumeration:
                 assert lagrange_coefficient(k, n, r) == \
                     count_joint(k, n, r), (k, n, r)
 
+    @pytest.mark.parametrize("k, order", [(2, 20), (3, 14)])
+    def test_solve_f_at_higher_orders(self, k, order):
+        f = solve_f(k, order)
+        for n in range(1, order + 1):
+            assert f.coefficient(n) == {
+                rv: c for rv in _vectors(n - 1, k + 1)
+                if (c := count_joint(k, n, rv))}, (k, n)
+
+    def test_solve_g_k3_equals_ballot_closed_form(self):
+        for m in range(5):
+            ell, r = divmod(m, 3)
+            g = solve_g(3, m, 10)
+            for n in range(11):
+                assert g.coefficient(n) == {
+                    s: c for s in _vectors(n, 4)
+                    if (c := count_ballot_joint(3, ell, r, n, s))}, (m, n)
+
 
 class TestSolveGKac:
     def test_matches_enumeration(self):
@@ -407,3 +424,77 @@ class TestTruncSeries:
                        solve_g(2, 3, 4)):
             for n in range(series.order + 1):
                 assert all(c > 0 for c in series.coefficient(n).values())
+
+
+def _tuple_product(a, b):
+    """a * b on exponent tuples, one term pair at a time: the reference
+    for the packed product of TruncSeries."""
+    out = [{} for _ in range(a.order + 1)]
+    for d1, p in enumerate(a.coeffs):
+        for d2, q in enumerate(b.coeffs[:a.order + 1 - d1]):
+            row = out[d1 + d2]
+            for e1, c1 in p.items():
+                for e2, c2 in q.items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    row[e] = row.get(e, 0) + c1 * c2
+    return TruncSeries(a.order, a.nmarkers,
+                       [{e: c for e, c in row.items() if c} for row in out])
+
+
+def _tuple_power(a, e):
+    out = TruncSeries.one(a.order, a.nmarkers)
+    for _ in range(e):
+        out = _tuple_product(out, a)
+    return out
+
+
+def _random_series(rng, order, nmarkers, top):
+    """Up to four terms per x-degree, exponents 0..top, some coefficients
+    negative so that products can cancel."""
+    return TruncSeries(order, nmarkers, [
+        {tuple(rng.randint(0, top) for _ in range(nmarkers)):
+         rng.choice((-2, -1, 1, 1, 2, 3)) for _ in range(rng.randint(0, 4))}
+        for _ in range(order + 1)])
+
+
+class TestPackedProduct:
+    """TruncSeries multiplies packed monomials; the tuple-keyed product
+    above is the reference."""
+
+    def test_random_sparse_series(self):
+        rng = random.Random(2024)
+        for _ in range(400):
+            k, order = rng.randint(1, 4), rng.randint(0, 10)
+            a, b = (_random_series(rng, order, k + 1, rng.randint(0, 12))
+                    for _ in range(2))
+            assert a * b == _tuple_product(a, b)
+            e = rng.randint(0, 4)
+            assert a.pow(e) == _tuple_power(a, e), e
+
+    def test_exponents_beyond_the_order(self):
+        # order 2: in base order + 1 = 3 the exponents 5, 7 and 12 carry.
+        # q0^5 * q0^7 puts 12, exactly the sum of the largest exponents,
+        # at x^2, and the square of q0^5 puts 10 = 2 * 5 there.
+        a = TruncSeries(2, 2, [{}, {(5, 0): 1, (0, 4): 2}, {}])
+        b = TruncSeries(2, 2, [{(1, 1): 3}, {(7, 1): 1}, {}])
+        assert a * b == _tuple_product(a, b)
+        assert (a * b).coeffs == (
+            {}, {(6, 1): 3, (1, 5): 6}, {(12, 1): 1, (7, 5): 2})
+        assert a.pow(2).coeffs == (
+            {}, {}, {(10, 0): 1, (5, 4): 4, (0, 8): 4})
+        assert a.pow(3) == _tuple_power(a, 3) == TruncSeries(2, 2, [{}] * 3)
+        for series in (a, b, a * b):
+            assert series.pow(2) == _tuple_product(series, series)
+
+    def test_negative_exponent_is_rejected(self):
+        x = TruncSeries.x_power(1, 3, 2)
+        laurent = TruncSeries(3, 2, [{(0, -1): 1}, {}, {}, {}])
+        for product in (lambda: x * laurent, lambda: laurent * x,
+                        lambda: laurent.pow(2)):
+            with pytest.raises(ValueError, match="exponents must be >= 0"):
+                product()
+
+    def test_negative_power_is_rejected(self):
+        # repeated squaring never ends on a negative e
+        with pytest.raises(ValueError, match="need e >= 0"):
+            TruncSeries.x_power(1, 3, 2).pow(-1)

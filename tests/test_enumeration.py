@@ -422,6 +422,19 @@ class TestPathValues:
                 delattr(p, field)
         assert not hasattr(p, "__dict__")
 
+    @pytest.mark.parametrize("name", ["spec", "steps", "start_height", "k",
+                                      "foo", "__dict__"])
+    @pytest.mark.parametrize("delete", [False, True], ids=["set", "delete"])
+    def test_every_name_is_frozen(self, name, delete):
+        # names that are no field, "foo" among them, included
+        p = next(gen_kac(MOTZKIN, 3))
+        with pytest.raises(FrozenInstanceError):
+            if delete:
+                delattr(p, name)
+            else:
+                setattr(p, name, 1)
+        assert p == next(gen_kac(MOTZKIN, 3))
+
     def test_equality_and_hash(self):
         for spec, length in ((FamilySpec(2), 6), (MOTZKIN, 4)):
             paths = list(gen_kac(spec, length))
