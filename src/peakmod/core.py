@@ -15,7 +15,12 @@ nonnegativity of every prefix height from the actual start.
 
 Trees here are "positional" m-ary trees: every child occupies an explicit
 slot in 1..m and slots may be skipped.  The empty tree (zero nodes) is
-represented by ``None`` throughout the package.
+represented by ``None`` throughout the package.  Tree JSON text is written
+from (parent, position, label) records by one writer,
+:func:`records_to_json_text`, and read back into records by one reader,
+:func:`records_from_json_text`; the JSON text functions of
+:class:`PositionalTree` compose them with ``records`` and
+:func:`tree_from_records`.
 """
 
 from __future__ import annotations
@@ -366,7 +371,8 @@ def parse_path(text: str, spec: FamilySpec,
 
 def render_path(path: LatticePath) -> str:
     """Canonical text form: tokens concatenated without whitespace."""
-    return "".join(s.token() for s in path.steps)
+    return "".join([s.kind if s.kind != "l" else s.token()
+                    for s in path.steps])
 
 
 # ---------------------------------------------------------------------------
@@ -533,30 +539,70 @@ def tree_to_json(tree: PositionalTree | None):
     return objs[0]
 
 
+def records_to_json_text(arity: int, records) -> str:
+    """The compact wire form of the tree given by (parent, position, label)
+    records, each parent before its children; ``"null"`` when there are
+    none.
+
+    This is ``json.dumps(tree_to_json(tree), sort_keys=True,
+    separators=(",", ":"))`` for the tree the records describe, written
+    from the records on an explicit stack, so no node is built and depth
+    is unbounded.
+    """
+    if not records:
+        return "null"
+    # each node's children as (key, record index); keys sort as strings,
+    # so past arity 9 "10" < "2", and "label" sorts after every position
+    kids: list[list] = [[] for _ in records]
+    for idx in range(len(records) - 1, 0, -1):
+        parent, pos, _ = records[idx]
+        kids[parent].append((pos if arity < 10 else str(pos), idx))
+    out = ["{"]
+    todo: list = [0]  # record indices of opened nodes, and text to emit
+    while todo:
+        v = todo.pop()
+        if v.__class__ is str:
+            out.append(v)
+            continue
+        ks, label = kids[v], records[v][2]
+        end = "}" if label is None else f'"label":"{label.json_str()}"}}'
+        if not ks:
+            out.append(end)
+            continue
+        todo.append(end if label is None else "," + end)
+        if len(ks) > 1:
+            ks.sort()
+        for n in range(len(ks) - 1, 0, -1):
+            key, c = ks[n]
+            todo.append(c)
+            todo.append(f',"{key}":{{')
+        key, c = ks[0]
+        todo.append(c)
+        todo.append(f'"{key}":{{')
+    return "".join(out)
+
+
 def tree_to_json_text(tree: PositionalTree | None) -> str:
     """The compact wire form: ``json.dumps(tree_to_json(tree),
     sort_keys=True, separators=(",", ":"))``, written without recursion."""
     if tree is None:
         return "null"
-    out: list[str] = []
-    todo: list = [("", tree)]  # (text, node or None), emitted text first
-    while todo:
-        text, node = todo.pop()
-        out.append(text)
-        if node is None:
-            continue
-        kids = node.children
-        if node.arity > 9:  # keys sort as strings: "10" < "2" < "label"
-            kids = sorted(kids, key=lambda pc: str(pc[0]))
-        label = ("" if node.label is None
-                 else f'"label":"{node.label.json_str()}"')
-        out.append("{")
-        todo.append(("," + label + "}" if kids and label else label + "}",
-                     None))
-        for n in range(len(kids) - 1, -1, -1):
-            pos, child = kids[n]
-            todo.append((f',"{pos}":' if n else f'"{pos}":', child))
-    return "".join(out)
+    return records_to_json_text(tree.arity, tree.records())
+
+
+def _position(key: str, arity: int) -> int:
+    """The child position an object key names; it must lie in 1..arity."""
+    if not key.isdecimal():
+        raise TreeError(f"bad child position key {key!r}")
+    pos = int(key)
+    if not 1 <= pos <= arity:
+        raise PositionOutOfRangeError(
+            f"child position {pos} outside 1..{arity}")
+    return pos
+
+
+def _not_an_object(value) -> TreeError:
+    return TreeError(f"expected an object, got {type(value).__name__}")
 
 
 def tree_from_json(obj, arity: int) -> PositionalTree | None:
@@ -567,18 +613,13 @@ def tree_from_json(obj, arity: int) -> PositionalTree | None:
     queue = [(-1, 0, obj)]
     for idx, (parent, pos, value) in enumerate(queue):  # grows as it goes
         if not isinstance(value, dict):
-            raise TreeError(f"expected an object, got {type(value).__name__}")
+            raise _not_an_object(value)
         label = None
         for key, child in value.items():
             if key == "label":
                 label = NodeLabel.parse(child)
-            elif not key.isdecimal():
-                raise TreeError(f"bad child position key {key!r}")
-            elif not 1 <= int(key) <= arity:
-                raise PositionOutOfRangeError(
-                    f"child position {int(key)} outside 1..{arity}")
             else:
-                queue.append((idx, int(key), child))
+                queue.append((idx, _position(key, arity), child))
         records.append((parent, pos, label))
     return tree_from_records(arity, records)
 
@@ -603,21 +644,16 @@ def _json_key(text: str, i: int) -> tuple[str, int]:
     return key, _skip(text, i + 1)
 
 
-def _json_object(pairs: list) -> dict:
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        raise DuplicatePositionError(
-            f"duplicate key among {sorted(k for k, _ in pairs)}")
-    return obj
+def _duplicate_keys(keys: list[str]) -> DuplicatePositionError:
+    return DuplicatePositionError(f"duplicate key among {sorted(keys)}")
 
 
-def _json_loads(text: str):
-    """``json.loads`` with an explicit stack of open containers instead of
-    recursion; a key repeated within one object raises
-    :class:`DuplicatePositionError` when the object closes."""
-    scan = json.JSONDecoder().scan_once
+def _json_value(text: str, i: int, scan) -> tuple[object, int]:
+    """The JSON value at i and the index after it, read like ``json.loads``
+    with an explicit stack of open containers instead of recursion; a key
+    repeated within one object raises :class:`DuplicatePositionError` when
+    the object closes.  ``scan`` is a decoder's ``scan_once``."""
     frames: list[list] = []  # [items] for an array, [pairs, key] for an object
-    i = _skip(text, 0)
     while True:
         c = text[i: i + 1]
         if c == "{" or c == "[":
@@ -651,20 +687,149 @@ def _json_loads(text: str):
             if c != ("}" if is_obj else "]"):
                 raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
             frames.pop()
-            value, i = (_json_object(frame[0]) if is_obj else frame[0]), i + 1
+            if is_obj:
+                value = dict(frame[0])
+                if len(value) != len(frame[0]):
+                    raise _duplicate_keys([k for k, _ in frame[0]])
+            else:
+                value = frame[0]
+            i += 1
         else:
-            i = _skip(text, i)
-            if i != len(text):
-                raise json.JSONDecodeError("Extra data", text, i)
-            return value
+            return value, i
 
 
-def tree_from_json_text(text: str, arity: int) -> PositionalTree | None:
-    """Parse the JSON text form, rejecting duplicate position keys."""
+# a key without escapes or control characters, with its colon and blanks
+_KEY = r'"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*'
+# the "{" of a node, then its "}" or its first such key
+_OPEN = re.compile(r'\{[ \t\n\r]*(?:\}|' + _KEY + ")")
+# after a member's value: the node's "}", or "," and the next such key
+_NEXT = re.compile(r'[ \t\n\r]*(?:\}|,[ \t\n\r]*' + _KEY + ")")
+
+
+def _read_records(text: str, arity: int):
+    """Records, first fault and deepest doubled position of the tree text.
+
+    Malformed JSON and a key repeated within one object raise as the text
+    is read.  The other faults are kept, to be raised in the order in
+    which :func:`tree_from_json` and :class:`PositionalTree` meet them:
+    ``fault`` is (depth, error) of the bad key, position or label, or the
+    child that is no object, nearest the root (breadth-first, so on a tie
+    the first in the text), and ``twice`` is (depth, position) of the
+    smallest position given twice at the node farthest from the root (on
+    a tie the last in the text), which nodes built bottom-up meet first.
+
+    ``_OPEN`` and ``_NEXT`` read each step of the usual compact text in
+    one match; where they do not match, :func:`_json_key` reads the key
+    (one with escapes) or raises the error ``json`` would.
+    """
+    scan = json.JSONDecoder().scan_once
+    records: list = []
+    fault = twice = None
+    i = _skip(text, 0)
+    if text[i: i + 1] != "{":
+        value, i = _json_value(text, i, scan)
+        i = _skip(text, i)
+        if i != len(text):
+            raise json.JSONDecodeError("Extra data", text, i)
+        if value is not None:
+            fault = (0, _not_an_object(value))
+        return records, fault, twice
+    frames: list[tuple] = []  # open nodes: (record index, keys, positions)
+    parent = -1
+    pos = 0
+    while True:  # i is at the "{" of node len(records), child of parent
+        records.append((parent, pos, None))
+        step = _OPEN.match(text, i)
+        if step is None:
+            key, i = _json_key(text, _skip(text, i + 1))
+        else:  # no key: the node closed at once
+            key, i = step.group(1), step.end()
+        if key is not None:
+            frames.append((len(records) - 1, [key], []))
+        while True:
+            if key is not None:  # the value of key starts at i
+                node, _, positions = frames[-1]
+                depth = len(frames) - 1
+                if key == "label":
+                    value, i = _json_value(text, i, scan)
+                    try:
+                        label = NodeLabel.parse(value)
+                    except ValueError as exc:
+                        if fault is None or depth < fault[0]:
+                            fault = (depth, exc)
+                    else:
+                        records[node] = records[node][:2] + (label,)
+                else:
+                    try:
+                        pos = _position(key, arity)
+                    except ValueError as exc:
+                        pos = 0
+                        if fault is None or depth < fault[0]:
+                            fault = (depth, exc)
+                    else:
+                        positions.append(pos)
+                    if text[i: i + 1] == "{":
+                        parent = node
+                        break  # open the child
+                    value, i = _json_value(text, i, scan)
+                    if fault is None or depth + 1 < fault[0]:
+                        fault = (depth + 1, _not_an_object(value))
+            # the value just read belongs to the innermost open node
+            if not frames:
+                i = _skip(text, i)
+                if i != len(text):
+                    raise json.JSONDecodeError("Extra data", text, i)
+                return records, fault, twice
+            step = _NEXT.match(text, i)
+            if step is None:
+                i = _skip(text, i)
+                if text[i: i + 1] != ",":
+                    raise json.JSONDecodeError("Expecting ',' delimiter",
+                                               text, i)
+                key, i = _json_key(text, _skip(text, i + 1))
+            else:
+                key, i = step.group(1), step.end()
+            if key is not None:
+                frames[-1][1].append(key)
+                continue
+            _, keys, positions = frames.pop()  # the node closed
+            if len(keys) > 1:
+                if len(set(keys)) < len(keys):
+                    raise _duplicate_keys(keys)
+                if len(set(positions)) < len(positions) and (
+                        twice is None or len(frames) >= twice[0]):
+                    twice = (len(frames), min(
+                        p for p in positions if positions.count(p) > 1))
+
+
+def records_from_json_text(text: str, arity: int) -> list:
+    """The (parent, position, label) records of the tree in JSON text form,
+    each parent before its children, in text order; ``[]`` for ``null``.
+
+    The text is read on explicit stacks, so depth is unbounded, and no
+    node is built, yet every check that ``json.loads``,
+    :func:`tree_from_json` and :class:`PositionalTree` would make in turn
+    is made: malformed JSON, a repeated key, a bad key, position or label,
+    a child that is no object, an arity below 1 and a position given twice
+    at one node (``"1"`` and ``"01"``).  When several occur, the one
+    reported is the one that sequence would meet first.
+    """
     try:
-        obj = _json_loads(text)
+        records, fault, twice = _read_records(text, arity)
     except DuplicatePositionError:
         raise
     except ValueError as exc:
         raise TreeError(f"bad tree JSON: {exc}") from exc
-    return tree_from_json(obj, arity)
+    if fault:
+        raise fault[1]
+    if records and arity < 1:
+        raise TreeError(f"arity must be >= 1, got {arity}")
+    if twice:
+        raise DuplicatePositionError(f"duplicate child position {twice[1]}")
+    return records
+
+
+def tree_from_json_text(text: str, arity: int) -> PositionalTree | None:
+    """Parse the JSON text form, rejecting duplicate position keys."""
+    records = records_from_json_text(text, arity)
+    return tree_from_records(arity, records) if records else None

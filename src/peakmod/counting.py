@@ -309,7 +309,15 @@ class TruncSeries:
             raise ValueError("order must be >= 0")
         self.order = order
         self.nmarkers = nmarkers
-        self.coeffs = tuple(dict(c) for c in coeffs)
+        copies = []
+        for degree, c in enumerate(coeffs):
+            copy = dict(c)
+            if copy and set(map(len, copy)) != {nmarkers}:
+                raise ValueError(
+                    f"exponent tuples at degree {degree} must have "
+                    f"{nmarkers} entries, got {sorted(set(map(len, copy)))}")
+            copies.append(copy)
+        self.coeffs = tuple(copies)
 
     # construction helpers ---------------------------------------------------
 

@@ -46,6 +46,8 @@ from .core import (
     WrongEndHeightError,
     WrongKError,
     pure_spec,
+    records_from_json_text,
+    records_to_json_text,
     tree_from_records,
 )
 
@@ -317,13 +319,29 @@ def permute_coordinates(table: dict[tuple[int, ...], int],
     return {tuple(key[i] for i in source): c for key, c in table.items()}
 
 
+def _permuted(records, sig: tuple[int, ...]) -> list:
+    """Tree records with each child moved from position i to sig[i - 1].
+
+    The root's record has position 0, which every reader of records
+    ignores."""
+    return [(parent, sig[pos - 1], label) for parent, pos, label in records]
+
+
 def permute_subtrees(tree: PositionalTree | None,
                      sigma: Sequence[int]) -> PositionalTree | None:
     """Move every child from position i to position sigma(i), at every node."""
     if tree is None:
         return None
     sig = check_permutation(sigma, tree.arity)
-    # the root's record has position 0, which tree_from_records ignores
-    return tree_from_records(tree.arity, [
-        (parent, sig[pos - 1], label)
-        for parent, pos, label in tree.records()])
+    return tree_from_records(tree.arity, _permuted(tree.records(), sig))
+
+
+def permute_tree_text(text: str, sigma: Sequence[int]) -> str:
+    """``tree_to_json_text(permute_subtrees(tree_from_json_text(text, m),
+    sigma))`` with m = len(sigma), on the tree's records: no node is
+    built.  As there, sigma is not checked when the text is ``null``."""
+    arity = len(sigma)
+    records = records_from_json_text(text, arity)
+    if records:
+        records = _permuted(records, check_permutation(sigma, arity))
+    return records_to_json_text(arity, records)

@@ -425,6 +425,20 @@ class TestTruncSeries:
             for n in range(series.order + 1):
                 assert all(c > 0 for c in series.coefficient(n).values())
 
+    @pytest.mark.parametrize("coeffs,degree", [
+        ([{}, {(1,): 1}], 1),  # the packed product used to pad it to (1, 0)
+        ([{(0, 0, 0): 1}, {}], 0),
+        ([{(0, 0): 1}, {(1, 0): 2, (1,): 1}], 1),
+        ([{(0, 0): 1}, {}, {(): 3}], 2)])
+    def test_exponent_width_is_checked(self, coeffs, degree):
+        with pytest.raises(ValueError, match=f"at degree {degree} must have "
+                                             "2 entries"):
+            TruncSeries(len(coeffs) - 1, 2, coeffs)
+
+    def test_markerless_series(self):
+        one = TruncSeries(2, 0, [{(): 1}, {}, {}])
+        assert (one * one).coefficient(0) == {(): 1}
+
 
 def _tuple_product(a, b):
     """a * b on exponent tuples, one term pair at a time: the reference

@@ -1,0 +1,291 @@
+"""``peakmod map`` on tree records, checked against the public compositions.
+
+``map psi`` (with and without ``--labels``), ``map psi-inv`` and ``map
+permute --tree`` read and write tree JSON straight from records and build
+no :class:`PositionalTree`.  Their stdout, stderr and exit code must be
+those of the compositions over trees: ``tree_to_json_text(path_to_tree(p))``,
+``render_path(tree_to_path(tree_from_json_text(t, k + 1), k))`` and
+``tree_to_json_text(permute_subtrees(...))``.  Where a reference can
+avoid the record reader and writer altogether, it does: ``json.dumps`` of
+``tree_to_json`` and ``tree_from_json`` of ``json.loads``.
+"""
+
+import json
+import random
+
+import pytest
+
+from peakmod import (
+    FamilySpec,
+    PositionalTree,
+    parse_path,
+    path_to_labeled_tree,
+    path_to_tree,
+    permute_subtrees,
+    render_path,
+    tree_from_json,
+    tree_from_json_text,
+    tree_to_json,
+    tree_to_json_text,
+    tree_to_path,
+)
+from peakmod.cli import main
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def uniform_path(rng, k, n):
+    """A uniformly random k-Dyck path of down-size n (cycle lemma): of the
+    rotations of a shuffled word of kn+1 ups and n downs, the one after
+    the last prefix minimum keeps every prefix positive; drop its first
+    up."""
+    word = ["u"] * (k * n + 1) + ["d"] * n
+    rng.shuffle(word)
+    h = low = cut = 0
+    for i, step in enumerate(word):
+        h += 1 if step == "u" else -k
+        if h <= low:
+            low, cut = h, i + 1
+    return "".join((word[cut:] + word[:cut])[1:])
+
+
+def dumps(tree):
+    """The sorted compact JSON of a tree, by the json module."""
+    return json.dumps(tree_to_json(tree), sort_keys=True,
+                      separators=(",", ":"))
+
+
+SIZES = (0, 1, 2, 3, 5, 17, 60, 200)
+
+
+class TestSeededInputs:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_psi_matches_the_tree_compositions(self, capsys, k):
+        rng = random.Random(f"map psi:{k}")
+        for n in SIZES:
+            path = parse_path(uniform_path(rng, k, n), FamilySpec(k))
+            text = render_path(path)
+            tree = path_to_tree(path)
+            want = tree_to_json_text(tree)
+            assert want == dumps(tree)
+            assert run(capsys, "map", "psi", "--k", str(k), "--path",
+                       text) == (0, want + "\n", "")
+            labeled = path_to_labeled_tree(path) if n else None
+            want = tree_to_json_text(labeled)
+            assert want == dumps(labeled)
+            assert run(capsys, "map", "psi", "--labels", "--k", str(k),
+                       "--path", text) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_psi_inv_matches_the_tree_compositions(self, capsys, k):
+        rng = random.Random(f"map psi-inv:{k}")
+        for n in SIZES:
+            tree = path_to_tree(parse_path(uniform_path(rng, k, n),
+                                           FamilySpec(k)))
+            if n and rng.random() < 0.5:  # labels are read, then dropped
+                tree = path_to_labeled_tree(tree_to_path(tree, k))
+            for text in (tree_to_json_text(tree),
+                         json.dumps(tree_to_json(tree), indent=1)):
+                want = render_path(tree_to_path(
+                    tree_from_json(json.loads(text), k + 1), k))
+                assert want == render_path(tree_to_path(
+                    tree_from_json_text(text, k + 1), k))
+                assert run(capsys, "map", "psi-inv", "--k", str(k),
+                           "--tree", text) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_permute_tree_at_arity_12(self, capsys, labels):
+        # keys sort as strings there: "10" < "11" < "12" < "2"
+        rng = random.Random(f"map permute --tree:{labels}")
+        spec = FamilySpec(11)
+        for n in SIZES[1:7]:
+            path = parse_path(uniform_path(rng, 11, n), spec)
+            tree = path_to_labeled_tree(path) if labels \
+                else path_to_tree(path)
+            sigma = list(range(1, 13))
+            rng.shuffle(sigma)
+            text = tree_to_json_text(tree)
+            moved = permute_subtrees(tree_from_json(json.loads(text), 12),
+                                     sigma)
+            want = dumps(moved)
+            assert want == tree_to_json_text(moved)
+            assert run(capsys, "map", "permute", "--tree", text, "--sigma",
+                       ",".join(map(str, sigma))) == (0, want + "\n", "")
+
+
+class TestDeepChains:
+    """k = 1 chains 3,000 deep, at the interpreter's default recursion
+    limit: the references are written out, since json.dumps and
+    json.loads recurse."""
+
+    DEPTH = 3000
+
+    def test_psi_and_back(self, capsys):
+        path = "u" * self.DEPTH + "d" * self.DEPTH
+        tree = '{"2":' * (self.DEPTH - 1) + "{}" + "}" * (self.DEPTH - 1)
+        assert run(capsys, "map", "psi", "--k", "1", "--path",
+                   path) == (0, tree + "\n", "")
+        assert run(capsys, "map", "psi-inv", "--k", "1", "--tree",
+                   tree) == (0, path + "\n", "")
+        moved = tree.replace('"2"', '"1"')
+        assert run(capsys, "map", "permute", "--tree", tree, "--sigma",
+                   "2,1") == (0, moved + "\n", "")
+
+    def test_labeled_psi(self, capsys):
+        path = parse_path("u" * self.DEPTH + "d" * self.DEPTH, FamilySpec(1))
+        want = tree_to_json_text(path_to_labeled_tree(path))
+        assert want.count('"label"') == self.DEPTH
+        assert run(capsys, "map", "psi", "--labels", "--k", "1", "--path",
+                   render_path(path)) == (0, want + "\n", "")
+
+
+# (map arguments, exit code, stdout, stderr), each as the program gave it
+# while map still built a PositionalTree on every route
+HOSTILE = [
+    (("psi-inv", "--k", "2", "--tree", '{"1":{},"1":{}}'),
+     2, "", "peakmod: duplicate key among ['1', '1']\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":{"2":{},"2":{}},"1":{}}'),
+     2, "", "peakmod: duplicate key among ['2', '2']\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"label":"r","label":"r"}'),
+     2, "", "peakmod: duplicate key among ['label', 'label']\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":{},"01":{}}'),
+     2, "", "peakmod: duplicate child position 1\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":{},"2":{},"02":{}}'),
+     2, "", "peakmod: duplicate child position 2\n"),
+    (("psi-inv", "--k", "2", "--tree",
+      '{"1":{"2":{},"02":{}},"3":{"1":{},"01":{}}}'),
+     2, "", "peakmod: duplicate child position 1\n"),
+    (("psi-inv", "--k", "2", "--tree",
+      '{"1":{"1":{"3":{},"03":{}}},"2":{},"02":{}}'),
+     2, "", "peakmod: duplicate child position 3\n"),
+    (("psi-inv", "--k", "2", "--tree",
+      '{"1":{"1":{"2":{},"02":{}}},"2":{"3":{},"03":{}}}'),
+     2, "", "peakmod: duplicate child position 2\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":{"1":{},"01":{}},"x":{}}'),
+     2, "", "peakmod: bad child position key 'x'\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"4":{}}'),
+     2, "", "peakmod: child position 4 outside 1..3\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"0":{}}'),
+     2, "", "peakmod: child position 0 outside 1..3\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"x":{}}'),
+     2, "", "peakmod: bad child position key 'x'\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"-1":{}}'),
+     2, "", "peakmod: bad child position key '-1'\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":{"x":{}},"2":5}'),
+     2, "", "peakmod: bad child position key 'x'\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":5,"2":{"x":{}}}'),
+     2, "", "peakmod: expected an object, got int\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":5,"label":7}'),
+     2, "", "peakmod: node label must be a string, got 7\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":null}'),
+     2, "", "peakmod: expected an object, got NoneType\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":[]}'),
+     2, "", "peakmod: expected an object, got list\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":"a"}'),
+     2, "", "peakmod: expected an object, got str\n"),
+    (("psi-inv", "--k", "2", "--tree", "[]"),
+     2, "", "peakmod: expected an object, got list\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"label":5}'),
+     2, "", "peakmod: node label must be a string, got 5\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"label":["r"]}'),
+     2, "", "peakmod: node label must be a string, got ['r']\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"label":"dd_"}'),
+     2, "", "peakmod: unrecognized node label 'dd_'\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"label":"r"} {}'),
+     2, "", "peakmod: bad tree JSON: Extra data: line 1 column 15 "
+            "(char 14)\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"x":{}} x'),
+     2, "", "peakmod: bad tree JSON: Extra data: line 1 column 10 "
+            "(char 9)\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1": {},}'),
+     2, "", "peakmod: bad tree JSON: Expecting property name enclosed in "
+            "double quotes: line 1 column 10 (char 9)\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":{}'),
+     2, "", "peakmod: bad tree JSON: Expecting ',' delimiter: line 1 "
+            "column 8 (char 7)\n"),
+    (("psi-inv", "--k", "2", "--tree", ""),
+     2, "", "peakmod: bad tree JSON: Expecting value: line 1 column 1 "
+            "(char 0)\n"),
+    (("psi-inv", "--k", "2", "--tree",
+      ' \n{ "3" : { } ,\t"label" : "r" , "1":{}}\r\n'),
+     0, "uuduuuudd\n", ""),
+    (("psi-inv", "--k", "2", "--tree", '{"\\u0033":{},"label":"\\u0072"}'),
+     0, "uuuudd\n", ""),
+    (("psi-inv", "--k", "2", "--tree", " null "), 0, "\n", ""),
+    (("psi-inv", "--k", "0", "--tree", "{}"),
+     2, "", "peakmod: k must be >= 1, got 0\n"),
+    (("psi-inv", "--k", "-1", "--tree", "{}"),
+     2, "", "peakmod: arity must be >= 1, got 0\n"),
+    (("psi-inv", "--k", "-1", "--tree", '{"1":{}}'),
+     2, "", "peakmod: child position 1 outside 1..0\n"),
+    (("permute", "--tree", '{"1":{}}', "--sigma", ""),
+     2, "", "peakmod: invalid literal for int() with base 10: ''\n"),
+    (("permute", "--tree", "null", "--sigma", "1,1"), 0, "null\n", ""),
+    (("permute", "--tree", '{"1":{}}', "--sigma", "1,1"),
+     2, "", "peakmod: [1, 1] is not a permutation of 1..2\n"),
+    (("permute", "--tree", '{"1":{},"01":{}}', "--sigma", "1,1"),
+     2, "", "peakmod: duplicate child position 1\n"),
+    (("permute", "--tree", '{"3":{"1":{},"2":{},"002":{}}}', "--sigma",
+      "2,3,1"), 2, "", "peakmod: duplicate child position 2\n"),
+    (("permute", "--tree", '{"4":{}}', "--sigma", "3,1,2"),
+     2, "", "peakmod: child position 4 outside 1..3\n"),
+    (("permute", "--tree", '{"1":{},"2":{"label":"p0_1"},"label":"r"}',
+      "--sigma", "3,1,2"),
+     0, '{"1":{"label":"p0_1"},"3":{},"label":"r"}\n', ""),
+    (("permute", "--tree", '{"1":{"label":"dd_1"},"10":{},"2":{}}',
+      "--sigma", "2,3,4,5,6,7,8,9,10,11,12,1"),
+     0, '{"11":{},"2":{"label":"dd_1"},"3":{}}\n', ""),
+    (("psi", "--k", "2", "--labels", "--path", ""), 0, "null\n", ""),
+    (("psi", "--k", "2", "--path", "uudd"),
+     2, "", "peakmod: height -2 after step 3 is negative\n"),
+]
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("argv,code,out,err", HOSTILE)
+    def test_same_outcome(self, capsys, argv, code, out, err):
+        assert run(capsys, "map", *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("argv,code,out,err", [
+        case for case in HOSTILE if case[0][0] == "psi-inv"])
+    def test_psi_inv_matches_the_tree_composition(self, capsys, argv, code,
+                                                  out, err):
+        k, text = int(argv[2]), argv[4]
+        try:
+            want = (0, render_path(tree_to_path(
+                tree_from_json_text(text, k + 1), k)) + "\n", "")
+        except ValueError as exc:
+            want = (2, "", f"peakmod: {exc}\n")
+        assert want == (code, out, err)
+
+
+class TestNoNodeIsBuilt:
+    ARGVS = [
+        ("psi", "--k", "2", "--path", "uuduuuuududduuuduuuuududduuudd"),
+        ("psi", "--labels", "--k", "2", "--path",
+         "uuduuuuududduuuduuuuududduuudd"),
+        ("psi", "--labels", "--k", "1", "--path", "u" * 1500 + "d" * 1500),
+        ("psi-inv", "--k", "2", "--tree",
+         '{"1":{"2":{}},"3":{"label":"dd_1"},"label":"r"}'),
+        ("permute", "--tree", '{"1":{"2":{}},"3":{"label":"dd_1"}}',
+         "--sigma", "3,1,2"),
+        ("permute", "--tree", '{"1":{},"01":{}}', "--sigma", "3,1,2"),
+        ("psi-inv", "--k", "2", "--tree", '{"1":{"label":"x"}}'),
+    ]
+
+    def test_map_routes_build_no_tree(self, capsys, monkeypatch):
+        before = [run(capsys, "map", *argv) for argv in self.ARGVS]
+
+        def refuse(self):
+            raise AssertionError("a PositionalTree was built")
+
+        monkeypatch.setattr(PositionalTree, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            path_to_tree(parse_path("ud", FamilySpec(1)))
+        after = [run(capsys, "map", *argv) for argv in self.ARGVS]
+        assert after == before
+        assert [code for code, _, _ in after] == [0, 0, 0, 0, 0, 2, 2]
