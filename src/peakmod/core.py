@@ -210,28 +210,35 @@ def pure_spec(k: int) -> FamilySpec:
 # lattice paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LatticePath:
     """A validated step sequence within a family.
 
     Construction validates everything: steps must be legal for the spec,
     every prefix height (from ``start_height``) must be nonnegative, and
     the final height must equal start_height + spec.end_height.  A path is
-    a frozen value kept in slots, with no per-instance ``__dict__``.
+    a frozen value kept in slots, with no per-instance ``__dict__``.  Its
+    ``__init__`` is written out: it sets each field once, ``steps`` as a
+    tuple, and then runs :meth:`__post_init__`, the one validator.
     """
 
     spec: FamilySpec
     steps: tuple[Step, ...] = ()
     start_height: int = 0
 
+    def __init__(self, spec: FamilySpec, steps: Iterable[Step] = (),
+                 start_height: int = 0):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "start_height", start_height)
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if self.start_height < 0:
-            raise NegativeHeightError(
-                f"start height {self.start_height} is negative")
-        spec = self.spec
+        spec, h = self.spec, self.start_height
+        if h < 0:
+            raise NegativeHeightError(f"start height {h} is negative")
         k = spec.k
-        h = self.start_height
+        want = h + spec.end_height
         # h >= 0 on entry and only a down-step lowers it
         for idx, s in enumerate(self.steps):
             kind = s.kind
@@ -244,7 +251,6 @@ class LatticePath:
                         f"height {h} after step {idx} is negative")
             else:
                 spec.check_step(s)
-        want = self.start_height + self.spec.end_height
         if h != want:
             raise WrongEndHeightError(
                 f"path ends at height {h}, expected {want}")
@@ -327,20 +333,22 @@ def height_profile(path: LatticePath) -> list[int]:
 # path text format
 # ---------------------------------------------------------------------------
 
+_UD_RUN = re.compile("[ud]+")
+_UD_STEP = {"u": UP, "d": DOWN}
+
+
 def parse_steps(text: str) -> list[Step]:
     """Parse the token grammar  u | d | l<INT>_<INT>  (whitespace ignored)."""
     steps = []
     i, n = 0, len(text)
     while i < n:
+        run = _UD_RUN.match(text, i)
+        if run:  # a whole run of u and d in one move
+            steps += map(_UD_STEP.__getitem__, run.group())
+            i = run.end()
+            continue
         c = text[i]
         if c.isspace():
-            i += 1
-            continue
-        if c == "u":
-            steps.append(UP)
-            i += 1
-        elif c == "d":
-            steps.append(DOWN)
             i += 1
         elif c == "l":
             i += 1

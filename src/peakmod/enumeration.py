@@ -15,9 +15,16 @@ is held back until a later peak closes.  Each step updates them from
 :data:`peakmod.statistics.TRANSITIONS`, and each depth keeps the state
 from before its step, so paths that share a prefix share its statistic.
 :func:`family_histogram` tallies these states and :func:`gen_kac` yields
-the paths of the same walk.  Either way every path is still built and
-validated by the :class:`LatticePath` constructor and counted against the
-cap.
+the paths of the same walk.
+
+Most nodes of the walk choose nothing: once the height is k times the
+remaining length above the end height, only down-steps can still reach
+it, and once it is the remaining length below, only up-steps can.  The
+walk finishes such a forced run in one move: it builds the whole path,
+adds the run's blocks read from the same table (the block the run's first
+step closes, then one (d, d) block per further down-step), and pushes
+nothing on its stack.  Either way every path is still built and validated
+by the :class:`LatticePath` constructor and counted against the cap.
 
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
@@ -36,7 +43,7 @@ from typing import Iterable, Iterator
 
 from .core import (DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step,
                    tree_from_records)
-from .statistics import (PEAK, PLAIN, STARRED, TRANSITIONS, VARIANTS,
+from .statistics import (DD, PEAK, PLAIN, STARRED, TRANSITIONS, VARIANTS,
                          stat_vector)
 from .transforms import permute_coordinates
 
@@ -178,9 +185,26 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
                 nkey, nheld = key + weight[held], h % k
             else:  # DD
                 nkey, nheld = key + weight[k], held
-            if nrem == 0:
+            if nh - k * nrem == m or nh + nrem == m:
+                # Only downs (above m) or only ups (below m) can still
+                # reach m, and at nrem = 0 nothing is left: finish the path
+                # in one move.  A run's first step closes its block after
+                # step; each later one closes the block of two steps of the
+                # run's kind, a DD for downs (no table has a peak inside a
+                # run).
+                run = ()
+                if nrem:
+                    j = 1 if nh > m else 0
+                    block = closes[i - 1][j]
+                    if block == PEAK:
+                        nkey, nheld = nkey + weight[nheld], nh % k
+                    elif block == DD:
+                        nkey += weight[k]
+                    if closes[j][j] == DD:
+                        nkey += (nrem - 1) * weight[k]
+                    run = (moves[j][0],) * nrem
                 budget.tick()
-                yield LatticePath(spec, (*prefix, step)), nkey, nheld
+                yield LatticePath(spec, (*prefix, step, *run)), nkey, nheld
                 continue
             prefix.append(step)
             undo.append((i, row, held, key))

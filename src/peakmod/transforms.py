@@ -108,7 +108,8 @@ def _join(parts: Iterable[Sequence[Step]], ups: int,
 
 
 def _require_pure(path: LatticePath, op: str) -> None:
-    if any(s.kind == "l" for s in path.steps):
+    # validation admits a level step only where the spec has levels
+    if path.spec.has_levels and any(s.kind == "l" for s in path.steps):
         raise ValueError(f"{op} requires a pure k-Dyck path without level "
                          "steps")
     if path.spec.end_height != 0:

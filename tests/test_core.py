@@ -26,7 +26,7 @@ from peakmod import (
     tree_to_json_text,
     validate,
 )
-from peakmod.core import DOWN, UP, Step
+from peakmod.core import DOWN, UP, Step, parse_steps
 
 from conftest import K1, K2, MOTZKIN, k_dyck_paths
 
@@ -173,6 +173,45 @@ class TestPathText:
         with pytest.raises(ParseError) as err:
             parse_path("ul1d", MOTZKIN)
         assert err.value.position == 3
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("x", "unexpected character 'x'", 0),
+        ("uudx", "unexpected character 'x'", 3),
+        ("U", "unexpected character 'U'", 0),
+        ("L1_1", "unexpected character 'L'", 0),
+        ("udé", "unexpected character 'é'", 2),
+        ("l1_1_", "unexpected character '_'", 4),
+        ("uudd_", "unexpected character '_'", 4),
+        ("u d x", "unexpected character 'x'", 4),
+        ("uu\tdd\nq", "unexpected character 'q'", 6),
+        ("ud\xa0x", "unexpected character 'x'", 3),
+        ("l", "expected digits for level run-length", 1),
+        ("uuduul", "expected digits for level run-length", 6),
+        ("l_1", "expected digits for level run-length", 1),
+        ("l-1_1", "expected digits for level run-length", 1),
+        ("ud l1_1 l", "expected digits for level run-length", 9),
+        ("l1", "expected '_' after level run-length", 2),
+        ("l1d", "expected '_' after level run-length", 2),
+        ("l1_", "expected digits for level color", 3),
+        ("l12_", "expected digits for level color", 4),
+        ("l1_x", "expected digits for level color", 3),
+        ("l1__1", "expected digits for level color", 3),
+        # whitespace inside a level token is no separator
+        ("l 1_1", "expected digits for level run-length", 1),
+        ("l1 _1", "expected '_' after level run-length", 2),
+        ("l1_ 1", "expected digits for level color", 3),
+    ])
+    def test_parse_error_table(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_steps(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_whitespace_between_tokens(self):
+        want = [UP, level(1, 1), DOWN, DOWN, level(12, 3)]
+        for text in ("ul1_1ddl12_3", " u l1_1\td d\nl12_3 ",
+                     "u\u2003l1_1dd\x1cl12_3"):
+            assert parse_steps(text) == want
 
     @given(k_dyck_paths())
     def test_round_trip_property(self, path):

@@ -13,6 +13,7 @@ from peakmod import (
     BadPermutationError,
     FamilySpec,
     LatticePath,
+    PathError,
     PositionalTree,
     ResourceLimitError,
     e_vector,
@@ -408,6 +409,76 @@ class TestFamilyHistogram:
             family_histogram(MOTZKIN, -1)
         with pytest.raises(ValueError, match="--limit"):
             family_histogram(MOTZKIN, 3, max_objects=-1)
+
+
+LEVEL_MAPS = ({}, {1: 1}, {2: 1}, {1: 2, 3: 1})
+
+
+def forced_grid(pure_top, level_top):
+    """(spec, length) over k <= 3, end height m <= 4 and LEVEL_MAPS, with
+    lengths up to pure_top (level_top with levels) less one for k >= 2."""
+    for k in (1, 2, 3):
+        for m in range(5):
+            for levels in LEVEL_MAPS:
+                top = (level_top if levels else pure_top) - (k > 1)
+                for length in range(top + 1):
+                    yield FamilySpec(k, levels, m), length
+
+
+def jumped(path):
+    """Whether the walk ends this path with a forced run: after some step
+    but the last, only downs or only ups can still reach the end height."""
+    k, m = path.spec.k, path.spec.end_height
+    rem, h = path.path_length, 0
+    for s in path.steps[:-1]:
+        rem -= s.length
+        h += {"u": 1, "d": -k}.get(s.kind, 0)
+        if h - k * rem == m or h + rem == m:
+            return True
+    return False
+
+
+class TestForcedRuns:
+    """The walk finishes a forced run of downs or ups in one move."""
+
+    def test_histograms_match_the_stat_vector_route(self):
+        for spec, length in forced_grid(12, 8):
+            paths = list(gen_kac(spec, length))
+            for variant in VARIANTS:
+                assert family_histogram(spec, length, variant) == \
+                    histogram(paths, variant), (spec, length, variant)
+
+    def test_order_is_a_filter_over_all_words(self):
+        for spec, length in forced_grid(6, 6):
+            moves = [UP, DOWN, *spec.level_steps()]
+            want = []
+            for n in range(length + 1):
+                for word in product(range(len(moves)), repeat=n):
+                    steps = [moves[j] for j in word]
+                    if sum(s.length for s in steps) == length:
+                        try:
+                            want.append((word, validate(spec, steps).steps))
+                        except PathError:
+                            pass
+            assert [p.steps for p in gen_kac(spec, length)] == \
+                [steps for _, steps in sorted(want)], (spec, length)
+
+    @pytest.mark.parametrize("spec, length", [
+        (FamilySpec(1), 8), (FamilySpec(3), 8),
+        (FamilySpec(1, end_height=2), 6), (FamilySpec(2, end_height=1), 7),
+        (FamilySpec(1, {1: 1}, 1), 5), (FamilySpec(2, {1: 2, 3: 1}, 2), 6),
+    ])
+    def test_cap_at_a_jumped_last_path(self, spec, length):
+        paths = list(gen_kac(spec, length))
+        assert jumped(paths[-1])
+        size = len(paths)
+        assert list(gen_kac(spec, length, size)) == paths
+        with pytest.raises(ResourceLimitError):
+            list(gen_kac(spec, length, size - 1))
+        for variant in VARIANTS:
+            assert family_histogram(spec, length, variant, size).total == size
+            with pytest.raises(ResourceLimitError):
+                family_histogram(spec, length, variant, size - 1)
 
 
 class TestPathValues:

@@ -27,6 +27,8 @@ from peakmod import (
     right_peak_decompose,
     stat_vector,
 )
+from peakmod.bijections import (path_to_labeled_tree, path_to_tree,
+                                 path_to_tree_text, permute_statistics)
 
 from conftest import (
     EXAMPLE_BLOCK,
@@ -250,6 +252,34 @@ class TestLastPassageCuts:
                     for power in range(p.spec.k + 1):
                         assert cyclic_shift(q, power) == \
                             lift(cyclic_shift(p, power), amount)
+
+
+class TestRequirePure:
+    """The operations on pure k-Dyck paths refuse a level step."""
+
+    OPS = {"path_to_tree": path_to_tree,
+           "path_to_labeled_tree": path_to_labeled_tree,
+           "path_to_tree_text": path_to_tree_text,
+           "permute_statistics": lambda p: permute_statistics(p, [2, 1]),
+           "right_peak_decompose": right_peak_decompose,
+           "cyclic_shift": cyclic_shift,
+           "deutsch_involution": deutsch_involution}
+
+    def test_level_steps_are_refused(self):
+        for text, spec in (("ul1_1d", MOTZKIN), ("l2_1", SCHROEDER),
+                           ("ul1_1", FamilySpec(1, {1: 1}, 1))):
+            p = parse_path(text, spec)
+            for name, op in self.OPS.items():
+                with pytest.raises(ValueError) as err:
+                    op(p)
+                assert str(err.value) == (f"{name} requires a pure k-Dyck "
+                                          "path without level steps")
+
+    def test_a_level_family_without_level_steps_passes(self):
+        p, q = parse_path("uudd", MOTZKIN), dyck("uudd", 1)
+        assert path_to_tree(p) == path_to_tree(q)
+        assert cyclic_shift(p).steps == cyclic_shift(q).steps
+        assert deutsch_involution(p).steps == deutsch_involution(q).steps
 
 
 class TestDeutschInvolution:
