@@ -154,9 +154,12 @@ class FamilySpec:
                 raise ValueError(f"level run-length must be >= 1, got {a}")
             if c < 1:
                 raise ValueError(f"color count must be >= 1, got c_{a} = {c}")
-        if len({a for a, _ in items}) != len(items):
+        colors = dict(items)
+        if len(colors) != len(items):
             raise ValueError("duplicate level run-length")
         object.__setattr__(self, "levels", tuple(items))
+        # run-length -> color count, read by every level-step check
+        object.__setattr__(self, "_colors", colors)
 
     @property
     def has_levels(self) -> bool:
@@ -173,10 +176,7 @@ class FamilySpec:
         return self.end_height % self.k
 
     def color_count(self, a: int) -> int:
-        for length, c in self.levels:
-            if length == a:
-                return c
-        return 0
+        return self._colors.get(a, 0)
 
     def level_steps(self) -> Iterator[Step]:
         """All allowed level steps in canonical (a, b) order."""
@@ -334,6 +334,9 @@ def height_profile(path: LatticePath) -> list[int]:
 # ---------------------------------------------------------------------------
 
 _UD_RUN = re.compile("[ud]+")
+# level numbers are ASCII digits: str.isdigit also takes other scripts'
+# digits, which int() reads, and superscripts, which int() rejects
+_DIGITS = re.compile("[0-9]+")
 _UD_STEP = {"u": UP, "d": DOWN}
 
 
@@ -363,12 +366,10 @@ def parse_steps(text: str) -> list[Step]:
 
 
 def _parse_int(text: str, i: int, what: str) -> tuple[int, int]:
-    j = i
-    while j < len(text) and text[j].isdigit():
-        j += 1
-    if j == i:
+    digits = _DIGITS.match(text, i)
+    if digits is None:
         raise ParseError(f"expected digits for {what}", i)
-    return int(text[i:j]), j
+    return int(digits.group()), digits.end()
 
 
 def parse_path(text: str, spec: FamilySpec,
@@ -432,13 +433,13 @@ class NodeLabel:
             raise TreeError(f"node label must be a string, got {text!r}")
         if text == "r":
             return cls(LABEL_RIGHTMOST)
-        if text.startswith("dd_") and text[3:].isdigit():
-            return cls(LABEL_DD, ordinal=int(text[3:]))
-        if text.startswith("p"):
-            body = text[1:]
-            i, _, j = body.partition("_")
-            if i.isdigit() and j.isdigit():
-                return cls(LABEL_PEAK, residue=int(i), ordinal=int(j))
+        if text.isascii():  # then isdigit means 0-9 only
+            if text.startswith("dd_") and text[3:].isdigit():
+                return cls(LABEL_DD, ordinal=int(text[3:]))
+            if text.startswith("p"):
+                i, _, j = text[1:].partition("_")
+                if i.isdigit() and j.isdigit():
+                    return cls(LABEL_PEAK, residue=int(i), ordinal=int(j))
         raise TreeError(f"unrecognized node label {text!r}")
 
 
@@ -600,7 +601,7 @@ def tree_to_json_text(tree: PositionalTree | None) -> str:
 
 def _position(key: str, arity: int) -> int:
     """The child position an object key names; it must lie in 1..arity."""
-    if not key.isdecimal():
+    if not (key.isascii() and key.isdecimal()):
         raise TreeError(f"bad child position key {key!r}")
     pos = int(key)
     if not 1 <= pos <= arity:

@@ -1,7 +1,7 @@
 """Closed-form counts and the truncated generating-function engine.
 
-Everything here is exact: counts are Python integers, intermediate
-divisions run through :class:`fractions.Fraction`, and a failed
+Everything here is exact and in integers: each closed form puts its
+terms over one common denominator and divides once, and a failed
 integrality assertion raises rather than rounding.  Series live in
 :class:`TruncSeries`: power series in x truncated at a fixed order whose
 coefficients are sparse multivariate polynomials in the markers
@@ -25,7 +25,10 @@ optionally with an x^m prefactor when x tracks length.  Both equations
 for f are solved coefficient by coefficient: with P_0 = 1 and
 P_{j+1} = P_j + q_j (f P_j), the x^d coefficient of every P_j needs only
 f_1..f_d, and f_n reads P_{k+1} and f below degree n.  Each coefficient
-of f and of the partial products is computed exactly once.
+of f and of the partial products is computed exactly once.  The two
+marker groups of g together make P_k, so g = P_k^ell * P_{r+1}: the
+ballot solvers finish the solver's own rows of P_1..P_k up to the order
+and build no marked product of their own.
 
 Inside the engine a monomial q_0^e_0 ... q_k^e_k is one integer, the
 packed key sum_i e_i * B^i (the layout of
@@ -43,9 +46,8 @@ multiply exactly.  Tuples appear only in the :class:`TruncSeries` API.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -59,10 +61,15 @@ class NonIntegerResultError(ArithmeticError):
     """A count formula failed to produce an integer (an internal bug)."""
 
 
-def _exact_int(value: Fraction, context: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerResultError(f"{context} evaluated to {value}")
-    return value.numerator
+def _exact_int(num: int, den: int, context: str) -> int:
+    """num / den for den > 0, which must be an integer; otherwise the
+    error gives the quotient in lowest terms."""
+    quotient, rest = divmod(num, den)
+    if rest:
+        g = gcd(num, den)
+        raise NonIntegerResultError(
+            f"{context} evaluated to {num // g}/{den // g}")
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +80,7 @@ def fuss_catalan(k: int, n: int) -> int:
     """Number of k-Dyck paths of down-size n: C((k+1)n, n) / (kn + 1)."""
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    return _exact_int(Fraction(comb((k + 1) * n, n), k * n + 1),
+    return _exact_int(comb((k + 1) * n, n), k * n + 1,
                       f"fuss_catalan({k}, {n})")
 
 
@@ -91,7 +98,7 @@ def count_joint(k: int, n: int, r: Sequence[int]) -> int:
     num = 1
     for ri in r:
         num *= comb(n, ri)
-    return _exact_int(Fraction(num, n), f"count_joint({k}, {n}, {r})")
+    return _exact_int(num, n, f"count_joint({k}, {n}, {r})")
 
 
 def _check_joint_args(k: int, n: int, r: tuple[int, ...]) -> None:
@@ -113,7 +120,7 @@ def count_marginal(k: int, n: int, r: int) -> int:
         raise ValueError("need k >= 1")
     if n < 1 or not 0 <= r <= n - 1:
         raise ValueError("need n >= 1 and 0 <= r <= n-1")
-    return _exact_int(Fraction(comb(n, r) * comb(k * n, n - 1 - r), n),
+    return _exact_int(comb(n, r) * comb(k * n, n - 1 - r), n,
                       f"count_marginal({k}, {n}, {r})")
 
 
@@ -126,7 +133,7 @@ def count_pk(k: int, n: int, r: int) -> int:
         raise ValueError("need k >= 1")
     if n < 1 or not 0 <= r <= n - 1:
         raise ValueError("need n >= 1 and 0 <= r <= n-1")
-    return _exact_int(Fraction(comb(n, r + 1) * comb(k * n, r), n),
+    return _exact_int(comb(n, r + 1) * comb(k * n, r), n,
                       f"count_pk({k}, {n}, {r})")
 
 
@@ -135,7 +142,7 @@ def narayana(n: int, r: int) -> int:
     (1/n) C(n, r) C(n, r-1)."""
     if n < 1 or not 1 <= r <= n:
         raise ValueError("need n >= 1 and 1 <= r <= n")
-    return _exact_int(Fraction(comb(n, r) * comb(n, r - 1), n),
+    return _exact_int(comb(n, r) * comb(n, r - 1), n,
                       f"narayana({n}, {r})")
 
 
@@ -145,12 +152,14 @@ def count_ballot_joint(k: int, ell: int, r: int, n: int,
 
     s = (s_0, ..., s_{k-1}, s_k) where s_i counts all peaks in residue
     class i (rightmost included) and s_k the double descents; the entries
-    must sum to n.  Evaluates, in exact rationals,
+    must sum to n.  Evaluates
 
         (1/n) [ (ell+1)/(n+ell+1) * sum_{i<=r} s_i
-                + ell/(n+ell)     * sum_{i>r}  s_i ]
+                + ell/(n+ell)     * sum_{r<i<k} s_i ]
         * prod_{i<=r} C(n+ell+1, s_i)
-        * prod_{r<i<k} C(n+ell, s_i) * C(n, s_k).
+        * prod_{r<i<k} C(n+ell, s_i) * C(n, s_k)
+
+    in integers, with the bracket over (n+ell+1)(n+ell).
     """
     s = tuple(int(x) for x in s)
     if k < 1 or ell < 0 or not 0 <= r <= k - 1:
@@ -165,15 +174,14 @@ def count_ballot_joint(k: int, ell: int, r: int, n: int,
         return 0
     low = sum(s[i] for i in range(r + 1))
     high = sum(s[i] for i in range(r + 1, k))
-    bracket = (Fraction(ell + 1, n + ell + 1) * low
-               + Fraction(ell, n + ell) * high)
+    bracket = (ell + 1) * (n + ell) * low + ell * (n + ell + 1) * high
     prod = 1
     for i in range(r + 1):
         prod *= comb(n + ell + 1, s[i])
     for i in range(r + 1, k):
         prod *= comb(n + ell, s[i])
     prod *= comb(n, s[k])
-    return _exact_int(Fraction(1, n) * bracket * prod,
+    return _exact_int(bracket * prod, n * (n + ell + 1) * (n + ell),
                       f"count_ballot_joint({k}, {ell}, {r}, {n}, {s})")
 
 
@@ -190,7 +198,7 @@ def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
     """
     r = tuple(int(x) for x in r)
     _check_joint_args(k, n, r)
-    return _exact_int(Fraction(_lagrange_top(k, n).get(r, 0), n),
+    return _exact_int(_lagrange_top(k, n).get(r, 0), n,
                       f"lagrange_coefficient({k}, {n}, {r})")
 
 
@@ -218,12 +226,15 @@ def _poly_add(p: dict, q: dict) -> dict:
     return out
 
 
-def _poly_dot(pairs: Iterable[tuple[dict, dict]], shift: int = 0) -> dict:
-    """The sum of p * q over the (p, q) pairs, times the monomial packed
-    as shift."""
-    out: dict = {}
+def _poly_dot(pairs: Iterable[tuple[dict, dict]], shift: int = 0,
+              start: dict | None = None) -> dict:
+    """start (default 0) plus the sum of p * q over the (p, q) pairs times
+    the monomial packed as shift; start itself is left as it is."""
+    out = dict(start) if start else {}
     get = out.get
     for p, q in pairs:
+        if len(p) > len(q):
+            p, q = q, p
         q = q.items()
         for e1, c1 in p.items():
             e1 += shift
@@ -259,10 +270,10 @@ def _series_pow(a: list[dict], e: int) -> list[dict]:
 
 
 def _next_row(rows: list[dict], f: list[dict], d: int, w: int) -> dict:
-    """[x^d] of P + q (f P), for the packed series f and P = rows (rows
-    0..d suffice) and the marker q packed as w."""
-    return _poly_add(rows[d], _poly_dot(((f[e], rows[d - e])
-                                         for e in range(d + 1)), w))
+    """[x^d] of P + q (f P), for the packed series f with f_0 = 0, P = rows
+    (rows 0..d suffice) and the marker q packed as w."""
+    return _poly_dot(((f[e], rows[d - e]) for e in range(1, d + 1)), w,
+                     rows[d])
 
 
 def _marked_product(f: list[dict], weights: Iterable[int]) -> list[dict]:
@@ -439,14 +450,15 @@ class TruncSeries:
 # functional equation solvers
 # ---------------------------------------------------------------------------
 
-def _solve(k: int, order: int, s: int,
-           levels: Sequence[tuple[int, int]]) -> list[dict]:
+def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]]
+           ) -> tuple[list[dict], list[list[dict]]]:
     """Solve f = sum_a c_a x^a (f + 1) + x^s prod_{i<=k} (q_i f + 1) as a
-    packed series in base order + 1.
+    packed series in base order + 1; return f and ``prods``.
 
     ``prods[j][d]`` is [x^d] P_j for P_0 = 1, P_{j+1} = P_j + q_j (f P_j).
     Since s >= 1 and every run-length a >= 1, f_n needs only f_1..f_{n-1}
-    and rows d <= n - s of the partial products.
+    and rows d <= n - s of the partial products, so ``prods[j]`` for
+    j >= 1 holds rows 0..max(0, order - s).  Row 0 of f is 0.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -465,7 +477,7 @@ def _solve(k: int, order: int, s: int,
                 below = one if a == n else f[n - a]
                 fn = _poly_add(fn, {e: c * v for e, v in below.items()})
         f.append(fn)
-    return f
+    return f, prods
 
 
 def solve_f(k: int, order: int) -> TruncSeries:
@@ -475,7 +487,7 @@ def solve_f(k: int, order: int) -> TruncSeries:
     (pk_0, ..., pk_{k-1}, dd) over paths of down-size n; the constant term
     vanishes because only nonempty paths are counted.
     """
-    return _unpacked(_solve(k, order, 1, ()), k + 1, order + 1)
+    return _unpacked(_solve(k, order, 1, ())[0], k + 1, order + 1)
 
 
 def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
@@ -485,18 +497,26 @@ def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
     statistics (wpk_0, ..., wpk_{k-1}, wdd) over paths of length L, and is
     symmetric in all k+1 markers.
     """
-    return _unpacked(_solve(spec.k, order, spec.k + 1, spec.levels),
+    return _unpacked(_solve(spec.k, order, spec.k + 1, spec.levels)[0],
                      spec.k + 1, order + 1)
 
 
-def _ballot_product(f: list[dict], k: int, m: int) -> TruncSeries:
-    """The ballot series of the packed solution f (base order + 1)."""
+def _ballot_product(f: list[dict], prods: list[list[dict]], k: int,
+                    m: int) -> TruncSeries:
+    """The ballot series g = P_k^ell * P_{r+1}, m = ell*k + r, from the
+    packed solution f (base order + 1) and the partial products of
+    :func:`_solve`, whose rows of P_1..P_k it first finishes up to the
+    order."""
+    base = len(f)
+    for d in range(len(prods[1]), base):
+        for j in range(k):
+            prods[j + 1].append(_next_row(prods[j], f, d, base ** j))
     ell, r = divmod(m, k)
-    weights = [len(f) ** i for i in range(k)]
-    low = _marked_product(f, weights[:r + 1])
-    high = _marked_product(f, weights[r + 1:])
-    return _unpacked(_series_mul(_series_pow(low, ell + 1),
-                                 _series_pow(high, ell)), k + 1, len(f))
+    g = prods[r + 1]
+    if ell:
+        g = (_series_pow(g, ell + 1) if r + 1 == k
+             else _series_mul(_series_pow(prods[k], ell), g))
+    return _unpacked(g, k + 1, base)
 
 
 def solve_g(k: int, m: int, order: int) -> TruncSeries:
@@ -507,12 +527,12 @@ def solve_g(k: int, m: int, order: int) -> TruncSeries:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _ballot_product(_solve(k, order, 1, ()), k, m)
+    return _ballot_product(*_solve(k, order, 1, ()), k, m)
 
 
 def solve_g_kac(spec: FamilySpec, m: int, order: int) -> TruncSeries:
     """Weak starred series of level-bearing ballot paths by total length."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _ballot_product(_solve(spec.k, order, spec.k + 1, spec.levels),
+    return _ballot_product(*_solve(spec.k, order, spec.k + 1, spec.levels),
                            spec.k, m).mul_x(m)

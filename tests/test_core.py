@@ -1,5 +1,9 @@
 """Path and tree data model: validation, parsing, serialization."""
 
+import dataclasses
+import json
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -47,6 +51,19 @@ class TestFamilySpec:
             FamilySpec(1, {1: 0})
         with pytest.raises(ValueError):
             FamilySpec(1, end_height=-1)
+
+    def test_color_lookup_is_no_field(self):
+        # the run-length -> colors map is built once and read by every
+        # level-step check; it stays out of equality, hash and repr
+        spec = FamilySpec(2, {3: 1, 1: 2})
+        assert [spec.color_count(a) for a in range(5)] == [0, 2, 0, 1, 0]
+        same = FamilySpec(2, [(1, 2), (3, 1)])
+        assert spec == same and hash(spec) == hash(same)
+        assert repr(spec) == ("FamilySpec(k=2, levels=((1, 2), (3, 1)), "
+                              "end_height=0)")
+        moved = dataclasses.replace(spec, levels={1: 1})
+        assert moved.color_count(1) == 1 and moved.color_count(3) == 0
+        assert pickle.loads(pickle.dumps(spec)).color_count(1) == 2
 
     def test_empty_level_map_means_no_level_steps(self):
         assert not FamilySpec(2).has_levels
@@ -200,6 +217,13 @@ class TestPathText:
         ("l 1_1", "expected digits for level run-length", 1),
         ("l1 _1", "expected '_' after level run-length", 2),
         ("l1_ 1", "expected digits for level color", 3),
+        # ASCII digits only: no other script's digits, no superscripts
+        ("l\u0661_1", "expected digits for level run-length", 1),
+        ("l\u00b2_1", "expected digits for level run-length", 1),
+        ("ul1\u00b2_1", "expected '_' after level run-length", 3),
+        ("l1_\u0661", "expected digits for level color", 3),
+        ("l1_\uff11", "expected digits for level color", 3),
+        ("l1_1\u00b2", "unexpected character '\u00b2'", 4),
     ])
     def test_parse_error_table(self, text, message, position):
         with pytest.raises(ParseError) as err:
@@ -343,6 +367,28 @@ class TestTreeWireFormat:
     def test_bad_trees_keep_their_error_class(self, text, error):
         with pytest.raises(error):
             tree_from_json_text(text, 3)
+
+    @pytest.mark.parametrize("text", [
+        "dd_\u00b2", "p\u00b2_1", "p1_\u0661", "dd_\u0661", "p\uff11_1"])
+    def test_labels_take_ascii_digits_only(self, text):
+        for read in (lambda: NodeLabel.parse(text),
+                     lambda: tree_from_json({"label": text}, 3),
+                     lambda: tree_from_json_text(
+                         json.dumps({"label": text}), 3)):
+            with pytest.raises(TreeError) as err:
+                read()
+            assert str(err.value) == f"unrecognized node label {text!r}"
+
+    @pytest.mark.parametrize("key", ["\u0661", "\u00b2", "1\u0660", "\uff11"])
+    def test_position_keys_take_ascii_digits_only(self, key):
+        for read in (lambda: tree_from_json({key: {}}, 3),
+                     lambda: tree_from_json_text(json.dumps({key: {}}), 3),
+                     lambda: tree_from_json_text(
+                         json.dumps({key: {}}, ensure_ascii=False), 3)):
+            with pytest.raises(TreeError) as err:
+                read()
+            assert type(err.value) is TreeError
+            assert str(err.value) == f"bad child position key {key!r}"
 
     def test_null_is_the_empty_tree(self):
         assert tree_from_json_text(" null ", 3) is None

@@ -1,7 +1,12 @@
 """Closed-form counts, series solvers, and their three-way agreement."""
 
 import random
-from itertools import permutations
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import permutations, product
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +30,8 @@ from peakmod import (
     solve_g_kac,
     stat_vector,
 )
-from peakmod.counting import _lagrange_top
+from peakmod import counting
+from peakmod.counting import NonIntegerResultError, _exact_int, _lagrange_top
 from peakmod.statistics import PLAIN, PLAIN_STARRED, WEAK, WEAK_STARRED
 
 from conftest import MOTZKIN, SCHROEDER
@@ -512,3 +518,146 @@ class TestPackedProduct:
         # repeated squaring never ends on a negative e
         with pytest.raises(ValueError, match="need e >= 0"):
             TruncSeries.x_power(1, 3, 2).pow(-1)
+
+
+LEVEL_MAPS = ({}, {1: 1}, {2: 1}, {1: 2, 3: 1})
+
+
+def _product_form(f, k, m):
+    """prod_{i<=r} (q_i f + 1)^(ell+1) * prod_{r<i<k} (q_i f + 1)^ell for
+    m = ell*k + r, from the public TruncSeries operations."""
+    ell, r = divmod(m, k)
+    g = TruncSeries.one(f.order, f.nmarkers)
+    for i in range(k):
+        g = g * f.mul_marker(i).plus_one().pow(ell + 1 if i <= r else ell)
+    return g
+
+
+class TestBallotProductForm:
+    """The ballot solvers take g = P_k^ell * P_{r+1} from the solver's
+    partial products P_j = prod_{i<j} (q_i f + 1); the reference builds
+    the paper's product of the two marker groups factor by factor."""
+
+    def test_solve_g(self):
+        for k in (1, 2, 3):
+            for order in range(9):
+                f = solve_f(k, order)
+                for m in range(8):
+                    assert solve_g(k, m, order) == _product_form(f, k, m), (
+                        k, m, order)
+
+    def test_solve_g_kac(self):
+        for k in (1, 2, 3):
+            for levels in LEVEL_MAPS:
+                spec = FamilySpec(k, levels)
+                for order in range(9):
+                    f = solve_f_kac(spec, order)
+                    for m in range(8):
+                        want = _product_form(f, k, m).mul_x(m)
+                        assert solve_g_kac(spec, m, order) == want, (
+                            k, levels, m, order)
+
+
+def _binomial(n, r):
+    return comb(n, r) if 0 <= r <= n else 0
+
+
+def _prod(values):
+    out = 1
+    for v in values:
+        out *= v
+    return out
+
+
+class TestClosedFormsInIntegers:
+    """Each closed form divides once in integers; a Fraction evaluation of
+    the formula in its docstring is the reference."""
+
+    def test_fuss_catalan(self):
+        for k in range(1, 5):
+            for n in range(30):
+                want = Fraction(_binomial((k + 1) * n, n), k * n + 1)
+                assert fuss_catalan(k, n) == want, (k, n)
+
+    def test_joint(self):
+        for k in (1, 2, 3):
+            for n in range(1, 9):
+                for r in product(range(n + 1), repeat=k + 1):
+                    want = (Fraction(_prod(_binomial(n, x) for x in r), n)
+                            if sum(r) == n - 1 else 0)
+                    assert count_joint(k, n, r) == want, (k, n, r)
+
+    def test_marginal_pk_and_narayana(self):
+        for k in range(1, 5):
+            for n in range(1, 25):
+                for r in range(n):
+                    assert count_marginal(k, n, r) == Fraction(
+                        _binomial(n, r) * _binomial(k * n, n - 1 - r), n)
+                    assert count_pk(k, n, r) == Fraction(
+                        _binomial(n, r + 1) * _binomial(k * n, r), n)
+        for n in range(1, 30):
+            for r in range(1, n + 1):
+                assert narayana(n, r) == Fraction(
+                    _binomial(n, r) * _binomial(n, r - 1), n)
+
+    def test_ballot_joint(self):
+        for k in (1, 2, 3):
+            for ell in range(4):
+                for r in range(k):
+                    for n in range(8):
+                        for s in product(range(n + 1), repeat=k + 1):
+                            assert count_ballot_joint(k, ell, r, n, s) == (
+                                _ballot_formula(k, ell, r, n, s)), (
+                                k, ell, r, n, s)
+
+    def test_non_integer_quotient_in_lowest_terms(self):
+        with pytest.raises(NonIntegerResultError) as err:
+            _exact_int(14, 12, "ctx")
+        assert str(err.value) == "ctx evaluated to 7/6"
+        with pytest.raises(NonIntegerResultError) as err:
+            _exact_int(-14, 12, "ctx")
+        assert str(err.value) == "ctx evaluated to -7/6"
+        assert _exact_int(-14, 7, "ctx") == -2
+        assert _exact_int(0, 5, "ctx") == 0
+
+
+def _ballot_formula(k, ell, r, n, s):
+    if n == 0:
+        return int(not any(s))
+    if sum(s) != n:
+        return 0
+    bracket = (Fraction(ell + 1, n + ell + 1) * sum(s[:r + 1])
+               + Fraction(ell, n + ell) * sum(s[r + 1:k]))
+    return (Fraction(1, n) * bracket
+            * _prod(_binomial(n + ell + 1, x) for x in s[:r + 1])
+            * _prod(_binomial(n + ell, x) for x in s[r + 1:k])
+            * _binomial(n, s[k]))
+
+
+class TestCancellation:
+    def test_product_keeps_no_zero_entry(self):
+        # (1 + q0 x + q1 x^2)(1 - q0 x - q1 x^2) = 1 - (q0 x + q1 x^2)^2:
+        # x^1 and the q1 terms of x^2 cancel, and the products of the
+        # truncated series keep no zero entry in their place
+        plus = TruncSeries(4, 2, [{(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1},
+                                  {}, {}])
+        minus = TruncSeries(4, 2, [{(0, 0): 1}, {(1, 0): -1},
+                                   {(0, 1): -1}, {}, {}])
+        for series in (plus * minus, minus * plus):
+            assert series.coeffs == ({(0, 0): 1}, {}, {(2, 0): -1},
+                                     {(1, 1): -2}, {(0, 2): -1})
+        square = (plus + minus.mul_x(1)).pow(2)
+        assert all(c for p in square.coeffs for c in p.values())
+        assert square == _tuple_power(plus + minus.mul_x(1), 2)
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    # counting divides in integers: neither fractions nor decimal (which
+    # fractions imports) is loaded by the command line
+    src = Path(counting.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import peakmod.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert done.stdout == "[]\n"

@@ -242,6 +242,17 @@ HOSTILE = [
     (("psi", "--k", "2", "--labels", "--path", ""), 0, "null\n", ""),
     (("psi", "--k", "2", "--path", "uudd"),
      2, "", "peakmod: height -2 after step 3 is negative\n"),
+    # the text readers take ASCII digits only
+    (("psi", "--k", "1", "--path", "ul\u00b2_1d"), 2, "",
+     "peakmod: expected digits for level run-length (at position 2)\n"),
+    (("psi", "--k", "1", "--path", "ul\u0661_1d"), 2, "",
+     "peakmod: expected digits for level run-length (at position 2)\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"\u0661":{}}'),
+     2, "", "peakmod: bad child position key '\u0661'\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"label":"dd_\u00b2"}'),
+     2, "", "peakmod: unrecognized node label 'dd_\u00b2'\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":{"label":"p\u00b2_1"}}'),
+     2, "", "peakmod: unrecognized node label 'p\u00b2_1'\n"),
 ]
 
 
