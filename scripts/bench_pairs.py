@@ -26,6 +26,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -162,6 +163,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     metrics = bench["end_to_end"]
+    # a stop by SIGTERM unwinds as Ctrl-C does: subprocess.run kills the
+    # running benchmark and the temporary parent tree is removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         extract_parent(parent, Path(tmp))
         sides = {"parent": Path(tmp), "change": ROOT}
