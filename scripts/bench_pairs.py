@@ -1,22 +1,23 @@
 """Alternating parent/change pairs of the peakmod benchmark.
 
     python3 scripts/bench_pairs.py --parent REV --pr N [--pairs 10]
-        [--first-seed S] [--seconds T] [--workloads a,b,...]
 
-Run from the root of a checkout whose ``src/`` has no uncommitted change
-(the script refuses otherwise, so the measured change is a committed
-tree).  The parent side runs from ``git archive REV`` of ``src/`` and
-``perfbench/``, extracted into a temporary directory that is removed
-afterwards; the change side runs from the checkout itself.  For each
-workload of ``BENCHMARK.json`` (or of ``--workloads``) pair i runs
-``perfbench/run.py --workload W --seed S+i --seconds T --trace 0`` on both
-sides, the parent first when i is even and the change first when i is
-odd; S defaults to 100 N + 1 and T to the benchmark's run length.  The
-result, ``BENCH_<N>.json`` at the root, holds every run's figures and,
-per end-to-end metric, the median and quartiles of each side, the
-change's win count and whether its median is worse than the metric's
-bound.  Exit status is 0 when every run completed, 1 when a run failed,
-and 2 on bad usage or a dirty ``src/``.
+Run from the root of a checkout with no uncommitted change to ``src/``,
+``perfbench/`` or ``BENCHMARK.json``, whose ``perfbench/`` and
+``BENCHMARK.json`` are those of REV; the script refuses otherwise, so
+the measured change is a committed tree and both sides are measured by
+one harness.  The parent side runs from ``git archive REV`` of ``src/``
+and ``perfbench/``, extracted into a temporary directory that is removed
+afterwards; the change side runs from the checkout itself.  For every
+workload of ``BENCHMARK.json`` pair i runs ``perfbench/run.py --workload W
+--seed S+i --seconds T --trace 0`` on both sides, the parent first when i
+is even and the change first when i is odd, with S = 100 N + 1 and T the
+benchmark's run length.  The result, ``BENCH_<N>.json`` at the root,
+holds every run's figures and, per end-to-end metric, the median and
+quartiles of each side, the change's win count and whether its median
+is worse than the metric's bound.  Exit status is 0 when every run
+completed, 1 when a run failed, and 2 on bad usage, an uncommitted
+change or a benchmark that differs from REV's.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+HARNESS = ("perfbench", "BENCHMARK.json")
+MEASURED = ("src", *HARNESS)
 
 
 def git(*args: str) -> str:
@@ -99,27 +102,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True,
                         help="names the output BENCH_<pr>.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=None,
-                        help="seed of pair 0 (default 100 * pr + 1)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json)")
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated (default: BENCHMARK.json)")
     args = parser.parse_args(argv)
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
-    seconds = args.seconds or bench["run_seconds"]
-    first = (100 * args.pr + 1 if args.first_seed is None
-             else args.first_seed)
-    seeds = [first + i for i in range(args.pairs)]
-    out = ROOT / f"BENCH_{args.pr}.json"
     if args.pairs < 2:
         print("bench_pairs: need --pairs >= 2", file=sys.stderr)
         return 2
-    if git("status", "--porcelain", "--", "src"):
-        print("bench_pairs: src/ has uncommitted changes; commit them so "
-              "that the measured tree is a committed one", file=sys.stderr)
+    if git("status", "--porcelain", "--", *MEASURED):
+        print("bench_pairs: src/, perfbench/ or BENCHMARK.json has "
+              "uncommitted changes; commit them so that the measured trees "
+              "are committed ones", file=sys.stderr)
         return 2
     try:
         parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
@@ -127,7 +117,17 @@ def main(argv=None) -> int:
         print(f"bench_pairs: unknown commit {args.parent!r}",
               file=sys.stderr)
         return 2
-    change_tree = git("rev-parse", "HEAD:src")
+    if subprocess.run(["git", "diff", "--quiet", parent, "HEAD", "--",
+                       *HARNESS], cwd=ROOT).returncode:
+        print("bench_pairs: perfbench/ or BENCHMARK.json differs between "
+              f"{args.parent} and HEAD; both sides must be measured by one "
+              "harness", file=sys.stderr)
+        return 2
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    seeds = [100 * args.pr + 1 + i for i in range(args.pairs)]
+    out = ROOT / f"BENCH_{args.pr}.json"
     doc = {
         "benchmark": f"python3 perfbench/run.py --workload W --seed S "
                      f"--seconds {seconds:g} --trace 0",
@@ -142,11 +142,13 @@ def main(argv=None) -> int:
                            "from git archive",
                    "src_tree": git("rev-parse", f"{parent}:src")},
         "change": {"commit": git("rev-parse", "HEAD"),
-                   "measured_src_tree": change_tree,
-                   "committed_src_tree": change_tree,
-                   "note": "git rev-parse <commit>:src names a commit's "
-                           "src/ tree; src/ had no uncommitted change, so "
-                           "the measured tree is the committed one"},
+                   "note": "the checkout, with no uncommitted change",
+                   "src_tree": git("rev-parse", "HEAD:src")},
+        "harness": {"note": "one perfbench/ and BENCHMARK.json for both "
+                            "sides: the parent's equal the change's",
+                    "perfbench_tree": git("rev-parse", "HEAD:perfbench"),
+                    "benchmark_blob": git("rev-parse",
+                                          "HEAD:BENCHMARK.json")},
         "machine": f"{os.cpu_count()}-core {platform.machine()} "
                    f"{platform.system()}, {platform.python_implementation()}"
                    f" {platform.python_version()}; run.py scales each "

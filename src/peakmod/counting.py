@@ -258,15 +258,17 @@ def _series_mul(a: list[dict], b: list[dict]) -> list[dict]:
 
 
 def _series_pow(a: list[dict], e: int) -> list[dict]:
-    """A packed series to the power e, by repeated squaring."""
-    out = [{0: 1}] + [{}] * (len(a) - 1)
+    """A packed series to the power e, by repeated squaring; the first
+    factor is copied rather than multiplied into the series 1."""
+    out = None
     while e:
         if e & 1:
-            out = _series_mul(out, a)
+            out = ([{m: c for m, c in p.items() if c} for p in a]
+                   if out is None else _series_mul(out, a))
         e >>= 1
         if e:
             a = _series_mul(a, a)
-    return out
+    return [{0: 1}] + [{}] * (len(a) - 1) if out is None else out
 
 
 def _next_row(rows: list[dict], f: list[dict], d: int, w: int) -> dict:
@@ -506,7 +508,8 @@ def _ballot_product(f: list[dict], prods: list[list[dict]], k: int,
     """The ballot series g = P_k^ell * P_{r+1}, m = ell*k + r, from the
     packed solution f (base order + 1) and the partial products of
     :func:`_solve`, whose rows of P_1..P_k it first finishes up to the
-    order."""
+    order.  When r + 1 = k, g is P_k^(ell+1), one power: for k = 1, m = 3
+    that is two squarings instead of a square and two products."""
     base = len(f)
     for d in range(len(prods[1]), base):
         for j in range(k):
