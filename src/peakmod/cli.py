@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .bijections import (
@@ -180,32 +181,59 @@ def _check_flags(args) -> None:
 # shared flag handling
 # ---------------------------------------------------------------------------
 
+# an integer is an optional sign and ASCII digits, with whitespace around
+# as int() allows; int() alone also reads other scripts' digits and "_"
+_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _int(text: str, flag: str = "") -> int:
+    """The integer ``text`` spells: the one reader of every number given
+    on the command line.  Without ``flag`` it is an argparse type, and
+    argparse names the flag when it rejects a token; with one, a rejected
+    token is reported with ``flag``, except that ASCII text int() cannot
+    read keeps int()'s own error."""
+    if _INT.fullmatch(text):
+        return int(text)
+    msg = f"invalid int value: {text!r}"
+    if not flag:
+        raise argparse.ArgumentTypeError(msg)
+    if text.isascii() and "_" not in text:
+        int(text)  # raises int()'s error, the message such text always had
+    raise ValueError(f"{flag}: {msg}")
+
+
+def _ints(text: str, flag: str) -> tuple[int, ...]:
+    return tuple(_int(x, flag) for x in text.split(","))
+
+
 def _parse_levels(text: str | None) -> dict[int, int]:
     """Grammar a:c[,a:c]*  mapping run-length to color count."""
     levels: dict[int, int] = {}
     for chunk in text.split(",") if text else ():
         a, _, c = chunk.partition(":")
-        if not (a.strip().isdigit() and c.strip().isdigit()):
-            raise ValueError(f"bad --levels entry {chunk!r} (want a:c)")
-        key = int(a)
+        try:
+            key, count = _int(a, "--levels"), _int(c, "--levels")
+        except ValueError:
+            raise ValueError(f"bad --levels entry {chunk!r} (want a:c)") \
+                from None
         if key in levels:
             raise ValueError(f"duplicate level run-length {key}")
-        levels[key] = int(c)
+        levels[key] = count
     return levels
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=1,
+    parser.add_argument("--k", type=_int, default=1,
                         help="down-step drop (default 1)")
-    parser.add_argument("--down-size", type=int, default=None,
+    parser.add_argument("--down-size", type=_int, default=None,
                         help="number of down-steps (level-free families)")
-    parser.add_argument("--length", type=int, default=None,
+    parser.add_argument("--length", type=_int, default=None,
                         help="total path length (families with level steps)")
     parser.add_argument("--levels", type=str, default=None,
                         help="allowed level steps as a:c[,a:c]*")
-    parser.add_argument("--end-height", type=int, default=0,
+    parser.add_argument("--end-height", type=_int, default=0,
                         help="target end height m (default 0)")
-    parser.add_argument("--limit", type=int, default=None,
+    parser.add_argument("--limit", type=_int, default=None,
                         help="override the object cap")
 
 
@@ -223,10 +251,6 @@ def _read_text(value: str) -> str:
     if value == "-":
         return sys.stdin.read().strip()
     return value
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
 
 
 def _dump_json(obj) -> None:
@@ -265,18 +289,19 @@ def cmd_histogram(args) -> int:
 
 def cmd_count(args) -> int:
     if args.what == "joint":
-        print(count_joint(args.k, args.n, _ints(args.r)))
+        print(count_joint(args.k, args.n, _ints(args.r, "--r")))
     elif args.what == "marginal":
-        print(count_marginal(args.k, args.n, int(args.r)))
+        print(count_marginal(args.k, args.n, _int(args.r, "--r")))
     elif args.what == "pk":
-        print(count_pk(args.k, args.n, int(args.r)))
+        print(count_pk(args.k, args.n, _int(args.r, "--r")))
     elif args.what == "narayana":
-        print(narayana(args.n, int(args.r)))
+        print(narayana(args.n, _int(args.r, "--r")))
     elif args.what == "ballot":
         if args.k < 1:
             raise ValueError("need k >= 1")
         ell, r = divmod(args.end_height, args.k)
-        print(count_ballot_joint(args.k, ell, r, args.n, _ints(args.s)))
+        s = _ints(args.s, "--s")
+        print(count_ballot_joint(args.k, ell, r, args.n, s))
     elif args.what == "series":
         series = _build_series(args)
         if args.format == "json":
@@ -305,7 +330,7 @@ def cmd_map(args) -> int:
             print(render_path(tree_text_to_path(_read_text(args.tree),
                                                 args.k)))
         else:
-            sigma = _ints(args.sigma)
+            sigma = _ints(args.sigma, "--sigma")
             print(permute_tree_text(_read_text(args.tree), sigma))
         return 0
     # deutsch reads no --k, so k is 1 for it here
@@ -321,7 +346,8 @@ def cmd_map(args) -> int:
     elif args.op == "psi":
         print(path_to_tree_text(path, args.labels))
     else:
-        print(render_path(permute_statistics(path, _ints(args.sigma))))
+        sigma = _ints(args.sigma, "--sigma")
+        print(render_path(permute_statistics(path, sigma)))
     return 0
 
 
@@ -383,16 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="closed forms and series")
     p.add_argument("what", choices=("joint", "marginal", "pk", "narayana",
                                     "ballot", "series"))
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--k", type=_int, default=1)
+    p.add_argument("--n", type=_int, default=None)
     p.add_argument("--r", type=str, default=None,
                    help="statistic value, or comma vector for joint")
     p.add_argument("--s", type=str, default=None,
                    help="starred statistic vector for ballot counts")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=_int, default=None,
                    help="truncation order for series")
     p.add_argument("--levels", type=str, default=None)
-    p.add_argument("--end-height", "--m", dest="end_height", type=int,
+    p.add_argument("--end-height", "--m", dest="end_height", type=_int,
                    default=0, help="end height m for ballot and series")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_count)
@@ -400,12 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="apply a transform or bijection")
     p.add_argument("op", choices=("kappa", "lift", "psi", "psi-inv",
                                   "deutsch", "permute"))
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_int, default=1)
     p.add_argument("--path", type=str, default=None,
                    help="path text ('-' reads stdin)")
     p.add_argument("--tree", type=str, default=None,
                    help="tree JSON ('-' reads stdin)")
-    p.add_argument("--power", type=int, default=1,
+    p.add_argument("--power", type=_int, default=1,
                    help="shift power or lift amount")
     p.add_argument("--sigma", type=str, default=None,
                    help="permutation images of 1..m, comma separated")
@@ -415,20 +441,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--k", type=_int, default=None)
+    p.add_argument("--max-k", type=_int, default=None)
+    p.add_argument("--max-n", type=_int, default=None)
+    p.add_argument("--max-len", type=_int, default=None)
+    p.add_argument("--max-m", type=_int, default=None)
+    p.add_argument("--max-nodes", type=_int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw a path or tree")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_int, default=1)
     p.add_argument("--levels", type=str, default=None)
-    p.add_argument("--end-height", type=int, default=0)
-    p.add_argument("--arity", type=int, default=None)
+    p.add_argument("--end-height", type=_int, default=0)
+    p.add_argument("--arity", type=_int, default=None)
     p.add_argument("--path", type=str, default=None)
     p.add_argument("--tree", type=str, default=None)
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")

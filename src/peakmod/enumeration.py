@@ -11,9 +11,10 @@ slot-occupancy masks, independently of the paths.
 
 The path walk also carries the statistic of its prefix: the peak and
 double-descent counters, and the residue of the latest (weak) peak, which
-is held back until a later peak closes.  Each step updates them from
-:data:`peakmod.statistics.TRANSITIONS`, and each depth keeps the state
-from before its step, so paths that share a prefix share its statistic.
+is held back until a later peak closes.  Each step updates them from the
+rows of :func:`peakmod.statistics.closing_rows`, as :func:`stat_vector`
+does, and each depth keeps the state from before its step, so paths
+that share a prefix share its statistic.
 :func:`family_histogram` tallies these states and :func:`gen_kac` yields
 the paths of the same walk.
 
@@ -43,7 +44,7 @@ from typing import Iterable, Iterator
 
 from .core import (DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step,
                    tree_from_records)
-from .statistics import (DD, PEAK, PLAIN, STARRED, TRANSITIONS, VARIANTS,
+from .statistics import (DD, PEAK, PLAIN, STARRED, VARIANTS, closing_rows,
                          stat_vector)
 from .transforms import permute_coordinates
 
@@ -127,17 +128,17 @@ def gen_kac(spec: FamilySpec, length: int,
     Up and down steps have length 1 and a level step of run-length a has
     length a.  Works for end_height 0 and for ballot-style end heights.
     """
-    return map(itemgetter(0), _walk(spec, length, max_objects, {}))
+    return map(itemgetter(0), _walk(spec, length, max_objects, None))
 
 
 def _walk(spec: FamilySpec, length: int, max_objects: int | None,
-          blocks: dict) -> Iterator[tuple[LatticePath, tuple, int]]:
+          variant: str | None) -> Iterator[tuple[LatticePath, tuple, int]]:
     """(path, key, held) for every path of the family, in canonical order.
 
-    ``blocks`` is a :data:`~peakmod.statistics.TRANSITIONS` table, or empty
-    for no statistic.  ``key`` packs (pk_0, ..., pk_{k-1}, dd) over the
-    blocks of the path but its latest peak, whose residue is ``held`` (-1
-    for none), into one integer: see :func:`_packing`.
+    ``variant`` names the statistic (None: no statistic).  ``key`` packs
+    (pk_0, ..., pk_{k-1}, dd) over the blocks of the path but its latest
+    peak, whose residue is ``held`` (-1 for none), into one integer: see
+    :func:`_packing`.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -150,9 +151,9 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
     nmoves = len(moves)
     # closes[p][j]: the block that move j closes right after move p, or at
     # the start for p = nmoves
-    kinds = [s.kind for s, _, _ in moves] + [""]
-    closes = [[blocks.get((before, s.kind)) for s, _, _ in moves]
-              for before in kinds]
+    kinds = [s.kind for s, _, _ in moves]
+    rows = closing_rows(variant, k)
+    closes = [[rows[p][kind][0] for kind in kinds] for p in kinds + [""]]
     weight = _packing(k, length)
     key = 0
     # A state (rem, h) is kept only if the end height is still reachable:
@@ -341,7 +342,7 @@ def family_histogram(spec: FamilySpec, length: int, variant: str = PLAIN,
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     k = spec.k
-    walk = _walk(spec, length, max_objects, TRANSITIONS[variant])
+    walk = _walk(spec, length, max_objects, variant)
     if variant in STARRED:  # count the held peak too
         weight = _packing(k, length)
         tally = Counter()

@@ -11,18 +11,18 @@ Residue classes are heights reduced modulo k, so a statistic vector has k
 peak counters plus one double-descent counter.
 
 Read left to right, every block closes on the step that ends it, and
-:data:`TRANSITIONS` says which: for each variant, the (previous kind,
-kind) pairs on which a step closes a peak at the current height (the
-height before the step) or a double descent, with ``""`` for the start of
-the path.  The family walk of :mod:`peakmod.enumeration` reads the table to
-carry the statistic along its own stack.  :func:`stat_vector` scans one
-path with the same rules written out inline, which is the faster loop for
-a single path.
+:data:`TRANSITIONS`, the one place that says which, lists for each variant
+the (previous kind, kind) pairs on which a step closes a peak at the
+current height (the height before the step) or a double descent, with
+``""`` for the start of the path.  :func:`stat_vector` folds a path over
+its rows (:func:`closing_rows`), and the family walk of
+:mod:`peakmod.enumeration` reads the same rows on its own stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .core import (
     LABEL_DD,
@@ -50,6 +50,21 @@ _WEAK_BLOCKS = {**_PLAIN_BLOCKS,
                 ("u", "l"): PEAK, ("", "l"): PEAK, ("l", "d"): DD}
 TRANSITIONS = {PLAIN: _PLAIN_BLOCKS, WEAK: _WEAK_BLOCKS,
                PLAIN_STARRED: _PLAIN_BLOCKS, WEAK_STARRED: _WEAK_BLOCKS}
+
+
+@cache
+def closing_rows(variant: str | None, k: int) -> dict:
+    """:data:`TRANSITIONS` as rows: ``rows[prev][kind]`` is the block (or
+    None) a step of ``kind`` closes after one of ``prev`` ("" at the
+    start), the row ``rows[kind]`` for the next step, and the step's height
+    change.  Variant None closes no block."""
+    blocks = TRANSITIONS[variant] if variant else {}
+    rise = {"u": 1, "d": -k, "l": 0}
+    rows = {prev: {} for prev in ("", *rise)}
+    for prev, row in rows.items():
+        for kind in rise:
+            row[kind] = (blocks.get((prev, kind)), rows[kind], rise[kind])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -122,38 +137,27 @@ def stat_vector(path: LatticePath, variant: str = PLAIN) -> StatVector:
     The non-starred variants drop the rightmost (weak) peak, which is the
     one with the largest step index.
 
-    One pass over the steps with a running height gives the same counts
-    as tallying :func:`peaks` / :func:`weak_peaks` and
+    One pass over the steps, folded over :func:`closing_rows`, gives the
+    same counts as tallying :func:`peaks` / :func:`weak_peaks` and
     :func:`double_descents` / :func:`weak_double_descents`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     k = path.spec.k
-    weak = variant in (WEAK, WEAK_STARRED)
-    pk = [0] * k
-    dd = 0
     # the latest peak's residue is held back until a later peak turns up,
     # and counted at the end only by the starred variants
-    held = -1
-    h = path.start_height
-    prev = ""
+    pk, dd, held = [0] * k, 0, -1
+    h, row = path.start_height, closing_rows(variant, k)[""]
     for s in path.steps:
-        kind = s.kind
-        if kind == "u":
-            h += 1
-        elif kind == "d":
-            if prev == "u":
+        block, row, rise = row[s.kind]
+        if block is not None:
+            if block is PEAK:
                 if held >= 0:
                     pk[held] += 1
                 held = h % k
-            elif prev == "d" or (weak and prev == "l"):
+            else:
                 dd += 1
-            h -= k
-        elif kind == "l" and weak and prev in ("u", ""):
-            if held >= 0:
-                pk[held] += 1
-            held = h % k
-        prev = kind
+        h += rise
     if held >= 0 and variant in STARRED:
         pk[held] += 1
     return StatVector(k, variant, tuple(pk), dd)

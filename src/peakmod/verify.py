@@ -48,7 +48,7 @@ from .enumeration import (
     gen_ballot,
     gen_k_dyck,
     gen_trees,
-    histogram,
+    histogram_from_keys,
     k_dyck_family,
 )
 from .statistics import (
@@ -166,8 +166,8 @@ def verify_equidistribution(k: int = 2, max_n: int = 5,
                         "weak_max_len": weak_max_len})
     for n in range(max_n + 1):
         paths = list(gen_k_dyck(k, n))
-        hist = histogram(paths, PLAIN)
         olds = [stat_vector(p).key() for p in paths]
+        hist = histogram_from_keys(olds, PLAIN, k)
         for sigma in permutations(range(1, k + 2)):
             rep.record(f"histogram invariance n={n} sigma={sigma}",
                        hist.permuted(sigma) == hist,
@@ -401,7 +401,7 @@ def verify_ballot(max_k: int = 3, max_m: int = 4, max_n: int = 4,
             for n in range(identity_max_n + 1):
                 bad = None
                 for p in gen_ballot(k, m, n):
-                    if not _residue_split_holds(p, k, m, ell, r):
+                    if not _residue_split_holds(p, k):
                         bad = p.text()
                         break
                 rep.record(f"residue recursion k={k} m={m} n={n}",
@@ -410,24 +410,20 @@ def verify_ballot(max_k: int = 3, max_m: int = 4, max_n: int = 4,
     return rep
 
 
-def _residue_split_holds(path: LatticePath, k: int, m: int,
-                         ell: int, r: int) -> bool:
-    """Starred counts split over the ballot parts: shifted plain counts
-    plus one for each nonempty part whose floor sits in the residue class."""
+def _residue_split_holds(path: LatticePath, k: int) -> bool:
+    """Starred counts split over the ballot parts: the plain counts of
+    part j shifted j times, plus one for each nonempty part whose floor
+    (height j) sits in the residue class."""
     dec = ballot_decompose(path)
     if dec.reassemble() != path:
         return False
-    starred = stat_vector(path, PLAIN_STARRED).pk
-    for i in range(k):
-        total = 0
-        for j, part in enumerate(dec.parts):
-            total += stat_vector(cyclic_shift(part, j), PLAIN).pk[i]
-        top = ell if i <= r else ell - 1
-        total += sum(1 for j in range(top + 1)
-                     if not dec.parts[k * j + i].is_empty())
-        if total != starred[i]:
-            return False
-    return True
+    total = [0] * k
+    for j, part in enumerate(dec.parts):
+        for i, c in enumerate(stat_vector(cyclic_shift(part, j), PLAIN).pk):
+            total[i] += c
+        if not part.is_empty():
+            total[j % k] += 1
+    return tuple(total) == stat_vector(path, PLAIN_STARRED).pk
 
 
 # ---------------------------------------------------------------------------

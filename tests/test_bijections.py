@@ -284,3 +284,52 @@ class TestVerifyBijectionWalks:
         assert sorted(walks) == sorted(set(walks)) == [
             (arity, n) for arity in (2, 3)
             for n in range(max(max_n, max_nodes) + 1)]
+
+
+class TestVerifyReadsEachStatisticOnce:
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count stat_vector calls made through any peakmod module."""
+        import sys
+
+        import peakmod.statistics as statistics
+
+        calls = []
+
+        def counting(path, *args):
+            calls.append(path)
+            return statistics.stat_vector(path, *args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("peakmod.") and \
+                    getattr(module, "stat_vector", None) is \
+                    statistics.stat_vector and module is not statistics:
+                monkeypatch.setattr(module, "stat_vector", counting)
+        return calls
+
+    def test_equidistribution(self, monkeypatch):
+        # one call per path for its statistic and one per sigma for the
+        # image's; the plain histogram is tallied from the former
+        from peakmod.verify import verify_equidistribution
+
+        calls = self.count_calls(monkeypatch)
+        for k, max_n in ((1, 4), (2, 3)):
+            calls.clear()
+            assert verify_equidistribution(k=k, max_n=max_n,
+                                           weak_max_len=2).ok
+            paths = sum(1 for n in range(max_n + 1) for _ in gen_k_dyck(k, n))
+            sigmas = len(list(permutations(range(k + 1))))
+            assert len(calls) == paths * (1 + sigmas), (k, max_n)
+
+    def test_ballot(self, monkeypatch):
+        # one call per path for its starred statistic and one per ballot
+        # part, of which there are m + 1
+        from peakmod import gen_ballot
+        from peakmod.verify import verify_ballot
+
+        calls = self.count_calls(monkeypatch)
+        assert verify_ballot(max_k=3, max_m=3, max_n=1,
+                             identity_max_n=2).ok
+        want = sum((m + 2) * sum(1 for _ in gen_ballot(k, m, n))
+                   for k in range(1, 4) for m in range(4) for n in range(3))
+        assert len(calls) == want

@@ -504,6 +504,38 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "figures")
         assert code == 1
 
+    # one argv per flag that takes numbers; "{}" is the number under test
+    NUMBER_FLAGS = {
+        "--levels": ("count", "series", "--k", "1", "--levels", "{}:1",
+                     "--order", "3"),
+        "--r": ("count", "joint", "--k", "1", "--n", "3", "--r", "{},1"),
+        "--s": ("count", "ballot", "--k", "1", "--m", "1", "--n", "2",
+                "--s", "1,{}"),
+        "--sigma": ("map", "permute", "--k", "1", "--path", "uudd",
+                    "--sigma", "{},2"),
+        "--k": ("count", "joint", "--k", "{}", "--n", "3", "--r", "1,1"),
+        "--max-n": ("verify", "involution", "--max-n", "{}"),
+    }
+
+    @pytest.mark.parametrize("token,code", [
+        ("1", 0),        # the ASCII twin of each rejected token
+        ("\u0661", 2),  # Arabic-Indic one
+        ("\u00b2", 2),  # superscript two
+        ("1_0", 2),      # int() reads it as 10
+        ("\uff12", 2),  # full-width two
+    ])
+    @pytest.mark.parametrize("flag", sorted(NUMBER_FLAGS))
+    def test_numbers_are_ascii_integers(self, capsys, flag, token, code):
+        argv = [a.format(token) for a in self.NUMBER_FLAGS[flag]]
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse rejects typed options
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert got == code, (argv, err)
+        if code:
+            assert out == "" and flag in err and token in err
+
 
 class TestParserReuse:
     """One parser serves every main call of a process, keeping no state."""
