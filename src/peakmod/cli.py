@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 
 from .bijections import (
@@ -181,24 +180,22 @@ def _check_flags(args) -> None:
 # shared flag handling
 # ---------------------------------------------------------------------------
 
-# an integer is an optional sign and ASCII digits, with whitespace around
-# as int() allows; int() alone also reads other scripts' digits and "_"
-_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
-
-
 def _int(text: str, flag: str = "") -> int:
-    """The integer ``text`` spells: the one reader of every number given
-    on the command line.  Without ``flag`` it is an argparse type, and
-    argparse names the flag when it rejects a token; with one, a rejected
-    token is reported with ``flag``, except that ASCII text int() cannot
-    read keeps int()'s own error."""
-    if _INT.fullmatch(text):
-        return int(text)
+    """The one reader of every number given on the command line: int() on
+    ASCII text with no "_", so an optional sign and ASCII digits (with
+    whitespace around).  int() alone also reads other scripts' digits and
+    "_" separators.  Without ``flag`` it is an argparse type, and argparse
+    names the flag when it rejects a token; with one, a token int() reads
+    is rejected naming ``flag``, and other text keeps int()'s own error."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            if flag:
+                raise
     msg = f"invalid int value: {text!r}"
     if not flag:
         raise argparse.ArgumentTypeError(msg)
-    if text.isascii() and "_" not in text:
-        int(text)  # raises int()'s error, the message such text always had
     raise ValueError(f"{flag}: {msg}")
 
 
