@@ -518,10 +518,10 @@ class TestExitCodes:
     }
 
     @pytest.mark.parametrize("token,code", [
-        ("1", 0),        # the ASCII twin of each rejected token
+        ("1", 0),       # the ASCII twin of each rejected token
         ("\u0661", 2),  # Arabic-Indic one
         ("\u00b2", 2),  # superscript two
-        ("1_0", 2),      # int() reads it as 10
+        ("1_0", 2),     # int() reads it as 10
         ("\uff12", 2),  # full-width two
     ])
     @pytest.mark.parametrize("flag", sorted(NUMBER_FLAGS))
