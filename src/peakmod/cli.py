@@ -41,6 +41,7 @@ from .core import (
     FamilySpec,
     PathError,
     TreeError,
+    ascii_int,
     parse_path,
     render_path,
     tree_from_json_text,
@@ -181,18 +182,20 @@ def _check_flags(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _int(text: str, flag: str = "") -> int:
-    """The one reader of every number given on the command line: int() on
-    ASCII text with no "_", so an optional sign and ASCII digits (with
-    whitespace around).  int() alone also reads other scripts' digits and
-    "_" separators.  Without ``flag`` it is an argparse type, and argparse
-    names the flag when it rejects a token; with one, a token int() reads
-    is rejected naming ``flag``, and other text keeps int()'s own error."""
-    if text.isascii() and "_" not in text:
-        try:
-            return int(text)
-        except ValueError:
-            if flag:
-                raise
+    """The reader of every number given on the command line: it reads
+    with :func:`peakmod.core.ascii_int`, as ``PEAKMOD_MAX_OBJECTS`` is read,
+    so an optional sign and ASCII digits with no "_".  Without ``flag`` it
+    is an argparse type, and argparse names the flag when it rejects a
+    token; with one, a token int() reads is rejected naming ``flag``, and
+    other text keeps int()'s own error."""
+    try:
+        value = ascii_int(text)
+    except ValueError:
+        if flag:
+            raise
+        value = None
+    if value is not None:
+        return value
     msg = f"invalid int value: {text!r}"
     if not flag:
         raise argparse.ArgumentTypeError(msg)

@@ -122,6 +122,12 @@ def level(a: int, b: int) -> Step:
     return Step("l", a, b)
 
 
+# A FamilySpec maps the ids of the level(a, b) steps with b up to this bound,
+# so a family with very many colors is still built at once; steps of a
+# higher color are checked by the exact loop of LatticePath.
+_SHARED_COLORS = 64
+
+
 # ---------------------------------------------------------------------------
 # family specification
 # ---------------------------------------------------------------------------
@@ -149,17 +155,25 @@ class FamilySpec:
             items = sorted(self.levels.items())
         else:
             items = sorted((int(a), int(c)) for a, c in self.levels)
+        # id -> step for the shared level(a, b) steps this family allows,
+        # read by the identity pass of LatticePath; it holds the steps, so
+        # no other object can take one of their ids
+        by_id = {}
         for a, c in items:
             if a < 1:
                 raise ValueError(f"level run-length must be >= 1, got {a}")
             if c < 1:
                 raise ValueError(f"color count must be >= 1, got c_{a} = {c}")
+            for b in range(1, min(c, _SHARED_COLORS) + 1):
+                s = level(a, b)
+                by_id[id(s)] = s
         colors = dict(items)
         if len(colors) != len(items):
             raise ValueError("duplicate level run-length")
         object.__setattr__(self, "levels", tuple(items))
         # run-length -> color count, read by every level-step check
         object.__setattr__(self, "_colors", colors)
+        object.__setattr__(self, "_level_by_id", by_id)
 
     @property
     def has_levels(self) -> bool:
@@ -218,8 +232,21 @@ class LatticePath:
     every prefix height (from ``start_height``) must be nonnegative, and
     the final height must equal start_height + spec.end_height.  A path is
     a frozen value kept in slots, with no per-instance ``__dict__``.  Its
-    ``__init__`` is written out: it sets each field once, ``steps`` as a
-    tuple, and then runs :meth:`__post_init__`, the one validator.
+    ``__init__`` is written out: it sets each field once through its slot,
+    ``steps`` as a tuple, and then runs :meth:`__post_init__`, the one
+    validator.
+
+    The validator first makes one pass of identity tests over the steps:
+    ``UP``, ``DOWN`` and the spec's own shared ``level(a, b)`` steps, which
+    the family walk, :func:`parse_steps` and the bijections emit.  If every
+    step is one of them, no prefix dips below zero and the end height is
+    right, the path is valid.  Any other input reaches the exact loop,
+    which reads each step's kind: an equal step made anew, a step the spec
+    does not allow, a negative start, a dip or a wrong end.  That loop is
+    the one place that words the errors.
+
+    A path of a level-free family hashes by its text (see
+    :meth:`__hash__`).
     """
 
     spec: FamilySpec
@@ -228,12 +255,36 @@ class LatticePath:
 
     def __init__(self, spec: FamilySpec, steps: Iterable[Step] = (),
                  start_height: int = 0):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "start_height", start_height)
+        _set_spec(self, spec)
+        _set_steps(self, tuple(steps))
+        _set_start_height(self, start_height)
         self.__post_init__()
 
     def __post_init__(self):
+        spec, h = self.spec, self.start_height
+        if not h < 0:
+            k = spec.k
+            want = h + spec.end_height
+            # a level step counts only if the spec's map holds that very
+            # object, so the ids a copied spec carries admit nothing else
+            shared = spec._level_by_id.get
+            for s in self.steps:
+                if s is UP:
+                    h += 1
+                elif s is DOWN:
+                    h -= k
+                    if h < 0:
+                        break
+                elif shared(id(s)) is not s:
+                    break
+            else:
+                if h == want:
+                    return
+        self._check_exactly()
+
+    def _check_exactly(self):
+        """Validate step by step, reading each step's kind, and raise on
+        the first fault."""
         spec, h = self.spec, self.start_height
         if h < 0:
             raise NegativeHeightError(f"start height {h} is negative")
@@ -254,6 +305,16 @@ class LatticePath:
         if h != want:
             raise WrongEndHeightError(
                 f"path ends at height {h}, expected {want}")
+
+    def __hash__(self) -> int:
+        """Hash of the spec, the start height and the text, which equal
+        paths share.  In a family with level steps, equal steps can render
+        apart (``Step("l", True, 1)`` renders as ``lTrue_1``, ``level(1, 1)``
+        as ``l1_1``), so there the steps themselves are hashed."""
+        spec = self.spec
+        if spec.levels:
+            return hash((spec, self.start_height, self.steps))
+        return hash((spec, self.start_height, render_path(self)))
 
     @property
     def k(self) -> int:
@@ -302,6 +363,9 @@ def _refuse_deletion(self, name: str) -> None:
 
 LatticePath.__setattr__ = _refuse_assignment
 LatticePath.__delattr__ = _refuse_deletion
+_set_spec = LatticePath.__dict__["spec"].__set__
+_set_steps = LatticePath.__dict__["steps"].__set__
+_set_start_height = LatticePath.__dict__["start_height"].__set__
 
 
 def validate(spec: FamilySpec, steps: Iterable[Step],
@@ -363,6 +427,16 @@ def parse_steps(text: str) -> list[Step]:
         else:
             raise ParseError(f"unexpected character {c!r}", i)
     return steps
+
+
+def ascii_int(text: str) -> int | None:
+    """int() on ASCII text with no "_": an optional sign and ASCII digits,
+    with whitespace around.  int() alone also reads other scripts' digits
+    and "_" separators; for such text this returns None.  ASCII text that
+    int() rejects raises int()'s own ValueError."""
+    if text.isascii() and "_" not in text:
+        return int(text)
+    return None
 
 
 def _parse_int(text: str, i: int, what: str) -> tuple[int, int]:

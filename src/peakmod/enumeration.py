@@ -30,8 +30,10 @@ by the :class:`LatticePath` constructor and counted against the cap.
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
 is 10**7 objects and can be overridden per call or through the
-PEAKMOD_MAX_OBJECTS environment variable; a negative cap is rejected with
-a ValueError before anything is generated.
+PEAKMOD_MAX_OBJECTS environment variable, which is read as command-line
+numbers are (:func:`peakmod.core.ascii_int`: ASCII digits, no "_"); a
+negative or unreadable cap is rejected with a ValueError before anything
+is generated.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step,
-                   tree_from_records)
+                   ascii_int, tree_from_records)
 from .statistics import (DD, PEAK, PLAIN, STARRED, VARIANTS, closing_rows,
                          stat_vector)
 from .transforms import permute_coordinates
@@ -65,8 +67,8 @@ def resolve_cap(max_objects: int | None) -> int:
     env = os.environ.get(ENV_MAX_OBJECTS)
     if env is not None:
         try:
-            cap = int(env)
-            if cap < 0:
+            cap = ascii_int(env)
+            if cap is None or cap < 0:
                 raise ValueError
         except ValueError:
             raise ValueError(f"{ENV_MAX_OBJECTS} must be an integer >= 0, "

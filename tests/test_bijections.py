@@ -286,6 +286,28 @@ class TestVerifyBijectionWalks:
             for n in range(max(max_n, max_nodes) + 1)]
 
 
+class TestVerifyClosedFormsWalks:
+    @pytest.mark.parametrize("max_k,max_n", [(3, 5), (1, 3), (0, 3), (2, 0)])
+    def test_each_family_is_walked_once(self, monkeypatch, max_k, max_n):
+        # the Narayana checks read the k = 1 histograms of the loop above
+        import peakmod.verify as verify
+
+        walks = []
+        family_histogram = verify.family_histogram
+
+        def recording(spec, length, *args):
+            walks.append((spec.k, length))
+            return family_histogram(spec, length, *args)
+
+        monkeypatch.setattr(verify, "family_histogram", recording)
+        rep = verify.verify_closed_forms(max_k=max_k, max_n=max_n)
+        assert rep.ok
+        assert sorted(walks) == sorted(set(walks)) == sorted(
+            {(k, (k + 1) * n) for k in range(1, max_k + 1)
+             for n in range(1, max_n + 1)}
+            | {(1, 2 * n) for n in range(1, max_n + 1)})
+
+
 class TestVerifyReadsEachStatisticOnce:
     @staticmethod
     def count_calls(monkeypatch):

@@ -537,6 +537,27 @@ class TestExitCodes:
             assert out == "" and flag in err and token in err
 
 
+    @pytest.mark.parametrize("value,code,lines", [
+        ("10", 0, 5),
+        (" 3 ", 3, 3),      # int() takes whitespace around, as for flags
+        ("1_0", 2, 0),      # int() reads it as 10
+        ("\u0663", 2, 0),  # Arabic-Indic three
+        ("\u00b2", 2, 0),  # superscript two
+        ("\uff12", 2, 0),  # full-width two
+    ])
+    def test_env_cap_is_an_ascii_integer(self, capsys, monkeypatch, value,
+                                         code, lines):
+        # PEAKMOD_MAX_OBJECTS is read as --limit is
+        monkeypatch.setenv("PEAKMOD_MAX_OBJECTS", value)
+        got, out, err = run(capsys, "enumerate", "--k", "1",
+                            "--down-size", "3")
+        assert got == code and len(out.splitlines()) == lines, err
+        if code == 2:
+            assert out == "" and err.count("\n") == 1
+            assert err == ("peakmod: PEAKMOD_MAX_OBJECTS must be an integer "
+                           f">= 0, got {value!r}\n")
+
+
 class TestParserReuse:
     """One parser serves every main call of a process, keeping no state."""
 

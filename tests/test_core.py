@@ -65,6 +65,19 @@ class TestFamilySpec:
         assert moved.color_count(1) == 1 and moved.color_count(3) == 0
         assert pickle.loads(pickle.dumps(spec)).color_count(1) == 2
 
+    def test_many_colors(self):
+        # a spec maps a bounded number of shared level steps by id, so a
+        # family with very many colors is built at once; the exact loop
+        # checks the steps of its other colors
+        from peakmod.core import _SHARED_COLORS
+
+        spec = FamilySpec(1, {1: 10 ** 4, 2: 3})
+        assert len(spec._level_by_id) == _SHARED_COLORS + 3
+        path = LatticePath(spec, [level(1, 10 ** 4), level(1, 1), level(2, 3)])
+        assert path.text() == "l1_10000l1_1l2_3"
+        with pytest.raises(IllegalStepError):
+            LatticePath(spec, [level(1, 10 ** 4 + 1)])
+
     def test_empty_level_map_means_no_level_steps(self):
         assert not FamilySpec(2).has_levels
         with pytest.raises(IllegalStepError):
@@ -139,6 +152,131 @@ class TestValidate:
         spec = FamilySpec(2, end_height=1)
         p = parse_path("uudu", spec)
         assert p.up_count == 2 * p.down_size + 1
+
+
+WIDE = FamilySpec(1, {1: 100})  # more colors than a spec maps by id
+
+
+class TestIdentityPass:
+    """Shared steps are validated by identity, any other input by the exact
+    loop; either way the verdict is the one the step kinds give."""
+
+    @pytest.mark.parametrize("spec, steps, start, want", [
+        # fresh steps equal to the shared ones
+        (K1, [Step("u"), Step("d")], 0, "ud"),
+        (MOTZKIN, [UP, Step("l", 1, 1), DOWN], 0, "ul1_1d"),
+        (K1, [UP, Step("u"), DOWN, Step("d")], 0, "uudd"),
+        (MOTZKIN, [Step("l", 1, 1), level(1, 1), UP, DOWN], 0, "l1_1l1_1ud"),
+        # shared steps only
+        (K2, [UP, UP, DOWN, UP, UP, DOWN], 0, "uuduud"),
+        (K2, [DOWN, UP, UP], 2, "duu"),
+        (FamilySpec(2, end_height=1), [UP, UP, UP, DOWN], 0, "uuud"),
+        (FamilySpec(1, {1: 2, 2: 1}), [level(2, 1), UP, level(1, 2), DOWN],
+         0, "l2_1ul1_2d"),
+        (WIDE, [level(1, 1), level(1, 100)], 0, "l1_1l1_100"),
+        # steps the spec does not allow
+        (MOTZKIN, [level(1, 2)], 0,
+         (IllegalStepError, "color 2 out of range 1..1 for level run-length 1")),
+        (MOTZKIN, [UP, DOWN, level(3, 1)], 0,
+         (IllegalStepError, "level run-length 3 not allowed by this family")),
+        (K1, [level(1, 1)], 0,
+         (IllegalStepError, "level run-length 1 not allowed by this family")),
+        (WIDE, [level(1, 101)], 0, (IllegalStepError,
+                                    "color 101 out of range 1..100 "
+                                    "for level run-length 1")),
+        (MOTZKIN, [Step("l", 1, 2)], 0,
+         (IllegalStepError, "color 2 out of range 1..1 for level run-length 1")),
+        (MOTZKIN, [UP, Step("x"), DOWN], 0,
+         (IllegalStepError, "unknown step kind 'x'")),
+        # heights
+        (K1, [UP, DOWN], -1,
+         (NegativeHeightError, "start height -1 is negative")),
+        (K1, [UP, DOWN, DOWN, UP], 0,
+         (NegativeHeightError, "height -1 after step 2 is negative")),
+        (K1, [UP, Step("d"), DOWN, UP], 0,
+         (NegativeHeightError, "height -1 after step 2 is negative")),
+        (K2, [UP, UP, DOWN, UP, DOWN], 0,
+         (NegativeHeightError, "height -1 after step 4 is negative")),
+        (K2, [DOWN, UP, UP], 1,
+         (NegativeHeightError, "height -1 after step 0 is negative")),
+        (K1, [UP, UP, DOWN], 0,
+         (WrongEndHeightError, "path ends at height 1, expected 0")),
+        (MOTZKIN, [level(1, 1), UP], 0,
+         (WrongEndHeightError, "path ends at height 1, expected 0")),
+        (FamilySpec(2, end_height=1), [UP, UP, DOWN], 0,
+         (WrongEndHeightError, "path ends at height 0, expected 1")),
+        (K2, [UP, UP, DOWN, UP], 3,
+         (WrongEndHeightError, "path ends at height 4, expected 3")),
+        # the first fault wins, shared or fresh
+        (MOTZKIN, [UP, Step("l", 3, 1), DOWN, DOWN], 0,
+         (IllegalStepError, "level run-length 3 not allowed by this family")),
+        (MOTZKIN, [UP, DOWN, DOWN, Step("l", 3, 1)], 0,
+         (NegativeHeightError, "height -1 after step 2 is negative")),
+    ])
+    def test_table(self, spec, steps, start, want):
+        if isinstance(want, str):
+            path = LatticePath(spec, steps, start)
+            assert path == parse_path(want, spec, start)
+            assert hash(path) == hash(parse_path(want, spec, start))
+            return
+        error, message = want
+        with pytest.raises(PathError) as err:
+            LatticePath(spec, steps, start)
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_after_the_level_cache_is_cleared(self):
+        spec = FamilySpec(1, {1: 2})
+        shared = level(1, 2)
+        level.cache_clear()
+        fresh = level(1, 2)
+        assert fresh is not shared and fresh == shared
+        for step in (shared, fresh):
+            assert LatticePath(spec, [UP, step, DOWN]).text() == "ul1_2d"
+        with pytest.raises(IllegalStepError) as err:
+            LatticePath(spec, [level(1, 3)])
+        assert str(err.value) == \
+            "color 3 out of range 1..2 for level run-length 1"
+        # a spec built after the clear maps the new steps
+        again = FamilySpec(1, {1: 2})
+        assert again == spec
+        assert LatticePath(again, [shared]) == LatticePath(spec, [fresh])
+
+    def test_copied_specs_map_their_own_steps(self):
+        import copy
+
+        spec = FamilySpec(1, {1: 2})
+        for other in (copy.copy(spec), copy.deepcopy(spec),
+                      pickle.loads(pickle.dumps(spec))):
+            assert other == spec
+            assert LatticePath(other, [level(1, 2)]).text() == "l1_2"
+            with pytest.raises(IllegalStepError):
+                LatticePath(other, [Step("l", 1, 3)])
+
+
+class TestPathHash:
+    def test_shared_and_fresh_steps_hash_alike(self):
+        for spec, fresh in (
+                (K1, [Step("u"), Step("u"), Step("d"), Step("d")]),
+                (MOTZKIN, [Step("u"), Step("l", 1, 1), Step("d")])):
+            p = LatticePath(spec, fresh)
+            q = parse_path(p.text(), spec)
+            assert p == q and hash(p) == hash(q)
+            assert {p: 1}[q] == 1
+
+    def test_unequal_paths_stay_apart(self):
+        # Step("u", 5) renders as "u", yet the paths are not equal
+        odd = LatticePath(K1, [Step("u", 5), DOWN])
+        plain = parse_path("ud", K1)
+        assert odd != plain and len({odd, plain}) == 2
+        assert parse_path("ud", K1, 1) != plain
+        assert parse_path("ud", FamilySpec(1)) == plain
+
+    def test_level_steps_equal_but_rendered_apart(self):
+        # True == 1, yet the two level steps render as lTrue_1 and l1_1
+        odd = LatticePath(MOTZKIN, [Step("l", True, 1)])
+        plain = parse_path("l1_1", MOTZKIN)
+        assert odd.text() != plain.text()
+        assert odd == plain and hash(odd) == hash(plain)
 
 
 class TestLevelSteps:
