@@ -18,18 +18,22 @@ slot in 1..m and slots may be skipped.  The empty tree (zero nodes) is
 represented by ``None`` throughout the package.  Tree JSON text is written
 from (parent, position, label) records by one writer,
 :func:`records_to_json_text`, and read back into records by one reader,
-:func:`records_from_json_text`; the JSON text functions of
-:class:`PositionalTree` compose them with ``records`` and
-:func:`tree_from_records`.
+:func:`records_from_json_text`, which decodes the text as ``json.loads``
+does (on an explicit stack past the C decoder's depth) and walks the
+value with the breadth-first loop of :func:`tree_from_json`; the JSON
+text functions of :class:`PositionalTree` compose them with ``records``
+and :func:`tree_from_records`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cache
+from functools import cache, lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -107,8 +111,10 @@ class Step:
     color: int = 0
 
     def token(self) -> str:
+        """The step's text; a level step's numbers are written as ints, so
+        equal steps render alike (``Step("l", True, 1)`` as ``l1_1``)."""
         if self.kind == "l":
-            return f"l{self.length}_{self.color}"
+            return f"l{int(self.length)}_{int(self.color)}"
         return self.kind
 
 
@@ -116,9 +122,16 @@ UP = Step("u")
 DOWN = Step("d")
 
 
-@cache
+# The level steps the cache of level() keeps alive.  Each FamilySpec maps
+# the steps it allows, so a step evicted here only sends later paths that
+# use a new copy of it to the exact loop of LatticePath.
+_LEVEL_CACHE = 4096
+
+
+@lru_cache(maxsize=_LEVEL_CACHE)
 def level(a: int, b: int) -> Step:
-    """The level step of run-length ``a`` in color ``b``."""
+    """The level step of run-length ``a`` in color ``b``, one object per
+    step while it stays in the cache."""
     return Step("l", a, b)
 
 
@@ -245,8 +258,7 @@ class LatticePath:
     does not allow, a negative start, a dip or a wrong end.  That loop is
     the one place that words the errors.
 
-    A path of a level-free family hashes by its text (see
-    :meth:`__hash__`).
+    A path hashes by its text (see :meth:`__hash__`).
     """
 
     spec: FamilySpec
@@ -308,13 +320,8 @@ class LatticePath:
 
     def __hash__(self) -> int:
         """Hash of the spec, the start height and the text, which equal
-        paths share.  In a family with level steps, equal steps can render
-        apart (``Step("l", True, 1)`` renders as ``lTrue_1``, ``level(1, 1)``
-        as ``l1_1``), so there the steps themselves are hashed."""
-        spec = self.spec
-        if spec.levels:
-            return hash((spec, self.start_height, self.steps))
-        return hash((spec, self.start_height, render_path(self)))
+        paths share: equal steps render alike."""
+        return hash((self.spec, self.start_height, render_path(self)))
 
     @property
     def k(self) -> int:
@@ -467,6 +474,24 @@ LABEL_PEAK = "peak"
 LABEL_DD = "dd"
 
 
+# repr recurses through nested lists and objects; a label nested deeper
+# than this is named by its type in the error message instead
+_SHOWN_DEPTH = 100
+
+
+def _shown(value) -> str:
+    """``repr(value)`` of a decoded JSON value, or its type when its lists
+    and objects nest more than ``_SHOWN_DEPTH`` deep."""
+    inner = [value]  # the lists and objects one level further in
+    for _ in range(_SHOWN_DEPTH):
+        inner = [v for c in inner if c.__class__ in (list, dict)
+                 for v in (c.values() if c.__class__ is dict else c)
+                 if v.__class__ in (list, dict)]
+        if not inner:
+            return repr(value)
+    return f"a {type(value).__name__} nested over {_SHOWN_DEPTH} deep"
+
+
 @dataclass(frozen=True)
 class NodeLabel:
     """Label of a path feature: the rightmost peak, the j-th non-rightmost
@@ -504,7 +529,8 @@ class NodeLabel:
     @classmethod
     def parse(cls, text: str) -> "NodeLabel":
         if not isinstance(text, str):
-            raise TreeError(f"node label must be a string, got {text!r}")
+            raise TreeError(
+                f"node label must be a string, got {_shown(text)}")
         if text == "r":
             return cls(LABEL_RIGHTMOST)
         if text.isascii():  # then isdigit means 0-9 only
@@ -688,10 +714,13 @@ def _not_an_object(value) -> TreeError:
     return TreeError(f"expected an object, got {type(value).__name__}")
 
 
-def tree_from_json(obj, arity: int) -> PositionalTree | None:
-    """Inverse of :func:`tree_to_json`."""
+def _tree_records(obj, arity: int) -> list:
+    """The (parent, position, label) records of a tree in nested-object
+    form, breadth-first, so a node's children are adjacent records; ``[]``
+    for ``None``.  The first fault met breadth-first raises: a node that is
+    no object, or a bad key, position or label."""
     if obj is None:
-        return None
+        return []
     records = []
     queue = [(-1, 0, obj)]
     for idx, (parent, pos, value) in enumerate(queue):  # grows as it goes
@@ -704,7 +733,13 @@ def tree_from_json(obj, arity: int) -> PositionalTree | None:
             else:
                 queue.append((idx, _position(key, arity), child))
         records.append((parent, pos, label))
-    return tree_from_records(arity, records)
+    return records
+
+
+def tree_from_json(obj, arity: int) -> PositionalTree | None:
+    """Inverse of :func:`tree_to_json`."""
+    records = _tree_records(obj, arity)
+    return tree_from_records(arity, records) if records else None
 
 
 _WS = re.compile(r"[ \t\n\r]*")
@@ -727,15 +762,24 @@ def _json_key(text: str, i: int) -> tuple[str, int]:
     return key, _skip(text, i + 1)
 
 
-def _duplicate_keys(keys: list[str]) -> DuplicatePositionError:
-    return DuplicatePositionError(f"duplicate key among {sorted(keys)}")
+def _unique_keys(pairs: list) -> dict:
+    """The object of one JSON object's (key, value) pairs; a key given
+    twice raises :class:`DuplicatePositionError`."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise DuplicatePositionError(
+            f"duplicate key among {sorted(key for key, _ in pairs)}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def _json_value(text: str, i: int, scan) -> tuple[object, int]:
     """The JSON value at i and the index after it, read like ``json.loads``
-    with an explicit stack of open containers instead of recursion; a key
-    repeated within one object raises :class:`DuplicatePositionError` when
-    the object closes.  ``scan`` is a decoder's ``scan_once``."""
+    with an explicit stack of open containers instead of recursion; each
+    object is made by :func:`_unique_keys` when it closes.  ``scan`` is a
+    decoder's ``scan_once``."""
     frames: list[list] = []  # [items] for an array, [pairs, key] for an object
     while True:
         c = text[i: i + 1]
@@ -770,145 +814,66 @@ def _json_value(text: str, i: int, scan) -> tuple[object, int]:
             if c != ("}" if is_obj else "]"):
                 raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
             frames.pop()
-            if is_obj:
-                value = dict(frame[0])
-                if len(value) != len(frame[0]):
-                    raise _duplicate_keys([k for k, _ in frame[0]])
-            else:
-                value = frame[0]
+            value = _unique_keys(frame[0]) if is_obj else frame[0]
             i += 1
         else:
             return value, i
 
 
-# a key without escapes or control characters, with its colon and blanks
-_KEY = r'"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*'
-# the "{" of a node, then its "}" or its first such key
-_OPEN = re.compile(r'\{[ \t\n\r]*(?:\}|' + _KEY + ")")
-# after a member's value: the node's "}", or "," and the next such key
-_NEXT = re.compile(r'[ \t\n\r]*(?:\}|,[ \t\n\r]*' + _KEY + ")")
+def _loads(text: str):
+    """The JSON value of ``text``, a key given twice within one object
+    raising :class:`DuplicatePositionError`.
+
+    ``_DECODER`` reads it (with json's C scanner on CPython); text nested
+    so deep that it raises RecursionError is read again by
+    :func:`_json_value`, which gives the same value or the same error.
+    ``decode``, unlike ``json.loads``, has no message of its own for a
+    leading byte order mark."""
+    try:
+        return _DECODER.decode(text)
+    except RecursionError:
+        pass
+    value, i = _json_value(text, _skip(text, 0), _DECODER.scan_once)
+    i = _skip(text, i)
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    return value
 
 
-def _read_records(text: str, arity: int):
-    """Records, first fault and deepest doubled position of the tree text.
-
-    Malformed JSON and a key repeated within one object raise as the text
-    is read.  The other faults are kept, to be raised in the order in
-    which :func:`tree_from_json` and :class:`PositionalTree` meet them:
-    ``fault`` is (depth, error) of the bad key, position or label, or the
-    child that is no object, nearest the root (breadth-first, so on a tie
-    the first in the text), and ``twice`` is (depth, position) of the
-    smallest position given twice at the node farthest from the root (on
-    a tie the last in the text), which nodes built bottom-up meet first.
-
-    ``_OPEN`` and ``_NEXT`` read each step of the usual compact text in
-    one match; where they do not match, :func:`_json_key` reads the key
-    (one with escapes) or raises the error ``json`` would.
-    """
-    scan = json.JSONDecoder().scan_once
-    records: list = []
-    fault = twice = None
-    i = _skip(text, 0)
-    if text[i: i + 1] != "{":
-        value, i = _json_value(text, i, scan)
-        i = _skip(text, i)
-        if i != len(text):
-            raise json.JSONDecodeError("Extra data", text, i)
-        if value is not None:
-            fault = (0, _not_an_object(value))
-        return records, fault, twice
-    frames: list[tuple] = []  # open nodes: (record index, keys, positions)
-    parent = -1
-    pos = 0
-    while True:  # i is at the "{" of node len(records), child of parent
-        records.append((parent, pos, None))
-        step = _OPEN.match(text, i)
-        if step is None:
-            key, i = _json_key(text, _skip(text, i + 1))
-        else:  # no key: the node closed at once
-            key, i = step.group(1), step.end()
-        if key is not None:
-            frames.append((len(records) - 1, [key], []))
-        while True:
-            if key is not None:  # the value of key starts at i
-                node, _, positions = frames[-1]
-                depth = len(frames) - 1
-                if key == "label":
-                    value, i = _json_value(text, i, scan)
-                    try:
-                        label = NodeLabel.parse(value)
-                    except ValueError as exc:
-                        if fault is None or depth < fault[0]:
-                            fault = (depth, exc)
-                    else:
-                        records[node] = records[node][:2] + (label,)
-                else:
-                    try:
-                        pos = _position(key, arity)
-                    except ValueError as exc:
-                        pos = 0
-                        if fault is None or depth < fault[0]:
-                            fault = (depth, exc)
-                    else:
-                        positions.append(pos)
-                    if text[i: i + 1] == "{":
-                        parent = node
-                        break  # open the child
-                    value, i = _json_value(text, i, scan)
-                    if fault is None or depth + 1 < fault[0]:
-                        fault = (depth + 1, _not_an_object(value))
-            # the value just read belongs to the innermost open node
-            if not frames:
-                i = _skip(text, i)
-                if i != len(text):
-                    raise json.JSONDecodeError("Extra data", text, i)
-                return records, fault, twice
-            step = _NEXT.match(text, i)
-            if step is None:
-                i = _skip(text, i)
-                if text[i: i + 1] != ",":
-                    raise json.JSONDecodeError("Expecting ',' delimiter",
-                                               text, i)
-                key, i = _json_key(text, _skip(text, i + 1))
-            else:
-                key, i = step.group(1), step.end()
-            if key is not None:
-                frames[-1][1].append(key)
-                continue
-            _, keys, positions = frames.pop()  # the node closed
-            if len(keys) > 1:
-                if len(set(keys)) < len(keys):
-                    raise _duplicate_keys(keys)
-                if len(set(positions)) < len(positions) and (
-                        twice is None or len(frames) >= twice[0]):
-                    twice = (len(frames), min(
-                        p for p in positions if positions.count(p) > 1))
+_PARENT_POSITION = itemgetter(0, 1)
 
 
 def records_from_json_text(text: str, arity: int) -> list:
     """The (parent, position, label) records of the tree in JSON text form,
-    each parent before its children, in text order; ``[]`` for ``null``.
+    breadth-first; ``[]`` for ``null``.
 
-    The text is read on explicit stacks, so depth is unbounded, and no
-    node is built, yet every check that ``json.loads``,
-    :func:`tree_from_json` and :class:`PositionalTree` would make in turn
-    is made: malformed JSON, a repeated key, a bad key, position or label,
-    a child that is no object, an arity below 1 and a position given twice
-    at one node (``"1"`` and ``"01"``).  When several occur, the one
-    reported is the one that sequence would meet first.
+    This runs ``json.loads``, :func:`tree_from_json` and
+    :class:`PositionalTree` in turn, without building a node, so it
+    reports the fault that composition meets first.  The text is decoded
+    by the C decoder or, past its depth, by :func:`_json_value` on an
+    explicit stack, so depth is unbounded; a key given twice within one
+    object raises when the object closes.  :func:`_tree_records` walks the
+    value.  Then come the checks of nodes built bottom-up: an arity below
+    1, and a position given twice at one node (``"1"`` and ``"01"``), the
+    last such parent first.
     """
     try:
-        records, fault, twice = _read_records(text, arity)
+        obj = _loads(text)
     except DuplicatePositionError:
         raise
     except ValueError as exc:
         raise TreeError(f"bad tree JSON: {exc}") from exc
-    if fault:
-        raise fault[1]
+    records = _tree_records(obj, arity)
     if records and arity < 1:
         raise TreeError(f"arity must be >= 1, got {arity}")
-    if twice:
-        raise DuplicatePositionError(f"duplicate child position {twice[1]}")
+    if len(set(map(_PARENT_POSITION, records))) < len(records):
+        # nodes built bottom-up meet the last parent given a position
+        # twice first, and report its smallest such position
+        twice = [pair for pair, n in
+                 Counter(map(_PARENT_POSITION, records)).items() if n > 1]
+        last = max(parent for parent, _ in twice)
+        pos = min(pos for parent, pos in twice if parent == last)
+        raise DuplicatePositionError(f"duplicate child position {pos}")
     return records
 
 

@@ -271,12 +271,15 @@ class TestPathHash:
         assert parse_path("ud", K1, 1) != plain
         assert parse_path("ud", FamilySpec(1)) == plain
 
-    def test_level_steps_equal_but_rendered_apart(self):
-        # True == 1, yet the two level steps render as lTrue_1 and l1_1
-        odd = LatticePath(MOTZKIN, [Step("l", True, 1)])
+    def test_level_step_text_round_trips(self):
+        # True == 1, so the level steps are equal and render alike
         plain = parse_path("l1_1", MOTZKIN)
-        assert odd.text() != plain.text()
-        assert odd == plain and hash(odd) == hash(plain)
+        for odd in (LatticePath(MOTZKIN, [Step("l", True, 1)]),
+                    LatticePath(MOTZKIN, [Step("l", 1.0, True)])):
+            assert odd == plain and hash(odd) == hash(plain)
+            assert odd.text() == plain.text() == "l1_1"
+            assert parse_path(odd.text(), MOTZKIN) == odd
+            assert {odd: 1}[plain] == 1
 
 
 class TestLevelSteps:
@@ -284,6 +287,25 @@ class TestLevelSteps:
         assert level(1, 1) is level(1, 1)
         assert level(2, 3) is level(2, 3) and level(2, 3) == Step("l", 2, 3)
         assert level(1, 2) is not level(2, 1)
+
+    def test_the_cache_is_bounded(self):
+        bound = level.cache_info().maxsize
+        assert bound is not None
+        shared = level(1, 1)
+        try:
+            n = 10 ** 5
+            steps = parse_steps("".join(f"l1_{b}" for b in range(1, n + 1)))
+            assert len(steps) == n and steps[-1] == Step("l", 1, n)
+            assert level.cache_info().currsize <= bound
+            # the cache let level(1, 1) go; MOTZKIN keeps the one it maps
+            assert level(1, 1) is not shared and level(1, 1) == shared
+            path = parse_path("l1_1", MOTZKIN)
+            assert path == LatticePath(MOTZKIN, [Step("l", 1, 1)])
+            assert path.text() == "l1_1"
+            with pytest.raises(IllegalStepError):
+                parse_path("l1_2", MOTZKIN)
+        finally:
+            level.cache_clear()
 
 
 class TestHeightProfile:

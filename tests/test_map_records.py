@@ -17,7 +17,9 @@ import pytest
 
 from peakmod import (
     FamilySpec,
+    NodeLabel,
     PositionalTree,
+    TreeError,
     parse_path,
     path_to_labeled_tree,
     path_to_tree,
@@ -29,7 +31,9 @@ from peakmod import (
     tree_to_json_text,
     tree_to_path,
 )
+from peakmod import core
 from peakmod.cli import main
+from peakmod.core import records_from_json_text
 
 
 def run(capsys, *argv):
@@ -300,3 +304,128 @@ class TestNoNodeIsBuilt:
         after = [run(capsys, "map", *argv) for argv in self.ARGVS]
         assert after == before
         assert [code for code, _, _ in after] == [0, 0, 0, 0, 0, 2, 2]
+
+
+def seeded_tree_texts():
+    """(text, arity) of the trees that TestSeededInputs reads, drawn anew
+    from the same seeds: the psi-inv trees, compact and indented, and the
+    arity-12 permute trees."""
+    for k in (1, 2, 3):
+        rng = random.Random(f"map psi-inv:{k}")
+        for n in SIZES:
+            tree = path_to_tree(parse_path(uniform_path(rng, k, n),
+                                           FamilySpec(k)))
+            if n and rng.random() < 0.5:
+                tree = path_to_labeled_tree(tree_to_path(tree, k))
+            yield tree_to_json_text(tree), k + 1
+            yield json.dumps(tree_to_json(tree), indent=1), k + 1
+    for labels in (False, True):
+        rng = random.Random(f"map permute --tree:{labels}")
+        for n in SIZES[1:7]:
+            path = parse_path(uniform_path(rng, 11, n), FamilySpec(11))
+            tree = path_to_labeled_tree(path) if labels \
+                else path_to_tree(path)
+            rng.shuffle(list(range(1, 13)))  # the test's sigma draw
+            yield tree_to_json_text(tree), 12
+
+
+def outcome(text, arity):
+    try:
+        return records_from_json_text(text, arity)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TooDeep(json.JSONDecoder):
+    """A decoder that gives up on every text, as the C decoder does on text
+    nested past its depth."""
+
+    def decode(self, text):
+        raise RecursionError
+
+
+class TestTextReader:
+    """``records_from_json_text`` decodes with the C decoder and, on text
+    nested past its depth, on an explicit stack; both routes give the same
+    records or the same error."""
+
+    @staticmethod
+    def both_routes(monkeypatch, cases):
+        first = [outcome(*case) for case in cases]
+        monkeypatch.setattr(core, "_DECODER",
+                            TooDeep(object_pairs_hook=core._unique_keys))
+        return first, [outcome(*case) for case in cases]
+
+    def test_hostile_texts_read_alike(self, monkeypatch):
+        texts = [argv[argv.index("--tree") + 1] for argv, *_ in HOSTILE
+                 if "--tree" in argv] + ["\ufeff{}", '{"1":{}}}', "[{}]"]
+        cases = [(text, arity) for text in texts for arity in (0, 1, 3, 12)]
+        c_route, stack_route = self.both_routes(monkeypatch, cases)
+        assert stack_route == c_route
+        assert sum(isinstance(w, list) for w in c_route) >= 10
+        assert sum(isinstance(w, tuple) for w in c_route) >= 100
+
+    def test_seeded_trees_read_alike(self, monkeypatch):
+        cases = list(seeded_tree_texts())
+        assert len(cases) == 60
+        c_route, stack_route = self.both_routes(monkeypatch, cases)
+        assert stack_route == c_route
+        assert all(isinstance(w, list) for w in c_route)
+
+    def test_records_are_breadth_first(self):
+        text = '{"3":{"1":{}},"1":{"2":{"label":"r"}},"label":"dd_1"}'
+        assert records_from_json_text(text, 3) == [
+            (-1, 0, NodeLabel("dd", ordinal=1)), (0, 3, None), (0, 1, None),
+            (1, 1, None), (2, 2, NodeLabel("r"))]
+
+    DEPTH = 10 ** 5
+    DEEP = [
+        ("a chain", '{"2":' * (DEPTH - 1) + "{}" + "}" * (DEPTH - 1),
+         0, "u" * DEPTH + "d" * DEPTH + "\n", ""),
+        ("an array child", '{"1":' * DEPTH + "[]" + "}" * DEPTH,
+         2, "", "peakmod: expected an object, got list\n"),
+        ("an unclosed run", '{"1":' * DEPTH,
+         2, "", "peakmod: bad tree JSON: Expecting value: line 1 column "
+                "500001 (char 500000)\n"),
+        ("a doubled key", '{"2":' * 3000 + '{"2":{},"2":{}}' + "}" * 3000,
+         2, "", "peakmod: duplicate key among ['2', '2']\n"),
+        ("a doubled key over a deep value",
+         '{"2":' * 3000 + '{"2":{},"2":' + '{"1":' * DEPTH + "{}"
+         + "}" * DEPTH + "}" + "}" * 3000,
+         2, "", "peakmod: duplicate key among ['2', '2']\n"),
+        ("a doubled position", '{"1":' * DEPTH + '{"1":{},"01":{}}'
+         + "}" * DEPTH, 2, "", "peakmod: duplicate child position 1\n"),
+        # decode has no byte order mark message of its own, as loads does
+        ("a byte order mark", "\ufeff{}", 2, "",
+         "peakmod: bad tree JSON: Expecting value: line 1 column 1 "
+         "(char 0)\n"),
+    ]
+
+    @pytest.mark.parametrize("name,text,code,out,err", DEEP,
+                             ids=[case[0] for case in DEEP])
+    def test_deep_and_hostile_text(self, capsys, name, text, code, out,
+                                   err):
+        assert run(capsys, "map", "psi-inv", "--k", "1", "--tree",
+                   text) == (code, out, err)
+
+    def test_a_deep_label_ends_in_one_line(self, capsys):
+        text = '{"label":' + "[" * self.DEPTH + "]" * self.DEPTH + "}"
+        message = "node label must be a string, got a list nested over " \
+            "100 deep"
+        with pytest.raises(TreeError) as err:
+            tree_from_json_text(text, 2)
+        assert str(err.value) == message
+        for argv in (("map", "psi-inv", "--k", "1"), ("render", "--k", "1")):
+            assert run(capsys, *argv, "--tree", text) == (
+                2, "", f"peakmod: {message}\n")
+
+    def test_labels_are_shown_in_full_to_100_levels(self):
+        label = {"a": [1]}  # two levels
+        for _ in range(98):
+            label = [label]
+        for value, shown in ((label, repr(label)),
+                             ([label], "a list nested over 100 deep")):
+            with pytest.raises(TreeError) as err:
+                tree_from_json_text(json.dumps({"label": value}), 2)
+            assert str(err.value) == \
+                f"node label must be a string, got {shown}"
