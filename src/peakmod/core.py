@@ -33,7 +33,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, lru_cache
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, Sequence
 
 
@@ -123,8 +123,8 @@ DOWN = Step("d")
 
 
 # The level steps the cache of level() keeps alive.  Each FamilySpec maps
-# the steps it allows, so a step evicted here only sends later paths that
-# use a new copy of it to the exact loop of LatticePath.
+# the steps it allows, so LatticePath checks a new copy of a step evicted
+# here by its fields.
 _LEVEL_CACHE = 4096
 
 
@@ -136,9 +136,17 @@ def level(a: int, b: int) -> Step:
 
 
 # A FamilySpec maps the ids of the level(a, b) steps with b up to this bound,
-# so a family with very many colors is still built at once; steps of a
-# higher color are checked by the exact loop of LatticePath.
+# so a family with very many colors is still built at once; LatticePath
+# checks a step of a higher color by its fields.
 _SHARED_COLORS = 64
+
+
+def _integral(x) -> bool:
+    """Whether ``x`` equals its int(): True and 1.0 do, 1.5 and "1" not."""
+    try:
+        return x == int(x)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +172,23 @@ class FamilySpec:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.end_height < 0:
             raise ValueError(f"end_height must be >= 0, got {self.end_height}")
-        if isinstance(self.levels, Mapping):
-            items = sorted(self.levels.items())
-        else:
-            items = sorted((int(a), int(c)) for a, c in self.levels)
-        # id -> step for the shared level(a, b) steps this family allows,
-        # read by the identity pass of LatticePath; it holds the steps, so
-        # no other object can take one of their ids
-        by_id = {}
-        for a, c in items:
-            if a < 1:
-                raise ValueError(f"level run-length must be >= 1, got {a}")
-            if c < 1:
-                raise ValueError(f"color count must be >= 1, got c_{a} = {c}")
-            for b in range(1, min(c, _SHARED_COLORS) + 1):
-                s = level(a, b)
-                by_id[id(s)] = s
+        levels = self.levels
+        items = []
+        for a, c in levels.items() if isinstance(levels, Mapping) else levels:
+            if not (_integral(a) and _integral(c) and a >= 1 and c >= 1):
+                raise ValueError(f"level run-length {a!r} with {c!r} colors: "
+                                 f"both must be integers >= 1")
+            items.append((int(a), int(c)))
         colors = dict(items)
         if len(colors) != len(items):
             raise ValueError("duplicate level run-length")
-        object.__setattr__(self, "levels", tuple(items))
+        # id -> step for the shared level(a, b) steps this family allows,
+        # read by LatticePath's identity tests; it holds the steps, so no
+        # other object can take one of their ids
+        shared = [level(a, b) for a, c in items
+                  for b in range(1, min(c, _SHARED_COLORS) + 1)]
+        by_id = {id(s): s for s in shared}
+        object.__setattr__(self, "levels", tuple(sorted(items)))
         # run-length -> color count, read by every level-step check
         object.__setattr__(self, "_colors", colors)
         object.__setattr__(self, "_level_by_id", by_id)
@@ -212,15 +217,15 @@ class FamilySpec:
                 yield level(a, b)
 
     def check_step(self, step: Step) -> None:
-        if step.kind in ("u", "d"):
-            return
+        """Raise IllegalStepError unless ``step`` is a level step of an
+        allowed run-length whose color is an integer in range."""
         if step.kind != "l":
             raise IllegalStepError(f"unknown step kind {step.kind!r}")
         c = self.color_count(step.length)
         if c == 0:
             raise IllegalStepError(
                 f"level run-length {step.length} not allowed by this family")
-        if not 1 <= step.color <= c:
+        if not (_integral(step.color) and 1 <= step.color <= c):
             raise IllegalStepError(
                 f"color {step.color} out of range 1..{c} "
                 f"for level run-length {step.length}")
@@ -242,21 +247,19 @@ class LatticePath:
     """A validated step sequence within a family.
 
     Construction validates everything: steps must be legal for the spec,
-    every prefix height (from ``start_height``) must be nonnegative, and
-    the final height must equal start_height + spec.end_height.  A path is
-    a frozen value kept in slots, with no per-instance ``__dict__``.  Its
-    ``__init__`` is written out: it sets each field once through its slot,
-    ``steps`` as a tuple, and then runs :meth:`__post_init__`, the one
-    validator.
+    the start height an integer (a value equal to its ``int()``, kept as
+    an int), every prefix height nonnegative, and the final height equal
+    to start_height + spec.end_height.  A path is a frozen value kept in
+    slots, with no per-instance ``__dict__``.  Its written-out
+    ``__init__`` sets each field once, ``steps`` as a tuple, and runs
+    :meth:`__post_init__`, the one validator.
 
-    The validator first makes one pass of identity tests over the steps:
-    ``UP``, ``DOWN`` and the spec's own shared ``level(a, b)`` steps, which
-    the family walk, :func:`parse_steps` and the bijections emit.  If every
-    step is one of them, no prefix dips below zero and the end height is
-    right, the path is valid.  Any other input reaches the exact loop,
-    which reads each step's kind: an equal step made anew, a step the spec
-    does not allow, a negative start, a dip or a wrong end.  That loop is
-    the one place that words the errors.
+    The validator is one loop over the steps.  It tries identity tests
+    first: ``UP``, ``DOWN`` and the spec's shared ``level(a, b)`` steps,
+    which the family walk, :func:`parse_steps` and the bijections emit.
+    It reads the kind of any other step, and sends a level step to
+    :meth:`FamilySpec.check_step`, which takes integer colors only.  The
+    first fault in step order raises.
 
     A path hashes by its text (see :meth:`__hash__`).
     """
@@ -273,50 +276,41 @@ class LatticePath:
         self.__post_init__()
 
     def __post_init__(self):
-        spec, h = self.spec, self.start_height
-        if not h < 0:
-            k = spec.k
-            want = h + spec.end_height
-            # a level step counts only if the spec's map holds that very
-            # object, so the ids a copied spec carries admit nothing else
-            shared = spec._level_by_id.get
-            for s in self.steps:
-                if s is UP:
+        spec, steps, h = self.spec, self.steps, self.start_height
+        if h.__class__ is not int:  # True or 1.0 is kept as an int
+            if not _integral(h):
+                raise PathError(f"start height {h!r} is not an integer")
+            _set_start_height(self, h := int(h))
+        if h < 0:
+            raise NegativeHeightError(f"start height {h} is negative")
+        k, want = spec.k, h + spec.end_height
+        # a level step counts only if the spec's map holds that very
+        # object, so the ids a copied spec carries admit nothing else
+        shared = spec._level_by_id.get
+        it = iter(steps)
+        for s in it:
+            if s is UP:
+                h += 1
+            elif s is DOWN:
+                h -= k
+                if h < 0:
+                    break
+            elif shared(id(s)) is not s:
+                if s.kind == "u":
                     h += 1
-                elif s is DOWN:
+                elif s.kind != "d":
+                    spec.check_step(s)
+                else:
                     h -= k
                     if h < 0:
                         break
-                elif shared(id(s)) is not s:
-                    break
-            else:
-                if h == want:
-                    return
-        self._check_exactly()
-
-    def _check_exactly(self):
-        """Validate step by step, reading each step's kind, and raise on
-        the first fault."""
-        spec, h = self.spec, self.start_height
-        if h < 0:
-            raise NegativeHeightError(f"start height {h} is negative")
-        k = spec.k
-        want = h + spec.end_height
-        # h >= 0 on entry and only a down-step lowers it
-        for idx, s in enumerate(self.steps):
-            kind = s.kind
-            if kind == "u":
-                h += 1
-            elif kind == "d":
-                h -= k
-                if h < 0:
-                    raise NegativeHeightError(
-                        f"height {h} after step {idx} is negative")
-            else:
-                spec.check_step(s)
-        if h != want:
-            raise WrongEndHeightError(
-                f"path ends at height {h}, expected {want}")
+        else:
+            if h != want:
+                raise WrongEndHeightError(
+                    f"path ends at height {h}, expected {want}")
+            return
+        idx = len(steps) - length_hint(it) - 1  # it holds the later steps
+        raise NegativeHeightError(f"height {h} after step {idx} is negative")
 
     def __hash__(self) -> int:
         """Hash of the spec, the start height and the text, which equal

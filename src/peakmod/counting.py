@@ -340,6 +340,8 @@ class TruncSeries:
 
     @classmethod
     def x_power(cls, j: int, order: int, nmarkers: int) -> "TruncSeries":
+        if j < 0:
+            raise ValueError("need j >= 0")
         coeffs = [{} for _ in range(order + 1)]
         if j <= order:
             coeffs[j] = {(0,) * nmarkers: 1}
@@ -387,6 +389,8 @@ class TruncSeries:
                             for e, c in p.items()} for p in self.coeffs])
 
     def mul_x(self, j: int) -> "TruncSeries":
+        if j < 0:
+            raise ValueError("need j >= 0")
         out = [{} for _ in range(self.order + 1)]
         for d, p in enumerate(self.coeffs):
             if d + j <= self.order:
@@ -405,6 +409,9 @@ class TruncSeries:
     # queries --------------------------------------------------------------
 
     def coefficient(self, n: int) -> dict:
+        """The coefficient of x^n; IndexError unless 0 <= n <= order."""
+        if n < 0:
+            raise IndexError(f"no coefficient of x^{n}")
         return dict(self.coeffs[n])
 
     def at_ones(self) -> list[int]:
@@ -464,6 +471,8 @@ def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]]
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     weights = [(order + 1) ** j for j in range(k + 1)]
     one = {0: 1}
     f: list[dict] = [{}]
