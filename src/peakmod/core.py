@@ -160,7 +160,8 @@ class FamilySpec:
     ``k`` is the down-step drop, ``levels`` maps run-length a to its color
     count c_a (the empty map forbids level steps entirely and gives pure
     k-Dyck / ballot paths), and ``end_height`` is the target height m >= 0
-    relative to the start (0 for Dyck-like families).
+    relative to the start (0 for Dyck-like families).  Each number is an
+    integer, a value equal to its ``int()``, and is kept as an int.
     """
 
     k: int
@@ -168,16 +169,19 @@ class FamilySpec:
     end_height: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.end_height < 0:
-            raise ValueError(f"end_height must be >= 0, got {self.end_height}")
-        levels = self.levels
+        k, m, levels = self.k, self.end_height, self.levels
+        if not (_integral(k) and _integral(m)):
+            raise ValueError(f"k and end_height must be integers, "
+                             f"got {k!r} and {m!r}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if m < 0:
+            raise ValueError(f"end_height must be >= 0, got {m}")
         items = []
         for a, c in levels.items() if isinstance(levels, Mapping) else levels:
             if not (_integral(a) and _integral(c) and a >= 1 and c >= 1):
-                raise ValueError(f"level run-length {a!r} with {c!r} colors: "
-                                 f"both must be integers >= 1")
+                raise ValueError(f"level run-length {a!r} and color count "
+                                 f"{c!r} must be integers >= 1")
             items.append((int(a), int(c)))
         colors = dict(items)
         if len(colors) != len(items):
@@ -188,6 +192,8 @@ class FamilySpec:
         shared = [level(a, b) for a, c in items
                   for b in range(1, min(c, _SHARED_COLORS) + 1)]
         by_id = {id(s): s for s in shared}
+        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "end_height", int(m))
         object.__setattr__(self, "levels", tuple(sorted(items)))
         # run-length -> color count, read by every level-step check
         object.__setattr__(self, "_colors", colors)
@@ -217,8 +223,7 @@ class FamilySpec:
                 yield level(a, b)
 
     def check_step(self, step: Step) -> None:
-        """Raise IllegalStepError unless ``step`` is a level step of an
-        allowed run-length whose color is an integer in range."""
+        """IllegalStepError unless ``step`` is an allowed level step."""
         if step.kind != "l":
             raise IllegalStepError(f"unknown step kind {step.kind!r}")
         c = self.color_count(step.length)
@@ -247,19 +252,17 @@ class LatticePath:
     """A validated step sequence within a family.
 
     Construction validates everything: steps must be legal for the spec,
-    the start height an integer (a value equal to its ``int()``, kept as
-    an int), every prefix height nonnegative, and the final height equal
-    to start_height + spec.end_height.  A path is a frozen value kept in
-    slots, with no per-instance ``__dict__``.  Its written-out
-    ``__init__`` sets each field once, ``steps`` as a tuple, and runs
-    :meth:`__post_init__`, the one validator.
+    the start height an integer (kept as an int), every prefix height
+    nonnegative, and the final height equal to start_height +
+    spec.end_height.  A path is a frozen value kept in slots, with no
+    per-instance ``__dict__``; its written-out ``__init__`` sets each
+    field once, ``steps`` as a tuple, and runs :meth:`__post_init__`.
 
-    The validator is one loop over the steps.  It tries identity tests
-    first: ``UP``, ``DOWN`` and the spec's shared ``level(a, b)`` steps,
-    which the family walk, :func:`parse_steps` and the bijections emit.
-    It reads the kind of any other step, and sends a level step to
-    :meth:`FamilySpec.check_step`, which takes integer colors only.  The
-    first fault in step order raises.
+    That validator is one loop.  It tries identity tests first: ``UP``,
+    ``DOWN`` and the spec's shared ``level(a, b)`` steps, which the family
+    walk, :func:`parse_steps` and the bijections emit.  It reads the kind
+    of any other step and sends a level step to
+    :meth:`FamilySpec.check_step`.  The first fault in step order raises.
 
     A path hashes by its text (see :meth:`__hash__`).
     """

@@ -350,6 +350,16 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "cap" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("extra", [
+        (), ("--levels", "1:1"), ("--end-height", "2"),
+        ("--levels", "1:1", "--end-height", "2")])
+    @pytest.mark.parametrize("order", ["-1", "-3"])
+    def test_series_rejects_a_negative_order(self, capsys, extra, order):
+        code, out, err = run(capsys, "count", "series", "--k", "1",
+                             "--order", order, *extra)
+        assert (code, out) == (2, "")
+        assert err == "peakmod: order must be >= 0\n"
+
     def test_series_rejects_k_below_one(self, capsys):
         for k in ("0", "-1"):
             code, out, err = run(capsys, "count", "series", "--k", k,

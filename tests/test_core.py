@@ -282,6 +282,84 @@ class TestPathHash:
             assert {odd: 1}[plain] == 1
 
 
+class TestIntegerRule:
+    """Every number of a valid path is an integer, a value equal to its
+    int(): k, heights, run-lengths, color counts and colors."""
+
+    def test_non_integral_color(self):
+        with pytest.raises(IllegalStepError) as err:
+            LatticePath(FamilySpec(1, {1: 2}), [Step("l", 1, 1.5)])
+        assert str(err.value) == \
+            "color 1.5 out of range 1..2 for level run-length 1"
+        for color in (float("nan"), float("inf"), "1", None, 2.000001):
+            with pytest.raises(IllegalStepError):
+                LatticePath(FamilySpec(1, {1: 3}), [Step("l", 1, color)])
+
+    @pytest.mark.parametrize("levels", [
+        {1.5: 1}, [(1.5, 1)], {1: 1.5}, [(1, 2.5)], {1: "2"}, [("1", 2)],
+        {float("nan"): 1}, {1: float("inf")}, {None: 1}, {0: 1}, [(1, 0)],
+        {-1: 1}])
+    def test_levels_need_integers_of_at_least_one(self, levels):
+        with pytest.raises(ValueError):
+            FamilySpec(1, levels)
+
+    def test_k_and_end_height(self):
+        spec = FamilySpec(2.0, end_height=True)
+        assert spec == FamilySpec(2, end_height=1)
+        assert type(spec.k) is int and type(spec.end_height) is int
+        for k, m in ((1.5, 0), (2, 0.5), ("2", 0), (2, None)):
+            with pytest.raises(ValueError, match="must be integers"):
+                FamilySpec(k, end_height=m)
+
+    def test_both_levels_forms_read_alike(self):
+        for levels in ({1.0: 2}, [(True, 2.0)], [(1, 2)]):
+            spec = FamilySpec(1, levels)
+            assert spec == FamilySpec(1, {1: 2}) and spec.levels == ((1, 2),)
+            assert [type(x) for x in spec.levels[0]] == [int, int]
+        for mapping in ({2: 1, 1: 3}, {}):
+            assert FamilySpec(1, mapping) == \
+                FamilySpec(1, list(mapping.items()))
+        with pytest.raises(ValueError, match="duplicate"):
+            FamilySpec(1, [(1, 1), (1, 2)])
+
+    def test_non_integral_start_height(self):
+        from peakmod import lift
+
+        spec = FamilySpec(2)
+        steps = parse_steps("uuduud")
+        for start in (0.5, 1.5, -0.5, float("nan"), "1"):
+            with pytest.raises(PathError) as err:
+                LatticePath(spec, steps, start)
+            assert type(err.value) is PathError
+        with pytest.raises(PathError) as err:
+            lift(LatticePath(spec, steps), 0.5)
+        assert str(err.value) == "start height 0.5 is not an integer"
+
+    def test_integral_start_height_is_kept_as_an_int(self):
+        from peakmod import label_features, stat_vector
+
+        spec = FamilySpec(2)
+        want = parse_path("uuduud", spec, 1)
+        for start in (1.0, True):
+            path = LatticePath(spec, parse_steps("uuduud"), start)
+            assert type(path.start_height) is int and path == want
+            assert stat_vector(path, "plain_starred") == \
+                stat_vector(want, "plain_starred")
+            assert label_features(path) == label_features(want)
+
+    def test_true_and_float_level_numbers_stay_valid(self):
+        plain = parse_path("l1_1", MOTZKIN)
+        for step in (Step("l", True, 1), Step("l", 1.0, True)):
+            path = LatticePath(MOTZKIN, [step])
+            assert path == plain and path.text() == "l1_1"
+
+    def test_check_step_takes_level_steps_only(self):
+        for step in (UP, DOWN, Step("x")):
+            with pytest.raises(IllegalStepError, match="unknown step kind"):
+                MOTZKIN.check_step(step)
+        MOTZKIN.check_step(Step("l", 1, 1))
+
+
 class TestLevelSteps:
     def test_one_object_per_step(self):
         assert level(1, 1) is level(1, 1)

@@ -445,6 +445,31 @@ class TestTruncSeries:
         one = TruncSeries(2, 0, [{(): 1}, {}, {}])
         assert (one * one).coefficient(0) == {(): 1}
 
+    def test_negative_sizes_are_rejected(self):
+        # a negative index used to pick a term from the top of the list
+        with pytest.raises(ValueError, match="need j >= 0"):
+            TruncSeries.x_power(-1, 3, 1)
+        for j in (-1, -4):
+            with pytest.raises(ValueError, match="need j >= 0"):
+                TruncSeries.one(3, 1).mul_x(j)
+        series = solve_f(1, 3)
+        for n in (-1, -4, 4):
+            with pytest.raises(IndexError):
+                series.coefficient(n)
+        assert TruncSeries.x_power(4, 3, 1) == TruncSeries(3, 1, [{}] * 4)
+        assert TruncSeries.one(3, 1).mul_x(0) == TruncSeries.one(3, 1)
+
+    @pytest.mark.parametrize("solve", [
+        lambda order: solve_f(1, order),
+        lambda order: solve_f_kac(MOTZKIN, order),
+        lambda order: solve_g(2, 1, order),
+        lambda order: solve_g_kac(MOTZKIN, 1, order)])
+    def test_solvers_reject_a_negative_order(self, solve):
+        for order in (-1, -5):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                solve(order)
+        assert solve(0).order == 0
+
 
 def _tuple_product(a, b):
     """a * b on exponent tuples, one term pair at a time: the reference
