@@ -285,7 +285,7 @@ def check_contract(argv, code, out, err):
             (argv, err)
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(cases())
 @example(("negative", ("count", "series", "--k", "1", "--order", "-1"),
           None, None))
