@@ -6,9 +6,10 @@ Run from the root of a checkout with no uncommitted change to ``src/``,
 ``perfbench/`` or ``BENCHMARK.json``, whose ``perfbench/`` and
 ``BENCHMARK.json`` are those of REV; the script refuses otherwise, so
 the measured change is a committed tree and both sides are measured by
-one harness.  The parent side runs from ``git archive REV`` of ``src/``
-and ``perfbench/``, extracted into a temporary directory that is removed
-afterwards; the change side runs from the checkout itself.  For every
+one harness.  Each side runs from ``git archive`` of its commit's
+``src/`` and ``perfbench/``, REV's and HEAD's extracted by one function
+side by side into one temporary directory that is removed afterwards, so
+neither side runs from the checkout and its build caches.  For every
 workload of ``BENCHMARK.json`` pair i runs ``perfbench/run.py --workload W
 --seed S+i --seconds T --trace 0`` on both sides, the parent first when i
 is even and the change first when i is odd, with S = 100 N + 1 and T the
@@ -45,8 +46,8 @@ def git(*args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def extract_parent(rev: str, into: Path) -> None:
-    """The parent's src/ and perfbench/ trees, written under ``into``."""
+def extract(rev: str, into: Path) -> None:
+    """The src/ and perfbench/ trees of ``rev``, written under ``into``."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev, "src",
                               "perfbench"], cwd=ROOT, capture_output=True,
                              check=True).stdout
@@ -123,6 +124,7 @@ def main(argv=None) -> int:
               f"{args.parent} and HEAD; both sides must be measured by one "
               "harness", file=sys.stderr)
         return 2
+    head = git("rev-parse", "HEAD")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
@@ -141,8 +143,9 @@ def main(argv=None) -> int:
                    "note": "the parent commit's src/ and perfbench/, "
                            "from git archive",
                    "src_tree": git("rev-parse", f"{parent}:src")},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "note": "the checkout, with no uncommitted change",
+        "change": {"commit": head,
+                   "note": "the change commit's src/ and perfbench/, "
+                           "from git archive",
                    "src_tree": git("rev-parse", "HEAD:src")},
         "harness": {"note": "one perfbench/ and BENCHMARK.json for both "
                             "sides: the parent's equal the change's",
@@ -166,11 +169,12 @@ def main(argv=None) -> int:
     }
     metrics = bench["end_to_end"]
     # a stop by SIGTERM unwinds as Ctrl-C does: subprocess.run kills the
-    # running benchmark and the temporary parent tree is removed
+    # running benchmark and the temporary trees are removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        extract_parent(parent, Path(tmp))
-        sides = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        extract(parent, sides["parent"])
+        extract(head, sides["change"])
         for workload in workloads:
             runs, values = [], {"parent": [], "change": []}
             for i, seed in enumerate(seeds):

@@ -6,14 +6,10 @@ i-fold cyclic shift of P_i at child position i+1.  One node is created per
 down-step, and the statistic vector (pk_0, ..., pk_{k-1}, dd) of the path
 becomes the position-count vector (e_1, ..., e_{k+1}) of the tree.
 
-Inside the package a tree is a list of (parent index, position, label)
-records, each parent before its children; :class:`PositionalTree` is
-built only where a public function returns a tree.  Tree JSON text is
-written from records and read back into records (``core``'s
-``records_to_json_text`` and ``records_from_json_text``), so
-:func:`path_to_tree_text` (path -> records -> text) and
-:func:`tree_text_to_path` (text -> records -> path), which ``peakmod map
-psi`` and ``psi-inv`` run, build no node at all.
+The maps run on a tree's (parent index, position, label) records, each
+parent before its children: :func:`path_to_tree` hands the records it
+builds to ``tree_from_records``, and :func:`tree_to_path` walks the
+records a tree keeps, so neither builds a tree node.
 
 The recursion is unrolled over one matching pass (``_closing_ups``).
 Take a factor Q of the path with right-peak blocks Q_0..Q_{kn-1} and
@@ -48,8 +44,6 @@ from .core import (
     NodeLabel,
     PositionalTree,
     pure_spec,
-    records_from_json_text,
-    records_to_json_text,
     tree_from_records,
 )
 from .statistics import label_features
@@ -147,24 +141,7 @@ def tree_to_path(tree: PositionalTree | None, k: int) -> LatticePath:
     if tree is not None and tree.arity != k + 1:
         raise ArityMismatchError(
             f"tree arity {tree.arity} does not match k+1 = {k + 1}")
-    return _walk(pure_spec(k), tree.records() if tree else [])
-
-
-def path_to_tree_text(path: LatticePath, labels: bool = False) -> str:
-    """The JSON text of the tree of a pure path, labeled as by
-    :func:`path_to_labeled_tree` when ``labels`` is set and the path is
-    nonempty: ``tree_to_json_text`` of that tree, written from its
-    records, so no node is built."""
-    _require_pure(path, "path_to_tree_text")
-    features = label_features(path) if labels and path.steps else None
-    return records_to_json_text(path.spec.k + 1, _records(path, features))
-
-
-def tree_text_to_path(text: str, k: int) -> LatticePath:
-    """``tree_to_path(tree_from_json_text(text, k + 1), k)``, walked from
-    the records the text gives, so no node is built."""
-    records = records_from_json_text(text, k + 1)
-    return _walk(pure_spec(k), records)
+    return _walk(pure_spec(k), tree._flat if tree else [])
 
 
 def permute_statistics(path: LatticePath,

@@ -13,11 +13,6 @@ default, exits 2; no flag is ignored.  So ``map deutsch`` reads only
 ``render --tree`` reads ``--format`` and either ``--arity`` or ``--k``
 (then the arity is k + 1).
 
-``map psi`` (with or without ``--labels``), ``map psi-inv`` and ``map
-permute --tree`` run on tree records from end to end: path or JSON text
-in, records, JSON text or path out, with no tree node built.  The
-checks and error messages are those of the ``PositionalTree`` functions.
-
 The argument parser is built on the first :func:`main` call and reused by
 every later call in the same process.  That saves its construction only
 for in-process callers that call :func:`main` more than once (tests,
@@ -33,9 +28,10 @@ import json
 import sys
 
 from .bijections import (
-    path_to_tree_text,
+    path_to_labeled_tree,
+    path_to_tree,
     permute_statistics,
-    tree_text_to_path,
+    tree_to_path,
 )
 from .core import (
     FamilySpec,
@@ -45,6 +41,7 @@ from .core import (
     parse_path,
     render_path,
     tree_from_json_text,
+    tree_to_json_text,
 )
 from .counting import (
     NonIntegerResultError,
@@ -73,7 +70,7 @@ from .render import (
 )
 from .statistics import label_features
 from .transforms import cyclic_shift, deutsch_involution, lift, \
-    permute_tree_text
+    permute_subtrees
 from .verify import SUITES
 
 VARIANT_FLAGS = {
@@ -327,11 +324,12 @@ def _build_series(args):
 def cmd_map(args) -> int:
     if args.tree is not None:  # psi-inv, or permute --tree
         if args.op == "psi-inv":
-            print(render_path(tree_text_to_path(_read_text(args.tree),
-                                                args.k)))
+            tree = tree_from_json_text(_read_text(args.tree), args.k + 1)
+            print(render_path(tree_to_path(tree, args.k)))
         else:
             sigma = _ints(args.sigma, "--sigma")
-            print(permute_tree_text(_read_text(args.tree), sigma))
+            tree = tree_from_json_text(_read_text(args.tree), len(sigma))
+            print(tree_to_json_text(permute_subtrees(tree, sigma)))
         return 0
     # deutsch reads no --k, so k is 1 for it here
     path = parse_path(_read_text(args.path), FamilySpec(args.k))
@@ -344,7 +342,9 @@ def cmd_map(args) -> int:
     elif args.op == "deutsch":
         print(render_path(deutsch_involution(path)))
     elif args.op == "psi":
-        print(path_to_tree_text(path, args.labels))
+        tree = path_to_labeled_tree(path) if args.labels and path.steps \
+            else path_to_tree(path)
+        print(tree_to_json_text(tree))
     else:
         sigma = _ints(args.sigma, "--sigma")
         print(render_path(permute_statistics(path, sigma)))

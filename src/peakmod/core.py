@@ -15,14 +15,13 @@ nonnegativity of every prefix height from the actual start.
 
 Trees here are "positional" m-ary trees: every child occupies an explicit
 slot in 1..m and slots may be skipped.  The empty tree (zero nodes) is
-represented by ``None`` throughout the package.  Tree JSON text is written
-from (parent, position, label) records by one writer,
-:func:`records_to_json_text`, and read back into records by one reader,
-:func:`records_from_json_text`, which decodes the text as ``json.loads``
-does (on an explicit stack past the C decoder's depth) and walks the
-value with the breadth-first loop of :func:`tree_from_json`; the JSON
-text functions of :class:`PositionalTree` compose them with ``records``
-and :func:`tree_from_records`.
+represented by ``None`` throughout the package.  A :class:`PositionalTree`
+holds its (parent, position, label) records and builds its nodes only
+when ``children`` is read.  :func:`tree_to_json_text` writes JSON text
+from the records, and :func:`records_from_json_text` reads records back:
+it decodes the text as ``json.loads`` does (on an explicit stack past the
+C decoder's depth) and walks the value with the breadth-first loop of
+:func:`tree_from_json`, which makes the nodes' checks.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import re
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, Sequence
 
@@ -544,38 +543,61 @@ class NodeLabel:
 # positional trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False, repr=False)
 class PositionalTree:
     """A nonempty rooted tree whose children occupy explicit slots 1..arity.
 
     ``children`` holds (position, subtree) pairs, kept sorted by position.
     The empty tree is represented by ``None`` wherever a tree is optional.
     Every operation on whole trees is iterative, so depth is unbounded.
+
+    A tree made by :func:`tree_from_records` keeps its records and builds
+    no node until ``children`` is first read; one made by this constructor
+    checks its children and lists its records on demand.  The package
+    reads the records in the order kept; :meth:`records` gives them in
+    canonical order, for ``==``, ``hash`` and every other caller.
     """
 
-    arity: int
-    children: tuple[tuple[int, "PositionalTree"], ...] = ()
-    label: NodeLabel | None = None
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise TreeError(f"arity must be >= 1, got {self.arity}")
-        kids = tuple(sorted(self.children, key=lambda pc: pc[0]))
-        seen = set()
-        for pos, child in kids:
-            if not 1 <= pos <= self.arity:
+    def __init__(self, arity: int,
+                 children: Iterable[tuple[int, "PositionalTree"]] = (),
+                 label: NodeLabel | None = None):
+        if arity < 1:
+            raise TreeError(f"arity must be >= 1, got {arity}")
+        kids = tuple(sorted(children, key=_POSITION))
+        for i, (pos, child) in enumerate(kids):
+            if not 1 <= pos <= arity:
                 raise PositionOutOfRangeError(
-                    f"child position {pos} outside 1..{self.arity}")
-            if pos in seen:
+                    f"child position {pos} outside 1..{arity}")
+            if i and kids[i - 1][0] == pos:
                 raise DuplicatePositionError(f"duplicate child position {pos}")
-            seen.add(pos)
-            if child.arity != self.arity:
+            if child.arity != arity:
                 raise ArityMismatchError(
-                    f"child arity {child.arity} != parent arity {self.arity}")
-        object.__setattr__(self, "children", kids)
+                    f"child arity {child.arity} != parent arity {arity}")
+        vars(self).update(arity=arity, children=kids, label=label)
+
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, "PositionalTree"], ...]:
+        """The root's (position, subtree) pairs, built from the kept
+        records on first read (the constructor sets them itself)."""
+        return _nodes(self.arity, self._flat)
+
+    @cached_property
+    def _flat(self) -> list[tuple[int, int, NodeLabel | None]]:
+        """The records, each parent before its children: those
+        :func:`tree_from_records` kept, else read from the nodes
+        breadth-first, siblings by position."""
+        out = [(-1, 0, self.label)]
+        nodes = [self]
+        for idx, node in enumerate(nodes):  # grows while iterating
+            for pos, child in node.children:
+                out.append((idx, pos, child.label))
+                nodes.append(child)
+        return out
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        return len(self._flat)
 
     def iter_nodes(self) -> Iterator["PositionalTree"]:
         """Preorder traversal, children in position order."""
@@ -591,12 +613,20 @@ class PositionalTree:
         The root comes first as (-1, 0, label); siblings follow each other
         in position order.  :func:`tree_from_records` inverts this.
         """
+        flat = self._flat
+        kids: list[list] = [[] for _ in flat]
+        for idx in range(len(flat) - 1, 0, -1):
+            parent, pos, _ = flat[idx]
+            kids[parent].append((pos, idx))
         out = [(-1, 0, self.label)]
-        nodes = [self]
-        for idx, node in enumerate(nodes):  # grows while iterating
-            for pos, child in node.children:
-                out.append((idx, pos, child.label))
-                nodes.append(child)
+        order = [0]  # the kept index of each record of out
+        for new, old in enumerate(order):  # grows while iterating
+            ks = kids[old]
+            if len(ks) > 1:
+                ks.sort()
+            for pos, idx in ks:
+                out.append((new, pos, flat[idx][2]))
+                order.append(idx)
         return out
 
     def __eq__(self, other) -> bool:
@@ -613,22 +643,37 @@ class PositionalTree:
 
     def strip_labels(self) -> "PositionalTree":
         return tree_from_records(self.arity, [
-            (p, pos, None) for p, pos, _ in self.records()])
+            (p, pos, None) for p, pos, _ in self._flat])
+
+
+_POSITION = itemgetter(0)
 
 
 def tree_from_records(arity: int, records) -> PositionalTree:
-    """Assemble a tree from (parent index, position, label) records.
+    """The tree given by (parent index, position, label) records, which it
+    keeps; no node is built until its ``children`` are read.
 
     Record 0 is the root, whose parent and position are ignored; every
-    other record names an earlier one as its parent.  Nodes are built
-    bottom-up, children before parents.
+    other record names an earlier one as its parent, at a position in
+    1..arity that no sibling takes.  The records are not checked: the
+    package's builders and :func:`records_from_json_text` give such lists.
     """
+    tree = object.__new__(PositionalTree)
+    vars(tree).update(arity=arity, label=records[0][2], _flat=records)
+    return tree
+
+
+def _nodes(arity: int, records) -> tuple:
+    """The root's (position, subtree) pairs of the tree the records give,
+    each subtree built as nodes, children before parents."""
     kids: list[list] = [[] for _ in records]
     for idx in range(len(records) - 1, 0, -1):
         parent, pos, label = records[idx]
-        kids[parent].append((pos, PositionalTree(arity, tuple(kids[idx]),
-                                                 label)))
-    return PositionalTree(arity, tuple(kids[0]), records[0][2])
+        node = object.__new__(PositionalTree)
+        vars(node).update(arity=arity, label=label,
+                          children=tuple(sorted(kids[idx], key=_POSITION)))
+        kids[parent].append((pos, node))
+    return tuple(sorted(kids[0], key=_POSITION))
 
 
 def tree_to_json(tree: PositionalTree | None):
@@ -645,18 +690,14 @@ def tree_to_json(tree: PositionalTree | None):
     return objs[0]
 
 
-def records_to_json_text(arity: int, records) -> str:
-    """The compact wire form of the tree given by (parent, position, label)
-    records, each parent before its children; ``"null"`` when there are
-    none.
-
-    This is ``json.dumps(tree_to_json(tree), sort_keys=True,
-    separators=(",", ":"))`` for the tree the records describe, written
-    from the records on an explicit stack, so no node is built and depth
-    is unbounded.
-    """
-    if not records:
+def tree_to_json_text(tree: PositionalTree | None) -> str:
+    """The compact wire form: ``json.dumps(tree_to_json(tree),
+    sort_keys=True, separators=(",", ":"))``, written from the tree's
+    records on an explicit stack, so no node is built and depth is
+    unbounded."""
+    if tree is None:
         return "null"
+    arity, records = tree.arity, tree._flat
     # each node's children as (key, record index); keys sort as strings,
     # so past arity 9 "10" < "2", and "label" sorts after every position
     kids: list[list] = [[] for _ in records]
@@ -688,14 +729,6 @@ def records_to_json_text(arity: int, records) -> str:
     return "".join(out)
 
 
-def tree_to_json_text(tree: PositionalTree | None) -> str:
-    """The compact wire form: ``json.dumps(tree_to_json(tree),
-    sort_keys=True, separators=(",", ":"))``, written without recursion."""
-    if tree is None:
-        return "null"
-    return records_to_json_text(tree.arity, tree.records())
-
-
 def _position(key: str, arity: int) -> int:
     """The child position an object key names; it must lie in 1..arity."""
     if not (key.isascii() and key.isdecimal()):
@@ -714,8 +747,14 @@ def _not_an_object(value) -> TreeError:
 def _tree_records(obj, arity: int) -> list:
     """The (parent, position, label) records of a tree in nested-object
     form, breadth-first, so a node's children are adjacent records; ``[]``
-    for ``None``.  The first fault met breadth-first raises: a node that is
-    no object, or a bad key, position or label."""
+    for ``None``.
+
+    The first fault met breadth-first raises: a node that is no object, or
+    a bad key, position or label.  Then come the checks the nested
+    constructor makes of nodes built bottom-up: an arity below 1, and a
+    position given twice at one node (``"1"`` and ``"01"``), the last
+    such parent first, its smallest such position.
+    """
     if obj is None:
         return []
     records = []
@@ -730,7 +769,18 @@ def _tree_records(obj, arity: int) -> list:
             else:
                 queue.append((idx, _position(key, arity), child))
         records.append((parent, pos, label))
+    if arity < 1:
+        raise TreeError(f"arity must be >= 1, got {arity}")
+    if len(set(map(_PARENT_POSITION, records))) < len(records):
+        twice = [pair for pair, n in
+                 Counter(map(_PARENT_POSITION, records)).items() if n > 1]
+        last = max(parent for parent, _ in twice)
+        pos = min(pos for parent, pos in twice if parent == last)
+        raise DuplicatePositionError(f"duplicate child position {pos}")
     return records
+
+
+_PARENT_POSITION = itemgetter(0, 1)
 
 
 def tree_from_json(obj, arity: int) -> PositionalTree | None:
@@ -837,22 +887,15 @@ def _loads(text: str):
     return value
 
 
-_PARENT_POSITION = itemgetter(0, 1)
-
-
 def records_from_json_text(text: str, arity: int) -> list:
     """The (parent, position, label) records of the tree in JSON text form,
     breadth-first; ``[]`` for ``null``.
 
-    This runs ``json.loads``, :func:`tree_from_json` and
-    :class:`PositionalTree` in turn, without building a node, so it
-    reports the fault that composition meets first.  The text is decoded
-    by the C decoder or, past its depth, by :func:`_json_value` on an
-    explicit stack, so depth is unbounded; a key given twice within one
-    object raises when the object closes.  :func:`_tree_records` walks the
-    value.  Then come the checks of nodes built bottom-up: an arity below
-    1, and a position given twice at one node (``"1"`` and ``"01"``), the
-    last such parent first.
+    This is :func:`_tree_records` of ``json.loads(text)``, so it reports
+    the fault that :func:`tree_from_json` of that value meets first.  The
+    text is decoded by the C decoder or, past its depth, by
+    :func:`_json_value` on an explicit stack, so depth is unbounded; a key
+    given twice within one object raises when the object closes.
     """
     try:
         obj = _loads(text)
@@ -860,18 +903,7 @@ def records_from_json_text(text: str, arity: int) -> list:
         raise
     except ValueError as exc:
         raise TreeError(f"bad tree JSON: {exc}") from exc
-    records = _tree_records(obj, arity)
-    if records and arity < 1:
-        raise TreeError(f"arity must be >= 1, got {arity}")
-    if len(set(map(_PARENT_POSITION, records))) < len(records):
-        # nodes built bottom-up meet the last parent given a position
-        # twice first, and report its smallest such position
-        twice = [pair for pair, n in
-                 Counter(map(_PARENT_POSITION, records)).items() if n > 1]
-        last = max(parent for parent, _ in twice)
-        pos = min(pos for parent, pos in twice if parent == last)
-        raise DuplicatePositionError(f"duplicate child position {pos}")
-    return records
+    return _tree_records(obj, arity)
 
 
 def tree_from_json_text(text: str, arity: int) -> PositionalTree | None:

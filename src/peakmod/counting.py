@@ -46,6 +46,7 @@ multiply exactly.  Tuples appear only in the :class:`TruncSeries` API.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import comb, gcd
 from operator import mul
@@ -473,6 +474,8 @@ def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]]
         raise ValueError("need k >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
+    if order > sys.maxsize:  # no list of the rows could be indexed
+        raise ValueError(f"order must be <= {sys.maxsize}")
     weights = [(order + 1) ** j for j in range(k + 1)]
     one = {0: 1}
     f: list[dict] = [{}]

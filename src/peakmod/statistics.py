@@ -197,12 +197,8 @@ def e_vector(tree: PositionalTree | None, arity: int | None = None
         raise ValueError("arity required for the empty tree")
     if arity is not None and arity != m:
         raise ValueError(f"arity mismatch: tree has {m}, requested {arity}")
-    return _position_counts(tree.records() if tree else [], m)
-
-
-def _position_counts(records, m: int) -> tuple[int, ...]:
-    """(e_1, ..., e_m) of the tree given by its records."""
     counts = [0] * m
-    for _, pos, _ in records[1:]:  # the root has no position
+    # the root's record, the first, has no position
+    for _, pos, _ in tree._flat[1:] if tree else ():
         counts[pos - 1] += 1
     return tuple(counts)

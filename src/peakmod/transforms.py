@@ -46,8 +46,6 @@ from .core import (
     WrongEndHeightError,
     WrongKError,
     pure_spec,
-    records_from_json_text,
-    records_to_json_text,
     tree_from_records,
 )
 
@@ -334,15 +332,4 @@ def permute_subtrees(tree: PositionalTree | None,
     if tree is None:
         return None
     sig = check_permutation(sigma, tree.arity)
-    return tree_from_records(tree.arity, _permuted(tree.records(), sig))
-
-
-def permute_tree_text(text: str, sigma: Sequence[int]) -> str:
-    """``tree_to_json_text(permute_subtrees(tree_from_json_text(text, m),
-    sigma))`` with m = len(sigma), on the tree's records: no node is
-    built.  As there, sigma is not checked when the text is ``null``."""
-    arity = len(sigma)
-    records = records_from_json_text(text, arity)
-    if records:
-        records = _permuted(records, check_permutation(sigma, arity))
-    return records_to_json_text(arity, records)
+    return tree_from_records(tree.arity, _permuted(tree._flat, sig))

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .bijections import (
-    _records,
-    _walk,
     path_to_labeled_tree,
     path_to_tree,
     permute_statistics,
@@ -25,6 +23,7 @@ from .core import (
     LABEL_RIGHTMOST,
     FamilySpec,
     LatticePath,
+    PositionalTree,
     parse_path,
     tree_to_json,
 )
@@ -56,9 +55,7 @@ from .statistics import (
     PLAIN_STARRED,
     WEAK,
     WEAK_STARRED,
-    _position_counts,
     e_vector,
-    label_features,
     stat_vector,
 )
 from .transforms import ballot_decompose, cyclic_shift, deutsch_involution
@@ -212,14 +209,14 @@ def verify_bijection(max_k: int = 3, max_n: int = 5,
             count = 0
             for p in gen_k_dyck(k, n):
                 count += 1
-                records = _records(p, None)
-                if _walk(p.spec, records) != p:
+                tree = path_to_tree(p)
+                if tree_to_path(tree, k) != p:
                     bad_round = p.text()
                     break
-                if stat_vector(p).key() != _position_counts(records, k + 1):
+                if stat_vector(p).key() != e_vector(tree, k + 1):
                     bad_stats = p.text()
                     break
-                if n and not _labels_agree(p, k, records):
+                if n and not _labels_agree(p, k, tree):
                     bad_stats = p.text() + " (labels)"
                     break
             rep.record(f"path round trip k={k} n={n}", bad_round is None,
@@ -251,16 +248,17 @@ def _tree_pass(arity: int, n: int, round_trip: bool) -> tuple[int, object]:
     return count, bad
 
 
-def _labels_agree(path: LatticePath, k: int, records: list) -> bool:
-    """The labeled tree has the unlabeled ``records``' shape, every node at
+def _labels_agree(path: LatticePath, k: int, tree: PositionalTree) -> bool:
+    """The labeled tree has the unlabeled ``tree``'s shape, every node at
     position i+1 carries a residue-i peak label (i < k) or a
     double-descent label (i = k), and the root is the unique r."""
-    labeled = _records(path, label_features(path))
-    if [(p, pos, None) for p, pos, _ in labeled] != records:
+    labeled = path_to_labeled_tree(path)
+    if labeled.strip_labels() != tree:
         return False
-    if labeled[0][2].kind != LABEL_RIGHTMOST:
+    records = labeled.records()
+    if records[0][2].kind != LABEL_RIGHTMOST:
         return False
-    for _, pos, lab in labeled[1:]:
+    for _, pos, lab in records[1:]:
         if pos <= k:
             if lab.kind != LABEL_PEAK or lab.residue != pos - 1:
                 return False

@@ -1,5 +1,6 @@
 """Path/tree bijection, label transport, and statistic permutation."""
 
+import json
 from itertools import permutations
 
 import pytest
@@ -20,7 +21,10 @@ from peakmod import (
     permute_statistics,
     permute_subtrees,
     stat_vector,
+    tree_from_json,
+    tree_from_json_text,
     tree_to_json,
+    tree_to_json_text,
     tree_to_path,
 )
 from peakmod.statistics import PLAIN
@@ -248,20 +252,49 @@ class TestPermuteStatistics:
 
 class TestRecordsInside:
     def test_no_node_is_built(self, monkeypatch):
-        # the statistic permutation and the path side of the verify loops
-        # run on records; PositionalTree is built only where a function
-        # returns one
-        from peakmod.verify import verify_equidistribution
+        # a tree keeps its records: the tree maps, the JSON readers and the
+        # verify loops build no node, and reading children builds them
+        from peakmod import core
+        from peakmod.verify import verify_bijection, verify_equidistribution
 
-        def refuse(self):
-            raise AssertionError("a PositionalTree was built")
+        built = []
+        nodes = core._nodes
 
-        monkeypatch.setattr(PositionalTree, "__post_init__", refuse)
-        image = permute_statistics(dyck("uuduuduud"), (3, 1, 2))
+        def recording(arity, records):
+            built.append(len(records))
+            return nodes(arity, records)
+
+        def refuse(*args):
+            raise AssertionError("a tree was built by its constructor")
+
+        monkeypatch.setattr(core, "_nodes", recording)
+        monkeypatch.setattr(PositionalTree, "__init__", refuse)
+        path = dyck("uuduuduud")
+        image = permute_statistics(path, (3, 1, 2))
         assert image.text() == "uuuuuuddd"
+        tree = path_to_tree(path)
+        labeled = path_to_labeled_tree(path)
+        text = '{"1":{"label":"p0_1"},"3":{"2":{}},"label":"r"}'
+        trees = [tree, labeled, labeled.strip_labels(),
+                 permute_subtrees(labeled, (3, 1, 2)),
+                 tree_from_json(json.loads(text), 3),
+                 tree_from_json_text(text, 3), *gen_trees(3, 3)]
+        for t in trees:
+            assert tree_from_json(tree_to_json(t), 3) == t
+            assert path_to_tree(tree_to_path(t, 2)) == t.strip_labels()
+            text = tree_to_json_text(t)
+            assert repr(t) == f"PositionalTree(3, {text})"
+            assert hash(t) == hash(tree_from_json_text(text, 3))
+            assert sum(e_vector(t)) == t.node_count() - 1
         assert verify_equidistribution(k=2, max_n=3, weak_max_len=2).ok
-        with pytest.raises(AssertionError):
-            path_to_tree(dyck("uud"))
+        assert verify_bijection(max_k=2, max_n=3, max_nodes=3).ok
+        assert built == []
+        (pos, child), = tree.children
+        assert (pos, child.node_count()) == (1, 2) and built == [3]
+        assert tree.children[0][1] is child and built == [3]
+        assert [(pos, c.label) for pos, c in labeled.children] == [
+            (pos, label) for parent, pos, label in labeled.records()
+            if parent == 0] and built == [3, 3]
 
 
 class TestVerifyBijectionWalks:

@@ -93,11 +93,13 @@ SIZE_FLAGS = ("--order", "--n", "--down-size", "--length", "--limit",
               "--max-nodes")
 # a huge value of any other number flag asks for work of that size, which
 # no contract bounds (a k of 10**39 asks for paths that long), so the
-# 40-digit token goes to these flags only, and as a negative size.  The
+# 40-digit token goes to these flags only, and as a negative size.  A
+# series order past any list index is refused before work starts.  The
 # family walk of enumerate and histogram builds one step per level color
 # before the cap can act (an open defect), so there --levels takes no
 # huge color count either.
-HUGE_OK = ("--limit", "--power", "--r", "--s", "--sigma", "--levels")
+HUGE_OK = ("--limit", "--power", "--r", "--s", "--sigma", "--levels",
+           "--order")
 WALKS = ("enumerate", "histogram")
 
 FORTY = "1234567890" * 4
@@ -291,6 +293,8 @@ def check_contract(argv, code, out, err):
           None, None))
 @example(("token", ("enumerate", "--k", "١", "--down-size", "2"),
           None, None))
+@example(("token", ("count", "series", "--k", "1", "--order", FORTY),
+          None, ("count", "series", "--k", "1", "--order", FORTY)))
 @example(("env", ("enumerate", "--k", "1", "--down-size", "3"), "1_0",
           ("enumerate", "--k", "1", "--down-size", "3", "--limit", "1_0")))
 def test_contract(case):

@@ -631,6 +631,26 @@ class TestTreeWireFormat:
     def test_null_is_the_empty_tree(self):
         assert tree_from_json_text(" null ", 3) is None
 
+    @pytest.mark.parametrize("obj,arity,error,message", [
+        ({"1": {}, "01": {}}, 3, DuplicatePositionError,
+         "duplicate child position 1"),
+        ({"2": {}, "02": {}, "1": {}, "001": {}}, 3, DuplicatePositionError,
+         "duplicate child position 1"),
+        # the last parent with a doubled position is reported
+        ({"1": {"2": {}, "02": {}}, "3": {"1": {}, "01": {}}}, 3,
+         DuplicatePositionError, "duplicate child position 1"),
+        ({}, 0, TreeError, "arity must be >= 1, got 0"),
+        ({"label": "r"}, -1, TreeError, "arity must be >= 1, got -1")])
+    def test_both_readers_check_the_nodes(self, obj, arity, error, message):
+        # no node is built from the records read, so the readers make
+        # the nested constructor's checks themselves
+        for read in (lambda: tree_from_json(obj, arity),
+                     lambda: tree_from_json_text(json.dumps(obj), arity)):
+            with pytest.raises(error) as err:
+                read()
+            assert type(err.value) is error
+            assert str(err.value) == message
+
 
 class TestDeepTrees:
     # every operation on whole trees runs on explicit stacks, so a chain

@@ -2,7 +2,7 @@
 
 ``map psi`` (with and without ``--labels``), ``map psi-inv`` and ``map
 permute --tree`` read and write tree JSON straight from records and build
-no :class:`PositionalTree`.  Their stdout, stderr and exit code must be
+no tree node.  Their stdout, stderr and exit code must be
 those of the compositions over trees: ``tree_to_json_text(path_to_tree(p))``,
 ``render_path(tree_to_path(tree_from_json_text(t, k + 1), k))`` and
 ``tree_to_json_text(permute_subtrees(...))``.  Where a reference can
@@ -295,12 +295,14 @@ class TestNoNodeIsBuilt:
     def test_map_routes_build_no_tree(self, capsys, monkeypatch):
         before = [run(capsys, "map", *argv) for argv in self.ARGVS]
 
-        def refuse(self):
-            raise AssertionError("a PositionalTree was built")
+        def refuse(*args):
+            raise AssertionError("a tree node was built")
 
-        monkeypatch.setattr(PositionalTree, "__post_init__", refuse)
+        monkeypatch.setattr(core, "_nodes", refuse)
+        monkeypatch.setattr(PositionalTree, "__init__", refuse)
+        tree = path_to_tree(parse_path("ud", FamilySpec(1)))
         with pytest.raises(AssertionError):
-            path_to_tree(parse_path("ud", FamilySpec(1)))
+            tree.children
         after = [run(capsys, "map", *argv) for argv in self.ARGVS]
         assert after == before
         assert [code for code, _, _ in after] == [0, 0, 0, 0, 0, 2, 2]

@@ -28,7 +28,7 @@ from peakmod import (
     stat_vector,
 )
 from peakmod.bijections import (path_to_labeled_tree, path_to_tree,
-                                 path_to_tree_text, permute_statistics)
+                                 permute_statistics)
 
 from conftest import (
     EXAMPLE_BLOCK,
@@ -259,7 +259,6 @@ class TestRequirePure:
 
     OPS = {"path_to_tree": path_to_tree,
            "path_to_labeled_tree": path_to_labeled_tree,
-           "path_to_tree_text": path_to_tree_text,
            "permute_statistics": lambda p: permute_statistics(p, [2, 1]),
            "right_peak_decompose": right_peak_decompose,
            "cyclic_shift": cyclic_shift,
