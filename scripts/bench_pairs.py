@@ -7,9 +7,9 @@ Run from the root of a checkout with no uncommitted change to ``src/``,
 ``BENCHMARK.json`` are those of REV; the script refuses otherwise, so
 the measured change is a committed tree and both sides are measured by
 one harness.  Each side runs from ``git archive`` of its commit's
-``src/`` and ``perfbench/``, REV's and HEAD's extracted by one function
-side by side into one temporary directory that is removed afterwards, so
-neither side runs from the checkout and its build caches.  For every
+``src/`` and ``perfbench/``: REV's and HEAD's are extracted by one
+function side by side into one temporary directory, removed afterwards,
+so neither side runs from the checkout.  For every
 workload of ``BENCHMARK.json`` pair i runs ``perfbench/run.py --workload W
 --seed S+i --seconds T --trace 0`` on both sides, the parent first when i
 is even and the change first when i is odd, with S = 100 N + 1 and T the

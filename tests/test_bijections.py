@@ -282,9 +282,9 @@ class TestRecordsInside:
         for t in trees:
             assert tree_from_json(tree_to_json(t), 3) == t
             assert path_to_tree(tree_to_path(t, 2)) == t.strip_labels()
-            text = tree_to_json_text(t)
-            assert repr(t) == f"PositionalTree(3, {text})"
-            assert hash(t) == hash(tree_from_json_text(text, 3))
+            wire = tree_to_json_text(t)
+            assert repr(t) == f"PositionalTree(3, {wire})"
+            assert hash(t) == hash(tree_from_json_text(wire, 3))
             assert sum(e_vector(t)) == t.node_count() - 1
         assert verify_equidistribution(k=2, max_n=3, weak_max_len=2).ok
         assert verify_bijection(max_k=2, max_n=3, max_nodes=3).ok
