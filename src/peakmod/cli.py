@@ -3,8 +3,9 @@ verification suites, and static rendering.
 
 Every output is byte-deterministic for a given set of flags.  Exit codes:
 0 success, 1 verification failure, 2 usage or bad input, 3 resource cap
-exceeded.  The object cap honours the PEAKMOD_MAX_OBJECTS environment
-variable and the --limit flag.
+exceeded or out of memory (such as ``count series`` at an order whose
+rows do not fit).  The object cap honours the PEAKMOD_MAX_OBJECTS
+environment variable and the --limit flag.
 
 One rule covers all six subcommands: an invocation that lacks a flag its
 mode requires, or sets a flag its mode does not read to anything but its
@@ -477,6 +478,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"peakmod: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("peakmod: out of memory", file=sys.stderr)
         return 3
     except BrokenPipeError:
         return 0

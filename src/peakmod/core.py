@@ -121,9 +121,9 @@ UP = Step("u")
 DOWN = Step("d")
 
 
-# The level steps the cache of level() keeps alive.  Each FamilySpec maps
-# the steps it allows, so LatticePath checks a new copy of a step evicted
-# here by its fields.
+# The level steps the cache of level() keeps alive.  The cache only shares
+# step objects: LatticePath checks a level step by its fields, so nothing
+# depends on a step's identity.
 _LEVEL_CACHE = 4096
 
 
@@ -132,12 +132,6 @@ def level(a: int, b: int) -> Step:
     """The level step of run-length ``a`` in color ``b``, one object per
     step while it stays in the cache."""
     return Step("l", a, b)
-
-
-# A FamilySpec maps the ids of the level(a, b) steps with b up to this bound,
-# so a family with very many colors is still built at once; LatticePath
-# checks a step of a higher color by its fields.
-_SHARED_COLORS = 64
 
 
 def _integral(x) -> bool:
@@ -185,18 +179,11 @@ class FamilySpec:
         colors = dict(items)
         if len(colors) != len(items):
             raise ValueError("duplicate level run-length")
-        # id -> step for the shared level(a, b) steps this family allows,
-        # read by LatticePath's identity tests; it holds the steps, so no
-        # other object can take one of their ids
-        shared = [level(a, b) for a, c in items
-                  for b in range(1, min(c, _SHARED_COLORS) + 1)]
-        by_id = {id(s): s for s in shared}
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "end_height", int(m))
         object.__setattr__(self, "levels", tuple(sorted(items)))
         # run-length -> color count, read by every level-step check
         object.__setattr__(self, "_colors", colors)
-        object.__setattr__(self, "_level_by_id", by_id)
 
     @property
     def has_levels(self) -> bool:
@@ -257,11 +244,11 @@ class LatticePath:
     per-instance ``__dict__``; its written-out ``__init__`` sets each
     field once, ``steps`` as a tuple, and runs :meth:`__post_init__`.
 
-    That validator is one loop.  It tries identity tests first: ``UP``,
-    ``DOWN`` and the spec's shared ``level(a, b)`` steps, which the family
-    walk, :func:`parse_steps` and the bijections emit.  It reads the kind
-    of any other step and sends a level step to
-    :meth:`FamilySpec.check_step`.  The first fault in step order raises.
+    That validator is one loop.  It tests ``UP`` and ``DOWN`` by identity
+    first and any other step by its fields: a level step whose color is an
+    int in 1..c_a for its run-length a passes at once, and any other step
+    that is no u or d goes to :meth:`FamilySpec.check_step`, the one place
+    that words a fault.  The first fault in step order raises.
 
     A path hashes by its text (see :meth:`__hash__`).
     """
@@ -286,9 +273,7 @@ class LatticePath:
         if h < 0:
             raise NegativeHeightError(f"start height {h} is negative")
         k, want = spec.k, h + spec.end_height
-        # a level step counts only if the spec's map holds that very
-        # object, so the ids a copied spec carries admit nothing else
-        shared = spec._level_by_id.get
+        colors = spec._colors
         it = iter(steps)
         for s in it:
             if s is UP:
@@ -297,7 +282,9 @@ class LatticePath:
                 h -= k
                 if h < 0:
                     break
-            elif shared(id(s)) is not s:
+            # this test only accepts: check_step words every fault
+            elif not (s.kind == "l" and s.color.__class__ is int
+                      and 0 < s.color <= colors.get(s.length, 0)):
                 if s.kind == "u":
                     h += 1
                 elif s.kind != "d":

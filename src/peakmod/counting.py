@@ -53,7 +53,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .core import FamilySpec
+from .core import FamilySpec, _integral
 from .enumeration import _unpack
 from .transforms import permute_coordinates
 
@@ -71,6 +71,15 @@ def _exact_int(num: int, den: int, context: str) -> int:
         raise NonIntegerResultError(
             f"{context} evaluated to {num // g}/{den // g}")
     return quotient
+
+
+def _entries(r: Sequence[int]) -> tuple[int, ...]:
+    """The entries of a statistic vector as ints, by the integer rule of
+    :class:`FamilySpec`: True and 1.0 pass, 1.5 and "1" raise ValueError."""
+    r = tuple(r)
+    if not all(map(_integral, r)):
+        raise ValueError(f"statistic entries must be integers, got {list(r)}")
+    return tuple(map(int, r))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +101,7 @@ def count_joint(k: int, n: int, r: Sequence[int]) -> int:
     after the rightmost peak carries exactly one feature); otherwise
     (1/n) * prod_i C(n, r_i).
     """
-    r = tuple(int(x) for x in r)
+    r = _entries(r)
     _check_joint_args(k, n, r)
     if sum(r) != n - 1:
         return 0
@@ -162,7 +171,7 @@ def count_ballot_joint(k: int, ell: int, r: int, n: int,
 
     in integers, with the bracket over (n+ell+1)(n+ell).
     """
-    s = tuple(int(x) for x in s)
+    s = _entries(s)
     if k < 1 or ell < 0 or not 0 <= r <= k - 1:
         raise ValueError("need k >= 1, ell >= 0, 0 <= r <= k-1")
     if len(s) != k + 1 or any(x < 0 for x in s):
@@ -197,7 +206,7 @@ def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
     (k, n) and kept for the most recent (k, n) only, so a sweep over every
     r of one (k, n) expands Phi(f)^n once.
     """
-    r = tuple(int(x) for x in r)
+    r = _entries(r)
     _check_joint_args(k, n, r)
     return _exact_int(_lagrange_top(k, n).get(r, 0), n,
                       f"lagrange_coefficient({k}, {n}, {r})")

@@ -10,11 +10,11 @@ recurses to the depth of a path.  The tree walk does the same over
 slot-occupancy masks, independently of the paths.
 
 The path walk also carries the statistic of its prefix: the peak and
-double-descent counters, and the residue of the latest (weak) peak, which
-is held back until a later peak closes.  Each step updates them from the
-rows of :func:`peakmod.statistics.closing_rows`, as :func:`stat_vector`
-does, and each depth keeps the state from before its step, so paths
-that share a prefix share its statistic.
+double-descent counters, and the residue of the latest (weak) peak, held
+back until a later peak closes.  Each step updates them from the rows of
+:func:`peakmod.statistics.closing_rows`, one per step kind (the start, u,
+d and l), as :func:`stat_vector` does; each depth keeps the state from
+before its step, so paths that share a prefix share its statistic.
 :func:`family_histogram` tallies these states and :func:`gen_kac` yields
 the paths of the same walk.
 
@@ -24,16 +24,16 @@ it, and once it is the remaining length below, only up-steps can.  The
 walk finishes such a forced run in one move: it builds the whole path,
 adds the run's blocks read from the same table (the block the run's first
 step closes, then one (d, d) block per further down-step), and pushes
-nothing on its stack.  Either way every path is still built and validated
-by the :class:`LatticePath` constructor and counted against the cap.
+nothing on its stack; each path is still validated and counted as usual.
 
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
 is 10**7 objects and can be overridden per call or through the
 PEAKMOD_MAX_OBJECTS environment variable, which is read as command-line
 numbers are (:func:`peakmod.core.ascii_int`: ASCII digits, no "_"); a
-negative or unreadable cap is rejected with a ValueError before anything
-is generated.
+negative or unreadable cap raises ValueError before anything is generated.
+The path walk lists its moves, one per level color, before the cap can
+act, so a family with 10**12 colors never reaches its first path.
 """
 
 from __future__ import annotations
@@ -152,10 +152,11 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
     moves += [(s, 0, s.length) for s in spec.level_steps()]
     nmoves = len(moves)
     # closes[p][j]: the block that move j closes right after move p, or at
-    # the start for p = nmoves
+    # the start for p = nmoves; the moves of one kind share one row
     kinds = [s.kind for s, _, _ in moves]
     rows = closing_rows(variant, k)
-    closes = [[rows[p][kind][0] for kind in kinds] for p in kinds + [""]]
+    row_of = {p: [rows[p][kind][0] for kind in kinds] for p in rows}
+    closes = [row_of[p] for p in kinds + [""]]
     weight = _packing(k, length)
     key = 0
     # A state (rem, h) is kept only if the end height is still reachable:

@@ -45,6 +45,7 @@ from .core import (
     Step,
     WrongEndHeightError,
     WrongKError,
+    _integral,
     pure_spec,
     tree_from_records,
 )
@@ -297,12 +298,15 @@ def deutsch_involution(path: LatticePath) -> LatticePath:
 
 def check_permutation(sigma: Sequence[int], m: int,
                       first: int = 1) -> tuple[int, ...]:
-    """Validate sigma as images of first..first+m-1 and return a tuple."""
-    sig = tuple(int(x) for x in sigma)
-    if sorted(sig) != list(range(first, first + m)):
+    """Validate sigma as images of first..first+m-1 and return a tuple of
+    ints; each entry must be an integer, as :class:`FamilySpec` reads one
+    (True and 1.0 pass, 1.9 and "1" do not)."""
+    sig = tuple(sigma)
+    if not all(map(_integral, sig)) or \
+            sorted(map(int, sig)) != list(range(first, first + m)):
         raise BadPermutationError(
-            f"{list(sigma)} is not a permutation of {first}..{first + m - 1}")
-    return sig
+            f"{list(sig)} is not a permutation of {first}..{first + m - 1}")
+    return tuple(map(int, sig))
 
 
 def permute_coordinates(table: dict[tuple[int, ...], int],

@@ -350,6 +350,14 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "cap" in err and "Traceback" not in err
 
+    def test_series_out_of_memory(self, capsys):
+        # the largest index on a 64-bit build: the solver's first row,
+        # [{}] * order, fails at once in the interpreter's list-size check
+        code, out, err = run(capsys, "count", "series", "--k", "1",
+                             "--order", "9223372036854775807")
+        assert (code, out) == (3, "")
+        assert err == "peakmod: out of memory\n"
+
     @pytest.mark.parametrize("extra", [
         (), ("--levels", "1:1"), ("--end-height", "2"),
         ("--levels", "1:1", "--end-height", "2")])

@@ -66,17 +66,22 @@ class TestFamilySpec:
         assert pickle.loads(pickle.dumps(spec)).color_count(1) == 2
 
     def test_many_colors(self):
-        # a spec maps a bounded number of shared level steps by id, so a
-        # family with very many colors is built at once; the exact loop
-        # checks the steps of its other colors
-        from peakmod.core import _SHARED_COLORS
-
+        # a level step is checked by its fields, whatever its color
         spec = FamilySpec(1, {1: 10 ** 4, 2: 3})
-        assert len(spec._level_by_id) == _SHARED_COLORS + 3
         path = LatticePath(spec, [level(1, 10 ** 4), level(1, 1), level(2, 3)])
         assert path.text() == "l1_10000l1_1l2_3"
         with pytest.raises(IllegalStepError):
             LatticePath(spec, [level(1, 10 ** 4 + 1)])
+
+    def test_a_trillion_colors(self):
+        # the spec keeps color counts, not steps, so it is built at once
+        spec = FamilySpec(1, {1: 10 ** 12})
+        path = LatticePath(spec, [level(1, 10 ** 12)])
+        assert path.text() == "l1_1000000000000"
+        with pytest.raises(IllegalStepError) as err:
+            LatticePath(spec, [Step("l", 1, 10 ** 12 + 1)])
+        assert str(err.value) == ("color 1000000000001 out of range "
+                                  "1..1000000000000 for level run-length 1")
 
     def test_empty_level_map_means_no_level_steps(self):
         assert not FamilySpec(2).has_levels

@@ -30,7 +30,9 @@ from peakmod import (
     solve_g_kac,
     stat_vector,
 )
+from peakmod import BadPermutationError, permute_statistics
 from peakmod import counting
+from peakmod.transforms import check_permutation
 from peakmod.counting import NonIntegerResultError, _exact_int, _lagrange_top
 from peakmod.statistics import PLAIN, PLAIN_STARRED, WEAK, WEAK_STARRED
 
@@ -67,6 +69,40 @@ class TestCountJoint:
                 hist = histogram(gen_k_dyck(k, n), PLAIN)
                 for r in _vectors(n - 1, k + 1):
                     assert count_joint(k, n, r) == hist.counts.get(r, 0)
+
+
+class TestIntegerEntries:
+    """Statistic vectors and permutations take integers by the rule of
+    FamilySpec: True and 1.0 are read as ints, 1.5 and "1" raise."""
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda: count_joint(2, 3, (1.7, 0.9, 1)), ValueError),
+        (lambda: count_joint(2, 3, ("1", 0, 1)), ValueError),
+        (lambda: count_joint(2, 3, (1, 0, 1.5)), ValueError),
+        (lambda: count_ballot_joint(1, 1, 0, 2, (1.5, 0.5)), ValueError),
+        (lambda: count_ballot_joint(1, 1, 0, 2, ("1", 1)), ValueError),
+        (lambda: lagrange_coefficient(2, 3, (1.7, 0.9, 1)), ValueError),
+        (lambda: lagrange_coefficient(2, 3, (None, 1, 1)), ValueError),
+        (lambda: check_permutation([1.9, 2.2, 3], 3), BadPermutationError),
+        (lambda: check_permutation(["1", 2, 3], 3), BadPermutationError),
+        (lambda: check_permutation([1, 2, float("nan")], 3),
+         BadPermutationError),
+        (lambda: permute_statistics(next(gen_k_dyck(2, 2)), [1.9, 2.2, 3]),
+         BadPermutationError),
+        (lambda: histogram(gen_k_dyck(2, 2)).permuted(["1", "2", "3"]),
+         BadPermutationError),
+        (lambda: count_joint(2, 3, (True, 0, 1.0)), 3),
+        (lambda: count_ballot_joint(1, 1, 0, 2, (1.0, True)), 2),
+        (lambda: lagrange_coefficient(2, 3, (1.0, 0, True)), 3),
+        (lambda: check_permutation([True, 3.0, 2], 3), (1, 3, 2)),
+    ])
+    def test_table(self, call, want):
+        if isinstance(want, type):
+            with pytest.raises(want):
+                call()
+            return
+        got = call()
+        assert got == want and repr(got) == repr(want)  # ints, not floats
 
 
 class TestMarginals:

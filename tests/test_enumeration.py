@@ -246,6 +246,20 @@ class TestResourceCap:
                 got.append(tree)
         assert len(got) == cap
 
+    def test_many_colors_are_set_up_in_linear_memory(self):
+        # the walk shares one closing row per step kind, so 4,000 colors
+        # cost a few lists of 4,000 entries, not a table of 16 million
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            first = next(gen_kac(FamilySpec(1, {1: 4000}), 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.text() == "l1_1"
+        assert peak < 10 * 2 ** 20
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("PEAKMOD_MAX_OBJECTS", "2")
         with pytest.raises(ResourceLimitError):

@@ -15,7 +15,6 @@ from collections import Counter
 import pytest
 
 from peakmod.core import (
-    _SHARED_COLORS,
     DOWN,
     UP,
     FamilySpec,
@@ -76,8 +75,8 @@ SPECS = (
     FamilySpec(2, end_height=1), FamilySpec(1, end_height=3),
     FamilySpec(1, {1: 1}), FamilySpec(1, {1: 2, 2: 1}),
     FamilySpec(2, {1: 1}, end_height=2),
-    # more colors than a spec maps by identity
-    FamilySpec(2, {1: _SHARED_COLORS + 6}, end_height=1),
+    # many colors: the validator checks a level step by its fields
+    FamilySpec(2, {1: 70}, end_height=1),
     FamilySpec(1, {2: 1, 3: 100}),
 )
 
@@ -95,7 +94,7 @@ def draw_case(rng):
     start = rng.choice((0, 0, 0, 0, 1, 2, 3, -1))
     h = max(start, 0)
     colors = [(a, b) for a, c in spec.levels
-              for b in sorted({1, c, min(c, _SHARED_COLORS + 1)})]
+              for b in sorted({1, c, min(c, 65)})]
     steps = []
     for _ in range(rng.randrange(12)):
         r = rng.random()
