@@ -210,9 +210,12 @@ class FamilySpec:
 
     def check_step(self, step: Step) -> None:
         """IllegalStepError unless ``step`` is an allowed level step."""
+        if not isinstance(step, Step):
+            raise IllegalStepError(f"not a step: {step!r}")
         if step.kind != "l":
             raise IllegalStepError(f"unknown step kind {step.kind!r}")
-        c = self.color_count(step.length)
+        # a run-length that is no integer, such as a list, has no colors
+        c = self.color_count(step.length) if _integral(step.length) else 0
         if c == 0:
             raise IllegalStepError(
                 f"level run-length {step.length} not allowed by this family")
@@ -248,7 +251,9 @@ class LatticePath:
     first and any other step by its fields: a level step whose color is an
     int in 1..c_a for its run-length a passes at once, and any other step
     that is no u or d goes to :meth:`FamilySpec.check_step`, the one place
-    that words a fault.  The first fault in step order raises.
+    that words a fault.  So does an object that is no step, or a level step
+    whose run-length has no hash, when the test raises on it.  The first
+    fault in step order raises.
 
     A path hashes by its text (see :meth:`__hash__`).
     """
@@ -275,29 +280,34 @@ class LatticePath:
         k, want = spec.k, h + spec.end_height
         colors = spec._colors
         it = iter(steps)
-        for s in it:
-            if s is UP:
-                h += 1
-            elif s is DOWN:
-                h -= k
-                if h < 0:
-                    break
-            # this test only accepts: check_step words every fault
-            elif not (s.kind == "l" and s.color.__class__ is int
-                      and 0 < s.color <= colors.get(s.length, 0)):
-                if s.kind == "u":
+        try:
+            for s in it:
+                if s is UP:
                     h += 1
-                elif s.kind != "d":
-                    spec.check_step(s)
-                else:
+                elif s is DOWN:
                     h -= k
                     if h < 0:
                         break
-        else:
-            if h != want:
-                raise WrongEndHeightError(
-                    f"path ends at height {h}, expected {want}")
-            return
+                # this test only accepts: check_step words every fault
+                elif not (s.kind == "l" and s.color.__class__ is int
+                          and 0 < s.color <= colors.get(s.length, 0)):
+                    if s.kind == "u":
+                        h += 1
+                    elif s.kind != "d":
+                        spec.check_step(s)
+                    else:
+                        h -= k
+                        if h < 0:
+                            break
+            else:
+                if h != want:
+                    raise WrongEndHeightError(
+                        f"path ends at height {h}, expected {want}")
+                return
+        except (AttributeError, TypeError):
+            # s is no Step, or its run-length has no hash
+            spec.check_step(s)
+            raise
         idx = len(steps) - length_hint(it) - 1  # it holds the later steps
         raise NegativeHeightError(f"height {h} after step {idx} is negative")
 

@@ -2,7 +2,7 @@
 
 Everything here is exact and in integers: each closed form puts its
 terms over one common denominator and divides once, and a failed
-integrality assertion raises rather than rounding.  Series live in
+integrality assertion raises rather than rounding.  The solvers return
 :class:`TruncSeries`: power series in x truncated at a fixed order whose
 coefficients are sparse multivariate polynomials in the markers
 q_0..q_k (q_i marks peaks in residue class i, q_k marks double descents).
@@ -38,10 +38,10 @@ the next digit, so every exponent of the product must stay below B.  The
 solvers, the ballot products and the Lagrange expansion use B = order + 1:
 a coefficient at x^d (or f^d) has total marker degree at most d <= order,
 since every marker comes with a factor f of x-degree at least one.
-:meth:`TruncSeries.__mul__` takes B from its operands, one more than the
-sum of their largest exponents, and :meth:`TruncSeries.pow` one more than
-e times the largest, so hand-built series of any nonnegative exponents
-multiply exactly.  Tuples appear only in the :class:`TruncSeries` API.
+The engine multiplies only series it builds itself, from the color
+counts c_a >= 1 of a :class:`FamilySpec` and markers of coefficient 1,
+so every coefficient is positive and no sum of products cancels to
+zero.  Tuples appear only in the :class:`TruncSeries` API.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from math import comb, gcd
-from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -225,21 +224,12 @@ def _lagrange_top(k: int, n: int) -> Mapping[tuple[int, ...], int]:
 # sparse multivariate polynomials and packed series
 # ---------------------------------------------------------------------------
 
-def _poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for e, c in q.items():
-        nc = out.get(e, 0) + c
-        if nc:
-            out[e] = nc
-        else:
-            out.pop(e, None)
-    return out
-
-
 def _poly_dot(pairs: Iterable[tuple[dict, dict]], shift: int = 0,
               start: dict | None = None) -> dict:
     """start (default 0) plus the sum of p * q over the (p, q) pairs times
-    the monomial packed as shift; start itself is left as it is."""
+    the monomial packed as shift; start itself is left as it is.  The
+    engine's coefficients are all positive, so no sum cancels and the
+    result holds no zero entry."""
     out = dict(start) if start else {}
     get = out.get
     for p, q in pairs:
@@ -251,7 +241,7 @@ def _poly_dot(pairs: Iterable[tuple[dict, dict]], shift: int = 0,
             for e2, c2 in q:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+    return out
 
 
 def _unpacked(rows: list[dict], nmarkers: int, base: int) -> TruncSeries:
@@ -269,12 +259,11 @@ def _series_mul(a: list[dict], b: list[dict]) -> list[dict]:
 
 def _series_pow(a: list[dict], e: int) -> list[dict]:
     """A packed series to the power e, by repeated squaring; the first
-    factor is copied rather than multiplied into the series 1."""
+    factor is taken as it is rather than multiplied into the series 1."""
     out = None
     while e:
         if e & 1:
-            out = ([{m: c for m, c in p.items() if c} for p in a]
-                   if out is None else _series_mul(out, a))
+            out = a if out is None else _series_mul(out, a)
         e >>= 1
         if e:
             a = _series_mul(a, a)
@@ -320,9 +309,11 @@ def _poly_str(p: dict) -> str:
 class TruncSeries:
     """Power series in x mod x^(order+1) with marker-polynomial coefficients.
 
-    Coefficient polynomials are dicts from exponent tuples (one slot per
-    marker, each exponent >= 0) to integers; instances are never mutated
-    after construction.
+    The series engine's result type.  Coefficient polynomials are dicts
+    from exponent tuples (one slot per marker, each exponent >= 0) to
+    integers, all positive when the engine makes them; instances are never
+    mutated after construction.  The engine does its arithmetic on packed
+    rows, so this class has none beyond :meth:`mul_x`.
     """
 
     __slots__ = ("order", "nmarkers", "coeffs")
@@ -342,61 +333,8 @@ class TruncSeries:
             copies.append(copy)
         self.coeffs = tuple(copies)
 
-    # construction helpers ---------------------------------------------------
-
-    @classmethod
-    def one(cls, order: int, nmarkers: int) -> "TruncSeries":
-        return cls.x_power(0, order, nmarkers)
-
-    @classmethod
-    def x_power(cls, j: int, order: int, nmarkers: int) -> "TruncSeries":
-        if j < 0:
-            raise ValueError("need j >= 0")
-        coeffs = [{} for _ in range(order + 1)]
-        if j <= order:
-            coeffs[j] = {(0,) * nmarkers: 1}
-        return cls(order, nmarkers, coeffs)
-
-    # arithmetic ---------------------------------------------------------------
-
     def _like(self, coeffs) -> "TruncSeries":
         return TruncSeries(self.order, self.nmarkers, coeffs)
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return self._like([_poly_add(a, b)
-                           for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        # no exponent of the product exceeds the sum of the two largest
-        base = self._top() + other._top() + 1
-        return _unpacked(_series_mul(self._packed(base), other._packed(base)),
-                         self.nmarkers, base)
-
-    def _check(self, other: "TruncSeries") -> None:
-        if (self.order, self.nmarkers) != (other.order, other.nmarkers):
-            raise ValueError("series shape mismatch")
-
-    def _top(self) -> int:
-        """The largest exponent of any marker, 0 for no term.  Raises
-        ValueError on a negative exponent, which no digit can hold."""
-        exponents = [x for p in self.coeffs for e in p for x in e]
-        if exponents and min(exponents) < 0:
-            raise ValueError("marker exponents must be >= 0")
-        return max(exponents, default=0)
-
-    def _packed(self, base: int) -> list[dict]:
-        weights = [base ** i for i in range(self.nmarkers)]
-        return [{sum(map(mul, e, weights)): c for e, c in p.items()}
-                for p in self.coeffs]
-
-    def plus_one(self) -> "TruncSeries":
-        return self + TruncSeries.one(self.order, self.nmarkers)
-
-    def mul_marker(self, i: int) -> "TruncSeries":
-        return self._like([{e[:i] + (e[i] + 1,) + e[i + 1:]: c
-                            for e, c in p.items()} for p in self.coeffs])
 
     def mul_x(self, j: int) -> "TruncSeries":
         if j < 0:
@@ -406,15 +344,6 @@ class TruncSeries:
             if d + j <= self.order:
                 out[d + j] = dict(p)
         return self._like(out)
-
-    def pow(self, e: int) -> "TruncSeries":
-        """self**e by repeated squaring, for e >= 0."""
-        if e < 0:
-            raise ValueError("need e >= 0")
-        # a monomial of self**e is a product of e monomials of self
-        base = e * self._top() + 1
-        return _unpacked(_series_pow(self._packed(base), e), self.nmarkers,
-                         base)
 
     # queries --------------------------------------------------------------
 
@@ -495,10 +424,9 @@ def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]]
             for j in range(k + 1):
                 prods[j + 1].append(_next_row(prods[j], f, d, weights[j]))
         fn = prods[k + 1][d] if d >= 0 else {}
-        for a, c in levels:
-            if a <= n:
-                below = one if a == n else f[n - a]
-                fn = _poly_add(fn, {e: c * v for e, v in below.items()})
+        if levels:
+            fn = _poly_dot((({0: c}, one if a == n else f[n - a])
+                            for a, c in levels if a <= n), 0, fn)
         f.append(fn)
     return f, prods
 

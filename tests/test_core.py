@@ -147,6 +147,12 @@ class TestValidate:
         # a step kind outside u, d and l is not taken for a level step
         (MOTZKIN, [Step("x", 1, 1)], 0, IllegalStepError,
          "unknown step kind 'x'"),
+        # a run-length with no hash, and an object that is no step
+        (MOTZKIN, [Step("l", [1], 1)], 0, IllegalStepError,
+         "level run-length [1] not allowed by this family"),
+        (K1, [UP, "d"], 0, IllegalStepError, "not a step: 'd'"),
+        (K1, [UP, DOWN, DOWN, "d"], 0, NegativeHeightError,
+         "height -1 after step 2 is negative"),
     ])
     def test_error_surface(self, spec, steps, start, error, message):
         with pytest.raises(PathError) as err:
@@ -159,12 +165,12 @@ class TestValidate:
         assert p.up_count == 2 * p.down_size + 1
 
 
-WIDE = FamilySpec(1, {1: 100})  # more colors than a spec maps by id
+WIDE = FamilySpec(1, {1: 100})  # a hundred colors, checked by fields
 
 
 class TestIdentityPass:
-    """Shared steps are validated by identity, any other input by the exact
-    loop; either way the verdict is the one the step kinds give."""
+    """UP and DOWN are validated by identity, any other step by its
+    fields; either way the verdict is the one the step kinds give."""
 
     @pytest.mark.parametrize("spec, steps, start, want", [
         # fresh steps equal to the shared ones
@@ -217,6 +223,12 @@ class TestIdentityPass:
          (IllegalStepError, "level run-length 3 not allowed by this family")),
         (MOTZKIN, [UP, DOWN, DOWN, Step("l", 3, 1)], 0,
          (NegativeHeightError, "height -1 after step 2 is negative")),
+        (MOTZKIN, [UP, Step("l", [1], 1), DOWN, DOWN], 0, (IllegalStepError,
+         "level run-length [1] not allowed by this family")),
+        (K1, [UP, DOWN, UP, "d", DOWN, DOWN], 0,
+         (IllegalStepError, "not a step: 'd'")),
+        (K1, [UP, DOWN, DOWN, "d"], 0,
+         (NegativeHeightError, "height -1 after step 2 is negative")),
     ])
     def test_table(self, spec, steps, start, want):
         if isinstance(want, str):
@@ -241,12 +253,12 @@ class TestIdentityPass:
             LatticePath(spec, [level(1, 3)])
         assert str(err.value) == \
             "color 3 out of range 1..2 for level run-length 1"
-        # a spec built after the clear maps the new steps
+        # a spec built after the clear takes the old and the new step
         again = FamilySpec(1, {1: 2})
         assert again == spec
         assert LatticePath(again, [shared]) == LatticePath(spec, [fresh])
 
-    def test_copied_specs_map_their_own_steps(self):
+    def test_copied_specs_check_level_steps_alike(self):
         import copy
 
         spec = FamilySpec(1, {1: 2})
@@ -380,7 +392,7 @@ class TestLevelSteps:
             steps = parse_steps("".join(f"l1_{b}" for b in range(1, n + 1)))
             assert len(steps) == n and steps[-1] == Step("l", 1, n)
             assert level.cache_info().currsize <= bound
-            # the cache let level(1, 1) go; MOTZKIN keeps the one it maps
+            # the cache let level(1, 1) go; the fresh one passes by fields
             assert level(1, 1) is not shared and level(1, 1) == shared
             path = parse_path("l1_1", MOTZKIN)
             assert path == LatticePath(MOTZKIN, [Step("l", 1, 1)])
