@@ -142,6 +142,14 @@ def _integral(x) -> bool:
         return False
 
 
+def _int_arg(name: str, x) -> int:
+    """``x`` as an int under :func:`_integral`'s rule (4.0 is 4, True is
+    1), or a ValueError that names the parameter."""
+    if not _integral(x):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 # ---------------------------------------------------------------------------
 # family specification
 # ---------------------------------------------------------------------------

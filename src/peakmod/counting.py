@@ -331,6 +331,9 @@ class TruncSeries:
                     f"exponent tuples at degree {degree} must have "
                     f"{nmarkers} entries, got {sorted(set(map(len, copy)))}")
             copies.append(copy)
+        if len(copies) != order + 1:
+            raise ValueError(f"need order + 1 = {order + 1} coefficients, "
+                             f"got {len(copies)}")
         self.coeffs = tuple(copies)
 
     def _like(self, coeffs) -> "TruncSeries":

@@ -18,13 +18,25 @@ before its step, so paths that share a prefix share its statistic.
 :func:`family_histogram` tallies these states and :func:`gen_kac` yields
 the paths of the same walk.
 
-Most nodes of the walk choose nothing: once the height is k times the
-remaining length above the end height, only down-steps can still reach
-it, and once it is the remaining length below, only up-steps can.  The
-walk finishes such a forced run in one move: it builds the whole path,
-adds the run's blocks read from the same table (the block the run's first
-step closes, then one (d, d) block per further down-step), and pushes
-nothing on its stack; each path is still validated and counted as usual.
+The bottom of the walk's prefix tree repeats itself: the same (remaining
+length, height) states come up again and again.  So once the remaining
+length is at most a depth R, the walk reads the rest of the path from a
+completion table built once per walk.  The table of a state (rem, h, kind
+of the previous step) lists every way to finish the path from it, in the
+walk's own order; an entry holds the tail's steps, the key it adds, whether
+its first peak releases the peak the prefix holds, and the residue held
+after it.  The walk yields the prefix plus each tail, and each path is still
+built and validated by :class:`LatticePath` and counted against the cap one
+by one.  A forced run (only downs, or only ups, can still reach the end
+height) is a one-entry table below R and walked like any state above it.
+
+R is bounded by the tables' size, not by a depth alone: it is the largest
+depth up to length // 2 at which the completions over all table keys fit
+:data:`TABLE_ENTRIES`.  The completions are counted first by an integer
+recursion over run-lengths that takes a color count c_a as a
+multiplicity, so no color is listed before the bound is known: a run-length
+with more colors than the budget keeps R below it, and its colors are never
+put in a table.  The tables are built bottom-up from rem = 0 to R.
 
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
@@ -45,7 +57,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step,
-                   ascii_int, tree_from_records)
+                   _int_arg, ascii_int, level, tree_from_records)
 from .statistics import (DD, PEAK, PLAIN, STARRED, VARIANTS, closing_rows,
                          stat_vector)
 from .transforms import permute_coordinates
@@ -94,6 +106,7 @@ class _Budget:
 
 def k_dyck_family(k: int, n: int) -> tuple[FamilySpec, int]:
     """The spec and total length of the pure k-Dyck paths of down-size n."""
+    k, n = _int_arg("k", k), _int_arg("n", n)
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
     return FamilySpec(k), (k + 1) * n
@@ -102,6 +115,7 @@ def k_dyck_family(k: int, n: int) -> tuple[FamilySpec, int]:
 def ballot_family(k: int, m: int, n: int) -> tuple[FamilySpec, int]:
     """The spec and total length of the (k, m)-ballot paths of down-size n
     (k*n + m ups, ending at m)."""
+    k, m, n = _int_arg("k", k), _int_arg("m", m), _int_arg("n", n)
     if k < 1 or m < 0 or n < 0:
         raise ValueError("need k >= 1, m >= 0, n >= 0")
     return FamilySpec(k, end_height=m), (k + 1) * n + m
@@ -142,6 +156,7 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
     peak, whose residue is ``held`` (-1 for none), into one integer: see
     :func:`_packing`.
     """
+    length = _int_arg("length", length)
     if length < 0:
         raise ValueError("length must be >= 0")
     budget = _Budget(resolve_cap(max_objects))
@@ -160,14 +175,14 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
     weight = _packing(k, length)
     key = 0
     # A state (rem, h) is kept only if the end height is still reachable:
-    # heights move by +1 (u), -k (d) or 0 per unit of length.  At rem = 0
-    # that leaves h == m, so every prefix that uses up the length is a path.
+    # heights move by +1 (u), -k (d) or 0 per unit of length.
     if length < m:
         return
     if length == 0:
         budget.tick()
         yield LatticePath(spec, ()), key, -1
         return
+    depth, tables = _completions(spec, length, rows, weight)
     prefix: list[Step] = []
     # per step in prefix: the next move to try after it, and the closes
     # row, held residue and key from before it
@@ -189,26 +204,17 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
                 nkey, nheld = key + weight[held], h % k
             else:  # DD
                 nkey, nheld = key + weight[k], held
-            if nh - k * nrem == m or nh + nrem == m:
-                # Only downs (above m) or only ups (below m) can still
-                # reach m, and at nrem = 0 nothing is left: finish the path
-                # in one move.  A run's first step closes its block after
-                # step; each later one closes the block of two steps of the
-                # run's kind, a DD for downs (no table has a peak inside a
-                # run).
-                run = ()
-                if nrem:
-                    j = 1 if nh > m else 0
-                    block = closes[i - 1][j]
-                    if block == PEAK:
-                        nkey, nheld = nkey + weight[nheld], nh % k
-                    elif block == DD:
-                        nkey += weight[k]
-                    if closes[j][j] == DD:
-                        nkey += (nrem - 1) * weight[k]
-                    run = (moves[j][0],) * nrem
-                budget.tick()
-                yield LatticePath(spec, (*prefix, step, *run)), nkey, nheld
+            if nrem <= depth:  # read the rest of each path from its table
+                head = (*prefix, step)
+                freed = nkey + weight[nheld]
+                for tail, inc, released, after in \
+                        tables.get((nrem, nh, step.kind), ()):
+                    budget.tick()
+                    path = LatticePath(spec, head + tail)
+                    if released:
+                        yield path, freed + inc, after
+                    else:
+                        yield path, nkey + inc, nheld
                 continue
             prefix.append(step)
             undo.append((i, row, held, key))
@@ -222,6 +228,81 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
             h -= rise
         else:
             return
+
+
+# The most completions the tables of one walk hold, over all their keys.
+# On the oracle benchmark families (2-core x86-64, CPython 3.11) budgets
+# from 512 to 8,192 gave the same speed within noise; at 2,048 the largest
+# tables trace under 200 KiB.
+TABLE_ENTRIES = 2048
+
+
+def _completions(spec: FamilySpec, length: int, rows: dict,
+                 weight: list[int]) -> tuple[int, dict]:
+    """The depth R of a walk's completion tables, and the tables.
+
+    ``tables[rem, h, kind]`` lists every completion of a prefix that ends
+    with a step of ``kind`` at height h with rem length left, in canonical
+    order, as (steps, key increment, whether it releases the held peak,
+    residue held after it).  Only states with a completion get a table,
+    and only those the walk can reach (h <= length - rem).
+    """
+    k, m = spec.k, spec.end_height
+    kinds = ("u", "d", "l") if spec.levels else ("u", "d")
+    # counts[rem][h]: the completions from (rem, h), colors as a multiplicity
+    counts = [{m: 1}]
+    total = len(kinds)
+    span = max((a for a, _ in spec.levels), default=1)
+    empty = 0  # layers in a row without a completion
+    while len(counts) <= length // 2:
+        rem = len(counts)
+        froms: Counter = Counter()
+        for h, c in counts[rem - 1].items():
+            if h > 0:
+                froms[h - 1] += c  # an up step from h - 1 leads to h
+            froms[h + k] += c      # and a down step from h + k
+        for a, colors in spec.levels:
+            if a <= rem:
+                for h, c in counts[rem - a].items():
+                    froms[h] += colors * c
+        layer = {h: c for h, c in froms.items() if h <= length - rem}
+        total += len(kinds) * sum(layer.values())
+        if total > TABLE_ENTRIES:
+            break
+        counts.append(layer)
+        empty = 0 if layer else empty + 1
+        if empty == span:
+            # No step is longer than span, so every path has a state in
+            # these layers: the family is empty.  This bounds the loop by
+            # the budget, not by the length.
+            return length // 2, {}
+    depth = len(counts) - 1
+    # (kind, height change, length, steps) in canonical order
+    groups = [("u", 1, 1, (UP,)), ("d", -k, 1, (DOWN,))]
+    groups += [("l", 0, a, tuple(level(a, b) for b in range(1, c + 1)))
+               for a, c in spec.levels if a <= depth]
+    tables = {(0, m, prev): [((), 0, False, -1)] for prev in kinds}
+    for rem in range(1, depth + 1):
+        for h in counts[rem]:
+            for prev in kinds:
+                out = []
+                for kind, rise, size, steps in groups:
+                    sub = tables.get((rem - size, h + rise, kind))
+                    if sub is None:
+                        continue
+                    block = rows[prev][kind][0]
+                    if block == DD:
+                        sub = [(t, inc + weight[k], rel, after)
+                               for t, inc, rel, after in sub]
+                    elif block == PEAK:  # release the held peak, hold h's
+                        r = h % k
+                        sub = [(t, inc + weight[r], True, after) if rel
+                               else (t, inc, True, r)
+                               for t, inc, rel, after in sub]
+                    out += [((s,) + t, inc, rel, after)
+                            for s in steps for t, inc, rel, after in sub]
+                tables[rem, h, prev] = out
+    return depth, tables
 
 
 def _packing(k: int, length: int) -> list[int]:
@@ -255,6 +336,7 @@ def gen_trees(arity: int, n: int,
     explicit stack holds the nodes' slot-occupancy masks in breadth-first
     order (a Łukasiewicz-style word), each tried in increasing order.
     """
+    arity, n = _int_arg("arity", arity), _int_arg("n", n)
     if arity < 1 or n < 0:
         raise ValueError("need arity >= 1 and n >= 0")
     budget = _Budget(resolve_cap(max_objects))

@@ -465,6 +465,16 @@ class TestTruncSeries:
                                              "2 entries"):
             TruncSeries(len(coeffs) - 1, 2, coeffs)
 
+    def test_row_count_is_checked(self):
+        # too few rows left coefficient(2) an IndexError, and too many
+        # printed a line past the order
+        with pytest.raises(ValueError, match=r"order \+ 1 = 4 coefficients, "
+                                             "got 1"):
+            TruncSeries(3, 1, [{(0,): 1}])
+        with pytest.raises(ValueError, match=r"order \+ 1 = 2 coefficients, "
+                                             "got 3"):
+            TruncSeries(1, 1, [{}, {}, {(0,): 5}])
+
     def test_negative_sizes_are_rejected(self):
         # a negative index used to pick a term from the top of the list
         one = _one(3, 1)

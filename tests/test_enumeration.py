@@ -3,11 +3,14 @@
 import copy
 import pickle
 import sys
+import time
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peakmod import (
     BadPermutationError,
@@ -29,8 +32,10 @@ from peakmod import (
     validate,
 )
 from peakmod.core import DOWN, UP
-from peakmod.enumeration import _compositions
-from peakmod.statistics import PLAIN, PLAIN_STARRED, VARIANTS, WEAK
+from peakmod import enumeration
+from peakmod.enumeration import _completions, _compositions, _packing
+from peakmod.statistics import (PLAIN, PLAIN_STARRED, VARIANTS, WEAK,
+                                closing_rows)
 
 from conftest import MOTZKIN, SCHROEDER, block_tallies, oracle_grid
 
@@ -260,6 +265,14 @@ class TestResourceCap:
         assert first.text() == "l1_1"
         assert peak < 10 * 2 ** 20
 
+    def test_cap_on_a_many_colored_family(self):
+        # the tables are bounded by their entries, not by their depth:
+        # 300 colors keep them one step deep, so the cap acts at once
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            family_histogram(FamilySpec(1, {1: 300}), 16, PLAIN, 1000)
+        assert time.perf_counter() - start < 1.0
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("PEAKMOD_MAX_OBJECTS", "2")
         with pytest.raises(ResourceLimitError):
@@ -452,8 +465,26 @@ def jumped(path):
     return False
 
 
+def filter_over_all_words(spec, length):
+    """The family's step tuples, in the order of the words over u < d <
+    level steps that validate."""
+    moves = [UP, DOWN, *spec.level_steps()]
+    want = []
+    for n in range(length + 1):
+        for word in product(range(len(moves)), repeat=n):
+            steps = [moves[j] for j in word]
+            if sum(s.length for s in steps) == length:
+                try:
+                    want.append((word, validate(spec, steps).steps))
+                except PathError:
+                    pass
+    return [steps for _, steps in sorted(want)]
+
+
 class TestForcedRuns:
-    """The walk finishes a forced run of downs or ups in one move."""
+    """The walk reads each path's tail from a completion table: a forced
+    run of downs or ups is a one-entry table below the table depth, and is
+    walked step by step above it."""
 
     def test_histograms_match_the_stat_vector_route(self):
         for spec, length in forced_grid(12, 8):
@@ -464,18 +495,8 @@ class TestForcedRuns:
 
     def test_order_is_a_filter_over_all_words(self):
         for spec, length in forced_grid(6, 6):
-            moves = [UP, DOWN, *spec.level_steps()]
-            want = []
-            for n in range(length + 1):
-                for word in product(range(len(moves)), repeat=n):
-                    steps = [moves[j] for j in word]
-                    if sum(s.length for s in steps) == length:
-                        try:
-                            want.append((word, validate(spec, steps).steps))
-                        except PathError:
-                            pass
             assert [p.steps for p in gen_kac(spec, length)] == \
-                [steps for _, steps in sorted(want)], (spec, length)
+                filter_over_all_words(spec, length), (spec, length)
 
     @pytest.mark.parametrize("spec, length", [
         (FamilySpec(1), 8), (FamilySpec(3), 8),
@@ -493,6 +514,72 @@ class TestForcedRuns:
             assert family_histogram(spec, length, variant, size).total == size
             with pytest.raises(ResourceLimitError):
                 family_histogram(spec, length, variant, size - 1)
+
+
+def table_entries(spec, length, depth):
+    """The entries of the walk's tables up to ``depth``, all variants
+    alike."""
+    _, tables = _completions(spec, length, closing_rows(None, spec.k),
+                             _packing(spec.k, length))
+    return sum(len(t) for (rem, _, _), t in tables.items() if rem <= depth)
+
+
+class TestTableBoundary:
+    """Families drawn around the depth R at which the walk starts reading
+    tables, with level runs that straddle rem = R."""
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 4),
+           st.sampled_from(({2: 1}, {3: 1}, {1: 2, 3: 1})),
+           st.integers(0, 3), st.integers(-1, 3))
+    def test_walk_equals_the_references(self, k, m, levels, depth, offset):
+        spec = FamilySpec(k, levels, m)
+        length = max(depth + offset, 0)
+        # a budget of exactly the entries up to depth makes R = depth, or
+        # length // 2 if that is less
+        budget = table_entries(spec, length, depth)
+        saved = enumeration.TABLE_ENTRIES
+        enumeration.TABLE_ENTRIES = budget
+        try:
+            assert _completions(spec, length, closing_rows(None, k),
+                                _packing(k, length))[0] >= \
+                min(depth, length // 2)
+            paths = list(gen_kac(spec, length))
+            assert [p.steps for p in paths] == \
+                filter_over_all_words(spec, length)
+            for variant in VARIANTS:
+                assert family_histogram(spec, length, variant) == \
+                    histogram(paths, variant), variant
+        finally:
+            enumeration.TABLE_ENTRIES = saved
+
+
+class TestSizeArguments:
+    """The walks read their sizes by the one integer rule at entry."""
+
+    @pytest.mark.parametrize("name, call", [
+        ("length", lambda x: list(gen_kac(FamilySpec(1), x))),
+        ("length", lambda x: family_histogram(FamilySpec(1), x)),
+        ("n", lambda x: list(gen_k_dyck(1, x))),
+        ("n", lambda x: list(gen_ballot(1, 1, x))),
+        ("arity", lambda x: list(gen_trees(x, 2))),
+        ("n", lambda x: list(gen_trees(2, x))),
+    ])
+    @pytest.mark.parametrize("bad", [2.5, "4", None])
+    def test_non_integral_sizes_name_the_parameter(self, name, call, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(bad)
+
+    def test_integral_values_are_read_as_ints(self):
+        assert list(gen_kac(FamilySpec(1), 4.0)) == \
+            list(gen_kac(FamilySpec(1), 4))
+        assert family_histogram(FamilySpec(1), 4.0) == \
+            family_histogram(FamilySpec(1), 4)
+        assert list(gen_k_dyck(2, 2.0)) == list(gen_k_dyck(2, 2))
+        assert list(gen_trees(2.0, 3)) == list(gen_trees(2, 3))
+        assert list(gen_trees(2, 3.0)) == list(gen_trees(2, 3))
+        assert [p.text() for p in gen_kac(MOTZKIN, True)] == ["l1_1"]
 
 
 class TestPathValues:
