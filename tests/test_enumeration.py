@@ -31,8 +31,8 @@ from peakmod import (
     stat_vector,
     validate,
 )
-from peakmod.core import DOWN, UP
 from peakmod import enumeration
+from peakmod.core import DOWN, UP
 from peakmod.enumeration import _completions, _compositions, _packing
 from peakmod.statistics import (PLAIN, PLAIN_STARRED, VARIANTS, WEAK,
                                 closing_rows)
@@ -516,12 +516,11 @@ class TestForcedRuns:
                 family_histogram(spec, length, variant, size - 1)
 
 
-def table_entries(spec, length, depth):
-    """The entries of the walk's tables up to ``depth``, all variants
-    alike."""
-    _, tables = _completions(spec, length, closing_rows(None, spec.k),
-                             _packing(spec.k, length))
-    return sum(len(t) for (rem, _, _), t in tables.items() if rem <= depth)
+def walk_tables(spec, length):
+    """The depth and tables the walk builds for a family; their entries
+    are the same in every variant."""
+    return _completions(spec, length, closing_rows(None, spec.k),
+                        _packing(spec.k, length))
 
 
 class TestTableBoundary:
@@ -538,13 +537,12 @@ class TestTableBoundary:
         length = max(depth + offset, 0)
         # a budget of exactly the entries up to depth makes R = depth, or
         # length // 2 if that is less
-        budget = table_entries(spec, length, depth)
+        budget = sum(len(t) for (rem, _, _), t in
+                     walk_tables(spec, length)[1].items() if rem <= depth)
         saved = enumeration.TABLE_ENTRIES
         enumeration.TABLE_ENTRIES = budget
         try:
-            assert _completions(spec, length, closing_rows(None, k),
-                                _packing(k, length))[0] >= \
-                min(depth, length // 2)
+            assert walk_tables(spec, length)[0] >= min(depth, length // 2)
             paths = list(gen_kac(spec, length))
             assert [p.steps for p in paths] == \
                 filter_over_all_words(spec, length)
@@ -565,7 +563,8 @@ class TestSizeArguments:
         ("n", lambda x: list(gen_ballot(1, 1, x))),
         ("arity", lambda x: list(gen_trees(x, 2))),
         ("n", lambda x: list(gen_trees(2, x))),
-    ])
+    ], ids=["gen_kac", "family_histogram", "gen_k_dyck", "gen_ballot",
+            "gen_trees-arity", "gen_trees-n"])
     @pytest.mark.parametrize("bad", [2.5, "4", None])
     def test_non_integral_sizes_name_the_parameter(self, name, call, bad):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
