@@ -43,6 +43,8 @@ from .core import (
     LatticePath,
     NodeLabel,
     PositionalTree,
+    TreeError,
+    _int_arg,
     pure_spec,
     tree_from_records,
 )
@@ -138,6 +140,7 @@ def path_to_labeled_tree(path: LatticePath) -> PositionalTree:
 
 def tree_to_path(tree: PositionalTree | None, k: int) -> LatticePath:
     """Inverse of :func:`path_to_tree` for trees of arity k+1."""
+    k = _int_arg("k", k, 1, TreeError)
     if tree is not None and tree.arity != k + 1:
         raise ArityMismatchError(
             f"tree arity {tree.arity} does not match k+1 = {k + 1}")

@@ -38,6 +38,7 @@ from .core import (
     FamilySpec,
     PathError,
     TreeError,
+    _int_arg,
     ascii_int,
     parse_path,
     render_path,
@@ -295,11 +296,9 @@ def cmd_count(args) -> int:
     elif args.what == "narayana":
         print(narayana(args.n, _int(args.r, "--r")))
     elif args.what == "ballot":
-        if args.k < 1:
-            raise ValueError("need k >= 1")
-        ell, r = divmod(args.end_height, args.k)
-        s = _ints(args.s, "--s")
-        print(count_ballot_joint(args.k, ell, r, args.n, s))
+        spec = FamilySpec(args.k, end_height=args.end_height)
+        print(count_ballot_joint(spec.k, spec.ell, spec.residue, args.n,
+                                 _ints(args.s, "--s")))
     elif args.what == "series":
         series = _build_series(args)
         if args.format == "json":
@@ -357,9 +356,8 @@ def cmd_verify(args) -> int:
     for flag, param in _CONTRACT[f"verify {args.suite}"][1].items():
         value = getattr(args, flag)
         if param and value is not None:
-            if value < (least := 1 if flag in ("k", "max_k") else 0):
-                raise ValueError(f"{_flag(flag)} must be >= {least}")
-            kwargs[param] = value
+            kwargs[param] = _int_arg(_flag(flag), value,
+                                     1 if flag in ("k", "max_k") else 0)
     report = SUITES[args.suite](**kwargs)
     if args.format == "json":
         _dump_json(report.to_json())

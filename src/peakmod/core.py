@@ -142,12 +142,18 @@ def _integral(x) -> bool:
         return False
 
 
-def _int_arg(name: str, x) -> int:
+def _int_arg(name: str, x, least: int | None = None,
+             error: type[ValueError] = ValueError) -> int:
     """``x`` as an int under :func:`_integral`'s rule (4.0 is 4, True is
-    1), or a ValueError that names the parameter."""
-    if not _integral(x):
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+    1), at least ``least`` if given: the one reader of the library's integer
+    arguments.  Else ``error``, a ValueError, names the parameter."""
+    if x.__class__ is not int:
+        if not _integral(x):
+            raise error(f"{name} must be an integer, got {x!r}")
+        x = int(x)
+    if least is not None and x < least:
+        raise error(f"{name} must be >= {least}, got {x}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +167,8 @@ class FamilySpec:
     ``k`` is the down-step drop, ``levels`` maps run-length a to its color
     count c_a (the empty map forbids level steps entirely and gives pure
     k-Dyck / ballot paths), and ``end_height`` is the target height m >= 0
-    relative to the start (0 for Dyck-like families).  Each number is an
-    integer, a value equal to its ``int()``, and is kept as an int.
+    relative to the start (0 for Dyck-like families).  Each number is read
+    by :func:`_int_arg` and kept as an int.
     """
 
     k: int
@@ -170,25 +176,22 @@ class FamilySpec:
     end_height: int = 0
 
     def __post_init__(self):
-        k, m, levels = self.k, self.end_height, self.levels
-        if not (_integral(k) and _integral(m)):
-            raise ValueError(f"k and end_height must be integers, "
-                             f"got {k!r} and {m!r}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if m < 0:
-            raise ValueError(f"end_height must be >= 0, got {m}")
-        items = []
-        for a, c in levels.items() if isinstance(levels, Mapping) else levels:
-            if not (_integral(a) and _integral(c) and a >= 1 and c >= 1):
-                raise ValueError(f"level run-length {a!r} and color count "
-                                 f"{c!r} must be integers >= 1")
-            items.append((int(a), int(c)))
+        object.__setattr__(self, "k", _int_arg("k", self.k, 1))
+        object.__setattr__(self, "end_height",
+                           _int_arg("end_height", self.end_height, 0))
+        levels = self.levels
+        if isinstance(levels, Mapping):
+            levels = levels.items()
+        try:
+            pairs = [(a, c) for a, c in levels]
+        except (TypeError, ValueError):
+            raise ValueError(f"levels must map run-lengths to color counts, "
+                             f"got {self.levels!r}") from None
+        items = [(_int_arg("level run-length", a, 1),
+                  _int_arg("color count", c, 1)) for a, c in pairs]
         colors = dict(items)
         if len(colors) != len(items):
             raise ValueError("duplicate level run-length")
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "end_height", int(m))
         object.__setattr__(self, "levels", tuple(sorted(items)))
         # run-length -> color count, read by every level-step check
         object.__setattr__(self, "_colors", colors)
@@ -565,9 +568,9 @@ class PositionalTree:
     def __init__(self, arity: int,
                  children: Iterable[tuple[int, "PositionalTree"]] = (),
                  label: NodeLabel | None = None):
-        if arity < 1:
-            raise TreeError(f"arity must be >= 1, got {arity}")
-        kids = tuple(sorted(children, key=_POSITION))
+        arity = _int_arg("arity", arity, 1, TreeError)
+        kids = tuple(sorted(((_int_arg("child position", p, error=TreeError),
+                              c) for p, c in children), key=_POSITION))
         for i, (pos, child) in enumerate(kids):
             if not 1 <= pos <= arity:
                 raise PositionOutOfRangeError(
@@ -752,7 +755,7 @@ def _not_an_object(value) -> TreeError:
 def _tree_records(obj, arity: int) -> list:
     """The (parent, position, label) records of a tree in nested-object
     form, breadth-first, so a node's children are adjacent records; ``[]``
-    for ``None``.
+    for ``None``.  ``arity`` is an int, as the callers read it.
 
     The first fault met breadth-first raises: a node that is no object, or
     a bad key, position or label.  Then come the checks the nested
@@ -774,8 +777,7 @@ def _tree_records(obj, arity: int) -> list:
             else:
                 queue.append((idx, _position(key, arity), child))
         records.append((parent, pos, label))
-    if arity < 1:
-        raise TreeError(f"arity must be >= 1, got {arity}")
+    _int_arg("arity", arity, 1, TreeError)
     if len(set(map(_PARENT_POSITION, records))) < len(records):
         twice = [pair for pair, n in
                  Counter(map(_PARENT_POSITION, records)).items() if n > 1]
@@ -790,6 +792,7 @@ _PARENT_POSITION = itemgetter(0, 1)
 
 def tree_from_json(obj, arity: int) -> PositionalTree | None:
     """Inverse of :func:`tree_to_json`."""
+    arity = _int_arg("arity", arity, error=TreeError)
     records = _tree_records(obj, arity)
     return tree_from_records(arity, records) if records else None
 
@@ -913,5 +916,6 @@ def records_from_json_text(text: str, arity: int) -> list:
 
 def tree_from_json_text(text: str, arity: int) -> PositionalTree | None:
     """Parse the JSON text form, rejecting duplicate position keys."""
+    arity = _int_arg("arity", arity, error=TreeError)
     records = records_from_json_text(text, arity)
     return tree_from_records(arity, records) if records else None

@@ -52,7 +52,7 @@ from math import comb, gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .core import FamilySpec, _integral
+from .core import FamilySpec, _int_arg
 from .enumeration import _unpack
 from .transforms import permute_coordinates
 
@@ -72,13 +72,22 @@ def _exact_int(num: int, den: int, context: str) -> int:
     return quotient
 
 
-def _entries(r: Sequence[int]) -> tuple[int, ...]:
-    """The entries of a statistic vector as ints, by the integer rule of
-    :class:`FamilySpec`: True and 1.0 pass, 1.5 and "1" raise ValueError."""
-    r = tuple(r)
-    if not all(map(_integral, r)):
-        raise ValueError(f"statistic entries must be integers, got {list(r)}")
-    return tuple(map(int, r))
+def _entries(name: str, r: Sequence[int], size: int) -> tuple[int, ...]:
+    """The ``size`` entries of the vector ``name``, read as ints >= 0."""
+    try:
+        r = tuple(r)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {r!r}") from None
+    if len(r) != size:
+        raise ValueError(f"{name} needs {size} entries, got {len(r)}")
+    name += " entry"
+    return tuple([_int_arg(name, x, 0) for x in r])
+
+
+def _joint_args(k: int, n: int, r: Sequence[int]) -> tuple:
+    """k >= 1, n >= 1 and the k + 1 entries of r, as ints."""
+    k, n = _int_arg("k", k, 1), _int_arg("n", n, 1)
+    return k, n, _entries("r", r, k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +96,7 @@ def _entries(r: Sequence[int]) -> tuple[int, ...]:
 
 def fuss_catalan(k: int, n: int) -> int:
     """Number of k-Dyck paths of down-size n: C((k+1)n, n) / (kn + 1)."""
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
+    k, n = _int_arg("k", k, 1), _int_arg("n", n, 0)
     return _exact_int(comb((k + 1) * n, n), k * n + 1,
                       f"fuss_catalan({k}, {n})")
 
@@ -100,8 +108,7 @@ def count_joint(k: int, n: int, r: Sequence[int]) -> int:
     after the rightmost peak carries exactly one feature); otherwise
     (1/n) * prod_i C(n, r_i).
     """
-    r = _entries(r)
-    _check_joint_args(k, n, r)
+    k, n, r = _joint_args(k, n, r)
     if sum(r) != n - 1:
         return 0
     num = 1
@@ -110,25 +117,10 @@ def count_joint(k: int, n: int, r: Sequence[int]) -> int:
     return _exact_int(num, n, f"count_joint({k}, {n}, {r})")
 
 
-def _check_joint_args(k: int, n: int, r: tuple[int, ...]) -> None:
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if len(r) != k + 1:
-        raise ValueError(f"statistic vector needs {k + 1} entries, "
-                         f"got {len(r)}")
-    if any(x < 0 for x in r):
-        raise ValueError("statistic entries must be >= 0")
-
-
 def count_marginal(k: int, n: int, r: int) -> int:
     """Paths of down-size n on which one fixed statistic equals r:
     (1/n) C(n, r) C(kn, n-1-r)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if n < 1 or not 0 <= r <= n - 1:
-        raise ValueError("need n >= 1 and 0 <= r <= n-1")
+    k, n, r = _marginal_args(k, n, r)
     return _exact_int(comb(n, r) * comb(k * n, n - 1 - r), n,
                       f"count_marginal({k}, {n}, {r})")
 
@@ -138,19 +130,25 @@ def count_pk(k: int, n: int, r: int) -> int:
     total: (1/n) C(n, r+1) C(kn, r).  Reversal partner of
     :func:`count_marginal`: count_pk(k, n, n-1-r) == count_marginal(k, n, r).
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if n < 1 or not 0 <= r <= n - 1:
-        raise ValueError("need n >= 1 and 0 <= r <= n-1")
+    k, n, r = _marginal_args(k, n, r)
     return _exact_int(comb(n, r + 1) * comb(k * n, r), n,
                       f"count_pk({k}, {n}, {r})")
+
+
+def _marginal_args(k: int, n: int, r: int) -> tuple[int, int, int]:
+    """k >= 1, n >= 1 and 0 <= r <= n - 1, as ints."""
+    k, n, r = _int_arg("k", k, 1), _int_arg("n", n, 1), _int_arg("r", r, 0)
+    if r > n - 1:
+        raise ValueError(f"need r <= n - 1, got r = {r} and n = {n}")
+    return k, n, r
 
 
 def narayana(n: int, r: int) -> int:
     """Dyck paths of semilength n with exactly r peaks:
     (1/n) C(n, r) C(n, r-1)."""
-    if n < 1 or not 1 <= r <= n:
-        raise ValueError("need n >= 1 and 1 <= r <= n")
+    n, r = _int_arg("n", n, 1), _int_arg("r", r, 1)
+    if r > n:
+        raise ValueError(f"need r <= n, got r = {r} and n = {n}")
     return _exact_int(comb(n, r) * comb(n, r - 1), n,
                       f"narayana({n}, {r})")
 
@@ -170,15 +168,13 @@ def count_ballot_joint(k: int, ell: int, r: int, n: int,
 
     in integers, with the bracket over (n+ell+1)(n+ell).
     """
-    s = _entries(s)
-    if k < 1 or ell < 0 or not 0 <= r <= k - 1:
-        raise ValueError("need k >= 1, ell >= 0, 0 <= r <= k-1")
-    if len(s) != k + 1 or any(x < 0 for x in s):
-        raise ValueError(f"statistic vector needs {k + 1} entries >= 0")
+    k, ell = _int_arg("k", k, 1), _int_arg("ell", ell, 0)
+    r, n = _int_arg("r", r, 0), _int_arg("n", n, 0)
+    if r > k - 1:
+        raise ValueError(f"need r <= k - 1, got r = {r} and k = {k}")
+    s = _entries("s", s, k + 1)
     if n == 0:
         return 1 if all(x == 0 for x in s) else 0
-    if n < 0:
-        raise ValueError("need n >= 0")
     if sum(s) != n:
         return 0
     low = sum(s[i] for i in range(r + 1))
@@ -205,8 +201,7 @@ def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
     (k, n) and kept for the most recent (k, n) only, so a sweep over every
     r of one (k, n) expands Phi(f)^n once.
     """
-    r = _entries(r)
-    _check_joint_args(k, n, r)
+    k, n, r = _joint_args(k, n, r)
     return _exact_int(_lagrange_top(k, n).get(r, 0), n,
                       f"lagrange_coefficient({k}, {n}, {r})")
 
@@ -216,8 +211,8 @@ def _lagrange_top(k: int, n: int) -> Mapping[tuple[int, ...], int]:
     """[f^(n-1)] Phi(f)^n as a read-only marker polynomial."""
     f = [{0: 1} if d == 1 else {} for d in range(n)]
     phi = _marked_product(f, [n ** i for i in range(k + 1)])
-    return MappingProxyType(_unpacked(_series_pow(phi, n), k + 1, n)
-                            .coeffs[n - 1])
+    return MappingProxyType({_unpack(e, k + 1, n): c
+                             for e, c in _series_pow(phi, n)[n - 1].items()})
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +239,10 @@ def _poly_dot(pairs: Iterable[tuple[dict, dict]], shift: int = 0,
     return out
 
 
-def _unpacked(rows: list[dict], nmarkers: int, base: int) -> TruncSeries:
-    """The packed series rows, in base ``base``, as a TruncSeries."""
-    return TruncSeries(len(rows) - 1, nmarkers,
+def _unpacked(rows: list[dict], nmarkers: int) -> TruncSeries:
+    """The packed series rows, in base order + 1, as a TruncSeries."""
+    base = len(rows)
+    return TruncSeries(base - 1, nmarkers,
                        [{_unpack(e, nmarkers, base): c for e, c in p.items()}
                         for p in rows])
 
@@ -411,10 +407,7 @@ def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]]
     and rows d <= n - s of the partial products, so ``prods[j]`` for
     j >= 1 holds rows 0..max(0, order - s).  Row 0 of f is 0.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = _int_arg("order", order, 0)
     if order > sys.maxsize:  # no list of the rows could be indexed
         raise ValueError(f"order must be <= {sys.maxsize}")
     weights = [(order + 1) ** j for j in range(k + 1)]
@@ -441,7 +434,8 @@ def solve_f(k: int, order: int) -> TruncSeries:
     (pk_0, ..., pk_{k-1}, dd) over paths of down-size n; the constant term
     vanishes because only nonempty paths are counted.
     """
-    return _unpacked(_solve(k, order, 1, ())[0], k + 1, order + 1)
+    k = _int_arg("k", k, 1)
+    return _unpacked(_solve(k, order, 1, ())[0], k + 1)
 
 
 def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
@@ -452,7 +446,7 @@ def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
     symmetric in all k+1 markers.
     """
     return _unpacked(_solve(spec.k, order, spec.k + 1, spec.levels)[0],
-                     spec.k + 1, order + 1)
+                     spec.k + 1)
 
 
 def _ballot_product(f: list[dict], prods: list[list[dict]], k: int,
@@ -471,7 +465,7 @@ def _ballot_product(f: list[dict], prods: list[list[dict]], k: int,
     if ell:
         g = (_series_pow(g, ell + 1) if r + 1 == k
              else _series_mul(_series_pow(prods[k], ell), g))
-    return _unpacked(g, k + 1, base)
+    return _unpacked(g, k + 1)
 
 
 def solve_g(k: int, m: int, order: int) -> TruncSeries:
@@ -480,14 +474,12 @@ def solve_g(k: int, m: int, order: int) -> TruncSeries:
     Coefficients are symmetric in q_0..q_r and in q_{r+1}..q_{k-1}, where
     r = m mod k.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    k, m = _int_arg("k", k, 1), _int_arg("m", m, 0)
     return _ballot_product(*_solve(k, order, 1, ()), k, m)
 
 
 def solve_g_kac(spec: FamilySpec, m: int, order: int) -> TruncSeries:
     """Weak starred series of level-bearing ballot paths by total length."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _int_arg("m", m, 0)
     return _ballot_product(*_solve(spec.k, order, spec.k + 1, spec.levels),
                            spec.k, m).mul_x(m)

@@ -41,9 +41,11 @@ put in a table.  The tables are built bottom-up from rem = 0 to R.
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
 is 10**7 objects and can be overridden per call or through the
-PEAKMOD_MAX_OBJECTS environment variable, which is read as command-line
-numbers are (:func:`peakmod.core.ascii_int`: ASCII digits, no "_"); a
-negative or unreadable cap raises ValueError before anything is generated.
+PEAKMOD_MAX_OBJECTS environment variable.  ``max_objects`` is read as
+every integer argument is, by :func:`peakmod.core._int_arg` (3.0 is 3;
+2.5, "3" and -1 raise ValueError), and the variable as command-line
+numbers are (:func:`peakmod.core.ascii_int`: ASCII digits, no "_").  A
+bad cap of either kind raises before anything is generated.
 The path walk lists its moves, one per level color, before the cap can
 act, so a family with 10**12 colors never reaches its first path.
 """
@@ -72,10 +74,7 @@ class ResourceLimitError(RuntimeError):
 
 def resolve_cap(max_objects: int | None) -> int:
     if max_objects is not None:
-        if max_objects < 0:
-            raise ValueError(f"--limit (max_objects) must be >= 0, "
-                             f"got {max_objects}")
-        return max_objects
+        return _int_arg("--limit (max_objects)", max_objects, 0)
     env = os.environ.get(ENV_MAX_OBJECTS)
     if env is not None:
         try:
@@ -106,18 +105,14 @@ class _Budget:
 
 def k_dyck_family(k: int, n: int) -> tuple[FamilySpec, int]:
     """The spec and total length of the pure k-Dyck paths of down-size n."""
-    k, n = _int_arg("k", k), _int_arg("n", n)
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
+    k, n = _int_arg("k", k, 1), _int_arg("n", n, 0)
     return FamilySpec(k), (k + 1) * n
 
 
 def ballot_family(k: int, m: int, n: int) -> tuple[FamilySpec, int]:
     """The spec and total length of the (k, m)-ballot paths of down-size n
     (k*n + m ups, ending at m)."""
-    k, m, n = _int_arg("k", k), _int_arg("m", m), _int_arg("n", n)
-    if k < 1 or m < 0 or n < 0:
-        raise ValueError("need k >= 1, m >= 0, n >= 0")
+    k, m, n = _int_arg("k", k, 1), _int_arg("m", m, 0), _int_arg("n", n, 0)
     return FamilySpec(k, end_height=m), (k + 1) * n + m
 
 
@@ -156,9 +151,7 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
     peak, whose residue is ``held`` (-1 for none), into one integer: see
     :func:`_packing`.
     """
-    length = _int_arg("length", length)
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    length = _int_arg("length", length, 0)
     budget = _Budget(resolve_cap(max_objects))
     k = spec.k
     m = spec.end_height
@@ -172,7 +165,8 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
     rows = closing_rows(variant, k)
     row_of = {p: [rows[p][kind][0] for kind in kinds] for p in rows}
     closes = [row_of[p] for p in kinds + [""]]
-    weight = _packing(k, length)
+    # a walk that tallies no statistic reads only weight[-1] = 0, in freed
+    weight = _packing(k, length) if variant else [0]
     key = 0
     # A state (rem, h) is kept only if the end height is still reachable:
     # heights move by +1 (u), -k (d) or 0 per unit of length.
@@ -336,9 +330,7 @@ def gen_trees(arity: int, n: int,
     explicit stack holds the nodes' slot-occupancy masks in breadth-first
     order (a Łukasiewicz-style word), each tried in increasing order.
     """
-    arity, n = _int_arg("arity", arity), _int_arg("n", n)
-    if arity < 1 or n < 0:
-        raise ValueError("need arity >= 1 and n >= 0")
+    arity, n = _int_arg("arity", arity, 1), _int_arg("n", n, 0)
     budget = _Budget(resolve_cap(max_objects))
     if n == 0:
         budget.tick()
@@ -455,5 +447,7 @@ def histogram_from_keys(keys: Iterable[tuple[int, ...]],
                         k: int | None = None) -> Histogram:
     """Build a histogram directly from statistic tuples (tree e-vectors,
     precomputed keys, and the like)."""
+    if k is not None:
+        k = _int_arg("k", k, 1)
     counts = Counter(map(tuple, keys))
     return Histogram(variant, k, dict(counts), sum(counts.values()))

@@ -32,6 +32,8 @@ from .core import (
     LatticePath,
     NodeLabel,
     PositionalTree,
+    TreeError,
+    _int_arg,
     height_profile,
 )
 
@@ -192,6 +194,8 @@ def label_features(path: LatticePath) -> dict[int, NodeLabel]:
 def e_vector(tree: PositionalTree | None, arity: int | None = None
              ) -> tuple[int, ...]:
     """Counts (e_1, ..., e_m): how many nodes sit at each child position."""
+    if arity is not None:
+        arity = _int_arg("arity", arity, 1, TreeError)
     m = arity if tree is None else tree.arity
     if m is None:
         raise ValueError("arity required for the empty tree")

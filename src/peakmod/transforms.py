@@ -31,6 +31,7 @@ path by index lookups instead of copying it, through the same scan's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Sequence
 
 from .core import (
@@ -45,6 +46,7 @@ from .core import (
     Step,
     WrongEndHeightError,
     WrongKError,
+    _int_arg,
     _integral,
     pure_spec,
     tree_from_records,
@@ -121,9 +123,10 @@ def _require_pure(path: LatticePath, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 def lift(path: LatticePath, amount: int) -> LatticePath:
-    """The same step sequence started ``amount`` units higher."""
-    if amount < 0:
-        raise ValueError("lift amount must be >= 0")
+    """The same step sequence started ``amount`` >= 0 units higher; a
+    non-integral number is left for :class:`LatticePath` to refuse."""
+    if not (isinstance(amount, Real) and not _integral(amount)):
+        amount = _int_arg("amount", amount, 0)
     return LatticePath(path.spec, path.steps, path.start_height + amount)
 
 
@@ -219,11 +222,10 @@ class BallotDecomposition:
 def ballot_decompose(path: LatticePath,
                      m: int | None = None) -> BallotDecomposition:
     """Split a ballot path at the m last up-steps through heights 0..m-1."""
-    if m is None:
-        m = path.spec.end_height
-    elif m != path.spec.end_height:
-        raise WrongEndHeightError(
-            f"path ends {path.spec.end_height} above its start, not {m}")
+    end = path.spec.end_height
+    m = end if m is None else _int_arg("m", m, 0)
+    if m != end:
+        raise WrongEndHeightError(f"path ends {end} above its start, not {m}")
     _, last_up, _ = _closing_ups(path)
     spec = path.spec
     if not m:  # the parts are paths of the path's own family
@@ -248,8 +250,7 @@ def cyclic_shift(path: LatticePath, power: int = 1) -> LatticePath:
     empty path is fixed.  Acts on the underlying step sequence; a nonzero
     start height is carried through unchanged.
     """
-    if power < 0:
-        raise ValueError("power must be >= 0")
+    power = _int_arg("power", power, 0)
     _require_pure(path, "cyclic_shift")
     k = path.spec.k
     i = power % k
@@ -299,13 +300,18 @@ def deutsch_involution(path: LatticePath) -> LatticePath:
 def check_permutation(sigma: Sequence[int], m: int,
                       first: int = 1) -> tuple[int, ...]:
     """Validate sigma as images of first..first+m-1 and return a tuple of
-    ints; each entry must be an integer, as :class:`FamilySpec` reads one
-    (True and 1.0 pass, 1.9 and "1" do not)."""
-    sig = tuple(sigma)
-    if not all(map(_integral, sig)) or \
-            sorted(map(int, sig)) != list(range(first, first + m)):
+    ints; each entry must be an integer, as :func:`_int_arg` reads one
+    (True and 1.0 pass, 1.9 and "1" do not).  A sigma that is no sequence,
+    such as None, is no permutation either."""
+    try:
+        sig = list(sigma)
+        ok = all(map(_integral, sig)) and \
+            sorted(map(int, sig)) == list(range(first, first + m))
+    except TypeError:  # sigma is no sequence
+        sig, ok = sigma, False
+    if not ok:
         raise BadPermutationError(
-            f"{list(sig)} is not a permutation of {first}..{first + m - 1}")
+            f"{sig!r} is not a permutation of {first}..{first + m - 1}")
     return tuple(map(int, sig))
 
 

@@ -366,13 +366,13 @@ class TestExitCodes:
         code, out, err = run(capsys, "count", "series", "--k", "1",
                              "--order", order, *extra)
         assert (code, out) == (2, "")
-        assert err == "peakmod: order must be >= 0\n"
+        assert err == f"peakmod: order must be >= 0, got {order}\n"
 
     def test_series_rejects_k_below_one(self, capsys):
         for k in ("0", "-1"):
             code, out, err = run(capsys, "count", "series", "--k", k,
                                  "--order", "3")
-            assert code == 2 and out == "" and "k >= 1" in err
+            assert code == 2 and out == "" and "k must be >= 1" in err
 
     @pytest.mark.parametrize("what,extra", [
         ("ballot", ("--m", "1", "--s", "1,1")),
@@ -383,7 +383,7 @@ class TestExitCodes:
     def test_count_rejects_k_below_one(self, capsys, what, extra, k):
         code, out, err = run(capsys, "count", what, "--k", k, "--n", "2",
                              *extra)
-        assert code == 2 and out == "" and "k >= 1" in err
+        assert code == 2 and out == "" and "k must be >= 1" in err
 
     @pytest.mark.parametrize("suite,flag,value", [
         ("bijection", "--max-k", "0"),

@@ -325,7 +325,7 @@ class TestIntegerRule:
         assert spec == FamilySpec(2, end_height=1)
         assert type(spec.k) is int and type(spec.end_height) is int
         for k, m in ((1.5, 0), (2, 0.5), ("2", 0), (2, None)):
-            with pytest.raises(ValueError, match="must be integers"):
+            with pytest.raises(ValueError, match="must be an integer"):
                 FamilySpec(k, end_height=m)
 
     def test_both_levels_forms_read_alike(self):

@@ -244,9 +244,9 @@ class TestSolveF:
 
     def test_rejects_k_below_one(self):
         for k in (0, -1):
-            with pytest.raises(ValueError, match="k >= 1"):
+            with pytest.raises(ValueError, match="k must be >= 1"):
                 solve_f(k, 3)
-            with pytest.raises(ValueError, match="k >= 1"):
+            with pytest.raises(ValueError, match="k must be >= 1"):
                 solve_g(k, 1, 3)
 
     def test_fuss_catalan_at_ones(self):

@@ -98,6 +98,13 @@ class TestGenKac:
                 assert p.end_height == 1
                 assert p.path_length == L
 
+    def test_a_huge_k_builds_no_key_weights(self):
+        # gen_kac tallies no statistic, so it builds none of the k + 1
+        # weights that pack one: a family of k = 10**9 is found empty at once
+        start = time.perf_counter()
+        assert next(iter(gen_kac(FamilySpec(10 ** 9), 20)), None) is None
+        assert time.perf_counter() - start < 1.0
+
 
 class TestGenBallot:
     def test_seven_paths(self):
