@@ -18,10 +18,15 @@ slot in 1..m and slots may be skipped.  The empty tree (zero nodes) is
 represented by ``None`` throughout the package.  A :class:`PositionalTree`
 holds its (parent, position, label) records and builds its nodes only
 when ``children`` is read.  :func:`tree_to_json_text` writes JSON text
-from the records, and :func:`records_from_json_text` reads records back:
-it decodes the text as ``json.loads`` does (on an explicit stack past the
-C decoder's depth) and walks the value with the breadth-first loop of
-:func:`tree_from_json`, which makes the nodes' checks.
+from the records, each child's opening token taken from a per-arity
+table.  :func:`records_from_json_text` reads records back by one of two
+routes.  A canonical tree (keys "1".."arity", at most one string label per
+node, no key given twice) is read from the C decoder's tuples of pairs,
+with no Python call per object.  Any other text, every faulty one among
+it, takes the checked route: it is decoded as ``json.loads`` does (on an
+explicit stack past the C decoder's depth) and walked by the breadth-first
+loop of :func:`tree_from_json`, which makes the nodes' checks and words
+every fault.
 """
 
 from __future__ import annotations
@@ -288,8 +293,11 @@ class LatticePath:
             _set_start_height(self, h := int(h))
         if h < 0:
             raise NegativeHeightError(f"start height {h} is negative")
-        k, want = spec.k, h + spec.end_height
-        colors = spec._colors
+        try:
+            k, want, colors = spec.k, h + spec.end_height, spec._colors
+        except AttributeError:
+            raise PathError(f"spec must be a FamilySpec, got {spec!r}") \
+                from None
         it = iter(steps)
         try:
             for s in it:
@@ -536,15 +544,24 @@ class NodeLabel:
             raise TreeError(
                 f"node label must be a string, got {_shown(text)}")
         if text == "r":
-            return cls(LABEL_RIGHTMOST)
+            return _node_label(LABEL_RIGHTMOST)
         if text.isascii():  # then isdigit means 0-9 only
             if text.startswith("dd_") and text[3:].isdigit():
-                return cls(LABEL_DD, ordinal=int(text[3:]))
+                return _node_label(LABEL_DD, None, int(text[3:]))
             if text.startswith("p"):
                 i, _, j = text[1:].partition("_")
                 if i.isdigit() and j.isdigit():
-                    return cls(LABEL_PEAK, residue=int(i), ordinal=int(j))
+                    return _node_label(LABEL_PEAK, int(i), int(j))
         raise TreeError(f"unrecognized node label {text!r}")
+
+
+def _node_label(kind: str, residue: int | None = None,
+                ordinal: int | None = None) -> NodeLabel:
+    """The label of these fields, unchecked: its callers give the fields of
+    a valid label, as ``NodeLabel(kind, residue, ordinal)`` checks them."""
+    label = object.__new__(NodeLabel)
+    vars(label).update(kind=kind, residue=residue, ordinal=ordinal)
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +586,22 @@ class PositionalTree:
                  children: Iterable[tuple[int, "PositionalTree"]] = (),
                  label: NodeLabel | None = None):
         arity = _int_arg("arity", arity, 1, TreeError)
+        try:
+            pairs = [(p, c) for p, c in children]
+        except (TypeError, ValueError):
+            raise TreeError(f"children must be (position, subtree) pairs, "
+                            f"got {children!r}") from None
         kids = tuple(sorted(((_int_arg("child position", p, error=TreeError),
-                              c) for p, c in children), key=_POSITION))
+                              c) for p, c in pairs), key=_POSITION))
         for i, (pos, child) in enumerate(kids):
             if not 1 <= pos <= arity:
                 raise PositionOutOfRangeError(
                     f"child position {pos} outside 1..{arity}")
             if i and kids[i - 1][0] == pos:
                 raise DuplicatePositionError(f"duplicate child position {pos}")
+            if not isinstance(child, PositionalTree):
+                raise TreeError(f"child at position {pos} must be a "
+                                f"PositionalTree, got {child!r}")
             if child.arity != arity:
                 raise ArityMismatchError(
                     f"child arity {child.arity} != parent arity {arity}")
@@ -698,20 +723,29 @@ def tree_to_json(tree: PositionalTree | None):
     return objs[0]
 
 
+# the arities up to which the key tables of tree text, the writer's opening
+# tokens and the reader's canonical keys, cover every position; each is
+# built once per arity
+_TABLED_ARITY = 64
+
+
 def tree_to_json_text(tree: PositionalTree | None) -> str:
     """The compact wire form: ``json.dumps(tree_to_json(tree),
     sort_keys=True, separators=(",", ":"))``, written from the tree's
     records on an explicit stack, so no node is built and depth is
-    unbounded."""
+    unbounded.  Each child opens with a token read from the tables of
+    :func:`_key_tokens`, kept per arity up to ``_TABLED_ARITY`` and past it
+    made for the positions the records hold."""
     if tree is None:
         return "null"
     arity, records = tree.arity, tree._flat
-    # each node's children as (key, record index); keys sort as strings,
-    # so past arity 9 "10" < "2", and "label" sorts after every position
+    rank, first, rest = _arity_tokens(arity) if arity <= _TABLED_ARITY \
+        else _key_tokens({pos for _, pos, _ in records[1:]})
+    # each node's children as (rank of key, record index)
     kids: list[list] = [[] for _ in records]
     for idx in range(len(records) - 1, 0, -1):
         parent, pos, _ = records[idx]
-        kids[parent].append((pos if arity < 10 else str(pos), idx))
+        kids[parent].append((rank[pos], idx))
     out = ["{"]
     todo: list = [0]  # record indices of opened nodes, and text to emit
     while todo:
@@ -728,13 +762,29 @@ def tree_to_json_text(tree: PositionalTree | None) -> str:
         if len(ks) > 1:
             ks.sort()
         for n in range(len(ks) - 1, 0, -1):
-            key, c = ks[n]
+            r, c = ks[n]
             todo.append(c)
-            todo.append(f',"{key}":{{')
-        key, c = ks[0]
+            todo.append(rest[r])
+        r, c = ks[0]
         todo.append(c)
-        todo.append(f'"{key}":{{')
+        todo.append(first[r])
     return "".join(out)
+
+
+@cache
+def _arity_tokens(arity: int) -> tuple:
+    return _key_tokens(range(1, arity + 1))
+
+
+def _key_tokens(positions) -> tuple:
+    """``(rank, first, rest)`` for writing children at these positions:
+    ``rank[pos]`` orders the keys as json.dumps sorts them, as strings
+    (past arity 9 "10" < "2"), and ``first[r]`` / ``rest[r]`` open the
+    child of rank r as the first of its siblings (``"3":{``) or a later
+    one (``,"3":{``)."""
+    keys = sorted(map(str, positions))
+    return ({int(key): r for r, key in enumerate(keys)},
+            [f'"{key}":{{' for key in keys], [f',"{key}":{{' for key in keys])
 
 
 def _position(key: str, arity: int) -> int:
@@ -881,13 +931,17 @@ def _loads(text: str):
 
     ``_DECODER`` reads it (with json's C scanner on CPython); text nested
     so deep that it raises RecursionError is read again by
-    :func:`_json_value`, which gives the same value or the same error.
-    ``decode``, unlike ``json.loads``, has no message of its own for a
-    leading byte order mark."""
+    :func:`_stack_loads`.  ``decode``, unlike ``json.loads``, has no
+    message of its own for a leading byte order mark."""
     try:
         return _DECODER.decode(text)
     except RecursionError:
-        pass
+        return _stack_loads(text)
+
+
+def _stack_loads(text: str):
+    """:func:`_loads` of ``text`` on an explicit stack (:func:`_json_value`),
+    which gives the C decoder's value or its error at any depth."""
     value, i = _json_value(text, _skip(text, 0), _DECODER.scan_once)
     i = _skip(text, i)
     if i != len(text):
@@ -895,18 +949,73 @@ def _loads(text: str):
     return value
 
 
+# the C scanner makes each object the tuple of its (key, value) pairs
+_PAIRS = json.JSONDecoder(object_pairs_hook=tuple)
+
+
+def _canonical_records(obj, keys: dict) -> list | None:
+    """The records of a tree decoded by ``_PAIRS``, or None unless every
+    node is an object whose keys are all in ``keys`` (the canonical child
+    keys and their positions) but for one "label" with a string value,
+    and no key repeats within an object.  A bad label raises TreeError."""
+    if obj is None:
+        return []
+    records = [(-1, 0, None)]
+    nodes = [obj]
+    for idx, node in enumerate(nodes):  # grows as it goes
+        if node.__class__ is not tuple or \
+                len(node) > 1 and len(dict(node)) < len(node):
+            return None
+        for key, child in node:
+            pos = keys.get(key)
+            if pos is not None:
+                records.append((idx, pos, None))
+                nodes.append(child)
+            elif key == "label" and child.__class__ is str:
+                parent, pos, _ = records[idx]
+                records[idx] = (parent, pos, NodeLabel.parse(child))
+            else:
+                return None
+    return records
+
+
+@cache
+def _child_keys(arity: int) -> dict[str, int]:
+    """The canonical child keys "1".."arity" and the positions they name;
+    past ``_TABLED_ARITY`` a key over it takes the checked route."""
+    return {str(pos): pos for pos in range(1, arity + 1)}
+
+
 def records_from_json_text(text: str, arity: int) -> list:
     """The (parent, position, label) records of the tree in JSON text form,
     breadth-first; ``[]`` for ``null``.
 
     This is :func:`_tree_records` of ``json.loads(text)``, so it reports
-    the fault that :func:`tree_from_json` of that value meets first.  The
-    text is decoded by the C decoder or, past its depth, by
-    :func:`_json_value` on an explicit stack, so depth is unbounded; a key
-    given twice within one object raises when the object closes.
+    the fault that :func:`tree_from_json` of that value meets first.  It
+    reads the text one of two ways.  ``_PAIRS`` decodes it with no Python
+    call per object, and :func:`_canonical_records` walks the result: a
+    tree whose keys are all canonical, with at most one string label per
+    node and no key given twice, is read there.  Any other text, the faulty
+    ones among it, goes to :func:`_tree_records` of :func:`_loads`, the
+    one place that words a fault: the C decoder or, past its depth,
+    :func:`_stack_loads`, so depth is unbounded and a key given twice
+    within one object raises when the object closes.  Text too deep for
+    ``_PAIRS`` goes to the explicit stack at once.
     """
+    arity = _int_arg("arity", arity, error=TreeError)
+    load = _loads
     try:
-        obj = _loads(text)
+        value = _PAIRS.decode(text)
+        records = None if arity < 1 else _canonical_records(
+            value, _child_keys(min(arity, _TABLED_ARITY)))
+    except RecursionError:
+        records, load = None, _stack_loads
+    except ValueError:  # bad JSON, or a bad label
+        records = None
+    if records is not None:
+        return records
+    try:
+        obj = load(text)
     except DuplicatePositionError:
         raise
     except ValueError as exc:

@@ -34,6 +34,7 @@ from .core import (
     PositionalTree,
     TreeError,
     _int_arg,
+    _node_label,
     height_profile,
 )
 
@@ -171,23 +172,42 @@ def label_features(path: LatticePath) -> dict[int, NodeLabel]:
     Keys are block start indices (the up-step of a peak, the first down of
     a double descent).  The rightmost peak gets ``r``; the j-th remaining
     peak at height i mod k, read left to right, gets ``i_j``; the j-th
-    double descent gets ``d_j``.
+    double descent gets ``d_j``.  One pass over the steps finds them all,
+    as :func:`peaks` and :func:`double_descents` do, and makes each label
+    unchecked.
     """
     if path.is_empty():
         raise EmptyPathError("cannot label an empty path")
-    if path.spec.has_levels or any(s.kind == "l" for s in path.steps):
+    # validation admits a level step only where the spec has levels
+    if path.spec.has_levels:
         raise ValueError("feature labels are defined on pure k-Dyck paths")
     k = path.spec.k
-    pts = peaks(path)
     labels: dict[int, NodeLabel] = {}
     ordinals = [0] * k
-    for i, h in pts[:-1]:
-        res = h % k
-        ordinals[res] += 1
-        labels[i] = NodeLabel(LABEL_PEAK, residue=res, ordinal=ordinals[res])
-    labels[pts[-1][0]] = NodeLabel(LABEL_RIGHTMOST)
-    for j, i in enumerate(double_descents(path), start=1):
-        labels[i] = NodeLabel(LABEL_DD, ordinal=j)
+    dd = 0
+    # the latest peak as (up-step index, residue), held back until a later
+    # peak turns up; the one held at the end is the rightmost
+    held = None
+    h, prev = path.start_height, ""
+    for i, s in enumerate(path.steps):
+        kind = s.kind
+        if kind == "u":
+            h += 1
+        else:
+            if prev == "u":
+                if held is not None:
+                    j, res = held
+                    ordinals[res] += 1
+                    labels[j] = _node_label(LABEL_PEAK, res, ordinals[res])
+                held = (i - 1, h % k)
+            elif prev == "d":
+                dd += 1
+                labels[i - 1] = _node_label(LABEL_DD, None, dd)
+            h -= k
+        prev = kind
+    if held is None:
+        raise ValueError("feature labels need a peak")
+    labels[held[0]] = _node_label(LABEL_RIGHTMOST)
     return labels
 
 

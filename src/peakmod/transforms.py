@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Real
+from operator import length_hint
 from typing import Iterable, Sequence
 
 from .core import (
@@ -338,8 +339,12 @@ def _permuted(records, sig: tuple[int, ...]) -> list:
 
 def permute_subtrees(tree: PositionalTree | None,
                      sigma: Sequence[int]) -> PositionalTree | None:
-    """Move every child from position i to position sigma(i), at every node."""
+    """Move every child from position i to position sigma(i), at every node.
+
+    sigma must permute 1..arity, and 1..len(sigma) for the empty tree,
+    which it leaves empty."""
+    sig = check_permutation(
+        sigma, tree.arity if tree is not None else length_hint(sigma))
     if tree is None:
         return None
-    sig = check_permutation(sigma, tree.arity)
     return tree_from_records(tree.arity, _permuted(tree._flat, sig))

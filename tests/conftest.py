@@ -65,6 +65,21 @@ def block_tallies(path):
     return out
 
 
+def uniform_path(rng, k, n):
+    """A uniformly random k-Dyck path of down-size n (cycle lemma): of the
+    rotations of a shuffled word of kn+1 ups and n downs, the one after
+    the last prefix minimum keeps every prefix positive; drop its first
+    up."""
+    word = ["u"] * (k * n + 1) + ["d"] * n
+    rng.shuffle(word)
+    h = low = cut = 0
+    for i, step in enumerate(word):
+        h += 1 if step == "u" else -k
+        if h <= low:
+            low, cut = h, i + 1
+    return "".join((word[cut:] + word[:cut])[1:])
+
+
 @pytest.fixture
 def example_path() -> LatticePath:
     return parse_path(EXAMPLE_PATH_TEXT, K2)

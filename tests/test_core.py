@@ -110,6 +110,12 @@ class TestValidate:
         p = validate(FamilySpec(2, end_height=1), [UP])
         assert p.end_height == 1
 
+    def test_a_spec_that_is_no_family_spec(self):
+        for spec in (None, 2):
+            with pytest.raises(PathError) as err:
+                LatticePath(spec, ())
+            assert str(err.value) == f"spec must be a FamilySpec, got {spec}"
+
     def test_level_color_range(self):
         spec = FamilySpec(1, {2: 2})
         validate(spec, [level(2, 2)])
@@ -553,6 +559,17 @@ class TestTrees:
         text = json.dumps(tree_to_json(tree))
         assert tree_from_json_text(text, 3) == tree
 
+    @pytest.mark.parametrize("children,message", [
+        (None, "children must be (position, subtree) pairs, got None"),
+        ([(1,)], "children must be (position, subtree) pairs, got [(1,)]"),
+        ([(1, None)], "child at position 1 must be a PositionalTree, "
+                      "got None"),
+    ])
+    def test_bad_children_name_the_argument(self, children, message):
+        with pytest.raises(TreeError) as err:
+            PositionalTree(2, children)
+        assert str(err.value) == message
+
     def test_edge_count_invariant(self):
         leaf = PositionalTree(3)
         t = PositionalTree(3, ((2, PositionalTree(3, ((1, leaf),))),
@@ -590,6 +607,19 @@ class TestTreeWireFormat:
             assert tree_to_json_text(tree) == want
             arity = 3 if tree is None else tree.arity
             assert tree_from_json_text(want, arity) == tree
+
+    def test_text_past_the_tabled_arity(self):
+        # past 64 the writer's key tables cover the positions present, and
+        # a key past 64 is read by the checked route
+        leaf = PositionalTree(100, (), NodeLabel.parse("dd_2"))
+        tree = PositionalTree(100, ((100, leaf), (9, PositionalTree(100)),
+                                    (65, leaf), (10, leaf)))
+        want = json.dumps(tree_to_json(tree), sort_keys=True,
+                          separators=(",", ":"))
+        assert tree_to_json_text(tree) == want
+        assert tree_from_json_text(want, 100) == tree
+        with pytest.raises(PositionOutOfRangeError):
+            tree_from_json_text(want, 99)
 
     def test_reader_accepts_any_json_layout(self):
         text = ' {\n "3" : { } ,\t"label" : "r\\u0030" , "1":{}}\r\n'

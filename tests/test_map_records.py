@@ -35,26 +35,13 @@ from peakmod import core
 from peakmod.cli import main
 from peakmod.core import records_from_json_text
 
+from conftest import uniform_path
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def uniform_path(rng, k, n):
-    """A uniformly random k-Dyck path of down-size n (cycle lemma): of the
-    rotations of a shuffled word of kn+1 ups and n downs, the one after
-    the last prefix minimum keeps every prefix positive; drop its first
-    up."""
-    word = ["u"] * (k * n + 1) + ["d"] * n
-    rng.shuffle(word)
-    h = low = cut = 0
-    for i, step in enumerate(word):
-        h += 1 if step == "u" else -k
-        if h <= low:
-            low, cut = h, i + 1
-    return "".join((word[cut:] + word[:cut])[1:])
 
 
 def dumps(tree):
@@ -228,7 +215,9 @@ HOSTILE = [
      2, "", "peakmod: child position 1 outside 1..0\n"),
     (("permute", "--tree", '{"1":{}}', "--sigma", ""),
      2, "", "peakmod: invalid literal for int() with base 10: ''\n"),
-    (("permute", "--tree", "null", "--sigma", "1,1"), 0, "null\n", ""),
+    # sigma is checked for the empty tree too: 1..len(sigma)
+    (("permute", "--tree", "null", "--sigma", "1,1"),
+     2, "", "peakmod: [1, 1] is not a permutation of 1..2\n"),
     (("permute", "--tree", '{"1":{}}', "--sigma", "1,1"),
      2, "", "peakmod: [1, 1] is not a permutation of 1..2\n"),
     (("permute", "--tree", '{"1":{},"01":{}}', "--sigma", "1,1"),
@@ -346,6 +335,13 @@ class TooDeep(json.JSONDecoder):
         raise RecursionError
 
 
+class NoDecode(json.JSONDecoder):
+    """A decoder whose scanner reads values but which decodes no text."""
+
+    def decode(self, text):
+        raise AssertionError("the C decoder was tried twice")
+
+
 class TestTextReader:
     """``records_from_json_text`` decodes with the C decoder and, on text
     nested past its depth, on an explicit stack; both routes give the same
@@ -354,9 +350,33 @@ class TestTextReader:
     @staticmethod
     def both_routes(monkeypatch, cases):
         first = [outcome(*case) for case in cases]
+        # text the C decoder cannot read goes to the explicit stack at once
+        monkeypatch.setattr(core, "_PAIRS", TooDeep())
         monkeypatch.setattr(core, "_DECODER",
-                            TooDeep(object_pairs_hook=core._unique_keys))
+                            NoDecode(object_pairs_hook=core._unique_keys))
         return first, [outcome(*case) for case in cases]
+
+    def test_arity_is_read_at_entry(self):
+        assert records_from_json_text('{"1":{}}', 2.0) == [
+            (-1, 0, None), (0, 1, None)]
+        for arity, message in (("3", "arity must be an integer, got '3'"),
+                               (None, "arity must be an integer, got None"),
+                               (1.5, "arity must be an integer, got 1.5")):
+            for text in ('{"1":{}}', "[", "null"):
+                with pytest.raises(TreeError) as err:
+                    records_from_json_text(text, arity)
+                assert str(err.value) == message
+
+    def test_canonical_text_takes_no_checked_route(self, monkeypatch):
+        cases = list(seeded_tree_texts()) + [(" null ", 2)]
+        want = [outcome(*case) for case in cases]
+
+        def refuse(*args):
+            raise AssertionError("the checked route was taken")
+
+        monkeypatch.setattr(core, "_loads", refuse)
+        monkeypatch.setattr(core, "_tree_records", refuse)
+        assert [records_from_json_text(*case) for case in cases] == want
 
     def test_hostile_texts_read_alike(self, monkeypatch):
         texts = [argv[argv.index("--tree") + 1] for argv, *_ in HOSTILE

@@ -1,14 +1,19 @@
 """Peak/double-descent statistics in all four variants, plus labeling."""
 
+import random
+
 import pytest
 from hypothesis import given
 
 from peakmod import (
     EmptyPathError,
+    FamilySpec,
     LatticePath,
+    NodeLabel,
     PositionalTree,
     double_descents,
     e_vector,
+    gen_k_dyck,
     gen_kac,
     label_features,
     parse_path,
@@ -17,6 +22,7 @@ from peakmod import (
     weak_double_descents,
     weak_peaks,
 )
+from peakmod.core import parse_steps
 from peakmod.statistics import (
     DD,
     PEAK,
@@ -37,6 +43,7 @@ from conftest import (
     dyck,
     k_dyck_paths,
     oracle_grid,
+    uniform_path,
 )
 
 
@@ -249,6 +256,66 @@ class TestLabelFeatures:
                 per_class.setdefault("dd", []).append(lab.ordinal)
         for ordinals in per_class.values():
             assert ordinals == list(range(1, len(ordinals) + 1))
+
+
+def labels_by_definition(path):
+    """The feature labels read off :func:`peaks` and
+    :func:`double_descents`, each made by the checked constructor."""
+    k = path.spec.k
+    pts = peaks(path)
+    labels, ordinals = {}, [0] * k
+    for i, h in pts[:-1]:
+        ordinals[h % k] += 1
+        labels[i] = NodeLabel("peak", residue=h % k,
+                              ordinal=ordinals[h % k])
+    labels[pts[-1][0]] = NodeLabel("r")
+    for j, i in enumerate(double_descents(path), start=1):
+        labels[i] = NodeLabel("dd", ordinal=j)
+    return labels
+
+
+def assert_labels_by_definition(path):
+    labels = label_features(path)
+    assert labels == labels_by_definition(path)
+    for label in labels.values():
+        assert type(label) is NodeLabel
+        assert label == NodeLabel(label.kind, label.residue, label.ordinal)
+        assert vars(label) == vars(NodeLabel(label.kind, label.residue,
+                                             label.ordinal))
+
+
+class TestLabelsOnePass:
+    """label_features finds the features in one pass and makes its labels
+    unchecked; they are the labels of the definition, as the checked
+    constructor makes them (the dict's key order may differ)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_small_path(self, k):
+        count = 0
+        for n in range(1, 7):
+            for path in gen_k_dyck(k, n):
+                assert_labels_by_definition(path)
+                count += 1
+        assert count == {1: 196, 2: 1772, 3: 8220}[k]
+
+    def test_seeded_long_paths(self):
+        rng = random.Random("label_features n=500")
+        for i in range(20):
+            k = 1 + i % 3
+            path = parse_path(uniform_path(rng, k, 500), FamilySpec(k))
+            assert_labels_by_definition(path)
+
+    def test_lifted_start(self):
+        # a path started higher may open with a down-step
+        spec = FamilySpec(1)
+        path = LatticePath(spec, parse_steps("duud"), 1)
+        assert_labels_by_definition(path)
+        with pytest.raises(ValueError, match="feature labels need a peak"):
+            label_features(LatticePath(spec, parse_steps("du"), 1))
+
+    def test_level_families_refused(self):
+        with pytest.raises(ValueError, match="pure k-Dyck"):
+            label_features(parse_path("ud", FamilySpec(1, {1: 1})))
 
 
 class TestEVector:

@@ -344,6 +344,19 @@ class TestPermuteSubtrees:
     def test_bad_permutation(self):
         with pytest.raises(BadPermutationError):
             permute_subtrees(_chain([1]), (1, 1, 3))
+
+    def test_empty_tree_checks_sigma(self):
+        # for the empty tree sigma must permute 1..len(sigma)
+        for sigma in ((), (1,), (2, 3, 1), [2, 1]):
+            assert permute_subtrees(None, sigma) is None
+        for sigma, message in ((None, "None is not a permutation of 1..0"),
+                               ([1, 1], "[1, 1] is not a permutation of "
+                                        "1..2"),
+                               ((0, 1), "[0, 1] is not a permutation of "
+                                        "1..2")):
+            with pytest.raises(BadPermutationError) as err:
+                permute_subtrees(None, sigma)
+            assert str(err.value) == message
         with pytest.raises(BadPermutationError):
             permute_subtrees(_chain([1]), (1, 2))
 
