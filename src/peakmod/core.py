@@ -281,7 +281,16 @@ class LatticePath:
     def __init__(self, spec: FamilySpec, steps: Iterable[Step] = (),
                  start_height: int = 0):
         _set_spec(self, spec)
-        _set_steps(self, tuple(steps))
+        try:
+            steps = tuple(steps)
+        except TypeError:
+            try:  # a TypeError from inside an iterable is not ours to word
+                iter(steps)
+            except TypeError:
+                raise PathError(f"steps must be an iterable of steps, "
+                                f"got {steps!r}") from None
+            raise
+        _set_steps(self, steps)
         _set_start_height(self, start_height)
         self.__post_init__()
 
@@ -586,6 +595,8 @@ class PositionalTree:
                  children: Iterable[tuple[int, "PositionalTree"]] = (),
                  label: NodeLabel | None = None):
         arity = _int_arg("arity", arity, 1, TreeError)
+        if label is not None and not isinstance(label, NodeLabel):
+            raise TreeError(f"label must be a NodeLabel or None, got {label!r}")
         try:
             pairs = [(p, c) for p, c in children]
         except (TypeError, ValueError):

@@ -30,18 +30,43 @@ marker groups of g together make P_k, so g = P_k^ell * P_{r+1}: the
 ballot solvers finish the solver's own rows of P_1..P_k up to the order
 and build no marked product of their own.
 
-Inside the engine a monomial q_0^e_0 ... q_k^e_k is one integer, the
-packed key sum_i e_i * B^i (the layout of
-:func:`peakmod.enumeration._packing`), so multiplying two monomials adds
-their keys and multiplying by q_i adds B^i.  No product may carry into
-the next digit, so every exponent of the product must stay below B.  The
-solvers, the ballot products and the Lagrange expansion use B = order + 1:
-a coefficient at x^d (or f^d) has total marker degree at most d <= order,
-since every marker comes with a factor f of x-degree at least one.
-The engine multiplies only series it builds itself, from the color
-counts c_a >= 1 of a :class:`FamilySpec` and markers of coefficient 1,
-so every coefficient is positive and no sum of products cancels to
-zero.  Tuples appear only in the :class:`TruncSeries` API.
+Inside the engine a series is a list of rows, one per power of x (or
+of f), and a row is a dict from an *outer* key to an integer of
+*digits*.  The outer markers q_0..q_{j-1} are packed into the key
+sum_i e_i * B^i (the layout of :func:`peakmod.enumeration._packing`),
+and the powers of one *inner* marker q_j are the W-bit digits of the
+integer: the term c * q_0^e_0 ... q_j^e_j is c << (e_j * W) at key
+sum_{i<j} e_i * B^i.  A marker is a pair (step, shift): multiplying by
+an outer marker adds B^i to the key, and by the inner one shifts the
+digits by W bits.  A row product is then ``out[k1 + k2] += v1 * v2``,
+one C big-integer product per pair of keys (Kronecker substitution in
+the inner marker).
+
+- **Which marker is inner.**  The pure series are homogeneous: row d of
+  every P_j and of g has marker degree d, f_n has degree n - 1, and
+  [f^d] Phi(f)^n has degree d.  So :func:`solve_f`, :func:`solve_g` and
+  the Lagrange route drop q_k (step 0, shift 0) and restore its
+  exponent from the degree when unpacking; q_{k-1} is inner and
+  q_0..q_{k-2} are outer.  The level-step series are not homogeneous
+  (a level step carries no marker), so :func:`solve_f_kac` and
+  :func:`solve_g_kac` keep q_0..q_{k-1} outer and q_k inner.
+- **B.**  A coefficient at x^d (or f^d) has total marker degree at most
+  d <= order, since every marker comes with a factor f of x-degree at
+  least one, so no outer exponent reaches B = order + 1 (B = n for the
+  Lagrange expansion, whose rows stop at f^(n-1)) and no key carries.
+- **W.**  The engine multiplies only series it builds itself, from the
+  color counts c_a >= 1 of a :class:`FamilySpec` and markers of
+  coefficient 1, so every coefficient is positive and no sum of
+  products cancels to zero.  Each digit of a row, and each partial sum
+  that makes it, is therefore at most the row's value with every
+  marker at 1.  A shadow run of the same engine with every marker
+  specialized to 1 (step 0, shift 0, so each row is {0: that value})
+  gives those values for every row the call builds, and W is the bit
+  length of the largest: no digit carries into the next or borrows
+  from it.
+
+Rows are unpacked into exponent tuples once per result; tuples appear
+only in the :class:`TruncSeries` API.
 """
 
 from __future__ import annotations
@@ -50,7 +75,7 @@ import sys
 from functools import lru_cache
 from math import comb, gcd
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import FamilySpec, _int_arg
 from .enumeration import _unpack
@@ -209,22 +234,73 @@ def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
 @lru_cache(maxsize=1)
 def _lagrange_top(k: int, n: int) -> Mapping[tuple[int, ...], int]:
     """[f^(n-1)] Phi(f)^n as a read-only marker polynomial."""
-    f = [{0: 1} if d == 1 else {} for d in range(n)]
-    phi = _marked_product(f, [n ** i for i in range(k + 1)])
-    return MappingProxyType({_unpack(e, k + 1, n): c
-                             for e, c in _series_pow(phi, n)[n - 1].items()})
+    def build(markers):
+        f = [{0: 1} if d == 1 else {} for d in range(n)]
+        phi = _marked_product(f, markers)
+        return [phi, _series_pow(phi, n)]
+
+    rows, terms = _packed(build, k + 1, n, True)
+    return MappingProxyType(terms(rows[n - 1], n - 1))
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials and packed series
+# packed rows
 # ---------------------------------------------------------------------------
 
-def _poly_dot(pairs: Iterable[tuple[dict, dict]], shift: int = 0,
+def _packed(build: Callable[[list], list[list[dict]]], nmarkers: int,
+            base: int, homogeneous: bool) -> tuple[list[dict], Callable]:
+    """The rows of the series that ``build`` makes, and their unpacker.
+
+    ``build(markers)`` runs the engine with one (step, shift) per marker
+    and returns the series it built, its result last.  A first run
+    specializes every marker to 1, and W is the bit length of the
+    largest row value among the returned series.  That bounds every row
+    the run makes as long as each one left out, such as a partial
+    product of a power, is coefficientwise at most a returned one: a
+    partial power of a series with constant term 1 is at most the full
+    power.  The second run packs markers 0..j-1 into keys in base
+    ``base`` and marker j into W-bit digits, where j is the last marker,
+    or the one before it when the result is ``homogeneous`` and the last
+    marker is dropped.
+
+    ``terms(row, degree)`` is one result row as {exponent tuple:
+    coefficient}; a dropped marker's exponent is ``degree`` minus the
+    others, so ``degree`` is the row's total marker degree.
+    """
+    shadow = build([(0, 0)] * nmarkers)
+    width = max([v for rows in shadow for row in rows for v in row.values()],
+                default=0).bit_length()
+    outer = nmarkers - 1 - homogeneous
+    markers = [(base ** i, 0) for i in range(outer)] + [(0, width), (0, 0)]
+    rows = build(markers[:nmarkers])[-1]
+    mask = (1 << width) - 1
+
+    def terms(row: dict, degree: int) -> dict:
+        out = {}
+        for key, digits in row.items():
+            e = _unpack(key, outer, base)
+            if homogeneous:
+                rest = degree - sum(e)
+            j = 0
+            while digits:
+                c = digits & mask
+                if c:
+                    out[e + ((j, rest - j) if homogeneous else (j,))] = c
+                digits >>= width
+                j += 1
+        return out
+
+    return rows, terms
+
+
+def _poly_dot(pairs: Iterable[tuple[dict, dict]],
+              marker: tuple[int, int] = (0, 0),
               start: dict | None = None) -> dict:
     """start (default 0) plus the sum of p * q over the (p, q) pairs times
-    the monomial packed as shift; start itself is left as it is.  The
+    the marker (step, shift); start itself is left as it is.  The
     engine's coefficients are all positive, so no sum cancels and the
     result holds no zero entry."""
+    step, shift = marker
     out = dict(start) if start else {}
     get = out.get
     for p, q in pairs:
@@ -232,24 +308,17 @@ def _poly_dot(pairs: Iterable[tuple[dict, dict]], shift: int = 0,
             p, q = q, p
         q = q.items()
         for e1, c1 in p.items():
-            e1 += shift
+            e1 += step
+            c1 <<= shift
             for e2, c2 in q:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
     return out
 
 
-def _unpacked(rows: list[dict], nmarkers: int) -> TruncSeries:
-    """The packed series rows, in base order + 1, as a TruncSeries."""
-    base = len(rows)
-    return TruncSeries(base - 1, nmarkers,
-                       [{_unpack(e, nmarkers, base): c for e, c in p.items()}
-                        for p in rows])
-
-
 def _series_mul(a: list[dict], b: list[dict]) -> list[dict]:
     """The product of two packed series of one order."""
-    return [_poly_dot((a[i], b[d - i]) for i in range(d + 1))
+    return [_poly_dot(zip(a[:d + 1], reversed(b[:d + 1])))
             for d in range(len(a))]
 
 
@@ -266,19 +335,19 @@ def _series_pow(a: list[dict], e: int) -> list[dict]:
     return [{0: 1}] + [{}] * (len(a) - 1) if out is None else out
 
 
-def _next_row(rows: list[dict], f: list[dict], d: int, w: int) -> dict:
+def _next_row(rows: list[dict], f: list[dict], d: int,
+              marker: tuple[int, int]) -> dict:
     """[x^d] of P + q (f P), for the packed series f with f_0 = 0, P = rows
-    (rows 0..d suffice) and the marker q packed as w."""
-    return _poly_dot(((f[e], rows[d - e]) for e in range(1, d + 1)), w,
-                     rows[d])
+    (rows 0..d suffice) and the marker q."""
+    return _poly_dot(zip(f[1:d + 1], reversed(rows[:d])), marker, rows[d])
 
 
-def _marked_product(f: list[dict], weights: Iterable[int]) -> list[dict]:
-    """prod over the markers q of (q f + 1), for the packed series f and
-    the markers packed as weights."""
+def _marked_product(f: list[dict], markers: Iterable[tuple[int, int]]
+                    ) -> list[dict]:
+    """prod over the markers q of (q f + 1), for the packed series f."""
     out = [{0: 1}] + [{}] * (len(f) - 1)
-    for w in weights:
-        out = [_next_row(out, f, d, w) for d in range(len(f))]
+    for q in markers:
+        out = [_next_row(out, f, d, q) for d in range(len(f))]
     return out
 
 
@@ -397,20 +466,17 @@ class TruncSeries:
 # functional equation solvers
 # ---------------------------------------------------------------------------
 
-def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]]
+def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]],
+           markers: Sequence[tuple[int, int]]
            ) -> tuple[list[dict], list[list[dict]]]:
     """Solve f = sum_a c_a x^a (f + 1) + x^s prod_{i<=k} (q_i f + 1) as a
-    packed series in base order + 1; return f and ``prods``.
+    packed series with the markers q_0..q_k; return f and ``prods``.
 
     ``prods[j][d]`` is [x^d] P_j for P_0 = 1, P_{j+1} = P_j + q_j (f P_j).
     Since s >= 1 and every run-length a >= 1, f_n needs only f_1..f_{n-1}
     and rows d <= n - s of the partial products, so ``prods[j]`` for
     j >= 1 holds rows 0..max(0, order - s).  Row 0 of f is 0.
     """
-    order = _int_arg("order", order, 0)
-    if order > sys.maxsize:  # no list of the rows could be indexed
-        raise ValueError(f"order must be <= {sys.maxsize}")
-    weights = [(order + 1) ** j for j in range(k + 1)]
     one = {0: 1}
     f: list[dict] = [{}]
     prods = [[one] + [{}] * order] + [[one] for _ in range(k + 1)]
@@ -418,13 +484,38 @@ def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]]
         d = n - s
         if d > 0:
             for j in range(k + 1):
-                prods[j + 1].append(_next_row(prods[j], f, d, weights[j]))
+                prods[j + 1].append(_next_row(prods[j], f, d, markers[j]))
         fn = prods[k + 1][d] if d >= 0 else {}
         if levels:
             fn = _poly_dot((({0: c}, one if a == n else f[n - a])
-                            for a, c in levels if a <= n), 0, fn)
+                            for a, c in levels if a <= n), (0, 0), fn)
         f.append(fn)
     return f, prods
+
+
+def _series(k: int, order: int, spec: FamilySpec | None,
+            m: int | None) -> TruncSeries:
+    """The solution f of :func:`_solve` (``m`` None) or the ballot series
+    g of end height m, as a TruncSeries in the k + 1 markers: for pure
+    k-Dyck paths by down-size when ``spec`` is None, else for the level
+    family ``spec`` by length.  The pure series are homogeneous: row d of
+    f has marker degree d - 1 and row d of g degree d, which restores the
+    dropped q_k."""
+    order = _int_arg("order", order, 0)
+    if order > sys.maxsize:  # no list of the rows could be indexed
+        raise ValueError(f"order must be <= {sys.maxsize}")
+    s, levels = (1, ()) if spec is None else (k + 1, spec.levels)
+
+    def build(markers):
+        f, prods = _solve(k, order, s, levels, markers)
+        if m is None:
+            return [*prods, f]
+        return [*prods, f, _ballot_product(f, prods, k, m, markers)]
+
+    rows, terms = _packed(build, k + 1, order + 1, spec is None)
+    shift = -1 if m is None else 0
+    return TruncSeries(order, k + 1, [terms(row, d + shift)
+                                      for d, row in enumerate(rows)])
 
 
 def solve_f(k: int, order: int) -> TruncSeries:
@@ -434,8 +525,7 @@ def solve_f(k: int, order: int) -> TruncSeries:
     (pk_0, ..., pk_{k-1}, dd) over paths of down-size n; the constant term
     vanishes because only nonempty paths are counted.
     """
-    k = _int_arg("k", k, 1)
-    return _unpacked(_solve(k, order, 1, ())[0], k + 1)
+    return _series(_int_arg("k", k, 1), order, None, None)
 
 
 def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
@@ -445,27 +535,26 @@ def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
     statistics (wpk_0, ..., wpk_{k-1}, wdd) over paths of length L, and is
     symmetric in all k+1 markers.
     """
-    return _unpacked(_solve(spec.k, order, spec.k + 1, spec.levels)[0],
-                     spec.k + 1)
+    return _series(spec.k, order, spec, None)
 
 
-def _ballot_product(f: list[dict], prods: list[list[dict]], k: int,
-                    m: int) -> TruncSeries:
+def _ballot_product(f: list[dict], prods: list[list[dict]], k: int, m: int,
+                    markers: Sequence[tuple[int, int]]) -> list[dict]:
     """The ballot series g = P_k^ell * P_{r+1}, m = ell*k + r, from the
-    packed solution f (base order + 1) and the partial products of
-    :func:`_solve`, whose rows of P_1..P_k it first finishes up to the
-    order.  When r + 1 = k, g is P_k^(ell+1), one power: for k = 1, m = 3
-    that is two squarings instead of a square and two products."""
-    base = len(f)
-    for d in range(len(prods[1]), base):
+    packed solution f and the partial products of :func:`_solve`, whose
+    rows of P_1..P_k it first finishes up to the order.  When r + 1 = k,
+    g is P_k^(ell+1), one power: for k = 1, m = 3 that is two squarings
+    instead of a square and two products.  Every P_j has constant term 1,
+    so each partial product of the powers is coefficientwise at most g."""
+    for d in range(len(prods[1]), len(f)):
         for j in range(k):
-            prods[j + 1].append(_next_row(prods[j], f, d, base ** j))
+            prods[j + 1].append(_next_row(prods[j], f, d, markers[j]))
     ell, r = divmod(m, k)
     g = prods[r + 1]
     if ell:
         g = (_series_pow(g, ell + 1) if r + 1 == k
              else _series_mul(_series_pow(prods[k], ell), g))
-    return _unpacked(g, k + 1)
+    return g
 
 
 def solve_g(k: int, m: int, order: int) -> TruncSeries:
@@ -475,11 +564,10 @@ def solve_g(k: int, m: int, order: int) -> TruncSeries:
     r = m mod k.
     """
     k, m = _int_arg("k", k, 1), _int_arg("m", m, 0)
-    return _ballot_product(*_solve(k, order, 1, ()), k, m)
+    return _series(k, order, None, m)
 
 
 def solve_g_kac(spec: FamilySpec, m: int, order: int) -> TruncSeries:
     """Weak starred series of level-bearing ballot paths by total length."""
     m = _int_arg("m", m, 0)
-    return _ballot_product(*_solve(spec.k, order, spec.k + 1, spec.levels),
-                           spec.k, m).mul_x(m)
+    return _series(spec.k, order, spec, m).mul_x(m)

@@ -312,7 +312,7 @@ def _unpack(key: int, ndigits: int, base: int) -> tuple[int, ...]:
     """The digits of key in base ``base``, least significant first: the
     inverse of packing coordinate i at weight base**i, as :func:`_packing`
     does with base L + 1 and the series engine of :mod:`peakmod.counting`
-    with its own bases."""
+    does for its outer markers, with its own bases."""
     digits = []
     for _ in range(ndigits):
         key, digit = divmod(key, base)

@@ -116,6 +116,20 @@ class TestValidate:
                 LatticePath(spec, ())
             assert str(err.value) == f"spec must be a FamilySpec, got {spec}"
 
+    @pytest.mark.parametrize("steps", [None, 5])
+    def test_steps_that_are_not_iterable(self, steps):
+        with pytest.raises(PathError) as err:
+            LatticePath(K2, steps)
+        assert str(err.value) == \
+            f"steps must be an iterable of steps, got {steps}"
+
+    def test_a_type_error_inside_the_steps_is_not_reworded(self):
+        def steps():
+            yield UP
+            raise TypeError("from inside")
+        with pytest.raises(TypeError, match="from inside"):
+            LatticePath(K2, steps())
+
     def test_level_color_range(self):
         spec = FamilySpec(1, {2: 2})
         validate(spec, [level(2, 2)])
@@ -569,6 +583,13 @@ class TestTrees:
         with pytest.raises(TreeError) as err:
             PositionalTree(2, children)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("label", ["r", ("p", 0, 1), {"kind": "p"}])
+    def test_a_label_that_is_no_node_label(self, label):
+        with pytest.raises(TreeError) as err:
+            PositionalTree(2, (), label)
+        assert str(err.value) == \
+            f"label must be a NodeLabel or None, got {label!r}"
 
     def test_edge_count_invariant(self):
         leaf = PositionalTree(3)

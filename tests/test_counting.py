@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import comb
 from pathlib import Path
@@ -506,6 +507,14 @@ def _one(order, nmarkers):
                        [{(0,) * nmarkers: 1}] + [{}] * order)
 
 
+def _tuple_sum(a, b):
+    out = [dict(p) for p in a.coeffs]
+    for row, q in zip(out, b.coeffs):
+        for e, c in q.items():
+            row[e] = row.get(e, 0) + c
+    return TruncSeries(a.order, a.nmarkers, out)
+
+
 def _tuple_product(a, b):
     """a * b on exponent tuples, one term pair at a time: the reference
     for the engine's packed products."""
@@ -528,7 +537,40 @@ def _tuple_power(a, e):
     return out
 
 
-LEVEL_MAPS = ({}, {1: 1}, {2: 1}, {1: 2, 3: 1})
+def _marked_plus_one(f, i):
+    """q_i f + 1: raise exponent i of every term, then add 1 at x^0."""
+    rows = [{e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in p.items()}
+            for p in f.coeffs]
+    return _tuple_sum(TruncSeries(f.order, f.nmarkers, rows),
+                      _one(f.order, f.nmarkers))
+
+
+def _truncated(series, order):
+    return TruncSeries(order, series.nmarkers, series.coeffs[:order + 1])
+
+
+LEVEL_MAPS = ({}, {1: 1}, {2: 1}, {1: 2, 3: 1}, {1: 3})
+TOP = 9  # the differential tests run every order up to TOP
+
+
+@lru_cache(maxsize=None)
+def _reference_f(k, spec=None):
+    """f to order TOP on exponent tuples, for pure k-Dyck paths by
+    down-size (spec None) or for the level family spec by length, by
+    fixed-point iteration of f = c_A(x) (f + 1) + x^s prod_i (q_i f + 1):
+    each pass fixes one more coefficient, since s >= 1 and c_A(0) = 0."""
+    s, levels = (1, {}) if spec is None else (k + 1, dict(spec.levels))
+    zero = (0,) * (k + 1)
+    c_a = TruncSeries(TOP, k + 1, [{zero: levels[a]} if a in levels else {}
+                                   for a in range(TOP + 1)])
+    f = TruncSeries(TOP, k + 1, [{}] * (TOP + 1))
+    for _ in range(TOP):
+        phi = _one(TOP, k + 1)
+        for i in range(k + 1):
+            phi = _tuple_product(phi, _marked_plus_one(f, i))
+        f = _tuple_sum(phi.mul_x(s),
+                       _tuple_product(c_a, _tuple_sum(f, _one(TOP, k + 1))))
+    return f
 
 
 def _product_form(f, k, m):
@@ -536,41 +578,87 @@ def _product_form(f, k, m):
     m = ell*k + r, multiplied out on exponent tuples."""
     ell, r = divmod(m, k)
     g = _one(f.order, f.nmarkers)
-    zero = (0,) * f.nmarkers
     for i in range(k):
-        # q_i f + 1: raise exponent i of every term, then add 1 at x^0
-        rows = [{e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in p.items()}
-                for p in f.coeffs]
-        rows[0][zero] = rows[0].get(zero, 0) + 1
-        factor = TruncSeries(f.order, f.nmarkers, rows)
+        factor = _marked_plus_one(f, i)
         g = _tuple_product(g, _tuple_power(factor, ell + 1 if i <= r else ell))
     return g
+
+
+class TestReferenceSolutions:
+    """Every solver against f solved on exponent tuples with no packed
+    row (``_reference_f``), at every order up to TOP: k <= 3, pure and
+    with each of LEVEL_MAPS."""
+
+    def test_solve_f(self):
+        for k in (1, 2, 3):
+            want = _reference_f(k)
+            for order in range(TOP + 1):
+                assert solve_f(k, order) == _truncated(want, order), (
+                    k, order)
+
+    def test_solve_f_kac(self):
+        for k in (1, 2, 3):
+            for levels in LEVEL_MAPS:
+                spec = FamilySpec(k, levels)
+                want = _reference_f(k, spec)
+                for order in range(TOP + 1):
+                    assert solve_f_kac(spec, order) == \
+                        _truncated(want, order), (k, levels, order)
+
+    def test_lagrange_coefficient(self):
+        # (1/n) [t^(n-1)] prod_i (q_i t + 1)^n, multiplied out on tuples
+        for k in (1, 2, 3):
+            for n in range(1, TOP + 1):
+                t = _one(n - 1, k + 1).mul_x(1)
+                phi = _one(n - 1, k + 1)
+                for i in range(k + 1):
+                    phi = _tuple_product(phi, _marked_plus_one(t, i))
+                top = _tuple_power(phi, n).coefficient(n - 1)
+                for r in _vectors(n - 1, k + 1):
+                    assert top[r] % n == 0
+                    assert lagrange_coefficient(k, n, r) == top[r] // n, (
+                        k, n, r)
+                assert lagrange_coefficient(k, n, (n,) + (0,) * k) == 0
+
+
+class TestHomogeneousRows:
+    """The pure solvers drop q_k inside the engine and restore it from
+    the row's marker degree: d - 1 at x^d of f and d at x^d of g."""
+
+    def test_solve_f_and_solve_g(self):
+        for k in (1, 2, 3):
+            for series, shift in [(solve_f(k, 12), -1)] + [
+                    (solve_g(k, m, 10), 0) for m in range(7)]:
+                for d, p in enumerate(series.coeffs):
+                    for e in p:
+                        assert min(e) >= 0 and sum(e) == d + shift, (k, d, e)
 
 
 class TestBallotProductForm:
     """The ballot solvers take g = P_k^ell * P_{r+1} from the solver's
     partial products P_j = prod_{i<j} (q_i f + 1); the reference builds
     the paper's product of the two marker groups factor by factor on
-    exponent tuples, with no packed row."""
+    exponent tuples, from the reference f, with no packed row."""
 
     def test_solve_g(self):
         for k in (1, 2, 3):
-            for order in range(9):
-                f = solve_f(k, order)
-                for m in range(8):
-                    assert solve_g(k, m, order) == _product_form(f, k, m), (
+            f = _reference_f(k)
+            for m in range(8):
+                want = _product_form(f, k, m)
+                for order in range(TOP + 1):
+                    assert solve_g(k, m, order) == _truncated(want, order), (
                         k, m, order)
 
     def test_solve_g_kac(self):
         for k in (1, 2, 3):
             for levels in LEVEL_MAPS:
                 spec = FamilySpec(k, levels)
-                for order in range(9):
-                    f = solve_f_kac(spec, order)
-                    for m in range(8):
-                        want = _product_form(f, k, m).mul_x(m)
-                        assert solve_g_kac(spec, m, order) == want, (
-                            k, levels, m, order)
+                f = _reference_f(k, spec)
+                for m in range(8):
+                    want = _product_form(f, k, m).mul_x(m)
+                    for order in range(TOP + 1):
+                        assert solve_g_kac(spec, m, order) == \
+                            _truncated(want, order), (k, levels, m, order)
 
 
 def _binomial(n, r):
