@@ -271,8 +271,10 @@ def _packed(build: Callable[[list], list[list[dict]]], nmarkers: int,
     width = max([v for rows in shadow for row in rows for v in row.values()],
                 default=0).bit_length()
     outer = nmarkers - 1 - homogeneous
-    markers = [(base ** i, 0) for i in range(outer)] + [(0, width), (0, 0)]
-    rows = build(markers[:nmarkers])[-1]
+    markers = [(base ** i, 0) for i in range(outer)] + [(0, width)]
+    if homogeneous:
+        markers.append((0, 0))
+    rows = build(markers)[-1]
     mask = (1 << width) - 1
 
     def terms(row: dict, degree: int) -> dict:
@@ -513,8 +515,8 @@ def _series(k: int, order: int, spec: FamilySpec | None,
         return [*prods, f, _ballot_product(f, prods, k, m, markers)]
 
     rows, terms = _packed(build, k + 1, order + 1, spec is None)
-    shift = -1 if m is None else 0
-    return TruncSeries(order, k + 1, [terms(row, d + shift)
+    offset = -1 if m is None else 0
+    return TruncSeries(order, k + 1, [terms(row, d + offset)
                                       for d, row in enumerate(rows)])
 
 
