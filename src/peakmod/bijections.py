@@ -45,12 +45,12 @@ from .core import (
     PositionalTree,
     TreeError,
     _int_arg,
+    check_permutation,
     pure_spec,
     tree_from_records,
 )
 from .statistics import label_features
-from .transforms import _closing_ups, _permuted, _require_pure, \
-    check_permutation
+from .transforms import _closing_ups, _permuted, _require_pure
 
 
 def _records(path: LatticePath, labels: dict[int, NodeLabel] | None

@@ -162,6 +162,63 @@ def _int_arg(name: str, x, least: int | None = None,
 
 
 # ---------------------------------------------------------------------------
+# packed keys and permuted coordinates, shared by the counting routes
+# ---------------------------------------------------------------------------
+
+def _packing(k: int, length: int) -> list[int]:
+    """Weights that pack (pk_0, ..., pk_{k-1}, dd) into one integer: a
+    counter of a length-L family is at most L, so coordinate i is digit i
+    in base L + 1.  The last weight, at index -1, is 0: adding it counts
+    nothing, as for the residue -1 of no peak."""
+    base = length + 1
+    return [base ** i for i in range(k + 1)] + [0]
+
+
+def _unpack(key: int, ndigits: int, base: int) -> tuple[int, ...]:
+    """The digits of key in base ``base``, least significant first: the
+    inverse of packing coordinate i at weight base**i, as :func:`_packing`
+    does with base L + 1 for the family walk, and the series engine of
+    :mod:`peakmod.counting` does for its outer markers, with its own
+    bases."""
+    digits = []
+    for _ in range(ndigits):
+        key, digit = divmod(key, base)
+        digits.append(digit)
+    return tuple(digits)
+
+
+def check_permutation(sigma: Sequence[int], m: int,
+                      first: int = 1) -> tuple[int, ...]:
+    """Validate sigma as images of first..first+m-1 and return a tuple of
+    ints; each entry must be an integer, as :func:`_int_arg` reads one
+    (True and 1.0 pass, 1.9 and "1" do not).  A sigma that is no sequence,
+    such as None, is no permutation either."""
+    try:
+        sig = list(sigma)
+        ok = all(map(_integral, sig)) and \
+            sorted(map(int, sig)) == list(range(first, first + m))
+    except TypeError:  # sigma is no sequence
+        sig, ok = sigma, False
+    if not ok:
+        raise BadPermutationError(
+            f"{sig!r} is not a permutation of {first}..{first + m - 1}")
+    return tuple(map(int, sig))
+
+
+def permute_coordinates(table: dict[tuple[int, ...], int],
+                        sigma: Sequence[int], m: int,
+                        first: int) -> dict[tuple[int, ...], int]:
+    """Move coordinate i of every m-coordinate key to coordinate
+    sigma[i] - first, keeping the values.
+
+    sigma is checked by :func:`check_permutation`, so no two keys merge.
+    """
+    sig = check_permutation(sigma, m, first)
+    source = sorted(range(m), key=lambda i: sig[i])
+    return {tuple(key[i] for i in source): c for key, c in table.items()}
+
+
+# ---------------------------------------------------------------------------
 # family specification
 # ---------------------------------------------------------------------------
 

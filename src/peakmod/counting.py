@@ -33,7 +33,8 @@ and build no marked product of their own.
 Inside the engine a series is a list of rows, one per power of x (or
 of f), and a row is a dict from an *outer* key to an integer of
 *digits*.  The outer markers q_0..q_{j-1} are packed into the key
-sum_i e_i * B^i (the layout of :func:`peakmod.enumeration._packing`),
+sum_i e_i * B^i (the layout of :func:`peakmod.core._packing`, which
+the family walk of :mod:`peakmod.enumeration` shares from ``core``),
 and the powers of one *inner* marker q_j are the W-bit digits of the
 integer: the term c * q_0^e_0 ... q_j^e_j is c << (e_j * W) at key
 sum_{i<j} e_i * B^i.  A marker is a pair (step, shift): multiplying by
@@ -77,9 +78,7 @@ from math import comb, gcd
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import FamilySpec, _int_arg
-from .enumeration import _unpack
-from .transforms import permute_coordinates
+from .core import FamilySpec, _int_arg, _unpack, permute_coordinates
 
 
 class NonIntegerResultError(ArithmeticError):

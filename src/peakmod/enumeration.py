@@ -59,10 +59,10 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step,
-                   _int_arg, ascii_int, level, tree_from_records)
+                   _int_arg, _packing, _unpack, ascii_int, level,
+                   permute_coordinates, tree_from_records)
 from .statistics import (DD, PEAK, PLAIN, STARRED, VARIANTS, closing_rows,
                          stat_vector)
-from .transforms import permute_coordinates
 
 DEFAULT_MAX_OBJECTS = 10 ** 7
 ENV_MAX_OBJECTS = "PEAKMOD_MAX_OBJECTS"
@@ -149,7 +149,7 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
     ``variant`` names the statistic (None: no statistic).  ``key`` packs
     (pk_0, ..., pk_{k-1}, dd) over the blocks of the path but its latest
     peak, whose residue is ``held`` (-1 for none), into one integer: see
-    :func:`_packing`.
+    :func:`peakmod.core._packing`.
     """
     length = _int_arg("length", length, 0)
     budget = _Budget(resolve_cap(max_objects))
@@ -299,27 +299,6 @@ def _completions(spec: FamilySpec, length: int, rows: dict,
     return depth, tables
 
 
-def _packing(k: int, length: int) -> list[int]:
-    """Weights that pack (pk_0, ..., pk_{k-1}, dd) into one integer: a
-    counter of a length-L family is at most L, so coordinate i is digit i
-    in base L + 1.  The last weight, at index -1, is 0: adding it counts
-    nothing, as for the residue -1 of no peak."""
-    base = length + 1
-    return [base ** i for i in range(k + 1)] + [0]
-
-
-def _unpack(key: int, ndigits: int, base: int) -> tuple[int, ...]:
-    """The digits of key in base ``base``, least significant first: the
-    inverse of packing coordinate i at weight base**i, as :func:`_packing`
-    does with base L + 1 and the series engine of :mod:`peakmod.counting`
-    does for its outer markers, with its own bases."""
-    digits = []
-    for _ in range(ndigits):
-        key, digit = divmod(key, base)
-        digits.append(digit)
-    return tuple(digits)
-
-
 def gen_trees(arity: int, n: int,
               max_objects: int | None = None
               ) -> Iterator[PositionalTree | None]:
@@ -355,15 +334,6 @@ def gen_trees(arity: int, n: int,
             yield tree_from_records(arity, [(-1, 0, None)] + slots)
             mask = len(pops) - 1  # the last node can only be a leaf
         mask += 1
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from typing import Iterable, Sequence
 from .core import (
     DOWN,
     UP,
-    BadPermutationError,
     EmptyPathError,
     FamilySpec,
     LatticePath,
@@ -49,6 +48,7 @@ from .core import (
     WrongKError,
     _int_arg,
     _integral,
+    check_permutation,
     pure_spec,
     tree_from_records,
 )
@@ -297,37 +297,6 @@ def deutsch_involution(path: LatticePath) -> LatticePath:
 # ---------------------------------------------------------------------------
 # subtree permutation
 # ---------------------------------------------------------------------------
-
-def check_permutation(sigma: Sequence[int], m: int,
-                      first: int = 1) -> tuple[int, ...]:
-    """Validate sigma as images of first..first+m-1 and return a tuple of
-    ints; each entry must be an integer, as :func:`_int_arg` reads one
-    (True and 1.0 pass, 1.9 and "1" do not).  A sigma that is no sequence,
-    such as None, is no permutation either."""
-    try:
-        sig = list(sigma)
-        ok = all(map(_integral, sig)) and \
-            sorted(map(int, sig)) == list(range(first, first + m))
-    except TypeError:  # sigma is no sequence
-        sig, ok = sigma, False
-    if not ok:
-        raise BadPermutationError(
-            f"{sig!r} is not a permutation of {first}..{first + m - 1}")
-    return tuple(map(int, sig))
-
-
-def permute_coordinates(table: dict[tuple[int, ...], int],
-                        sigma: Sequence[int], m: int,
-                        first: int) -> dict[tuple[int, ...], int]:
-    """Move coordinate i of every m-coordinate key to coordinate
-    sigma[i] - first, keeping the values.
-
-    sigma is checked by :func:`check_permutation`, so no two keys merge.
-    """
-    sig = check_permutation(sigma, m, first)
-    source = sorted(range(m), key=lambda i: sig[i])
-    return {tuple(key[i] for i in source): c for key, c in table.items()}
-
 
 def _permuted(records, sig: tuple[int, ...]) -> list:
     """Tree records with each child moved from position i to sig[i - 1].

@@ -9,7 +9,8 @@ against the transforms, bijections, closed forms, and series solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
+from typing import Iterator
 
 from .bijections import (
     path_to_labeled_tree,
@@ -41,7 +42,6 @@ from .counting import (
     solve_g_kac,
 )
 from .enumeration import (
-    _compositions,
     ballot_family,
     family_histogram,
     gen_ballot,
@@ -62,6 +62,14 @@ from .transforms import ballot_decompose, cyclic_shift, deutsch_involution
 
 MOTZKIN = FamilySpec(1, {1: 1})
 SCHROEDER = FamilySpec(1, {2: 1})
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``,
+    in lexicographic order: stars and bars, with no recursion per part."""
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 @dataclass

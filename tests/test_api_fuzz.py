@@ -70,7 +70,7 @@ from peakmod import (
     tree_to_path,
     validate,
 )
-from peakmod.transforms import check_permutation
+from peakmod.core import check_permutation
 
 MOTZKIN = FamilySpec(1, {1: 1})
 K1 = FamilySpec(1)

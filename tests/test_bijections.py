@@ -128,6 +128,12 @@ class TestTreeToPath:
         with pytest.raises(ArityMismatchError):
             tree_to_path(PositionalTree(4), 2)
 
+    def test_arity_mismatch_message(self):
+        tree = path_to_tree(dyck("uud"))
+        with pytest.raises(ArityMismatchError) as err:
+            tree_to_path(tree, 1)
+        assert str(err.value) == "tree arity 3 does not match k+1 = 2"
+
     def test_all_small_trees_round_trip(self):
         for k in (1, 2):
             for n in range(6):
@@ -339,6 +345,43 @@ class TestVerifyClosedFormsWalks:
             {(k, (k + 1) * n) for k in range(1, max_k + 1)
              for n in range(1, max_n + 1)}
             | {(1, 2 * n) for n in range(1, max_n + 1)})
+
+
+class TestVerifyClosedFormsCoverage:
+    """The joint checks visit the vectors that count something, not only
+    vectors of count zero, on which every route agrees trivially."""
+
+    def test_a_count_off_where_nonzero_fails_the_suite(self, monkeypatch):
+        import peakmod.verify as verify
+
+        count_joint = verify.count_joint
+
+        def off_by_one(k, n, r):
+            count = count_joint(k, n, r)
+            return count + 1 if count else count
+
+        monkeypatch.setattr(verify, "count_joint", off_by_one)
+        rep = verify.verify_closed_forms()
+        assert not rep.ok
+        assert all(f["check"].startswith("joint count ")
+                   for f in rep.failures)
+
+    def test_visited_counts_sum_to_the_family_size(self, monkeypatch):
+        import peakmod.verify as verify
+        from peakmod import fuss_catalan
+
+        totals = {}
+        count_joint = verify.count_joint
+
+        def recording(k, n, r):
+            count = count_joint(k, n, r)
+            totals[k, n] = totals.get((k, n), 0) + count
+            return count
+
+        monkeypatch.setattr(verify, "count_joint", recording)
+        assert verify.verify_closed_forms(max_k=3, max_n=5).ok
+        assert totals == {(k, n): fuss_catalan(k, n)
+                          for k in range(1, 4) for n in range(1, 6)}
 
 
 class TestVerifyReadsEachStatisticOnce:

@@ -33,7 +33,7 @@ from peakmod import (
 )
 from peakmod import BadPermutationError, permute_statistics
 from peakmod import counting
-from peakmod.transforms import check_permutation
+from peakmod.core import check_permutation
 from peakmod.counting import NonIntegerResultError, _exact_int, _lagrange_top
 from peakmod.statistics import PLAIN, PLAIN_STARRED, WEAK, WEAK_STARRED
 

@@ -32,10 +32,11 @@ from peakmod import (
     validate,
 )
 from peakmod import enumeration
-from peakmod.core import DOWN, UP
-from peakmod.enumeration import _completions, _compositions, _packing
+from peakmod.core import DOWN, UP, _packing
+from peakmod.enumeration import _completions
 from peakmod.statistics import (PLAIN, PLAIN_STARRED, VARIANTS, WEAK,
                                 closing_rows)
+from peakmod.verify import _compositions
 
 from conftest import MOTZKIN, SCHROEDER, block_tallies, oracle_grid
 
@@ -172,6 +173,29 @@ class TestGenTrees:
                 got = list(gen_trees(arity, n))
                 assert len(set(got)) == len(got)
                 assert set(got) == set(reference(arity, n))
+
+
+class TestCompositions:
+    """The vectors the verify suites visit, listed by stars and bars."""
+
+    def test_matches_nested_loops(self):
+        def nested(total, parts):
+            out = [()]
+            for _ in range(parts):
+                out = [t + (i,) for t in out
+                       for i in range(total - sum(t) + 1)]
+            return [t for t in out if sum(t) == total]
+
+        for total in range(8):
+            for parts in range(1, 6):
+                assert list(_compositions(total, parts)) == \
+                    nested(total, parts)
+
+    def test_many_parts_do_not_recurse(self):
+        got = list(_compositions(1, 1200))
+        assert len(got) == 1200
+        assert got[0] == (0,) * 1199 + (1,)
+        assert got[-1] == (1,) + (0,) * 1199
 
 
 def reference_walk(spec, length):

@@ -166,6 +166,12 @@ class TestWeakBlocks:
         assert len(weak_peaks(p)) == 1
         assert len(weak_double_descents(p)) == 1
 
+    def test_ud_weak_peak_height_is_its_top(self):
+        # the peak vertex of the ud block sits at height 2; the height
+        # after the down-step, 0, has the same residue mod 2
+        p = parse_path("uudl1_1", FamilySpec(2, {1: 1}))
+        assert [h for _, h in weak_peaks(p)] == [2]
+
 
 class TestOnePassStatVector:
     def test_matches_block_tallies(self):
