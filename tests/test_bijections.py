@@ -348,23 +348,27 @@ class TestVerifyClosedFormsWalks:
 
 
 class TestVerifyClosedFormsCoverage:
-    """The joint checks visit the vectors that count something, not only
-    vectors of count zero, on which every route agrees trivially."""
+    """The closed-form checks visit the vectors that count something, not
+    only vectors of count zero, on which every route agrees trivially."""
 
-    def test_a_count_off_where_nonzero_fails_the_suite(self, monkeypatch):
+    @pytest.mark.parametrize("suite,formula,check", [
+        ("verify_closed_forms", "count_joint", "joint count "),
+        ("verify_ballot", "count_ballot_joint", "ballot closed form "),
+    ])
+    def test_a_count_off_where_nonzero_fails_the_suite(
+            self, monkeypatch, suite, formula, check):
         import peakmod.verify as verify
 
-        count_joint = verify.count_joint
+        count = getattr(verify, formula)
 
-        def off_by_one(k, n, r):
-            count = count_joint(k, n, r)
-            return count + 1 if count else count
+        def off_by_one(*args):
+            value = count(*args)
+            return value + 1 if value else value
 
-        monkeypatch.setattr(verify, "count_joint", off_by_one)
-        rep = verify.verify_closed_forms()
+        monkeypatch.setattr(verify, formula, off_by_one)
+        rep = getattr(verify, suite)()
         assert not rep.ok
-        assert all(f["check"].startswith("joint count ")
-                   for f in rep.failures)
+        assert all(f["check"].startswith(check) for f in rep.failures)
 
     def test_visited_counts_sum_to_the_family_size(self, monkeypatch):
         import peakmod.verify as verify

@@ -110,8 +110,7 @@ def test_every_module_has_a_row():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_imports_stay_in_layer(module):
-    assert module in LAYERS, f"{module} has no row in LAYERS"
-    allowed = LAYERS[module]
+    allowed = LAYERS[module]  # test_every_module_has_a_row names a gap
     if allowed is not ANY:
         imports = package_imports((PACKAGE / f"{module}.py").read_text())
         assert imports <= allowed, f"{module} imports {imports - allowed}"
