@@ -19,13 +19,10 @@ represented by ``None`` throughout the package.  A :class:`PositionalTree`
 holds its (parent, position, label) records and builds its nodes only
 when ``children`` is read.  :func:`tree_to_json_text` writes JSON text
 from the records, each child's opening token taken from a per-arity
-table.  :func:`records_from_json_text` reads records back by one of two
-routes.  A canonical tree (keys "1".."arity", at most one string label per
-node, no key given twice) is read from the C decoder's tuples of pairs,
-with no Python call per object.  Any other text, every faulty one among
-it, takes the checked route: it is decoded as ``json.loads`` does (on an
-explicit stack past the C decoder's depth) and walked by the breadth-first
-loop of :func:`tree_from_json`, which makes the nodes' checks and words
+table.  :func:`records_from_json_text` reads records back with the walk
+of :func:`tree_from_json`, over the C decoder's tuples of pairs; text the
+decoder cannot read, or whose tree the walk refuses, is read again on an
+explicit stack at any depth, whose dicts the same walk reads to word
 every fault.
 """
 
@@ -580,13 +577,23 @@ class NodeLabel:
     ordinal: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (LABEL_RIGHTMOST, LABEL_PEAK, LABEL_DD):
-            raise ValueError(f"unknown label kind {self.kind!r}")
-        if self.kind == LABEL_PEAK and (self.residue is None
-                                        or self.ordinal is None):
+        kind = self.kind
+        if kind not in (LABEL_RIGHTMOST, LABEL_PEAK, LABEL_DD):
+            raise ValueError(f"unknown label kind {kind!r}")
+        if kind == LABEL_PEAK and (self.residue is None
+                                   or self.ordinal is None):
             raise ValueError("peak labels need residue and ordinal")
-        if self.kind == LABEL_DD and self.ordinal is None:
+        if kind == LABEL_DD and self.ordinal is None:
             raise ValueError("double-descent labels need an ordinal")
+        # the fields the kind writes are ints >= 0; it keeps no other
+        for name, writes in (("residue", kind == LABEL_PEAK),
+                             ("ordinal", kind != LABEL_RIGHTMOST)):
+            value = getattr(self, name)
+            if value is not None:
+                if not writes:
+                    raise ValueError(f"{kind!r} labels take no {name}, "
+                                     f"got {value!r}")
+                vars(self)[name] = _int_arg(name, value, 0)
 
     def json_str(self) -> str:
         """Wire form: "r", "p<i>_<j>", or "dd_<j>"."""
@@ -870,33 +877,49 @@ def _not_an_object(value) -> TreeError:
     return TreeError(f"expected an object, got {type(value).__name__}")
 
 
-def _tree_records(obj, arity: int) -> list:
+def _tree_records(value, arity: int, obj=dict) -> list:
     """The (parent, position, label) records of a tree in nested-object
     form, breadth-first, so a node's children are adjacent records; ``[]``
-    for ``None``.  ``arity`` is an int, as the callers read it.
+    for ``None``.  ``arity`` is an int, as the callers read it.  A node is
+    an ``obj``: a dict, or the tuple of pairs that ``_PAIRS`` makes of an
+    object, refused when it repeats a key.
 
     The first fault met breadth-first raises: a node that is no object, or
     a bad key, position or label.  Then come the checks the nested
     constructor makes of nodes built bottom-up: an arity below 1, and a
-    position given twice at one node (``"1"`` and ``"01"``), the last
-    such parent first, its smallest such position.
+    position given twice at one node (``"1"`` and ``"01"``: only a key not
+    in :func:`_child_keys` can do that), the last such parent first, its
+    smallest such position.
     """
-    if obj is None:
+    if value is None:
         return []
-    records = []
-    queue = [(-1, 0, obj)]
-    for idx, (parent, pos, value) in enumerate(queue):  # grows as it goes
-        if not isinstance(value, dict):
-            raise _not_an_object(value)
-        label = None
-        for key, child in value.items():
-            if key == "label":
-                label = NodeLabel.parse(child)
-            else:
-                queue.append((idx, _position(key, arity), child))
-        records.append((parent, pos, label))
+    keys = _child_keys(max(0, min(arity, _TABLED_ARITY)))
+    pairs = obj is tuple
+    records = [(-1, 0, None)]
+    nodes = [value]
+    doubled = False  # whether a key outside keys named a position
+    for idx, node in enumerate(nodes):  # grows as it goes
+        if pairs:  # the node is its own (key, value) pairs
+            if node.__class__ is not tuple:
+                raise _not_an_object(node)
+            if len(node) > 1 and len(dict(node)) < len(node):
+                _unique_keys(node)  # raises
+        elif isinstance(node, dict):
+            node = node.items()
+        else:
+            raise _not_an_object(node)
+        for key, child in node:
+            pos = keys.get(key)
+            if pos is None:
+                if key == "label":
+                    parent, pos, _ = records[idx]
+                    records[idx] = (parent, pos, NodeLabel.parse(child))
+                    continue
+                pos, doubled = _position(key, arity), True
+            records.append((idx, pos, None))
+            nodes.append(child)
     _int_arg("arity", arity, 1, TreeError)
-    if len(set(map(_PARENT_POSITION, records))) < len(records):
+    if doubled and len(set(map(_PARENT_POSITION, records))) < len(records):
         twice = [pair for pair, n in
                  Counter(map(_PARENT_POSITION, records)).items() if n > 1]
         last = max(parent for parent, _ in twice)
@@ -945,7 +968,8 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+# the C scanner makes each object the tuple of its (key, value) pairs
+_PAIRS = json.JSONDecoder(object_pairs_hook=tuple)
 
 
 def _json_value(text: str, i: int, scan) -> tuple[object, int]:
@@ -993,64 +1017,20 @@ def _json_value(text: str, i: int, scan) -> tuple[object, int]:
             return value, i
 
 
-def _loads(text: str):
-    """The JSON value of ``text``, a key given twice within one object
-    raising :class:`DuplicatePositionError`.
-
-    ``_DECODER`` reads it (with json's C scanner on CPython); text nested
-    so deep that it raises RecursionError is read again by
-    :func:`_stack_loads`.  ``decode``, unlike ``json.loads``, has no
-    message of its own for a leading byte order mark."""
-    try:
-        return _DECODER.decode(text)
-    except RecursionError:
-        return _stack_loads(text)
-
-
 def _stack_loads(text: str):
-    """:func:`_loads` of ``text`` on an explicit stack (:func:`_json_value`),
-    which gives the C decoder's value or its error at any depth."""
-    value, i = _json_value(text, _skip(text, 0), _DECODER.scan_once)
+    """The C decoder's value of ``text`` or its error, each object a dict
+    made by :func:`_unique_keys`, read on an explicit stack at any depth
+    (:func:`_json_value`); like ``decode``, it has no BOM message."""
+    value, i = _json_value(text, _skip(text, 0), _PAIRS.scan_once)
     i = _skip(text, i)
     if i != len(text):
         raise json.JSONDecodeError("Extra data", text, i)
     return value
 
 
-# the C scanner makes each object the tuple of its (key, value) pairs
-_PAIRS = json.JSONDecoder(object_pairs_hook=tuple)
-
-
-def _canonical_records(obj, keys: dict) -> list | None:
-    """The records of a tree decoded by ``_PAIRS``, or None unless every
-    node is an object whose keys are all in ``keys`` (the canonical child
-    keys and their positions) but for one "label" with a string value,
-    and no key repeats within an object.  A bad label raises TreeError."""
-    if obj is None:
-        return []
-    records = [(-1, 0, None)]
-    nodes = [obj]
-    for idx, node in enumerate(nodes):  # grows as it goes
-        if node.__class__ is not tuple or \
-                len(node) > 1 and len(dict(node)) < len(node):
-            return None
-        for key, child in node:
-            pos = keys.get(key)
-            if pos is not None:
-                records.append((idx, pos, None))
-                nodes.append(child)
-            elif key == "label" and child.__class__ is str:
-                parent, pos, _ = records[idx]
-                records[idx] = (parent, pos, NodeLabel.parse(child))
-            else:
-                return None
-    return records
-
-
 @cache
 def _child_keys(arity: int) -> dict[str, int]:
-    """The canonical child keys "1".."arity" and the positions they name;
-    past ``_TABLED_ARITY`` a key over it takes the checked route."""
+    """The child keys "1".."arity" and the positions they name."""
     return {str(pos): pos for pos in range(1, arity + 1)}
 
 
@@ -1060,30 +1040,18 @@ def records_from_json_text(text: str, arity: int) -> list:
 
     This is :func:`_tree_records` of ``json.loads(text)``, so it reports
     the fault that :func:`tree_from_json` of that value meets first.  It
-    reads the text one of two ways.  ``_PAIRS`` decodes it with no Python
-    call per object, and :func:`_canonical_records` walks the result: a
-    tree whose keys are all canonical, with at most one string label per
-    node and no key given twice, is read there.  Any other text, the faulty
-    ones among it, goes to :func:`_tree_records` of :func:`_loads`, the
-    one place that words a fault: the C decoder or, past its depth,
-    :func:`_stack_loads`, so depth is unbounded and a key given twice
-    within one object raises when the object closes.  Text too deep for
-    ``_PAIRS`` goes to the explicit stack at once.
+    walks the tuples of pairs that ``_PAIRS`` decodes with no Python call
+    per object.  Text the C decoder cannot read (bad JSON, or too deep), or
+    whose tree the walk refuses, is read again by :func:`_stack_loads`,
+    and the walk of its dicts words the fault.
     """
     arity = _int_arg("arity", arity, error=TreeError)
-    load = _loads
     try:
-        value = _PAIRS.decode(text)
-        records = None if arity < 1 else _canonical_records(
-            value, _child_keys(min(arity, _TABLED_ARITY)))
-    except RecursionError:
-        records, load = None, _stack_loads
-    except ValueError:  # bad JSON, or a bad label
-        records = None
-    if records is not None:
-        return records
+        return _tree_records(_PAIRS.decode(text), arity, tuple)
+    except (RecursionError, ValueError):
+        pass
     try:
-        obj = load(text)
+        obj = _stack_loads(text)
     except DuplicatePositionError:
         raise
     except ValueError as exc:

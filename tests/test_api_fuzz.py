@@ -39,6 +39,7 @@ from peakmod import (
     BadPermutationError,
     FamilySpec,
     LatticePath,
+    NodeLabel,
     PositionalTree,
     TreeError,
     ballot_decompose,
@@ -103,6 +104,8 @@ TABLE = {
                  [("start_height",)]),
     "parse_path": (parse_path, dict(text="ud", spec=K1, start_height=0),
                    [("start_height",)]),
+    "NodeLabel": (NodeLabel, dict(kind="peak", residue=1, ordinal=2),
+                  [("residue",), ("ordinal",)]),
     "PositionalTree": (PositionalTree, dict(arity=2, children=[(1, LEAF)]),
                        [("arity",), ("children", 0, 0)]),
     "tree_from_json": (tree_from_json, dict(obj={"1": {}}, arity=2),
@@ -168,7 +171,6 @@ NOT_READ = {
     "TruncSeries": "the series engine's result type",
     "StatVector": "a record of computed values, kept as given",
     "Histogram": "a record of computed values, kept as given",
-    "NodeLabel": "a record of computed values, kept as given",
     "RightPeakDecomposition": "a record of computed values, kept as given",
     "BallotDecomposition": "a record of computed values, kept as given",
 }

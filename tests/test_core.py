@@ -5,7 +5,8 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peakmod import (
     DuplicatePositionError,
@@ -33,6 +34,10 @@ from peakmod import (
 from peakmod.core import DOWN, UP, Step, parse_steps
 
 from conftest import K1, K2, MOTZKIN, k_dyck_paths
+
+# label fields: none, ints of any size and sign, and values that are none
+FIELDS = (st.none(), st.integers(-2, 3), st.integers(), st.booleans(),
+          st.floats(allow_nan=False), st.text(max_size=3))
 
 
 class TestFamilySpec:
@@ -559,6 +564,40 @@ class TestTrees:
         t = PositionalTree(2, (), NodeLabel.parse("p1_4"))
         assert tree_from_json(tree_to_json(t), 2) == t
 
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(st.sampled_from(("r", "peak", "dd")), st.one_of(*FIELDS),
+           st.one_of(*FIELDS))
+    def test_every_label_reads_back(self, kind, residue, ordinal):
+        # a label the constructor accepts writes text that json reads and
+        # that parses back to it
+        try:
+            label = NodeLabel(kind, residue, ordinal)
+        except ValueError:
+            return
+        assert NodeLabel.parse(label.json_str()) == label
+        tree = PositionalTree(2, label=label)
+        text = tree_to_json_text(tree)
+        assert text == json.dumps(tree_to_json(tree), sort_keys=True,
+                                  separators=(",", ":"))
+        assert tree_from_json_text(text, 2) == tree
+
+    @pytest.mark.parametrize("args,message", [
+        (("peak", 'a"b', 1), "residue must be an integer, got 'a\"b'"),
+        (("dd", None, -1), "ordinal must be >= 0, got -1"),
+        (("r", 5, 7), "'r' labels take no residue, got 5"),
+        (("r", None, 7), "'r' labels take no ordinal, got 7"),
+        (("dd", 0, 1), "'dd' labels take no residue, got 0"),
+        (("peak", 1.5, 1), "residue must be an integer, got 1.5"),
+    ])
+    def test_a_label_keeps_only_what_it_writes(self, args, message):
+        with pytest.raises(ValueError) as err:
+            NodeLabel(*args)
+        assert str(err.value) == message
+        label = NodeLabel("peak", True, 2.0)
+        assert vars(label) == vars(NodeLabel("peak", 1, 2))
+        assert type(label.residue) is int and type(label.ordinal) is int
+
     def test_label_display(self):
         assert NodeLabel.parse("p1_2").display() == "1_2"
         assert NodeLabel.parse("dd_3").display() == "d_3"
@@ -631,7 +670,7 @@ class TestTreeWireFormat:
 
     def test_text_past_the_tabled_arity(self):
         # past 64 the writer's key tables cover the positions present, and
-        # a key past 64 is read by the checked route
+        # the reader takes a key past 64 to _position, not to its table
         leaf = PositionalTree(100, (), NodeLabel.parse("dd_2"))
         tree = PositionalTree(100, ((100, leaf), (9, PositionalTree(100)),
                                     (65, leaf), (10, leaf)))

@@ -246,6 +246,15 @@ HOSTILE = [
      2, "", "peakmod: unrecognized node label 'dd_\u00b2'\n"),
     (("psi-inv", "--k", "2", "--tree", '{"1":{"label":"p\u00b2_1"}}'),
      2, "", "peakmod: unrecognized node label 'p\u00b2_1'\n"),
+    # an object label is shown as a dict, a key repeated within it raises,
+    # and a repeated key raises when its object closes, before a later
+    # syntax error
+    (("psi-inv", "--k", "2", "--tree", '{"label":{"a":1}}'),
+     2, "", "peakmod: node label must be a string, got {'a': 1}\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"label":{"a":1,"a":2}}'),
+     2, "", "peakmod: duplicate key among ['a', 'a']\n"),
+    (("psi-inv", "--k", "2", "--tree", '{"1":{"2":{},"2":{}},'),
+     2, "", "peakmod: duplicate key among ['2', '2']\n"),
 ]
 
 
@@ -329,32 +338,30 @@ def outcome(text, arity):
 
 class TooDeep(json.JSONDecoder):
     """A decoder that gives up on every text, as the C decoder does on text
-    nested past its depth."""
+    nested past its depth; its scanner still reads values.  It counts the
+    texts it was asked to decode."""
+
+    decodes = 0
 
     def decode(self, text):
+        self.decodes += 1
         raise RecursionError
-
-
-class NoDecode(json.JSONDecoder):
-    """A decoder whose scanner reads values but which decodes no text."""
-
-    def decode(self, text):
-        raise AssertionError("the C decoder was tried twice")
 
 
 class TestTextReader:
     """``records_from_json_text`` decodes with the C decoder and, on text
-    nested past its depth, on an explicit stack; both routes give the same
-    records or the same error."""
+    nested past its depth or refused by the walk, again on an explicit
+    stack; both routes give the same records or the same error."""
 
     @staticmethod
     def both_routes(monkeypatch, cases):
         first = [outcome(*case) for case in cases]
         # text the C decoder cannot read goes to the explicit stack at once
-        monkeypatch.setattr(core, "_PAIRS", TooDeep())
-        monkeypatch.setattr(core, "_DECODER",
-                            NoDecode(object_pairs_hook=core._unique_keys))
-        return first, [outcome(*case) for case in cases]
+        decoder = TooDeep()
+        monkeypatch.setattr(core, "_PAIRS", decoder)
+        second = [outcome(*case) for case in cases]
+        assert decoder.decodes == len(cases), "the C decoder was tried twice"
+        return first, second
 
     def test_arity_is_read_at_entry(self):
         assert records_from_json_text('{"1":{}}', 2.0) == [
@@ -372,10 +379,9 @@ class TestTextReader:
         want = [outcome(*case) for case in cases]
 
         def refuse(*args):
-            raise AssertionError("the checked route was taken")
+            raise AssertionError("the text was read again on the stack")
 
-        monkeypatch.setattr(core, "_loads", refuse)
-        monkeypatch.setattr(core, "_tree_records", refuse)
+        monkeypatch.setattr(core, "_stack_loads", refuse)
         assert [records_from_json_text(*case) for case in cases] == want
 
     def test_hostile_texts_read_alike(self, monkeypatch):

@@ -1,15 +1,20 @@
-"""Drawn tree texts: the tree reader's two routes read alike.
+"""Drawn tree texts: the tree reader reads as json's C decoder and a walk
+of its dicts do.
 
-``records_from_json_text`` reads a canonical tree straight from the C
-decoder's tuples and sends any other text to ``_tree_records`` of
-``_loads``, the checked route.  Each draw writes a tree of arity 2-4, from
-``gen_trees`` or ``path_to_labeled_tree``, as JSON text with its keys
-shuffled, whitespace between tokens, and some keys written as ``"01"`` or
-with an escape.  It may then corrupt the text: a repeated key, a second
-label, an array, number, string or null as a node, a bad or non-string
-label, extra data, truncation, a leading byte order mark, or nesting past
-1,000 levels.  The reader must give what the checked route alone gives:
-the same records, or an exception of the same type with the same message.
+``records_from_json_text`` walks the C decoder's tuples of pairs and reads
+any text that this refuses again on an explicit stack, walking its dicts.
+The reference here decodes with the C decoder itself, to dicts, and takes
+the explicit stack only past the decoder's depth, so the shallow faulty
+texts also check the stack's words against the decoder's.
+
+Each draw writes a tree of arity 2-4, from ``gen_trees`` or
+``path_to_labeled_tree``, as JSON text with its keys shuffled, whitespace
+between tokens, and some keys written as ``"01"`` or with an escape.  It
+may then corrupt the text: a repeated key, a second label, an array,
+number, string or null as a node, a bad or non-string label, extra data,
+truncation, a leading byte order mark, or nesting past 1,000 levels.  The
+reader must give what the reference gives: the same records, or an
+exception of the same type with the same message.
 
 The draws are derandomized and the example database is off, so each run
 makes the same draws.
@@ -41,10 +46,25 @@ BAD_LABELS = ('"x"', '"p0"', '"dd_"', '"p1_\\u00b2"', '"r0"', '"P0_1"',
 SPACES = ("", "", "", " ", "\n", "\t", " \r\n  ")
 
 
-def checked(text, arity):
-    """The checked route alone, worded as ``records_from_json_text``."""
+# the reference decoder: json's C decoder, a key given twice in one object
+# raising when the object closes
+DECODER = json.JSONDecoder(object_pairs_hook=core._unique_keys)
+
+
+def loads(text):
+    """The value of ``text`` by ``DECODER``, or past its depth by the
+    explicit stack."""
     try:
-        obj = core._loads(text)
+        return DECODER.decode(text)
+    except RecursionError:
+        return core._stack_loads(text)
+
+
+def checked(text, arity):
+    """The text decoded to dicts and walked by ``_tree_records``, worded
+    as ``records_from_json_text``."""
+    try:
+        obj = loads(text)
     except DuplicatePositionError:
         raise
     except ValueError as exc:
