@@ -35,7 +35,7 @@ from peakmod.core import DOWN, UP, Step, parse_steps
 
 from conftest import K1, K2, MOTZKIN, k_dyck_paths
 
-# label fields: none, ints of any size and sign, and values that are none
+# label fields: None, ints of any size and sign, and values that are no int
 FIELDS = (st.none(), st.integers(-2, 3), st.integers(), st.booleans(),
           st.floats(allow_nan=False), st.text(max_size=3))
 
@@ -594,6 +594,8 @@ class TestTrees:
         with pytest.raises(ValueError) as err:
             NodeLabel(*args)
         assert str(err.value) == message
+
+    def test_label_fields_are_read_as_ints(self):
         label = NodeLabel("peak", True, 2.0)
         assert vars(label) == vars(NodeLabel("peak", 1, 2))
         assert type(label.residue) is int and type(label.ordinal) is int
