@@ -32,7 +32,7 @@ descent ending at down b-w, so labels are a lookup by block index.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import (
     DOWN,

@@ -31,11 +31,9 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from collections.abc import Mapping
-from dataclasses import FrozenInstanceError, dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache, cached_property, lru_cache
-from operator import itemgetter, length_hint
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter, itemgetter, length_hint
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +93,53 @@ class BadPermutationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# frozen values
+# ---------------------------------------------------------------------------
+
+# A value refuses every name, field or not, with the error and message of a
+# frozen dataclass; dataclasses is imported only when one is refused.
+def _refuse_assignment(self, name: str, value) -> None:
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Frozen:
+    """Base of the value types: ``==``, hash, repr and ``match`` by the
+    fields ``_FIELDS`` names in constructor order, which ``__init__`` sets
+    past ``__setattr__``; any later assignment or deletion is refused."""
+
+    __slots__ = ()
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls._FIELDS
+        cls._values = attrgetter(*cls._FIELDS)  # not bound: pass the value
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value
+                          in zip(self._FIELDS, self._values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+
+# ---------------------------------------------------------------------------
 # steps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Step:
+class Step(_Frozen):
     """A single step: kind is 'u', 'd', or 'l' (level).
 
     For level steps ``length`` is the horizontal run-length a >= 1 and
@@ -107,9 +147,15 @@ class Step:
     length 1 and color 0.
     """
 
-    kind: str
-    length: int = 1
-    color: int = 0
+    _FIELDS = ("kind", "length", "color")
+
+    def __init__(self, kind: str, length: int = 1, color: int = 0):
+        # one by one, not by vars(self).update: CPython reads the fields
+        # of an object whose dict was never made faster, and every path
+        # loop reads a step's fields
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "color", color)
 
     def token(self) -> str:
         """The step's text; a level step's numbers are written as ints, so
@@ -219,8 +265,7 @@ def permute_coordinates(table: dict[tuple[int, ...], int],
 # family specification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Frozen):
     """Parameters of a path family.
 
     ``k`` is the down-step drop, ``levels`` maps run-length a to its color
@@ -230,14 +275,16 @@ class FamilySpec:
     by :func:`_int_arg` and kept as an int.
     """
 
-    k: int
-    levels: Mapping[int, int] | Sequence[tuple[int, int]] = ()
-    end_height: int = 0
+    _FIELDS = ("k", "levels", "end_height")
+
+    def __init__(self, k: int, levels: Mapping | Sequence = (),
+                 end_height: int = 0):
+        vars(self).update(k=k, levels=levels, end_height=end_height)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _int_arg("k", self.k, 1))
-        object.__setattr__(self, "end_height",
-                           _int_arg("end_height", self.end_height, 0))
+        k = _int_arg("k", self.k, 1)
+        end_height = _int_arg("end_height", self.end_height, 0)
         levels = self.levels
         if isinstance(levels, Mapping):
             levels = levels.items()
@@ -251,9 +298,9 @@ class FamilySpec:
         colors = dict(items)
         if len(colors) != len(items):
             raise ValueError("duplicate level run-length")
-        object.__setattr__(self, "levels", tuple(sorted(items)))
-        # run-length -> color count, read by every level-step check
-        object.__setattr__(self, "_colors", colors)
+        # _colors maps run-length to color count for every level-step check
+        vars(self).update(k=k, levels=tuple(sorted(items)),
+                          end_height=end_height, _colors=colors)
 
     @property
     def has_levels(self) -> bool:
@@ -306,16 +353,16 @@ def pure_spec(k: int) -> FamilySpec:
 # lattice paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True, init=False)
-class LatticePath:
+class LatticePath(_Frozen):
     """A validated step sequence within a family.
 
     Construction validates everything: steps must be legal for the spec,
     the start height an integer (kept as an int), every prefix height
     nonnegative, and the final height equal to start_height +
     spec.end_height.  A path is a frozen value kept in slots, with no
-    per-instance ``__dict__``; its written-out ``__init__`` sets each
-    field once, ``steps`` as a tuple, and runs :meth:`__post_init__`.
+    per-instance ``__dict__``; its ``__init__`` sets each field once,
+    ``steps`` as a tuple, and runs :meth:`__post_init__`.  A copy or a
+    pickle is made by the constructor, so it is validated again.
 
     That validator is one loop.  It tests ``UP`` and ``DOWN`` by identity
     first and any other step by its fields: a level step whose color is an
@@ -328,9 +375,7 @@ class LatticePath:
     A path hashes by its text (see :meth:`__hash__`).
     """
 
-    spec: FamilySpec
-    steps: tuple[Step, ...] = ()
-    start_height: int = 0
+    __slots__ = _FIELDS = ("spec", "steps", "start_height")
 
     def __init__(self, spec: FamilySpec, steps: Iterable[Step] = (),
                  start_height: int = 0):
@@ -393,10 +438,19 @@ class LatticePath:
         idx = len(steps) - length_hint(it) - 1  # it holds the later steps
         raise NegativeHeightError(f"height {h} after step {idx} is negative")
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.steps, self.start_height) == \
+            (other.spec, other.steps, other.start_height)
+
     def __hash__(self) -> int:
         """Hash of the spec, the start height and the text, which equal
         paths share: equal steps render alike."""
         return hash((self.spec, self.start_height, render_path(self)))
+
+    def __reduce__(self):
+        return LatticePath, (self.spec, self.steps, self.start_height)
 
     @property
     def k(self) -> int:
@@ -430,21 +484,6 @@ class LatticePath:
         return render_path(self)
 
 
-# dataclass(frozen=True, slots=True) makes the class anew for its slots, but
-# the __setattr__ and __delattr__ it generates still name the class it
-# replaced.  A name that is no field then reaches super() with that stale
-# class and raises TypeError (seen on CPython 3.11).  These two refuse every
-# name with FrozenInstanceError instead.
-def _refuse_assignment(self, name: str, value) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-LatticePath.__setattr__ = _refuse_assignment
-LatticePath.__delattr__ = _refuse_deletion
 _set_spec = LatticePath.__dict__["spec"].__set__
 _set_steps = LatticePath.__dict__["steps"].__set__
 _set_start_height = LatticePath.__dict__["start_height"].__set__
@@ -567,14 +606,16 @@ def _shown(value) -> str:
     return f"a {type(value).__name__} nested over {_SHOWN_DEPTH} deep"
 
 
-@dataclass(frozen=True)
-class NodeLabel:
+class NodeLabel(_Frozen):
     """Label of a path feature: the rightmost peak, the j-th non-rightmost
     peak in residue class i, or the j-th double descent."""
 
-    kind: str
-    residue: int | None = None
-    ordinal: int | None = None
+    _FIELDS = ("kind", "residue", "ordinal")
+
+    def __init__(self, kind: str, residue: int | None = None,
+                 ordinal: int | None = None):
+        vars(self).update(kind=kind, residue=residue, ordinal=ordinal)
+        self.__post_init__()
 
     def __post_init__(self):
         kind = self.kind
@@ -593,7 +634,11 @@ class NodeLabel:
                 if not writes:
                     raise ValueError(f"{kind!r} labels take no {name}, "
                                      f"got {value!r}")
-                vars(self)[name] = _int_arg(name, value, 0)
+                vars(self)[name] = value = _int_arg(name, value, 0)
+                try:
+                    str(value)
+                except ValueError:  # more digits than str() writes
+                    raise ValueError(f"{name} has too many digits") from None
 
     def json_str(self) -> str:
         """Wire form: "r", "p<i>_<j>", or "dd_<j>"."""
@@ -619,12 +664,15 @@ class NodeLabel:
         if text == "r":
             return _node_label(LABEL_RIGHTMOST)
         if text.isascii():  # then isdigit means 0-9 only
-            if text.startswith("dd_") and text[3:].isdigit():
-                return _node_label(LABEL_DD, None, int(text[3:]))
-            if text.startswith("p"):
-                i, _, j = text[1:].partition("_")
-                if i.isdigit() and j.isdigit():
-                    return _node_label(LABEL_PEAK, int(i), int(j))
+            try:
+                if text.startswith("dd_") and text[3:].isdigit():
+                    return _node_label(LABEL_DD, None, int(text[3:]))
+                if text.startswith("p"):
+                    i, _, j = text[1:].partition("_")
+                    if i.isdigit() and j.isdigit():
+                        return _node_label(LABEL_PEAK, int(i), int(j))
+            except ValueError:  # more digits than int() reads
+                pass
         raise TreeError(f"unrecognized node label {text!r}")
 
 

@@ -73,10 +73,10 @@ only in the :class:`TruncSeries` API.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
 from math import comb, gcd
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import FamilySpec, _int_arg, _unpack, permute_coordinates
 

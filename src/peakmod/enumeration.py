@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from operator import itemgetter
-from typing import Iterable, Iterator
 
 from .core import (DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step,
-                   _int_arg, _packing, _unpack, ascii_int, level,
+                   _Frozen, _int_arg, _packing, _unpack, ascii_int, level,
                    permute_coordinates, tree_from_records)
 from .statistics import (DD, PEAK, PLAIN, STARRED, VARIANTS, closing_rows,
                          stat_vector)
@@ -340,14 +339,15 @@ def gen_trees(arity: int, n: int,
 # histograms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Histogram:
-    """Exact multiset of statistic tuples with arbitrary-precision counts."""
+class Histogram(_Frozen):
+    """Exact multiset of statistic tuples with arbitrary-precision counts,
+    equal to another of equal counts and total, and with no hash."""
 
-    variant: str
-    k: int | None
-    counts: dict[tuple[int, ...], int]
-    total: int
+    _FIELDS = ("variant", "k", "counts", "total")
+
+    def __init__(self, variant: str, k: int | None,
+                 counts: dict[tuple[int, ...], int], total: int):
+        vars(self).update(variant=variant, k=k, counts=counts, total=total)
 
     def entries(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.counts.items())

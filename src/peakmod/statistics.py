@@ -21,7 +21,6 @@ its rows (:func:`closing_rows`), and the family walk of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .core import (
@@ -33,6 +32,7 @@ from .core import (
     NodeLabel,
     PositionalTree,
     TreeError,
+    _Frozen,
     _int_arg,
     _node_label,
     height_profile,
@@ -70,14 +70,13 @@ def closing_rows(variant: str | None, k: int) -> dict:
     return rows
 
 
-@dataclass(frozen=True)
-class StatVector:
+class StatVector(_Frozen):
     """Counts (pk_0, ..., pk_{k-1}, dd) for one of the four variants."""
 
-    k: int
-    variant: str
-    pk: tuple[int, ...]
-    dd: int
+    _FIELDS = ("k", "variant", "pk", "dd")
+
+    def __init__(self, k: int, variant: str, pk: tuple[int, ...], dd: int):
+        vars(self).update(k=k, variant=variant, pk=pk, dd=dd)
 
     def key(self) -> tuple[int, ...]:
         """The (k+1)-tuple used as a histogram / monomial exponent key."""

@@ -30,10 +30,9 @@ path by index lookups instead of copying it, through the same scan's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from numbers import Real
 from operator import length_hint
-from typing import Iterable, Sequence
 
 from .core import (
     DOWN,
@@ -46,6 +45,7 @@ from .core import (
     Step,
     WrongEndHeightError,
     WrongKError,
+    _Frozen,
     _int_arg,
     _integral,
     check_permutation,
@@ -135,13 +135,14 @@ def lift(path: LatticePath, amount: int) -> LatticePath:
 # decompositions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RightPeakDecomposition:
+class RightPeakDecomposition(_Frozen):
     """Blocks Q_0..Q_{kn-1} plus the trailing down-run length n."""
 
-    k: int
-    blocks: tuple[LatticePath, ...]
-    suffix_downs: int
+    _FIELDS = ("k", "blocks", "suffix_downs")
+
+    def __init__(self, k: int, blocks: tuple[LatticePath, ...],
+                 suffix_downs: int):
+        vars(self).update(k=k, blocks=blocks, suffix_downs=suffix_downs)
 
     def reassemble(self) -> LatticePath:
         return LatticePath(pure_spec(self.k), _join(
@@ -161,17 +162,19 @@ def right_peak_decompose(path: LatticePath) -> RightPeakDecomposition:
     return RightPeakDecomposition(k, blocks, n)
 
 
-@dataclass(frozen=True)
-class LastStepDecomposition:
+class LastStepDecomposition(_Frozen):
     """Parts P_0..P_k around the final down-step, plus the level suffix.
 
     ``parts`` is None exactly when the path consists of level steps only
     (then the whole path is the suffix).
     """
 
-    spec: FamilySpec
-    parts: tuple[LatticePath, ...] | None
-    level_suffix: tuple[Step, ...]
+    _FIELDS = ("spec", "parts", "level_suffix")
+
+    def __init__(self, spec: FamilySpec,
+                 parts: tuple[LatticePath, ...] | None,
+                 level_suffix: tuple[Step, ...]):
+        vars(self).update(spec=spec, parts=parts, level_suffix=level_suffix)
 
     @property
     def is_level_only(self) -> bool:
@@ -207,13 +210,14 @@ def last_step_decompose(path: LatticePath) -> LastStepDecomposition:
         spec, _cut(spec, steps[: t - 1], last_up[:spec.k]), steps[t:])
 
 
-@dataclass(frozen=True)
-class BallotDecomposition:
+class BallotDecomposition(_Frozen):
     """Parts P_0..P_m of a ballot path, P_i sitting at height i."""
 
-    spec: FamilySpec
-    end_height: int
-    parts: tuple[LatticePath, ...]
+    _FIELDS = ("spec", "end_height", "parts")
+
+    def __init__(self, spec: FamilySpec, end_height: int,
+                 parts: tuple[LatticePath, ...]):
+        vars(self).update(spec=spec, end_height=end_height, parts=parts)
 
     def reassemble(self) -> LatticePath:
         return LatticePath(self.spec, _join(

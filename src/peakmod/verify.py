@@ -8,9 +8,8 @@ against the transforms, bijections, closed forms, and series solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from itertools import combinations, permutations
-from typing import Iterator
 
 from .bijections import (
     path_to_labeled_tree,
@@ -25,6 +24,7 @@ from .core import (
     FamilySpec,
     LatticePath,
     PositionalTree,
+    _Frozen,
     parse_path,
     tree_to_json,
 )
@@ -72,12 +72,19 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
-@dataclass
-class VerifyReport:
-    suite: str
-    params: dict
-    checks: int = 0
-    failures: list = field(default_factory=list)
+class VerifyReport(_Frozen):
+    """The checks of one suite and its failures, filled in as the checks
+    run: the one value type that takes assignment, and has no hash."""
+
+    _FIELDS = ("suite", "params", "checks", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, suite: str, params: dict, checks: int = 0,
+                 failures: list | None = None):
+        self.suite, self.params, self.checks = suite, params, checks
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

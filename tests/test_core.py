@@ -1,6 +1,5 @@
 """Path and tree data model: validation, parsing, serialization."""
 
-import dataclasses
 import json
 import pickle
 
@@ -66,7 +65,7 @@ class TestFamilySpec:
         assert spec == same and hash(spec) == hash(same)
         assert repr(spec) == ("FamilySpec(k=2, levels=((1, 2), (3, 1)), "
                               "end_height=0)")
-        moved = dataclasses.replace(spec, levels={1: 1})
+        moved = FamilySpec(spec.k, {1: 1}, spec.end_height)
         assert moved.color_count(1) == 1 and moved.color_count(3) == 0
         assert pickle.loads(pickle.dumps(spec)).color_count(1) == 2
 
@@ -599,6 +598,17 @@ class TestTrees:
         label = NodeLabel("peak", True, 2.0)
         assert vars(label) == vars(NodeLabel("peak", 1, 2))
         assert type(label.residue) is int and type(label.ordinal) is int
+
+    @pytest.mark.parametrize("args,name", [
+        (("dd", None, 10 ** 5000), "ordinal"),
+        (("peak", 10 ** 5000, 1), "residue"),
+        (("peak", 1, 10 ** 5000), "ordinal"),
+    ])
+    def test_label_fields_are_written_as_text(self, args, name):
+        # an int of more digits than str() writes could be no label text
+        with pytest.raises(ValueError) as err:
+            NodeLabel(*args)
+        assert str(err.value) == f"{name} has too many digits"
 
     def test_label_display(self):
         assert NodeLabel.parse("p1_2").display() == "1_2"

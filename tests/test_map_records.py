@@ -255,6 +255,12 @@ HOSTILE = [
      2, "", "peakmod: duplicate key among ['a', 'a']\n"),
     (("psi-inv", "--k", "2", "--tree", '{"1":{"2":{},"2":{}},'),
      2, "", "peakmod: duplicate key among ['2', '2']\n"),
+    # a label number of more digits than int() reads is no label
+    (("psi-inv", "--k", "2", "--tree", '{"label":"dd_' + "1" * 5000 + '"}'),
+     2, "", "peakmod: unrecognized node label 'dd_" + "1" * 5000 + "'\n"),
+    (("psi-inv", "--k", "2", "--tree",
+      '{"1":{"label":"p1_' + "2" * 5000 + '"}}'),
+     2, "", "peakmod: unrecognized node label 'p1_" + "2" * 5000 + "'\n"),
 ]
 
 
