@@ -60,14 +60,14 @@ the inner marker).
   coefficient 1, so every coefficient is positive and no sum of
   products cancels to zero.  Each digit of a row, and each partial sum
   that makes it, is therefore at most the row's value with every
-  marker at 1.  A shadow run of the same engine with every marker
-  specialized to 1 (step 0, shift 0, so each row is {0: that value})
-  gives those values for every row the call builds, and W is the bit
-  length of the largest: no digit carries into the next or borrows
-  from it.
+  marker at 1.  The engine takes its row arithmetic from the caller, as
+  it takes the markers, so a shadow run of the same functions on ints,
+  a row being its value with every marker at 1, gives those values for
+  every row the call builds.  W is the bit length of the largest: no
+  digit carries into the next or borrows from it.
 
-Rows are unpacked into exponent tuples once per result; tuples appear
-only in the :class:`TruncSeries` API.
+A result keeps its packed rows, unpacked into exponent tuples only when
+``coeffs`` is first read; its text is written from the packed rows.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
 from math import comb, gcd
+from operator import getitem
 from types import MappingProxyType
 
 from .core import FamilySpec, _int_arg, _unpack, permute_coordinates
@@ -230,68 +231,66 @@ def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
                       f"lagrange_coefficient({k}, {n}, {r})")
 
 
+
+
 @lru_cache(maxsize=1)
 def _lagrange_top(k: int, n: int) -> Mapping[tuple[int, ...], int]:
     """[f^(n-1)] Phi(f)^n as a read-only marker polynomial."""
-    def build(markers):
-        f = [{0: 1} if d == 1 else {} for d in range(n)]
-        phi = _marked_product(f, markers)
-        return [phi, _series_pow(phi, n)]
+    def build(ring, markers):
+        f = [ring[1](int(d == 1)) for d in range(n)]
+        phi = _marked_product(ring, f, markers)
+        return [phi, _series_pow(ring, phi, n)]
 
-    rows, terms = _packed(build, k + 1, n, True)
-    return MappingProxyType(terms(rows[n - 1], n - 1))
+    rows, layout = _packed(build, k + 1, n, True)
+    return MappingProxyType(_terms(rows[n - 1], n - 1, layout))
 
 
 # ---------------------------------------------------------------------------
 # packed rows
 # ---------------------------------------------------------------------------
 
-def _packed(build: Callable[[list], list[list[dict]]], nmarkers: int,
-            base: int, homogeneous: bool) -> tuple[list[dict], Callable]:
-    """The rows of the series that ``build`` makes, and their unpacker.
+def _packed(build: Callable[[tuple, list], list[list]], nmarkers: int,
+            base: int, homogeneous: bool) -> tuple[list[dict], tuple]:
+    """The rows of the series that ``build`` makes, and their layout.
 
-    ``build(markers)`` runs the engine with one (step, shift) per marker
-    and returns the series it built, its result last.  A first run
-    specializes every marker to 1, and W is the bit length of the
-    largest row value among the returned series.  That bounds every row
-    the run makes as long as each one left out, such as a partial
-    product of a power, is coefficientwise at most a returned one: a
-    partial power of a series with constant term 1 is at most the full
-    power.  The second run packs markers 0..j-1 into keys in base
-    ``base`` and marker j into W-bit digits, where j is the last marker,
-    or the one before it when the result is ``homogeneous`` and the last
-    marker is dropped.
-
-    ``terms(row, degree)`` is one result row as {exponent tuple:
-    coefficient}; a dropped marker's exponent is ``degree`` minus the
-    others, so ``degree`` is the row's total marker degree.
-    """
-    shadow = build([(0, 0)] * nmarkers)
-    width = max([v for rows in shadow for row in rows for v in row.values()],
-                default=0).bit_length()
+    ``build(ring, markers)`` runs the engine on the rows of ``ring`` with
+    one (step, shift) per marker and returns the series it built, its
+    result last.  A first run on ``_INT_ROWS`` gives W, the bit length of
+    the largest row among the returned series.  That bounds every row the
+    run makes as long as each one left out, such as a partial product of
+    a power, is coefficientwise at most a returned one: a partial power
+    of a series with constant term 1 is at most the full power.  The
+    second run packs markers 0..j-1 into keys in base ``base`` and marker
+    j into W-bit digits, where j is the last marker, or the one before it
+    when the result is ``homogeneous`` and the last marker is dropped.
+    The layout is (j, base, W, homogeneous)."""
+    shadow = build(_INT_ROWS, [(0, 0)] * nmarkers)
+    width = max([v for rows in shadow for v in rows], default=0).bit_length()
     outer = nmarkers - 1 - homogeneous
     markers = [(base ** i, 0) for i in range(outer)] + [(0, width)]
     if homogeneous:
         markers.append((0, 0))
-    rows = build(markers)[-1]
+    return build(_DICT_ROWS, markers)[-1], (outer, base, width, homogeneous)
+
+
+def _terms(row: dict, degree: int, layout: tuple) -> dict:
+    """A packed row of marker degree ``degree`` as {exponent tuple:
+    coefficient}; a dropped marker's exponent is the degree left over."""
+    outer, base, width, homogeneous = layout
     mask = (1 << width) - 1
-
-    def terms(row: dict, degree: int) -> dict:
-        out = {}
-        for key, digits in row.items():
-            e = _unpack(key, outer, base)
-            if homogeneous:
-                rest = degree - sum(e)
-            j = 0
-            while digits:
-                c = digits & mask
-                if c:
-                    out[e + ((j, rest - j) if homogeneous else (j,))] = c
-                digits >>= width
-                j += 1
-        return out
-
-    return rows, terms
+    out = {}
+    for key, digits in row.items():
+        e = _unpack(key, outer, base)
+        if homogeneous:
+            rest = degree - sum(e)
+        j = 0
+        while digits:
+            c = digits & mask
+            if c:
+                out[e + ((j, rest - j) if homogeneous else (j,))] = c
+            digits >>= width
+            j += 1
+    return out
 
 
 def _poly_dot(pairs: Iterable[tuple[dict, dict]],
@@ -307,6 +306,8 @@ def _poly_dot(pairs: Iterable[tuple[dict, dict]],
     for p, q in pairs:
         if len(p) > len(q):
             p, q = q, p
+        if not p:
+            continue
         q = q.items()
         for e1, c1 in p.items():
             e1 += step
@@ -317,55 +318,77 @@ def _poly_dot(pairs: Iterable[tuple[dict, dict]],
     return out
 
 
-def _series_mul(a: list[dict], b: list[dict]) -> list[dict]:
+def _int_dot(pairs: Iterable[tuple], marker=None, start: int = 0) -> int:
+    """:func:`_poly_dot` with every marker at 1, where a row is its value."""
+    return start + sum([p * q for p, q in pairs])
+
+
+# the engine's row arithmetic: (product-sum, constant row c)
+_DICT_ROWS = (_poly_dot, lambda c: {0: c} if c else {})
+_INT_ROWS = (_int_dot, int)
+
+
+def _series_mul(ring: tuple, a: list, b: list) -> list:
     """The product of two packed series of one order."""
-    return [_poly_dot(zip(a[:d + 1], reversed(b[:d + 1])))
-            for d in range(len(a))]
+    dot = ring[0]
+    return [dot(zip(a[:d + 1], reversed(b[:d + 1]))) for d in range(len(a))]
 
 
-def _series_pow(a: list[dict], e: int) -> list[dict]:
+def _series_pow(ring: tuple, a: list, e: int) -> list:
     """A packed series to the power e, by repeated squaring; the first
     factor is taken as it is rather than multiplied into the series 1."""
     out = None
     while e:
         if e & 1:
-            out = a if out is None else _series_mul(out, a)
+            out = a if out is None else _series_mul(ring, out, a)
         e >>= 1
         if e:
-            a = _series_mul(a, a)
-    return [{0: 1}] + [{}] * (len(a) - 1) if out is None else out
+            a = _series_mul(ring, a, a)
+    return [ring[1](1)] + [ring[1](0)] * (len(a) - 1) if out is None else out
 
 
-def _next_row(rows: list[dict], f: list[dict], d: int,
-              marker: tuple[int, int]) -> dict:
+def _next_row(dot: Callable, rows: list, f: list, d: int,
+              marker: tuple[int, int]):
     """[x^d] of P + q (f P), for the packed series f with f_0 = 0, P = rows
     (rows 0..d suffice) and the marker q."""
-    return _poly_dot(zip(f[1:d + 1], reversed(rows[:d])), marker, rows[d])
+    return dot(zip(f[1:d + 1], reversed(rows[:d])), marker, rows[d])
 
 
-def _marked_product(f: list[dict], markers: Iterable[tuple[int, int]]
-                    ) -> list[dict]:
+def _marked_product(ring: tuple, f: list,
+                    markers: Iterable[tuple[int, int]]) -> list:
     """prod over the markers q of (q f + 1), for the packed series f."""
-    out = [{0: 1}] + [{}] * (len(f) - 1)
+    out = [ring[1](1)] + [ring[1](0)] * (len(f) - 1)
     for q in markers:
-        out = [_next_row(out, f, d, q) for d in range(len(f))]
+        out = [_next_row(ring[0], out, f, d, q) for d in range(len(f))]
     return out
 
 
-def _poly_str(p: dict) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for e in sorted(p, reverse=True):
-        c = p[e]
-        factors = [str(c)]
-        for i, exp in enumerate(e):
-            if exp == 1:
-                factors.append(f"q{i}")
-            elif exp > 1:
-                factors.append(f"q{i}^{exp}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
+def _factors(nmarkers: int, exponents: Iterable[int]) -> list[dict]:
+    """Per marker i, its factor in a term by exponent: "", "*qi", "*qi^e"."""
+    return [{e: f"*q{i}^{e}" if e > 1 else f"*q{i}" if e == 1 else ""
+             for e in exponents} for i in range(nmarkers)]
+
+
+def _row_line(row: dict, degree: int, layout: tuple, factors: list) -> str:
+    """The terms of a packed row of marker degree ``degree``, in one walk:
+    keys by descending outer exponents, each key's digits top down."""
+    outer, base, width, homogeneous = layout
+    mask = (1 << width) - 1
+    inner, last = factors[outer], factors[-1]
+    terms = []
+    for e, digits in sorted([(_unpack(key, outer, base), digits)
+                             for key, digits in row.items()], reverse=True):
+        head = "".join(map(getitem, factors, e))
+        rest = degree - sum(e)
+        cs = []
+        while digits:
+            cs.append(digits & mask)
+            digits >>= width
+        for j in range(len(cs) - 1, -1, -1):
+            if cs[j]:
+                terms.append(f"{cs[j]}{head}{inner[j]}{last[rest - j]}"
+                             if homogeneous else f"{cs[j]}{head}{inner[j]}")
+    return " + ".join(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +401,17 @@ class TruncSeries:
     The series engine's result type.  Coefficient polynomials are dicts
     from exponent tuples (one slot per marker, each exponent >= 0) to
     integers, all positive when the engine makes them; instances are never
-    mutated after construction.  The engine does its arithmetic on packed
-    rows, so this class has none beyond :meth:`mul_x`.
+    mutated after construction; ``order`` and ``nmarkers`` are ints >= 0.
+    The engine does its arithmetic on packed rows, so this class has none
+    beyond :meth:`mul_x`.  A solver's result keeps its rows and their
+    layout as plain data, unpacked when ``coeffs`` is first read.
     """
 
-    __slots__ = ("order", "nmarkers", "coeffs")
+    __slots__ = ("order", "nmarkers", "_coeffs", "_rows")
 
     def __init__(self, order: int, nmarkers: int, coeffs: Sequence[dict]):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        self.order = order
-        self.nmarkers = nmarkers
+        order = _int_arg("order", order, 0)
+        nmarkers = _int_arg("nmarkers", nmarkers, 0)
         copies = []
         for degree, c in enumerate(coeffs):
             copy = dict(c)
@@ -400,7 +423,26 @@ class TruncSeries:
         if len(copies) != order + 1:
             raise ValueError(f"need order + 1 = {order + 1} coefficients, "
                              f"got {len(copies)}")
-        self.coeffs = tuple(copies)
+        self.order, self.nmarkers = order, nmarkers
+        self._coeffs, self._rows = tuple(copies), None
+
+    @classmethod
+    def _from_rows(cls, order: int, nmarkers: int, rows: list[dict],
+                   layout: tuple, offset: int) -> "TruncSeries":
+        """The series of packed rows, row d at marker degree d + offset."""
+        self = object.__new__(cls)
+        self.order, self.nmarkers = order, nmarkers
+        self._coeffs, self._rows = None, (rows, layout, offset)
+        return self
+
+    @property
+    def coeffs(self) -> tuple[dict, ...]:
+        """The coefficient of each power of x, {exponent tuple: int}."""
+        if self._coeffs is None:
+            rows, layout, offset = self._rows
+            self._coeffs = tuple([_terms(row, d + offset, layout)
+                                  for d, row in enumerate(rows)])
+        return self._coeffs
 
     def _like(self, coeffs) -> "TruncSeries":
         return TruncSeries(self.order, self.nmarkers, coeffs)
@@ -408,11 +450,13 @@ class TruncSeries:
     def mul_x(self, j: int) -> "TruncSeries":
         if j < 0:
             raise ValueError("need j >= 0")
-        out = [{} for _ in range(self.order + 1)]
-        for d, p in enumerate(self.coeffs):
-            if d + j <= self.order:
-                out[d + j] = dict(p)
-        return self._like(out)
+        j = min(j, self.order + 1)
+        if self._rows is None:
+            return self._like([{}] * j + list(self._coeffs)[:-j or None])
+        rows, layout, offset = self._rows
+        return self._from_rows(self.order, self.nmarkers,
+                               [{}] * j + rows[:-j or None], layout,
+                               offset - j)
 
     # queries --------------------------------------------------------------
 
@@ -448,8 +492,21 @@ class TruncSeries:
     # output -----------------------------------------------------------------
 
     def dump_lines(self) -> list[str]:
-        return [f"x^{d}: {_poly_str(p)}"
-                for d, p in enumerate(self.coeffs)]
+        """A line "x^d: <terms>" per power of x, 0 for none, else terms by
+        descending exponent tuples, each c*q_i^e (q_i for e = 1, nothing
+        for e = 0), joined by " + "; a solver's from its packed rows."""
+        if self._rows is None:
+            factors = _factors(self.nmarkers, {e for p in self._coeffs
+                                               for t in p for e in t})
+            lines = [" + ".join([str(p[e]) + "".join(map(getitem, factors, e))
+                                 for e in sorted(p, reverse=True)])
+                     for p in self._coeffs]
+        else:
+            rows, layout, offset = self._rows
+            factors = _factors(self.nmarkers, range(self.order + 1))
+            lines = [_row_line(row, d + offset, layout, factors)
+                     for d, row in enumerate(rows)]
+        return [f"x^{d}: {line or 0}" for d, line in enumerate(lines)]
 
     def to_json(self) -> dict:
         return {
@@ -468,28 +525,30 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 
 def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]],
-           markers: Sequence[tuple[int, int]]
-           ) -> tuple[list[dict], list[list[dict]]]:
+           ring: tuple, markers: Sequence[tuple[int, int]]
+           ) -> tuple[list, list[list]]:
     """Solve f = sum_a c_a x^a (f + 1) + x^s prod_{i<=k} (q_i f + 1) as a
-    packed series with the markers q_0..q_k; return f and ``prods``.
+    packed series on the rows of ``ring`` with the markers q_0..q_k;
+    return f and ``prods``.
 
     ``prods[j][d]`` is [x^d] P_j for P_0 = 1, P_{j+1} = P_j + q_j (f P_j).
     Since s >= 1 and every run-length a >= 1, f_n needs only f_1..f_{n-1}
     and rows d <= n - s of the partial products, so ``prods[j]`` for
     j >= 1 holds rows 0..max(0, order - s).  Row 0 of f is 0.
     """
-    one = {0: 1}
-    f: list[dict] = [{}]
-    prods = [[one] + [{}] * order] + [[one] for _ in range(k + 1)]
+    dot, row = ring
+    one, zero, levels = row(1), row(0), [(a, row(c)) for a, c in levels]
+    f = [zero]
+    prods = [[one] + [zero] * order] + [[one] for _ in range(k + 1)]
     for n in range(1, order + 1):
         d = n - s
         if d > 0:
             for j in range(k + 1):
-                prods[j + 1].append(_next_row(prods[j], f, d, markers[j]))
-        fn = prods[k + 1][d] if d >= 0 else {}
+                prods[j + 1].append(_next_row(dot, prods[j], f, d, markers[j]))
+        fn = prods[k + 1][d] if d >= 0 else zero
         if levels:
-            fn = _poly_dot((({0: c}, one if a == n else f[n - a])
-                            for a, c in levels if a <= n), (0, 0), fn)
+            fn = dot(((c, one if a == n else f[n - a])
+                      for a, c in levels if a <= n), (0, 0), fn)
         f.append(fn)
     return f, prods
 
@@ -507,16 +566,15 @@ def _series(k: int, order: int, spec: FamilySpec | None,
         raise ValueError(f"order must be <= {sys.maxsize}")
     s, levels = (1, ()) if spec is None else (k + 1, spec.levels)
 
-    def build(markers):
-        f, prods = _solve(k, order, s, levels, markers)
+    def build(ring, markers):
+        f, prods = _solve(k, order, s, levels, ring, markers)
         if m is None:
             return [*prods, f]
-        return [*prods, f, _ballot_product(f, prods, k, m, markers)]
+        return [*prods, f, _ballot_product(ring, f, prods, k, m, markers)]
 
-    rows, terms = _packed(build, k + 1, order + 1, spec is None)
-    offset = -1 if m is None else 0
-    return TruncSeries(order, k + 1, [terms(row, d + offset)
-                                      for d, row in enumerate(rows)])
+    rows, layout = _packed(build, k + 1, order + 1, spec is None)
+    return TruncSeries._from_rows(order, k + 1, rows, layout,
+                                  -1 if m is None else 0)
 
 
 def solve_f(k: int, order: int) -> TruncSeries:
@@ -539,8 +597,8 @@ def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
     return _series(spec.k, order, spec, None)
 
 
-def _ballot_product(f: list[dict], prods: list[list[dict]], k: int, m: int,
-                    markers: Sequence[tuple[int, int]]) -> list[dict]:
+def _ballot_product(ring: tuple, f: list, prods: list[list], k: int, m: int,
+                    markers: Sequence[tuple[int, int]]) -> list:
     """The ballot series g = P_k^ell * P_{r+1}, m = ell*k + r, from the
     packed solution f and the partial products of :func:`_solve`, whose
     rows of P_1..P_k it first finishes up to the order.  When r + 1 = k,
@@ -549,12 +607,13 @@ def _ballot_product(f: list[dict], prods: list[list[dict]], k: int, m: int,
     so each partial product of the powers is coefficientwise at most g."""
     for d in range(len(prods[1]), len(f)):
         for j in range(k):
-            prods[j + 1].append(_next_row(prods[j], f, d, markers[j]))
+            prods[j + 1].append(_next_row(ring[0], prods[j], f, d,
+                                          markers[j]))
     ell, r = divmod(m, k)
     g = prods[r + 1]
     if ell:
-        g = (_series_pow(g, ell + 1) if r + 1 == k
-             else _series_mul(_series_pow(prods[k], ell), g))
+        g = (_series_pow(ring, g, ell + 1) if r + 1 == k
+             else _series_mul(ring, _series_pow(ring, prods[k], ell), g))
     return g
 
 

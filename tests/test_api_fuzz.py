@@ -42,6 +42,7 @@ from peakmod import (
     NodeLabel,
     PositionalTree,
     TreeError,
+    TruncSeries,
     ballot_decompose,
     count_ballot_joint,
     count_joint,
@@ -162,13 +163,14 @@ TABLE = {
                 [("k",), ("m",), ("order",)]),
     "solve_g_kac": (solve_g_kac, dict(spec=MOTZKIN, m=1, order=3),
                     [("m",), ("order",)]),
+    "TruncSeries": (TruncSeries, dict(order=1, nmarkers=1, coeffs=[{}, {}]),
+                    [("order",), ("nmarkers",)]),
 }
 
 # exported callables whose integers are no arguments the library reads
 NOT_READ = {
     "Step": "a step is checked by LatticePath (IllegalStepError)",
     "level": "a step is checked by LatticePath (IllegalStepError)",
-    "TruncSeries": "the series engine's result type",
     "StatVector": "a record of computed values, kept as given",
     "Histogram": "a record of computed values, kept as given",
     "RightPeakDecomposition": "a record of computed values, kept as given",

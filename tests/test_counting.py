@@ -1,5 +1,7 @@
 """Closed-form counts, series solvers, and their three-way agreement."""
 
+import copy
+import pickle
 import random
 import subprocess
 import sys
@@ -489,6 +491,21 @@ class TestTruncSeries:
         assert one.mul_x(4) == TruncSeries(3, 1, [{}] * 4)
         assert one.mul_x(0) == one
 
+    @pytest.mark.parametrize("args, error", [
+        ((1, -1), "nmarkers must be >= 0, got -1"),
+        (("1", 1), "order must be an integer, got '1'"),
+        ((1.5, 1), "order must be an integer, got 1.5"),
+        ((-1, 1), "order must be >= 0, got -1")])
+    def test_sizes_are_read_as_integers(self, args, error):
+        # the first three once built a series, raised a bare TypeError and
+        # asked for 2.5 coefficients
+        with pytest.raises(ValueError) as err:
+            TruncSeries(*args, [{}, {}])
+        assert str(err.value) == error
+        series = TruncSeries(True, 1.0, [{}, {(2,): 1}])
+        assert (type(series.order), series.order) == (int, 1)
+        assert (type(series.nmarkers), series.nmarkers) == (int, 1)
+
     @pytest.mark.parametrize("solve", [
         lambda order: solve_f(1, order),
         lambda order: solve_f_kac(MOTZKIN, order),
@@ -659,6 +676,104 @@ class TestBallotProductForm:
                     for order in range(TOP + 1):
                         assert solve_g_kac(spec, m, order) == \
                             _truncated(want, order), (k, levels, m, order)
+
+
+def _engine_results():
+    """(label, solver call) of every engine result on the grid of the text
+    test: k <= 3, orders 0..TOP, end heights m <= 5 and LEVEL_MAPS."""
+    for k in (1, 2, 3):
+        for order in range(TOP + 1):
+            yield (k, order), lambda k=k, o=order: solve_f(k, o)
+            for m in range(6):
+                yield (k, m, order), lambda k=k, m=m, o=order: solve_g(k, m, o)
+            for levels in LEVEL_MAPS:
+                spec = FamilySpec(k, levels)
+                yield (k, levels, order), \
+                    lambda s=spec, o=order: solve_f_kac(s, o)
+                for m in range(6):
+                    yield (k, levels, m, order), \
+                        lambda s=spec, m=m, o=order: solve_g_kac(s, m, o)
+    yield "x^3000", lambda: solve_g_kac(MOTZKIN, 3000, 6)
+
+
+def _reference_lines(series):
+    """The documented text of a series, from its exponent tuples: terms in
+    descending exponent order, each written c*q_i^e (q_i for e = 1, no
+    factor for e = 0), joined by " + ", and 0 for no term."""
+    lines = []
+    for d, p in enumerate(series.coeffs):
+        terms = ["*".join([str(p[e])] + [f"q{i}" if x == 1 else f"q{i}^{x}"
+                                         for i, x in enumerate(e) if x])
+                 for e in sorted(p, reverse=True)]
+        lines.append(f"x^{d}: " + (" + ".join(terms) or "0"))
+    return lines
+
+
+class TestTextWriter:
+    """A solver's result is written straight from its packed rows; the
+    text must be what the documented rule makes of its exponent tuples,
+    and what a series built from those tuples writes."""
+
+    def test_engine_results(self):
+        for label, make in _engine_results():
+            series = make()
+            lines = series.dump_lines()  # before coeffs is first read
+            assert lines == _reference_lines(series), label
+            assert series.dump_lines() == lines, label
+            plain = TruncSeries(series.order, series.nmarkers, series.coeffs)
+            assert plain.dump_lines() == lines, label
+
+    def test_dict_built_series(self):
+        series = TruncSeries(2, 3, [{(0, 0, 0): 4},
+                                    {(2, 0, 1): 1, (0, 11, 0): 2},
+                                    {(1, 1, 1): 3, (1, 0, 2): 5}])
+        assert series.dump_lines() == [
+            "x^0: 4", "x^1: 1*q0^2*q2 + 2*q1^11",
+            "x^2: 3*q0*q1*q2 + 5*q0*q2^2"]
+        assert series.dump_lines() == _reference_lines(series)
+
+
+LAZY = [lambda: solve_f(2, 7), lambda: solve_g(3, 4, 6),
+        lambda: solve_f_kac(FamilySpec(2, {1: 2, 3: 1}), 9),
+        lambda: solve_g_kac(MOTZKIN, 2, 8)]
+
+
+class TestLazyResult:
+    """A solver's result unpacks its rows when ``coeffs`` is first read;
+    before and after that read it copies, pickles, compares and shifts
+    like the series built from its exponent tuples."""
+
+    @pytest.fixture(params=[False, True], ids=["unread", "read"])
+    def fresh(self, request):
+        def make(solve):
+            series = solve()
+            if request.param:
+                series.coeffs
+            return series
+        return make
+
+    @pytest.mark.parametrize("solve", LAZY)
+    def test_copies(self, solve, fresh):
+        want = solve()
+        for protocol in range(2, 6):
+            back = pickle.loads(pickle.dumps(fresh(solve), protocol))
+            assert back == want and back.dump_lines() == want.dump_lines()
+        for dup in (copy.copy, copy.deepcopy):
+            back = dup(fresh(solve))
+            assert back == want and back.dump_lines() == want.dump_lines()
+
+    @pytest.mark.parametrize("solve", LAZY)
+    def test_equals_the_tuple_series(self, solve, fresh):
+        want = solve()
+        plain = TruncSeries(want.order, want.nmarkers, want.coeffs)
+        assert fresh(solve) == plain
+        assert plain == fresh(solve)
+        for j in range(want.order + 3):
+            shifted = fresh(solve).mul_x(j)
+            assert shifted == plain.mul_x(j), j
+            assert shifted.dump_lines() == plain.mul_x(j).dump_lines(), j
+            assert fresh(solve).mul_x(j).at_ones() == \
+                plain.mul_x(j).at_ones(), j
 
 
 def _binomial(n, r):
