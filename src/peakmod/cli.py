@@ -14,19 +14,20 @@ default, exits 2; no flag is ignored.  So ``map deutsch`` reads only
 ``render --tree`` reads ``--format`` and either ``--arity`` or ``--k``
 (then the arity is k + 1).
 
-The argument parser is built on the first :func:`main` call and reused by
-every later call in the same process.  That saves its construction only
-for in-process callers that call :func:`main` more than once (tests,
-benchmarks, library users); a one-shot ``peakmod`` command builds it once
-either way.  Importing this module builds no parser.
+Each subcommand's flags are declared once, in ``_SUBCOMMANDS``.
+:func:`main` reads argv from that table and hands argparse only what the
+table's plain forms do not cover (help, prefixes, faults ...), so every
+usage message and argparse exit stays argparse's; the parser is built for
+the first such call and kept for the process.  Neither importing this
+module nor a call that argparse does not read loads argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from .bijections import (
     path_to_labeled_tree,
@@ -153,8 +154,8 @@ def _flag(dest: str) -> str:
 def _check_flags(args) -> None:
     """Raise ValueError unless every flag the mode requires is given and
     every flag it does not read keeps its declared default."""
-    mode = " ".join([args.command] + [getattr(args, dest) for dest in
-                                      ("what", "op", "suite") if dest in args])
+    mode = " ".join([args.command] + [getattr(args, dest) for dest in (
+        "what", "op", "suite") if hasattr(args, dest)])
     pair = _EITHER_OR.get(mode)
     if pair:
         given = [dest for dest in pair if getattr(args, dest) is not None]
@@ -185,8 +186,9 @@ def _int(text: str, flag: str = "") -> int:
     with :func:`peakmod.core.ascii_int`, as ``PEAKMOD_MAX_OBJECTS`` is read,
     so an optional sign and ASCII digits with no "_".  Without ``flag`` it
     is an argparse type, and argparse names the flag when it rejects a
-    token; with one, a token int() reads is rejected naming ``flag``, and
-    other text keeps int()'s own error."""
+    token (only that branch imports argparse); with one, as
+    :func:`_read_argv` and the commands call it, a token int() reads is
+    rejected naming ``flag``, and other text keeps int()'s own error."""
     try:
         value = ascii_int(text)
     except ValueError:
@@ -197,6 +199,7 @@ def _int(text: str, flag: str = "") -> int:
         return value
     msg = f"invalid int value: {text!r}"
     if not flag:
+        import argparse
         raise argparse.ArgumentTypeError(msg)
     raise ValueError(f"{flag}: {msg}")
 
@@ -219,21 +222,6 @@ def _parse_levels(text: str | None) -> dict[int, int]:
             raise ValueError(f"duplicate level run-length {key}")
         levels[key] = count
     return levels
-
-
-def _add_family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=_int, default=1,
-                        help="down-step drop (default 1)")
-    parser.add_argument("--down-size", type=_int, default=None,
-                        help="number of down-steps (level-free families)")
-    parser.add_argument("--length", type=_int, default=None,
-                        help="total path length (families with level steps)")
-    parser.add_argument("--levels", type=str, default=None,
-                        help="allowed level steps as a:c[,a:c]*")
-    parser.add_argument("--end-height", type=_int, default=0,
-                        help="target end height m (default 0)")
-    parser.add_argument("--limit", type=_int, default=None,
-                        help="override the object cap")
 
 
 def _family(args) -> tuple[FamilySpec, int]:
@@ -387,90 +375,148 @@ def cmd_render(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+# Each subcommand's flags, declared once: build_parser and _read_argv are
+# both made from this table.  A subcommand is (function, help, positional
+# (dest, choices) or None, flags); a flag is (option strings, type,
+# default, choices, help), its dest named from its first option string as
+# argparse names it, and the type bool makes a switch (default False).
+_FAMILY_FLAGS = (
+    ("--k", _int, 1, None, "down-step drop (default 1)"),
+    ("--down-size", _int, None, None,
+     "number of down-steps (level-free families)"),
+    ("--length", _int, None, None,
+     "total path length (families with level steps)"),
+    ("--levels", str, None, None, "allowed level steps as a:c[,a:c]*"),
+    ("--end-height", _int, 0, None, "target end height m (default 0)"),
+    ("--limit", _int, None, None, "override the object cap"),
+)
+_SUBCOMMANDS = {
+    "enumerate": (cmd_enumerate, "list a path family", None, _FAMILY_FLAGS),
+    "histogram": (cmd_histogram, "tally statistic vectors", None, (
+        *_FAMILY_FLAGS,
+        ("--variant", str, "plain", sorted(VARIANT_FLAGS), None),
+        ("--format", str, "json", ("json", "csv"), None))),
+    "count": (cmd_count, "closed forms and series", (
+        "what", ("joint", "marginal", "pk", "narayana", "ballot", "series")), (
+        ("--k", _int, 1, None, None),
+        ("--n", _int, None, None, None),
+        ("--r", str, None, None,
+         "statistic value, or comma vector for joint"),
+        ("--s", str, None, None, "starred statistic vector for ballot counts"),
+        ("--order", _int, None, None, "truncation order for series"),
+        ("--levels", str, None, None, None),
+        ("--end-height --m", _int, 0, None,
+         "end height m for ballot and series"),
+        ("--format", str, "text", ("text", "json"), None))),
+    "map": (cmd_map, "apply a transform or bijection", (
+        "op", ("kappa", "lift", "psi", "psi-inv", "deutsch", "permute")), (
+        ("--k", _int, 1, None, None),
+        ("--path", str, None, None, "path text ('-' reads stdin)"),
+        ("--tree", str, None, None, "tree JSON ('-' reads stdin)"),
+        ("--power", _int, 1, None, "shift power or lift amount"),
+        ("--sigma", str, None, None,
+         "permutation images of 1..m, comma separated"),
+        ("--labels", bool, False, None, "label nodes for psi"))),
+    "verify": (cmd_verify, "run a property suite", ("suite", sorted(SUITES)), (
+        *[(flag, _int, None, None, None) for flag in (
+            "--k", "--max-k", "--max-n", "--max-len", "--max-m",
+            "--max-nodes")],
+        ("--format", str, "text", ("text", "json"), None))),
+    "render": (cmd_render, "draw a path or tree", None, (
+        ("--k", _int, 1, None, None),
+        ("--levels", str, None, None, None),
+        ("--end-height", _int, 0, None, None),
+        ("--arity", _int, None, None, None),
+        ("--path", str, None, None, None),
+        ("--tree", str, None, None, None),
+        ("--format", str, "ascii", ("ascii", "svg"), None),
+        ("--labels", bool, False, None, None))),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _reader(command: str) -> tuple[dict, dict]:
+    """A subcommand's option strings -> (dest, type, choices), and the
+    namespace argparse starts from: each flag's default, the command, its
+    function, and the defaults again as ``flag_defaults``."""
+    func, _, _, flags = _SUBCOMMANDS[command]
+    options, defaults = {}, {}
+    for strings, kind, default, choices, _ in flags:
+        names = strings.split()
+        dest = names[0][2:].replace("-", "_")
+        options.update(dict.fromkeys(names, (dest, kind, choices)))
+        defaults[dest] = default
+    return options, {**defaults, "command": command, "func": func,
+                     "flag_defaults": defaults}
+
+
+def _read_argv(argv: list):
+    """``build_parser().parse_args(argv)`` read from the flag table, or
+    None for help, faults, prefixes and any other argv argparse must read.
+    A value apart from its flag may start with "-" only as "-" or "-" and
+    ASCII digits: argparse's rule for the rest differs between versions."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    options, start = _reader(argv[0])
+    positional, args = _SUBCOMMANDS[argv[0]][2], dict(start)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if positional is None or token not in positional[1] or \
+                    positional[0] in args:
+                return None
+            args[positional[0]] = token
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            return None
+        dest, kind, choices = options[name]
+        if kind is bool:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and value != "-" and not (
+                    value[1:].isascii() and value[1:].isdigit()):
+                return None
+        elif value == "--":  # argparse drops it, and so reads []
+            return None
+        if kind is _int:
+            try:
+                value = _int(value, name)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    return SimpleNamespace(**args) if positional is None or \
+        positional[0] in args else None
+
+
+@functools.cache
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
     parser = argparse.ArgumentParser(
         prog="peakmod",
         description="exact peak statistics modulo k on lattice paths")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="list a path family")
-    _add_family_flags(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("histogram", help="tally statistic vectors")
-    _add_family_flags(p)
-    p.add_argument("--variant", choices=sorted(VARIANT_FLAGS),
-                   default="plain")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_histogram)
-
-    p = sub.add_parser("count", help="closed forms and series")
-    p.add_argument("what", choices=("joint", "marginal", "pk", "narayana",
-                                    "ballot", "series"))
-    p.add_argument("--k", type=_int, default=1)
-    p.add_argument("--n", type=_int, default=None)
-    p.add_argument("--r", type=str, default=None,
-                   help="statistic value, or comma vector for joint")
-    p.add_argument("--s", type=str, default=None,
-                   help="starred statistic vector for ballot counts")
-    p.add_argument("--order", type=_int, default=None,
-                   help="truncation order for series")
-    p.add_argument("--levels", type=str, default=None)
-    p.add_argument("--end-height", "--m", dest="end_height", type=_int,
-                   default=0, help="end height m for ballot and series")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("map", help="apply a transform or bijection")
-    p.add_argument("op", choices=("kappa", "lift", "psi", "psi-inv",
-                                  "deutsch", "permute"))
-    p.add_argument("--k", type=_int, default=1)
-    p.add_argument("--path", type=str, default=None,
-                   help="path text ('-' reads stdin)")
-    p.add_argument("--tree", type=str, default=None,
-                   help="tree JSON ('-' reads stdin)")
-    p.add_argument("--power", type=_int, default=1,
-                   help="shift power or lift amount")
-    p.add_argument("--sigma", type=str, default=None,
-                   help="permutation images of 1..m, comma separated")
-    p.add_argument("--labels", action="store_true",
-                   help="label nodes for psi")
-    p.set_defaults(func=cmd_map)
-
-    p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--k", type=_int, default=None)
-    p.add_argument("--max-k", type=_int, default=None)
-    p.add_argument("--max-n", type=_int, default=None)
-    p.add_argument("--max-len", type=_int, default=None)
-    p.add_argument("--max-m", type=_int, default=None)
-    p.add_argument("--max-nodes", type=_int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("render", help="draw a path or tree")
-    p.add_argument("--k", type=_int, default=1)
-    p.add_argument("--levels", type=str, default=None)
-    p.add_argument("--end-height", type=_int, default=0)
-    p.add_argument("--arity", type=_int, default=None)
-    p.add_argument("--path", type=str, default=None)
-    p.add_argument("--tree", type=str, default=None)
-    p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
-    p.add_argument("--labels", action="store_true")
-    p.set_defaults(func=cmd_render)
-
-    # each option's declared default, read once for _check_flags (argparse
-    # lists a parser's options only in its _actions)
-    for p in sub.choices.values():
-        p.set_defaults(flag_defaults={
-            a.dest: a.default for a in p._actions
-            if a.option_strings and a.dest != "help"})
+    for command, (func, about, positional, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        if positional:
+            p.add_argument(positional[0], choices=positional[1])
+        for strings, kind, default, choices, text in flags:
+            p.add_argument(*strings.split(), help=text, **(
+                {"action": "store_true"} if kind is bool else
+                {"type": kind, "default": default, "choices": choices}))
+        p.set_defaults(func=func,
+                       flag_defaults=_reader(command)[1]["flag_defaults"])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         _check_flags(args)
         return args.func(args)

@@ -391,6 +391,26 @@ def _row_line(row: dict, degree: int, layout: tuple, factors: list) -> str:
     return " + ".join(terms)
 
 
+def _row_terms(row: dict, degree: int, layout: tuple) -> list[dict]:
+    """The terms of a packed row of marker degree ``degree`` as JSON
+    objects, in the order of :func:`_row_line`."""
+    outer, base, width, homogeneous = layout
+    mask = (1 << width) - 1
+    terms = []
+    for e, digits in sorted([(_unpack(key, outer, base), digits)
+                             for key, digits in row.items()], reverse=True):
+        rest = degree - sum(e)
+        cs = []
+        while digits:
+            cs.append(digits & mask)
+            digits >>= width
+        for j in range(len(cs) - 1, -1, -1):
+            if cs[j]:
+                terms.append({"exponents": [*e, j, rest - j] if homogeneous
+                              else [*e, j], "coefficient": cs[j]})
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # truncated series
 # ---------------------------------------------------------------------------
@@ -509,14 +529,20 @@ class TruncSeries:
         return [f"x^{d}: {line or 0}" for d, line in enumerate(lines)]
 
     def to_json(self) -> dict:
+        """Terms by descending exponent tuples; a solver's from its packed
+        rows."""
+        if self._rows is None:
+            rows = [[{"exponents": list(e), "coefficient": p[e]}
+                     for e in sorted(p, reverse=True)] for p in self._coeffs]
+        else:
+            rows, layout, offset = self._rows
+            rows = [_row_terms(row, d + offset, layout)
+                    for d, row in enumerate(rows)]
         return {
             "order": self.order,
             "markers": self.nmarkers,
-            "coefficients": [
-                {"x": d,
-                 "terms": [{"exponents": list(e), "coefficient": p[e]}
-                           for e in sorted(p, reverse=True)]}
-                for d, p in enumerate(self.coeffs)],
+            "coefficients": [{"x": d, "terms": terms}
+                             for d, terms in enumerate(rows)],
         }
 
 

@@ -626,6 +626,73 @@ class TestParserReuse:
         assert done.returncode == 0 and done.stdout == "0\n", done.stderr
 
 
+class TestArgvReader:
+    """Edge cases of the table reader that main tries before argparse:
+    each gives argparse's outcome, whether the reader reads it or not."""
+
+    outcome = staticmethod(TestParserReuse.outcome)
+
+    def both(self, capsys, monkeypatch, argv):
+        """(whether the reader reads argv, main's outcome), checked equal
+        to main's outcome with the reader patched out."""
+        read = cli._read_argv(list(argv)) is not None
+        got = self.outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_argv", lambda argv: None)
+            assert self.outcome(capsys, argv) == got
+        return read, got
+
+    def test_main_none_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["count", "joint", "--k", "2", "--n", "3", "--r", "0,1,1"]
+        monkeypatch.setattr("sys.argv", ["peakmod", *argv])
+        assert main(None) == 0 and capsys.readouterr().out == "3\n"
+        assert self.both(capsys, monkeypatch, argv) == (True, (0, "3\n", ""))
+
+    def test_negative_value_apart(self, capsys, monkeypatch):
+        # read by the table; count_marginal refuses r = -1 (exit 2)
+        read, (code, out, err) = self.both(
+            capsys, monkeypatch, ("count", "marginal", "--k", "1", "--n",
+                                  "2", "--r", "-1"))
+        assert read and (code, out) == (2, "") and err.startswith("peakmod:")
+
+    def test_dash_value_after_equals(self, capsys, monkeypatch):
+        argv = ("count", "joint", "--k", "1", "--n", "3", "--r=-0,1")
+        assert cli._read_argv(list(argv)).r == "-0,1"
+        read, got = self.both(capsys, monkeypatch, argv)
+        assert read and got[0] == 0
+        assert got == self.outcome(capsys, argv[:-1] + ("--r", "0,1"))
+        read, (code, _, err) = self.both(capsys, monkeypatch,
+                                         argv[:-1] + ("--r", "-0,1"))
+        assert not read and code == ("SystemExit", 2)
+        assert "expected one argument" in err
+
+    def test_switch_with_a_value(self, capsys, monkeypatch):
+        read, (code, _, err) = self.both(
+            capsys, monkeypatch, ("map", "psi", "--path", "ud",
+                                  "--labels=1"))
+        assert not read and code == ("SystemExit", 2)
+        assert "ignored explicit argument '1'" in err
+
+    def test_prefix(self, capsys, monkeypatch):
+        read, got = self.both(capsys, monkeypatch,
+                              ("enumerate", "--lev", "1:1", "--length", "2"))
+        assert not read and got == (0, "ud\nl1_1l1_1\n", "")
+
+    def test_second_positional(self, capsys, monkeypatch):
+        read, (code, _, err) = self.both(
+            capsys, monkeypatch, ("count", "joint", "joint", "--n", "3",
+                                  "--r", "1,1"))
+        assert not read and code == ("SystemExit", 2)
+        assert "unrecognized arguments: joint" in err
+
+    def test_table_defaults(self):
+        args = cli.build_parser().parse_args(["render", "--path", "ud"])
+        assert args.flag_defaults == {
+            "k": 1, "levels": None, "end_height": 0, "arity": None,
+            "path": None, "tree": None, "format": "ascii", "labels": False}
+        assert vars(cli._read_argv(["render", "--path", "ud"])) == vars(args)
+
+
 def _readme_examples():
     """The peakmod lines of the README's command-line block."""
     readme = Path(__file__).resolve().parent.parent / "README.md"

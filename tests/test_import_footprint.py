@@ -1,22 +1,22 @@
 """What a one-shot command pays to import the package, checked in fresh
-interpreters: this process has long since imported ``dataclasses``, so the
-lazy import of :class:`dataclasses.FrozenInstanceError` is never cold
-here."""
+interpreters: this process has long since imported ``dataclasses`` and
+``argparse``, so their lazy imports are never cold here."""
 
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def fresh(code: str) -> str:
-    """The stdout of ``code`` in an isolated interpreter whose
-    ``sys.argv[1]`` is the source directory."""
-    done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)],
-                          capture_output=True, text=True, check=True,
+def fresh(code: str, check: bool = True) -> subprocess.CompletedProcess:
+    """``code`` run in an isolated interpreter whose ``sys.argv[1]`` is the
+    source directory."""
+    return subprocess.run([sys.executable, "-I", "-c", code, str(SRC)],
+                          capture_output=True, text=True, check=check,
                           timeout=60)
-    return done.stdout
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -25,7 +25,7 @@ def test_cli_import_loads_no_dataclasses():
             "sys.path.insert(0, sys.argv[1]); import peakmod.cli; "
             "print(sorted({'dataclasses', 'inspect'} "
             "& (set(sys.modules) - before)))")
-    assert fresh(code) == "[]\n"
+    assert fresh(code).stdout == "[]\n"
 
 
 def test_assignment_loads_the_frozen_error():
@@ -36,4 +36,29 @@ def test_assignment_loads_the_frozen_error():
             "except Exception as exc:\n"
             "    import dataclasses\n"
             "    print(type(exc) is dataclasses.FrozenInstanceError, exc)")
-    assert fresh(code) == "True cannot assign to field 'k'\n"
+    assert fresh(code).stdout == "True cannot assign to field 'k'\n"
+
+
+def test_read_argv_loads_no_argparse():
+    # the import and a call that the flag table reads leave argparse out
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import peakmod.cli as cli; print('argparse' in sys.modules); "
+            "code = cli.main(['count', 'joint', '--k', '2', '--n', '4', "
+            "'--r', '1,1,1']); print(code, 'argparse' in sys.modules)")
+    assert fresh(code).stdout == "False\n16\n0 False\n"
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (["count", "joint", "--bogus"], "usage: peakmod [-h]"),
+    (["count", "joint", "--k", "x"], "usage: peakmod count"),
+])
+def test_usage_error_loads_argparse(argv, usage):
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import peakmod.cli as cli\n"
+            "try:\n"
+            f"    cli.main({argv!r})\n"
+            "finally:\n"
+            "    print('argparse' in sys.modules)")
+    done = fresh(code, check=False)
+    assert (done.returncode, done.stdout) == (2, "True\n")
+    assert done.stderr.startswith(usage)
