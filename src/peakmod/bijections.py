@@ -32,6 +32,7 @@ descent ending at down b-w, so labels are a lookup by block index.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 
 from .core import (
@@ -103,14 +104,17 @@ def _walk(spec: FamilySpec, records) -> LatticePath:
         parent, pos, _ = records[idx]
         span[parent] += span[idx]
         kids[a * parent + pos - 1] = idx
-    order = [[(s + i) % k for s in range(k)] for i in range(k)]  # by shift
+    order = [None] * k  # by shift i: positions (s + i) mod k of slots s
     start = [0] * len(records)  # where each node's window starts
     shift = [0] * len(records)
     steps = [UP] * (a * len(records))
     for v in range(len(records)):  # parents before children
         at, i, base = start[v], shift[v], a * v
         steps[at + span[v] - 1] = DOWN
-        for j in order[i]:
+        slots = order[i]
+        if slots is None:  # made for the first node read with shift i
+            slots = order[i] = [*range(i, k), *range(i)]
+        for j in slots:
             c = kids[base + j]
             if c >= 0:
                 start[c], shift[c] = at, j
@@ -141,10 +145,16 @@ def path_to_labeled_tree(path: LatticePath) -> PositionalTree:
 def tree_to_path(tree: PositionalTree | None, k: int) -> LatticePath:
     """Inverse of :func:`path_to_tree` for trees of arity k+1."""
     k = _int_arg("k", k, 1, TreeError)
-    if tree is not None and tree.arity != k + 1:
+    if tree is None:
+        return LatticePath(pure_spec(k))
+    if tree.arity != k + 1:
         raise ArityMismatchError(
             f"tree arity {tree.arity} does not match k+1 = {k + 1}")
-    return _walk(pure_spec(k), tree._flat if tree else [])
+    n = len(tree._flat)
+    if (k + 1) * n > sys.maxsize:  # no list could hold the steps
+        raise TreeError(f"k must be < {sys.maxsize // n} for a tree of this "
+                        f"size, got {k}")
+    return _walk(pure_spec(k), tree._flat)
 
 
 def permute_statistics(path: LatticePath,

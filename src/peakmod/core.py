@@ -279,20 +279,14 @@ class FamilySpec(_Frozen):
 
     def __init__(self, k: int, levels: Mapping | Sequence = (),
                  end_height: int = 0):
-        vars(self).update(k=k, levels=levels, end_height=end_height)
-        self.__post_init__()
-
-    def __post_init__(self):
-        k = _int_arg("k", self.k, 1)
-        end_height = _int_arg("end_height", self.end_height, 0)
-        levels = self.levels
-        if isinstance(levels, Mapping):
-            levels = levels.items()
+        k = _int_arg("k", k, 1)
+        end_height = _int_arg("end_height", end_height, 0)
+        pairs = levels.items() if isinstance(levels, Mapping) else levels
         try:
-            pairs = [(a, c) for a, c in levels]
+            pairs = [(a, c) for a, c in pairs]
         except (TypeError, ValueError):
             raise ValueError(f"levels must map run-lengths to color counts, "
-                             f"got {self.levels!r}") from None
+                             f"got {levels!r}") from None
         items = [(_int_arg("level run-length", a, 1),
                   _int_arg("color count", c, 1)) for a, c in pairs]
         colors = dict(items)
@@ -360,9 +354,9 @@ class LatticePath(_Frozen):
     the start height an integer (kept as an int), every prefix height
     nonnegative, and the final height equal to start_height +
     spec.end_height.  A path is a frozen value kept in slots, with no
-    per-instance ``__dict__``; its ``__init__`` sets each field once,
-    ``steps`` as a tuple, and runs :meth:`__post_init__`.  A copy or a
-    pickle is made by the constructor, so it is validated again.
+    per-instance ``__dict__``; its ``__init__`` checks the arguments and
+    sets each field once, ``steps`` as a tuple.  A copy or a pickle is
+    made by the constructor, so it is validated again.
 
     That validator is one loop.  It tests ``UP`` and ``DOWN`` by identity
     first and any other step by its fields: a level step whose color is an
@@ -379,7 +373,6 @@ class LatticePath(_Frozen):
 
     def __init__(self, spec: FamilySpec, steps: Iterable[Step] = (),
                  start_height: int = 0):
-        _set_spec(self, spec)
         try:
             steps = tuple(steps)
         except TypeError:
@@ -389,16 +382,11 @@ class LatticePath(_Frozen):
                 raise PathError(f"steps must be an iterable of steps, "
                                 f"got {steps!r}") from None
             raise
-        _set_steps(self, steps)
-        _set_start_height(self, start_height)
-        self.__post_init__()
-
-    def __post_init__(self):
-        spec, steps, h = self.spec, self.steps, self.start_height
+        h = start_height
         if h.__class__ is not int:  # True or 1.0 is kept as an int
             if not _integral(h):
                 raise PathError(f"start height {h!r} is not an integer")
-            _set_start_height(self, h := int(h))
+            h = int(h)
         if h < 0:
             raise NegativeHeightError(f"start height {h} is negative")
         try:
@@ -406,6 +394,9 @@ class LatticePath(_Frozen):
         except AttributeError:
             raise PathError(f"spec must be a FamilySpec, got {spec!r}") \
                 from None
+        _set_spec(self, spec)
+        _set_steps(self, steps)
+        _set_start_height(self, h)
         it = iter(steps)
         try:
             for s in it:
@@ -614,31 +605,27 @@ class NodeLabel(_Frozen):
 
     def __init__(self, kind: str, residue: int | None = None,
                  ordinal: int | None = None):
-        vars(self).update(kind=kind, residue=residue, ordinal=ordinal)
-        self.__post_init__()
-
-    def __post_init__(self):
-        kind = self.kind
         if kind not in (LABEL_RIGHTMOST, LABEL_PEAK, LABEL_DD):
             raise ValueError(f"unknown label kind {kind!r}")
-        if kind == LABEL_PEAK and (self.residue is None
-                                   or self.ordinal is None):
+        if kind == LABEL_PEAK and (residue is None or ordinal is None):
             raise ValueError("peak labels need residue and ordinal")
-        if kind == LABEL_DD and self.ordinal is None:
+        if kind == LABEL_DD and ordinal is None:
             raise ValueError("double-descent labels need an ordinal")
         # the fields the kind writes are ints >= 0; it keeps no other
+        fields = {"residue": residue, "ordinal": ordinal}
         for name, writes in (("residue", kind == LABEL_PEAK),
                              ("ordinal", kind != LABEL_RIGHTMOST)):
-            value = getattr(self, name)
+            value = fields[name]
             if value is not None:
                 if not writes:
                     raise ValueError(f"{kind!r} labels take no {name}, "
                                      f"got {value!r}")
-                vars(self)[name] = value = _int_arg(name, value, 0)
+                fields[name] = value = _int_arg(name, value, 0)
                 try:
                     str(value)
                 except ValueError:  # more digits than str() writes
                     raise ValueError(f"{name} has too many digits") from None
+        vars(self).update(kind=kind, **fields)
 
     def json_str(self) -> str:
         """Wire form: "r", "p<i>_<j>", or "dd_<j>"."""

@@ -66,8 +66,10 @@ the inner marker).
   every row the call builds.  W is the bit length of the largest: no
   digit carries into the next or borrows from it.
 
-A result keeps its packed rows, unpacked into exponent tuples only when
-``coeffs`` is first read; its text is written from the packed rows.
+A result keeps its packed rows.  One walker, :func:`_row_keys`, reads
+them, key by key in descending order of the outer exponents: into
+exponent tuples when ``coeffs`` is first read, and into the text and the
+JSON without them.
 """
 
 from __future__ import annotations
@@ -231,8 +233,6 @@ def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
                       f"lagrange_coefficient({k}, {n}, {r})")
 
 
-
-
 @lru_cache(maxsize=1)
 def _lagrange_top(k: int, n: int) -> Mapping[tuple[int, ...], int]:
     """[f^(n-1)] Phi(f)^n as a read-only marker polynomial."""
@@ -242,7 +242,8 @@ def _lagrange_top(k: int, n: int) -> Mapping[tuple[int, ...], int]:
         return [phi, _series_pow(ring, phi, n)]
 
     rows, layout = _packed(build, k + 1, n, True)
-    return MappingProxyType(_terms(rows[n - 1], n - 1, layout))
+    top = TruncSeries._from_rows(0, k + 1, rows[n - 1:], layout, n - 1)
+    return MappingProxyType(top.coeffs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +274,22 @@ def _packed(build: Callable[[tuple, list], list[list]], nmarkers: int,
     return build(_DICT_ROWS, markers)[-1], (outer, base, width, homogeneous)
 
 
-def _terms(row: dict, degree: int, layout: tuple) -> dict:
-    """A packed row of marker degree ``degree`` as {exponent tuple:
-    coefficient}; a dropped marker's exponent is the degree left over."""
-    outer, base, width, homogeneous = layout
+def _row_keys(row: dict, degree: int, layout: tuple) -> list[tuple]:
+    """The keys of a packed row of marker degree ``degree`` by descending
+    outer exponents, each as (outer exponent tuple, its digits lowest
+    first, the degree left for a dropped marker): the one reader of the
+    packed layout, for ``coeffs``, text and JSON alike."""
+    outer, base, width, _ = layout
     mask = (1 << width) - 1
-    out = {}
-    for key, digits in row.items():
-        e = _unpack(key, outer, base)
-        if homogeneous:
-            rest = degree - sum(e)
-        j = 0
+    keys = []
+    for e, digits in sorted([(_unpack(key, outer, base), digits)
+                             for key, digits in row.items()], reverse=True):
+        cs = []
         while digits:
-            c = digits & mask
-            if c:
-                out[e + ((j, rest - j) if homogeneous else (j,))] = c
+            cs.append(digits & mask)
             digits >>= width
-            j += 1
-    return out
+        keys.append((e, cs, degree - sum(e)))
+    return keys
 
 
 def _poly_dot(pairs: Iterable[tuple[dict, dict]],
@@ -370,45 +369,18 @@ def _factors(nmarkers: int, exponents: Iterable[int]) -> list[dict]:
 
 
 def _row_line(row: dict, degree: int, layout: tuple, factors: list) -> str:
-    """The terms of a packed row of marker degree ``degree``, in one walk:
-    keys by descending outer exponents, each key's digits top down."""
-    outer, base, width, homogeneous = layout
-    mask = (1 << width) - 1
-    inner, last = factors[outer], factors[-1]
+    """The terms of a packed row of marker degree ``degree``: keys by
+    descending outer exponents, each key's digits top down."""
+    homogeneous = layout[3]
+    inner, last = factors[layout[0]], factors[-1]
     terms = []
-    for e, digits in sorted([(_unpack(key, outer, base), digits)
-                             for key, digits in row.items()], reverse=True):
+    for e, cs, rest in _row_keys(row, degree, layout):
         head = "".join(map(getitem, factors, e))
-        rest = degree - sum(e)
-        cs = []
-        while digits:
-            cs.append(digits & mask)
-            digits >>= width
         for j in range(len(cs) - 1, -1, -1):
             if cs[j]:
                 terms.append(f"{cs[j]}{head}{inner[j]}{last[rest - j]}"
                              if homogeneous else f"{cs[j]}{head}{inner[j]}")
     return " + ".join(terms)
-
-
-def _row_terms(row: dict, degree: int, layout: tuple) -> list[dict]:
-    """The terms of a packed row of marker degree ``degree`` as JSON
-    objects, in the order of :func:`_row_line`."""
-    outer, base, width, homogeneous = layout
-    mask = (1 << width) - 1
-    terms = []
-    for e, digits in sorted([(_unpack(key, outer, base), digits)
-                             for key, digits in row.items()], reverse=True):
-        rest = degree - sum(e)
-        cs = []
-        while digits:
-            cs.append(digits & mask)
-            digits >>= width
-        for j in range(len(cs) - 1, -1, -1):
-            if cs[j]:
-                terms.append({"exponents": [*e, j, rest - j] if homogeneous
-                              else [*e, j], "coefficient": cs[j]})
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +432,12 @@ class TruncSeries:
         """The coefficient of each power of x, {exponent tuple: int}."""
         if self._coeffs is None:
             rows, layout, offset = self._rows
-            self._coeffs = tuple([_terms(row, d + offset, layout)
-                                  for d, row in enumerate(rows)])
+            homogeneous = layout[3]
+            self._coeffs = tuple([
+                {e + ((j, rest - j) if homogeneous else (j,)): cs[j]
+                 for e, cs, rest in _row_keys(row, d + offset, layout)
+                 for j in range(len(cs) - 1, -1, -1) if cs[j]}
+                for d, row in enumerate(rows)])
         return self._coeffs
 
     def _like(self, coeffs) -> "TruncSeries":
@@ -536,7 +512,11 @@ class TruncSeries:
                      for e in sorted(p, reverse=True)] for p in self._coeffs]
         else:
             rows, layout, offset = self._rows
-            rows = [_row_terms(row, d + offset, layout)
+            homogeneous = layout[3]
+            rows = [[{"exponents": [*e, j, rest - j] if homogeneous
+                      else [*e, j], "coefficient": cs[j]}
+                     for e, cs, rest in _row_keys(row, d + offset, layout)
+                     for j in range(len(cs) - 1, -1, -1) if cs[j]]
                     for d, row in enumerate(rows)]
         return {
             "order": self.order,
@@ -590,6 +570,8 @@ def _series(k: int, order: int, spec: FamilySpec | None,
     order = _int_arg("order", order, 0)
     if order > sys.maxsize:  # no list of the rows could be indexed
         raise ValueError(f"order must be <= {sys.maxsize}")
+    if k >= sys.maxsize:  # nor a list of the k + 1 markers
+        raise ValueError(f"k must be < {sys.maxsize}, got {k}")
     s, levels = (1, ()) if spec is None else (k + 1, spec.levels)
 
     def build(ring, markers):

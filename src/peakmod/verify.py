@@ -4,6 +4,10 @@ Each suite replays one group of the package's identities at configurable
 desk-scale bounds and reports every failed comparison with its inputs.
 The suites add no logic of their own: they drive the enumeration oracle
 against the transforms, bijections, closed forms, and series solvers.
+Every integer parameter is read at entry by the library's integer reader,
+``core._int_arg`` (4.0 is 4, True is 1): ``k`` and ``max_k`` must be at
+least 1 and the other bounds at least 0, else a ValueError names the
+parameter.  A report's ``params`` keep the ints read.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .core import (
     LatticePath,
     PositionalTree,
     _Frozen,
+    _int_arg,
     parse_path,
     tree_to_json,
 )
@@ -118,6 +123,15 @@ class VerifyReport(_Frozen):
         return lines
 
 
+def _report(suite: str, **bounds) -> VerifyReport:
+    """The empty report of a suite, whose integer parameters are read at
+    entry by :func:`_int_arg` under the bounds ``cmd_verify`` applies to
+    their flags: at least 1 for ``k`` and ``max_k``, 0 for the rest."""
+    return VerifyReport(suite, {
+        name: _int_arg(name, x, 1 if name in ("k", "max_k") else 0)
+        for name, x in bounds.items()})
+
+
 # ---------------------------------------------------------------------------
 # figures
 # ---------------------------------------------------------------------------
@@ -144,7 +158,7 @@ FIG1_TREE_JSON = {
 
 
 def verify_figures() -> VerifyReport:
-    rep = VerifyReport("figures", {})
+    rep = _report("figures")
     h2 = family_histogram(*k_dyck_family(2, 3), PLAIN)
     rep.expect("2-dyck down-size-3 tally", FIG2_TALLY, h2.counts)
     rep.expect("2-dyck down-size-3 total", 12, h2.total)
@@ -173,9 +187,9 @@ def verify_figures() -> VerifyReport:
 
 def verify_equidistribution(k: int = 2, max_n: int = 5,
                             weak_max_len: int = 8) -> VerifyReport:
-    rep = VerifyReport("equidistribution",
-                       {"k": k, "max_n": max_n,
-                        "weak_max_len": weak_max_len})
+    rep = _report("equidistribution", k=k, max_n=max_n,
+                  weak_max_len=weak_max_len)
+    k, max_n, weak_max_len = rep.params.values()
     for n in range(max_n + 1):
         paths = list(gen_k_dyck(k, n))
         olds = [stat_vector(p).key() for p in paths]
@@ -215,8 +229,8 @@ def verify_equidistribution(k: int = 2, max_n: int = 5,
 
 def verify_bijection(max_k: int = 3, max_n: int = 5,
                      max_nodes: int = 5) -> VerifyReport:
-    rep = VerifyReport("bijection", {"max_k": max_k, "max_n": max_n,
-                                     "max_nodes": max_nodes})
+    rep = _report("bijection", max_k=max_k, max_n=max_n, max_nodes=max_nodes)
+    max_k, max_n, max_nodes = rep.params.values()
     tree_bad = {}  # (arity, n) -> the first tree failing its round trip
     for k in range(1, max_k + 1):
         for n in range(max_n + 1):
@@ -288,7 +302,8 @@ def _labels_agree(path: LatticePath, k: int, tree: PositionalTree) -> bool:
 # ---------------------------------------------------------------------------
 
 def verify_closed_forms(max_k: int = 3, max_n: int = 5) -> VerifyReport:
-    rep = VerifyReport("closed-forms", {"max_k": max_k, "max_n": max_n})
+    rep = _report("closed-forms", max_k=max_k, max_n=max_n)
+    max_k, max_n = rep.params.values()
     k1_hists = {}  # n -> the k = 1 histogram, read again by Narayana
     for k in range(1, max_k + 1):
         for n in range(1, max_n + 1):
@@ -316,8 +331,7 @@ def verify_closed_forms(max_k: int = 3, max_n: int = 5) -> VerifyReport:
                            total_peaks, count_pk(k, n, r))
     for n in range(1, max_n + 1):
         # all peaks but the rightmost, so r peaks show as r - 1
-        hist = k1_hists.get(n) or family_histogram(*k_dyck_family(1, n))
-        peak_hist = hist.marginal(0)
+        peak_hist = k1_hists[n].marginal(0)
         for r in range(1, n + 1):
             rep.expect(f"narayana n={n} r={r}", peak_hist.get(r - 1, 0),
                        narayana(n, r))
@@ -331,9 +345,11 @@ def verify_closed_forms(max_k: int = 3, max_n: int = 5) -> VerifyReport:
 def verify_series(max_k: int = 2, max_n: int = 5, weak_max_len: int = 8,
                   ballot_max_m: int = 3, ballot_max_n: int = 4
                   ) -> VerifyReport:
-    rep = VerifyReport("series", {
-        "max_k": max_k, "max_n": max_n, "weak_max_len": weak_max_len,
-        "ballot_max_m": ballot_max_m, "ballot_max_n": ballot_max_n})
+    rep = _report("series", max_k=max_k, max_n=max_n,
+                  weak_max_len=weak_max_len, ballot_max_m=ballot_max_m,
+                  ballot_max_n=ballot_max_n)
+    max_k, max_n, weak_max_len, ballot_max_m, ballot_max_n = \
+        rep.params.values()
     for k in range(1, max_k + 1):
         f = solve_f(k, max_n)
         rep.expect(f"empty-path coefficient k={k}", {}, f.coefficient(0))
@@ -401,9 +417,9 @@ def _check_grouped_symmetry(rep: VerifyReport, series, k: int, m: int,
 
 def verify_ballot(max_k: int = 3, max_m: int = 4, max_n: int = 4,
                   identity_max_n: int = 3) -> VerifyReport:
-    rep = VerifyReport("ballot", {"max_k": max_k, "max_m": max_m,
-                                  "max_n": max_n,
-                                  "identity_max_n": identity_max_n})
+    rep = _report("ballot", max_k=max_k, max_m=max_m, max_n=max_n,
+                  identity_max_n=identity_max_n)
+    max_k, max_m, max_n, identity_max_n = rep.params.values()
     for k in range(1, max_k + 1):
         for m in range(max_m + 1):
             ell, r = divmod(m, k)
@@ -450,8 +466,9 @@ def _residue_split_holds(path: LatticePath, k: int) -> bool:
 
 def verify_involution(max_semilength: int = 8,
                       narayana_max_n: int = 10) -> VerifyReport:
-    rep = VerifyReport("involution", {"max_semilength": max_semilength,
-                                      "narayana_max_n": narayana_max_n})
+    rep = _report("involution", max_semilength=max_semilength,
+                  narayana_max_n=narayana_max_n)
+    max_semilength, narayana_max_n = rep.params.values()
     for n in range(max_semilength + 1):
         bad = None
         for p in gen_k_dyck(1, n):

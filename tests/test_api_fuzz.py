@@ -72,7 +72,8 @@ from peakmod import (
     tree_to_path,
     validate,
 )
-from peakmod.core import check_permutation
+from peakmod.core import check_permutation, tree_from_json_text
+from peakmod.verify import SUITES
 
 MOTZKIN = FamilySpec(1, {1: 1})
 K1 = FamilySpec(1)
@@ -320,3 +321,41 @@ def test_tree_arguments_raise_tree_errors():
         tree_to_path(None, 0)
     with pytest.raises(BadPermutationError, match="^None is not"):
         check_permutation(None, 2)
+
+
+def test_a_k_past_an_index_is_refused():
+    # k + 1 markers, or (k + 1) * n steps, could not be listed
+    with pytest.raises(ValueError, match=r"^k must be < \d+, got 10{40}$"):
+        solve_f(10 ** 40, 3)
+    tree = tree_from_json_text("{}", 10 ** 40 + 1)
+    with pytest.raises(TreeError, match=r"^k must be < \d+ .*, got 10{40}$"):
+        tree_to_path(tree, 10 ** 40)
+
+
+def _least(param):
+    """The lower bound of a verify suite's integer parameter."""
+    return 1 if param in ("k", "max_k") else 0
+
+
+SUITE_PARAMS = [(suite, param) for suite, run in sorted(SUITES.items())
+                for param in inspect.signature(run).parameters]
+
+
+@pytest.mark.parametrize("suite, param, value", [
+    (suite, param, value) for suite, param in SUITE_PARAMS
+    for value in (2.5, "3", -1, 0) if value != 0 or _least(param) == 1])
+def test_a_verify_bound_is_read_as_an_integer(suite, param, value):
+    with pytest.raises(ValueError, match=f"^{param} must be "):
+        SUITES[suite](**{param: value})
+
+
+@pytest.mark.parametrize("suite, param", SUITE_PARAMS)
+def test_a_verify_bound_reads_true_and_4_0_as_ints(suite, param):
+    # the other bounds at their least keep each run small
+    run = SUITES[suite]
+    least = {p: _least(p) for p in inspect.signature(run).parameters}
+    for value, want in ((True, 1), (4.0, 4)):
+        report = run(**{**least, param: value})
+        assert report.params == {**least, param: want}
+        assert report.params[param].__class__ is int
+        assert report.to_json() == run(**{**least, param: want}).to_json()

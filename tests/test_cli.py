@@ -358,6 +358,25 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "peakmod: out of memory\n"
 
+    @pytest.mark.parametrize("argv", [("count", "series", "--order", "3"),
+                                      ("map", "psi-inv", "--tree", "{}")])
+    def test_k_past_an_index_is_a_usage_error(self, capsys, argv):
+        # no list of the k + 1 markers, or of the (k + 1) * n steps, could
+        # be indexed: refused like an order past the largest index
+        k = "1" * 40
+        code, out, err = run(capsys, *argv, "--k", k)
+        assert (code, out) == (2, "")
+        assert err.startswith("peakmod: k must be < ")
+        assert err.endswith(f", got {k}\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("count", "series", "--order", "3"),
+                                      ("map", "psi-inv", "--tree", "{}")])
+    def test_k_at_the_largest_index_is_out_of_memory(self, capsys, argv):
+        # k + 1 is the largest index on a 64-bit build: the first list of
+        # that size fails at once in the interpreter's list-size check
+        code, out, err = run(capsys, *argv, "--k", "9223372036854775806")
+        assert (code, out, err) == (3, "", "peakmod: out of memory\n")
+
     @pytest.mark.parametrize("extra", [
         (), ("--levels", "1:1"), ("--end-height", "2"),
         ("--levels", "1:1", "--end-height", "2")])

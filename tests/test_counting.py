@@ -1,6 +1,7 @@
 """Closed-form counts, series solvers, and their three-way agreement."""
 
 import copy
+import json
 import pickle
 import random
 import subprocess
@@ -731,6 +732,36 @@ class TestTextWriter:
             "x^0: 4", "x^1: 1*q0^2*q2 + 2*q1^11",
             "x^2: 3*q0*q1*q2 + 5*q0*q2^2"]
         assert series.dump_lines() == _reference_lines(series)
+
+
+def _reference_json(series):
+    """The documented JSON of a series, from its exponent tuples: order,
+    markers, and per power of x its terms in descending exponent order,
+    each {"exponents": [...], "coefficient": c}, written by json.dumps."""
+    return json.dumps({
+        "order": series.order, "markers": series.nmarkers,
+        "coefficients": [
+            {"x": d, "terms": [{"exponents": list(e), "coefficient": p[e]}
+                               for e in sorted(p, reverse=True)]}
+            for d, p in enumerate(series.coeffs)]})
+
+
+class TestJsonWriter:
+    """The JSON counterpart of TestTextWriter: a solver's result, shifted
+    or not, is written from its packed rows, and the JSON must be what the
+    documented rule makes of its exponent tuples, before and after they
+    are read, and what a series built from those tuples writes."""
+
+    def test_engine_results(self):
+        for label, make in _engine_results():
+            for j in (0, 1, 3):
+                series = make().mul_x(j)
+                doc = json.dumps(series.to_json())  # coeffs not yet read
+                assert doc == _reference_json(series), (label, j)
+                assert json.dumps(series.to_json()) == doc, (label, j)
+                plain = TruncSeries(series.order, series.nmarkers,
+                                    series.coeffs)
+                assert json.dumps(plain.to_json()) == doc, (label, j)
 
 
 LAZY = [lambda: solve_f(2, 7), lambda: solve_g(3, 4, 6),

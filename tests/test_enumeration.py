@@ -450,13 +450,13 @@ class TestFamilyHistogram:
     def test_every_path_is_built_and_validated(self, monkeypatch):
         want = [p.steps for p in gen_kac(MOTZKIN, 6)]
         built = []
-        init = LatticePath.__post_init__
+        init = LatticePath.__init__
 
-        def recording(self):
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
             built.append(self.steps)
-            init(self)
 
-        monkeypatch.setattr(LatticePath, "__post_init__", recording)
+        monkeypatch.setattr(LatticePath, "__init__", recording)
         family_histogram(MOTZKIN, 6, WEAK)
         assert built == want
 

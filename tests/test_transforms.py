@@ -379,10 +379,10 @@ class TestSpecReuse:
         want = calls()
         pure_spec(2)  # built once per k
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("a FamilySpec was built")
 
-        monkeypatch.setattr(FamilySpec, "__post_init__", refuse)
+        monkeypatch.setattr(FamilySpec, "__init__", refuse)
         assert calls() == want
 
     def test_parts_keep_their_families(self):

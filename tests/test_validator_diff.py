@@ -1,12 +1,12 @@
 """A differential check of the path validator.
 
 ``reference`` below is the step-by-step loop that validated every path
-before ``LatticePath.__post_init__`` became one loop: it reads each step's
-kind and words every error.  On a few thousand seeded step sequences over
-pure, ballot and level-bearing specs, the one loop must give the same path
-or the same (error type, message).  The only inputs on which they differ
-are those with a number that is no integer, listed in ``INTEGER_RULE``:
-the reference accepts them, the one loop does not.
+before the check in ``LatticePath.__init__`` became one loop: it reads each
+step's kind and words every error.  On a few thousand seeded step
+sequences over pure, ballot and level-bearing specs, the one loop must give
+the same path or the same (error type, message).  The only inputs on which
+they differ are those with a number that is no integer, listed in
+``INTEGER_RULE``: the reference accepts them, the one loop does not.
 """
 
 import random
