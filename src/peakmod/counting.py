@@ -66,10 +66,9 @@ the inner marker).
   every row the call builds.  W is the bit length of the largest: no
   digit carries into the next or borrows from it.
 
-A result keeps its packed rows.  One walker, :func:`_row_keys`, reads
-them, key by key in descending order of the outer exponents: into
-exponent tuples when ``coeffs`` is first read, and into the text and the
-JSON without them.
+A result keeps its packed rows, read by one walker, :func:`_row_keys`:
+into exponent tuples when ``coeffs`` is first read, and into the text and
+the JSON without them.
 """
 
 from __future__ import annotations
@@ -277,8 +276,7 @@ def _packed(build: Callable[[tuple, list], list[list]], nmarkers: int,
 def _row_keys(row: dict, degree: int, layout: tuple) -> list[tuple]:
     """The keys of a packed row of marker degree ``degree`` by descending
     outer exponents, each as (outer exponent tuple, its digits lowest
-    first, the degree left for a dropped marker): the one reader of the
-    packed layout, for ``coeffs``, text and JSON alike."""
+    first, the degree left for a dropped marker): the one packed reader."""
     outer, base, width, _ = layout
     mask = (1 << width) - 1
     keys = []
