@@ -14,12 +14,15 @@ default, exits 2; no flag is ignored.  So ``map deutsch`` reads only
 ``render --tree`` reads ``--format`` and either ``--arity`` or ``--k``
 (then the arity is k + 1).
 
-Each subcommand's flags are declared once, in ``_SUBCOMMANDS``.
-:func:`main` reads argv from that table and hands argparse only what the
-table's plain forms do not cover (help, prefixes, faults ...), so every
-usage message and argparse exit stays argparse's; the parser is built for
-the first such call and kept for the process.  Neither importing this
-module nor a call that argparse does not read loads argparse.
+Each subcommand's flags are declared once, in ``_SUBCOMMANDS``, and each
+mode's requirements and action once, in ``_MODES``.  :func:`main` reads
+argv from the flag table, and hands argparse only what the table's plain
+forms do not cover (help, prefixes, faults ...), so every usage message
+and argparse exit stays argparse's; the parser is built for the first
+such call and kept for the process.  Neither importing this module nor a
+call that argparse does not read loads argparse.  Then :func:`_action`
+decides the mode once, checks the flags against its row and returns its
+action, which :func:`main` runs.
 """
 
 from __future__ import annotations
@@ -74,112 +77,24 @@ from .render import (
 from .statistics import label_features
 from .transforms import cyclic_shift, deutsch_involution, lift, \
     permute_subtrees
-from .verify import SUITES
+from .verify import SUITES, _least
 
+# --variant spelling -> (statistic variant, CSV column prefix, dd column)
 VARIANT_FLAGS = {
-    "plain": "plain",
-    "weak": "weak",
-    "plain-starred": "plain_starred",
-    "weak-starred": "weak_starred",
+    "plain": ("plain", "pk", "dd"),
+    "weak": ("weak", "wpk", "wdd"),
+    "plain-starred": ("plain_starred", "pks", "dd"),
+    "weak-starred": ("weak_starred", "wpks", "wdd"),
 }
-
-
-# ---------------------------------------------------------------------------
-# the flag contract
-# ---------------------------------------------------------------------------
-
-# mode -> (flags it requires, other flags it reads), by argparse dest.  A
-# mode is the subcommand, then its kind, operation or suite if it takes
-# one, then, where it takes one of two flags (_EITHER_OR), the one given,
-# and last an optional flag that narrows the mode (_NARROWED_BY), if given.
-# A verify mode maps each flag it reads to the suite parameter the flag
-# sets (None: read by the command itself).
-_CONTRACT = {
-    "enumerate --down-size": (("down_size",), ("k", "end_height", "limit")),
-    "enumerate --length": (("length",),
-                           ("k", "levels", "end_height", "limit")),
-    "histogram --down-size": (("down_size",), ("k", "end_height", "limit",
-                                               "variant", "format")),
-    "histogram --length": (("length",), ("k", "levels", "end_height",
-                                         "limit", "variant", "format")),
-    "count joint": (("n", "r"), ("k",)),
-    "count marginal": (("n", "r"), ("k",)),
-    "count pk": (("n", "r"), ("k",)),
-    "count narayana": (("n", "r"), ()),
-    "count ballot": (("n", "s"), ("k", "end_height")),
-    "count series": (("order",), ("k", "levels", "end_height", "format")),
-    "map kappa": (("path",), ("k", "power")),
-    "map lift": (("path",), ("k", "power")),
-    "map psi": (("path",), ("k", "labels")),
-    "map psi-inv": (("tree",), ("k",)),
-    "map deutsch": (("path",), ()),
-    "map permute --path": (("path", "sigma"), ("k",)),
-    "map permute --tree": (("tree", "sigma"), ()),
-    "render --path": (("path",),
-                      ("k", "levels", "end_height", "format", "labels")),
-    "render --tree": (("tree",), ("k", "format")),
-    "render --tree --arity": (("tree", "arity"), ("format",)),
-    "verify figures": ((), {"format": None}),
-    "verify equidistribution": ((), {"format": None, "k": "k",
-                                     "max_n": "max_n",
-                                     "max_len": "weak_max_len"}),
-    "verify bijection": ((), {"format": None, "max_k": "max_k",
-                              "max_n": "max_n", "max_nodes": "max_nodes"}),
-    "verify closed-forms": ((), {"format": None, "max_k": "max_k",
-                                 "max_n": "max_n"}),
-    "verify series": ((), {"format": None, "max_k": "max_k",
-                           "max_n": "max_n", "max_len": "weak_max_len",
-                           "max_m": "ballot_max_m"}),
-    "verify ballot": ((), {"format": None, "max_k": "max_k",
-                           "max_m": "max_m", "max_n": "max_n"}),
-    "verify involution": ((), {"format": None, "max_n": "max_semilength"}),
-}
-
-# the modes that take exactly one of two flags, named by the flag given
-_EITHER_OR = {
-    "enumerate": ("down_size", "length"),
-    "histogram": ("down_size", "length"),
-    "map permute": ("path", "tree"),
-    "render": ("path", "tree"),
-}
-
-# the modes that an optional flag, when given, narrows to a mode of its own
-_NARROWED_BY = {"render --tree": "arity"}
-
-
-def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
-
-
-def _check_flags(args) -> None:
-    """Raise ValueError unless every flag the mode requires is given and
-    every flag it does not read keeps its declared default."""
-    mode = " ".join([args.command] + [getattr(args, dest) for dest in (
-        "what", "op", "suite") if hasattr(args, dest)])
-    pair = _EITHER_OR.get(mode)
-    if pair:
-        given = [dest for dest in pair if getattr(args, dest) is not None]
-        if len(given) != 1:
-            a, b = map(_flag, pair)
-            raise ValueError(f"{a} and {b} are exclusive" if given
-                             else f"{mode} needs {a} or {b}")
-        mode += " " + _flag(given[0])
-    narrow = _NARROWED_BY.get(mode)
-    if narrow and getattr(args, narrow) is not None:
-        mode += " " + _flag(narrow)
-    needs, reads = _CONTRACT[mode]
-    for dest, default in args.flag_defaults.items():
-        if dest not in needs and dest not in reads and \
-                getattr(args, dest) != default:
-            raise ValueError(f"{mode} does not read {_flag(dest)}")
-    for dest in needs:
-        if getattr(args, dest) is None:
-            raise ValueError(f"{mode} needs {_flag(dest)}")
 
 
 # ---------------------------------------------------------------------------
 # shared flag handling
 # ---------------------------------------------------------------------------
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
 
 def _int(text: str, flag: str = "") -> int:
     """The reader of every number given on the command line: it reads
@@ -187,7 +102,7 @@ def _int(text: str, flag: str = "") -> int:
     so an optional sign and ASCII digits with no "_".  Without ``flag`` it
     is an argparse type, and argparse names the flag when it rejects a
     token (only that branch imports argparse); with one, as
-    :func:`_read_argv` and the commands call it, a token int() reads is
+    :func:`_read_argv` and the actions call it, a token int() reads is
     rejected naming ``flag``, and other text keeps int()'s own error."""
     try:
         value = ascii_int(text)
@@ -224,20 +139,13 @@ def _parse_levels(text: str | None) -> dict[int, int]:
     return levels
 
 
-def _family(args) -> tuple[FamilySpec, int]:
-    """The spec and total length of the family the flags name."""
-    if args.length is not None:
-        return (FamilySpec(args.k, _parse_levels(args.levels),
-                           args.end_height), args.length)
-    if args.end_height:
-        return ballot_family(args.k, args.end_height, args.down_size)
-    return k_dyck_family(args.k, args.down_size)
-
-
 def _read_text(value: str) -> str:
-    if value == "-":
-        return sys.stdin.read().strip()
-    return value
+    return sys.stdin.read().strip() if value == "-" else value
+
+
+def _path(args):
+    """The --path of a map mode; deutsch reads no --k, so its k is 1."""
+    return parse_path(_read_text(args.path), FamilySpec(args.k))
 
 
 def _dump_json(obj) -> None:
@@ -245,130 +153,214 @@ def _dump_json(obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# the actions of the modes
 # ---------------------------------------------------------------------------
 
-def cmd_enumerate(args) -> int:
-    for path in gen_kac(*_family(args), max_objects=args.limit):
+def _by_length(args) -> tuple[FamilySpec, int]:
+    return (FamilySpec(args.k, _parse_levels(args.levels), args.end_height),
+            args.length)
+
+
+def _by_down_size(args) -> tuple[FamilySpec, int]:
+    if args.end_height:
+        return ballot_family(args.k, args.end_height, args.down_size)
+    return k_dyck_family(args.k, args.down_size)
+
+
+def _enumerate(family, args) -> None:
+    for path in gen_kac(*family, max_objects=args.limit):
         print(render_path(path))
-    return 0
 
 
-_CSV_PREFIX = {"plain": "pk", "weak": "wpk",
-               "plain_starred": "pks", "weak_starred": "wpks"}
-_CSV_DD = {"plain": "dd", "weak": "wdd",
-           "plain_starred": "dd", "weak_starred": "wdd"}
-
-
-def cmd_histogram(args) -> int:
-    variant = VARIANT_FLAGS[args.variant]
-    hist = family_histogram(*_family(args), variant, args.limit)
+def _histogram(family, args) -> None:
+    variant, prefix, dd = VARIANT_FLAGS[args.variant]
+    hist = family_histogram(*family, variant, args.limit)
     if args.format == "json":
-        _dump_json(hist.to_json())
-        return 0
-    prefix = _CSV_PREFIX[variant]
-    header = [f"{prefix}{i}" for i in range(hist.k)]
-    print(",".join(header + [_CSV_DD[variant], "count"]))
+        return _dump_json(hist.to_json())
+    print(",".join([f"{prefix}{i}" for i in range(hist.k)] + [dd, "count"]))
     for key, count in hist.entries():
         print(",".join(str(x) for x in (*key, count)))
-    return 0
 
 
-def cmd_count(args) -> int:
-    if args.what == "joint":
-        print(count_joint(args.k, args.n, _ints(args.r, "--r")))
-    elif args.what == "marginal":
-        print(count_marginal(args.k, args.n, _int(args.r, "--r")))
-    elif args.what == "pk":
-        print(count_pk(args.k, args.n, _int(args.r, "--r")))
-    elif args.what == "narayana":
-        print(narayana(args.n, _int(args.r, "--r")))
-    elif args.what == "ballot":
-        spec = FamilySpec(args.k, end_height=args.end_height)
-        print(count_ballot_joint(spec.k, spec.ell, spec.residue, args.n,
-                                 _ints(args.s, "--s")))
-    elif args.what == "series":
-        series = _build_series(args)
-        if args.format == "json":
-            _dump_json(series.to_json())
-        else:
-            for line in series.dump_lines():
-                print(line)
-    return 0
+def _ballot(args) -> None:
+    spec = FamilySpec(args.k, end_height=args.end_height)
+    print(count_ballot_joint(spec.k, spec.ell, spec.residue, args.n,
+                             _ints(args.s, "--s")))
 
 
-def _build_series(args):
+def _series(args) -> None:
     levels = _parse_levels(args.levels)
     if levels:
         spec = FamilySpec(args.k, levels)
-        if args.end_height:
-            return solve_g_kac(spec, args.end_height, args.order)
-        return solve_f_kac(spec, args.order)
-    if args.end_height:
-        return solve_g(args.k, args.end_height, args.order)
-    return solve_f(args.k, args.order)
-
-
-def cmd_map(args) -> int:
-    if args.tree is not None:  # psi-inv, or permute --tree
-        if args.op == "psi-inv":
-            tree = tree_from_json_text(_read_text(args.tree), args.k + 1)
-            print(render_path(tree_to_path(tree, args.k)))
-        else:
-            sigma = _ints(args.sigma, "--sigma")
-            tree = tree_from_json_text(_read_text(args.tree), len(sigma))
-            print(tree_to_json_text(permute_subtrees(tree, sigma)))
-        return 0
-    # deutsch reads no --k, so k is 1 for it here
-    path = parse_path(_read_text(args.path), FamilySpec(args.k))
-    if args.op == "kappa":
-        print(render_path(cyclic_shift(path, args.power)))
-    elif args.op == "lift":
-        lifted = lift(path, args.power)
-        _dump_json({"start_height": lifted.start_height,
-                    "steps": render_path(lifted)})
-    elif args.op == "deutsch":
-        print(render_path(deutsch_involution(path)))
-    elif args.op == "psi":
-        tree = path_to_labeled_tree(path) if args.labels and path.steps \
-            else path_to_tree(path)
-        print(tree_to_json_text(tree))
+        series = solve_g_kac(spec, args.end_height, args.order) \
+            if args.end_height else solve_f_kac(spec, args.order)
     else:
-        sigma = _ints(args.sigma, "--sigma")
-        print(render_path(permute_statistics(path, sigma)))
-    return 0
-
-
-def cmd_verify(args) -> int:
-    kwargs = {}
-    for flag, param in _CONTRACT[f"verify {args.suite}"][1].items():
-        value = getattr(args, flag)
-        if param and value is not None:
-            kwargs[param] = _int_arg(_flag(flag), value,
-                                     1 if flag in ("k", "max_k") else 0)
-    report = SUITES[args.suite](**kwargs)
+        series = solve_g(args.k, args.end_height, args.order) \
+            if args.end_height else solve_f(args.k, args.order)
     if args.format == "json":
-        _dump_json(report.to_json())
-    else:
-        for line in report.summary_lines():
-            print(line)
-    return 0 if report.ok else 1
+        return _dump_json(series.to_json())
+    for line in series.dump_lines():
+        print(line)
 
 
-def cmd_render(args) -> int:
-    if args.path is not None:
-        spec = FamilySpec(args.k, _parse_levels(args.levels), args.end_height)
-        path = parse_path(_read_text(args.path), spec)
-        labels = label_features(path) if args.labels and path.steps else None
-        out = render_path_ascii(path, labels) if args.format == "ascii" \
-            else render_path_svg(path, labels)
-    else:
-        arity = args.arity if args.arity is not None else args.k + 1
-        tree = tree_from_json_text(_read_text(args.tree), arity)
-        out = render_tree_ascii(tree) if args.format == "ascii" \
-            else render_tree_svg(tree)
-    print(out)
-    return 0
+def _lift(args) -> None:
+    lifted = lift(_path(args), args.power)
+    _dump_json({"start_height": lifted.start_height,
+                "steps": render_path(lifted)})
+
+
+def _psi(args) -> None:
+    path = _path(args)
+    tree = path_to_labeled_tree(path) if args.labels and path.steps \
+        else path_to_tree(path)
+    print(tree_to_json_text(tree))
+
+
+def _permute_tree(args) -> None:
+    sigma = _ints(args.sigma, "--sigma")
+    tree = tree_from_json_text(_read_text(args.tree), len(sigma))
+    print(tree_to_json_text(permute_subtrees(tree, sigma)))
+
+
+def _render_path(args) -> None:
+    spec = FamilySpec(args.k, _parse_levels(args.levels), args.end_height)
+    path = parse_path(_read_text(args.path), spec)
+    labels = label_features(path) if args.labels and path.steps else None
+    print(render_path_ascii(path, labels) if args.format == "ascii"
+          else render_path_svg(path, labels))
+
+
+def _render_tree(args, arity: int) -> None:
+    tree = tree_from_json_text(_read_text(args.tree), arity)
+    print(render_tree_ascii(tree) if args.format == "ascii"
+          else render_tree_svg(tree))
+
+
+def _verify(suite: str, **params: str) -> tuple:
+    """The row of ``verify suite``: it reads --format and each flag in
+    ``params``, which sets the suite parameter it names, read under the
+    suite's own least value but named by the flag."""
+    def run(args) -> int:
+        report = SUITES[suite](**{
+            param: _int_arg(_flag(dest), getattr(args, dest), _least(param))
+            for dest, param in params.items()
+            if getattr(args, dest) is not None})
+        if args.format == "json":
+            _dump_json(report.to_json())
+        else:
+            for line in report.summary_lines():
+                print(line)
+        return 0 if report.ok else 1
+    return (), ("format", *params), run
+
+
+# ---------------------------------------------------------------------------
+# the modes
+# ---------------------------------------------------------------------------
+
+# mode -> (flags it requires, other flags it reads, action), by argparse
+# dest.  A mode is the subcommand, then its kind, operation or suite if it
+# takes one, then, where it takes one of two flags (_EITHER_OR), the one
+# given, and last an optional flag that narrows the mode (_NARROWED_BY), if
+# given.  An action prints the mode's output and returns its exit code, or
+# None for 0.
+_MODES = {
+    "enumerate --down-size": (
+        ("down_size",), ("k", "end_height", "limit"),
+        lambda a: _enumerate(_by_down_size(a), a)),
+    "enumerate --length": (
+        ("length",), ("k", "levels", "end_height", "limit"),
+        lambda a: _enumerate(_by_length(a), a)),
+    "histogram --down-size": (
+        ("down_size",), ("k", "end_height", "limit", "variant", "format"),
+        lambda a: _histogram(_by_down_size(a), a)),
+    "histogram --length": (
+        ("length",), ("k", "levels", "end_height", "limit", "variant",
+                      "format"),
+        lambda a: _histogram(_by_length(a), a)),
+    "count joint": (("n", "r"), ("k",), lambda a: print(
+        count_joint(a.k, a.n, _ints(a.r, "--r")))),
+    "count marginal": (("n", "r"), ("k",), lambda a: print(
+        count_marginal(a.k, a.n, _int(a.r, "--r")))),
+    "count pk": (("n", "r"), ("k",), lambda a: print(
+        count_pk(a.k, a.n, _int(a.r, "--r")))),
+    "count narayana": (("n", "r"), (), lambda a: print(
+        narayana(a.n, _int(a.r, "--r")))),
+    "count ballot": (("n", "s"), ("k", "end_height"), _ballot),
+    "count series": (("order",), ("k", "levels", "end_height", "format"),
+                     _series),
+    "map kappa": (("path",), ("k", "power"), lambda a: print(
+        render_path(cyclic_shift(_path(a), a.power)))),
+    "map lift": (("path",), ("k", "power"), _lift),
+    "map psi": (("path",), ("k", "labels"), _psi),
+    "map psi-inv": (("tree",), ("k",), lambda a: print(render_path(
+        tree_to_path(tree_from_json_text(_read_text(a.tree), a.k + 1),
+                     a.k)))),
+    "map deutsch": (("path",), (), lambda a: print(
+        render_path(deutsch_involution(_path(a))))),
+    "map permute --path": (("path", "sigma"), ("k",), lambda a: print(
+        render_path(permute_statistics(_path(a), _ints(a.sigma, "--sigma"))))),
+    "map permute --tree": (("tree", "sigma"), (), _permute_tree),
+    "render --path": (("path",),
+                      ("k", "levels", "end_height", "format", "labels"),
+                      _render_path),
+    "render --tree": (("tree",), ("k", "format"),
+                      lambda a: _render_tree(a, a.k + 1)),
+    "render --tree --arity": (("tree", "arity"), ("format",),
+                              lambda a: _render_tree(a, a.arity)),
+    "verify figures": _verify("figures"),
+    "verify equidistribution": _verify("equidistribution", k="k",
+                                       max_n="max_n",
+                                       max_len="weak_max_len"),
+    "verify bijection": _verify("bijection", max_k="max_k", max_n="max_n",
+                                max_nodes="max_nodes"),
+    "verify closed-forms": _verify("closed-forms", max_k="max_k",
+                                   max_n="max_n"),
+    "verify series": _verify("series", max_k="max_k", max_n="max_n",
+                             max_len="weak_max_len", max_m="ballot_max_m"),
+    "verify ballot": _verify("ballot", max_k="max_k", max_m="max_m",
+                             max_n="max_n"),
+    "verify involution": _verify("involution", max_n="max_semilength"),
+}
+
+# the modes that take exactly one of two flags, named by the flag given
+_EITHER_OR = {
+    "enumerate": ("down_size", "length"),
+    "histogram": ("down_size", "length"),
+    "map permute": ("path", "tree"),
+    "render": ("path", "tree"),
+}
+
+# the modes that an optional flag, when given, narrows to a mode of its own
+_NARROWED_BY = {"render --tree": "arity"}
+
+
+def _action(args):
+    """The action of the mode ``args`` names.  Raise ValueError unless
+    every flag the mode requires is given and every flag it does not read
+    keeps its declared default."""
+    mode = " ".join([args.command] + [getattr(args, dest) for dest in (
+        "what", "op", "suite") if hasattr(args, dest)])
+    pair = _EITHER_OR.get(mode)
+    if pair:
+        given = [dest for dest in pair if getattr(args, dest) is not None]
+        if len(given) != 1:
+            a, b = map(_flag, pair)
+            raise ValueError(f"{a} and {b} are exclusive" if given
+                             else f"{mode} needs {a} or {b}")
+        mode += " " + _flag(given[0])
+    narrow = _NARROWED_BY.get(mode)
+    if narrow and getattr(args, narrow) is not None:
+        mode += " " + _flag(narrow)
+    needs, reads, action = _MODES[mode]
+    for dest, default in _reader(args.command)[1].items():
+        if dest not in needs and dest not in reads and \
+                getattr(args, dest) != default:
+            raise ValueError(f"{mode} does not read {_flag(dest)}")
+    for dest in needs:
+        if getattr(args, dest) is None:
+            raise ValueError(f"{mode} needs {_flag(dest)}")
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +368,8 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 # Each subcommand's flags, declared once: build_parser and _read_argv are
-# both made from this table.  A subcommand is (function, help, positional
-# (dest, choices) or None, flags); a flag is (option strings, type,
+# both made from this table.  A subcommand is (help, positional (dest,
+# choices) or None, flags); a flag is (option strings, type,
 # default, choices, help), its dest named from its first option string as
 # argparse names it, and the type bool makes a switch (default False).
 _FAMILY_FLAGS = (
@@ -391,12 +383,12 @@ _FAMILY_FLAGS = (
     ("--limit", _int, None, None, "override the object cap"),
 )
 _SUBCOMMANDS = {
-    "enumerate": (cmd_enumerate, "list a path family", None, _FAMILY_FLAGS),
-    "histogram": (cmd_histogram, "tally statistic vectors", None, (
+    "enumerate": ("list a path family", None, _FAMILY_FLAGS),
+    "histogram": ("tally statistic vectors", None, (
         *_FAMILY_FLAGS,
         ("--variant", str, "plain", sorted(VARIANT_FLAGS), None),
         ("--format", str, "json", ("json", "csv"), None))),
-    "count": (cmd_count, "closed forms and series", (
+    "count": ("closed forms and series", (
         "what", ("joint", "marginal", "pk", "narayana", "ballot", "series")), (
         ("--k", _int, 1, None, None),
         ("--n", _int, None, None, None),
@@ -408,7 +400,7 @@ _SUBCOMMANDS = {
         ("--end-height --m", _int, 0, None,
          "end height m for ballot and series"),
         ("--format", str, "text", ("text", "json"), None))),
-    "map": (cmd_map, "apply a transform or bijection", (
+    "map": ("apply a transform or bijection", (
         "op", ("kappa", "lift", "psi", "psi-inv", "deutsch", "permute")), (
         ("--k", _int, 1, None, None),
         ("--path", str, None, None, "path text ('-' reads stdin)"),
@@ -417,12 +409,12 @@ _SUBCOMMANDS = {
         ("--sigma", str, None, None,
          "permutation images of 1..m, comma separated"),
         ("--labels", bool, False, None, "label nodes for psi"))),
-    "verify": (cmd_verify, "run a property suite", ("suite", sorted(SUITES)), (
+    "verify": ("run a property suite", ("suite", sorted(SUITES)), (
         *[(flag, _int, None, None, None) for flag in (
             "--k", "--max-k", "--max-n", "--max-len", "--max-m",
             "--max-nodes")],
         ("--format", str, "text", ("text", "json"), None))),
-    "render": (cmd_render, "draw a path or tree", None, (
+    "render": ("draw a path or tree", None, (
         ("--k", _int, 1, None, None),
         ("--levels", str, None, None, None),
         ("--end-height", _int, 0, None, None),
@@ -436,18 +428,15 @@ _SUBCOMMANDS = {
 
 @functools.cache
 def _reader(command: str) -> tuple[dict, dict]:
-    """A subcommand's option strings -> (dest, type, choices), and the
-    namespace argparse starts from: each flag's default, the command, its
-    function, and the defaults again as ``flag_defaults``."""
-    func, _, _, flags = _SUBCOMMANDS[command]
+    """A subcommand's option strings -> (dest, type, choices), and each
+    flag's default by dest."""
     options, defaults = {}, {}
-    for strings, kind, default, choices, _ in flags:
+    for strings, kind, default, choices, _ in _SUBCOMMANDS[command][2]:
         names = strings.split()
         dest = names[0][2:].replace("-", "_")
         options.update(dict.fromkeys(names, (dest, kind, choices)))
         defaults[dest] = default
-    return options, {**defaults, "command": command, "func": func,
-                     "flag_defaults": defaults}
+    return options, defaults
 
 
 def _read_argv(argv: list):
@@ -457,8 +446,9 @@ def _read_argv(argv: list):
     ASCII digits: argparse's rule for the rest differs between versions."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
-    options, start = _reader(argv[0])
-    positional, args = _SUBCOMMANDS[argv[0]][2], dict(start)
+    options, defaults = _reader(argv[0])
+    positional = _SUBCOMMANDS[argv[0]][1]
+    args = {**defaults, "command": argv[0]}
     tokens = iter(argv[1:])
     for token in tokens:
         if token[:1] != "-":
@@ -501,7 +491,7 @@ def build_parser() -> "argparse.ArgumentParser":
         prog="peakmod",
         description="exact peak statistics modulo k on lattice paths")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, about, positional, flags) in _SUBCOMMANDS.items():
+    for command, (about, positional, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=about)
         if positional:
             p.add_argument(positional[0], choices=positional[1])
@@ -509,8 +499,6 @@ def build_parser() -> "argparse.ArgumentParser":
             p.add_argument(*strings.split(), help=text, **(
                 {"action": "store_true"} if kind is bool else
                 {"type": kind, "default": default, "choices": choices}))
-        p.set_defaults(func=func,
-                       flag_defaults=_reader(command)[1]["flag_defaults"])
     return parser
 
 
@@ -518,8 +506,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
-        _check_flags(args)
-        return args.func(args)
+        return _action(args)(args) or 0
     except ResourceLimitError as exc:
         print(f"peakmod: {exc}", file=sys.stderr)
         return 3

@@ -209,12 +209,13 @@ def _int_arg(name: str, x, least: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _packing(k: int, length: int) -> list[int]:
-    """Weights that pack (pk_0, ..., pk_{k-1}, dd) into one integer: a
-    counter of a length-L family is at most L, so coordinate i is digit i
-    in base L + 1.  The last weight, at index -1, is 0: adding it counts
-    nothing, as for the residue -1 of no peak."""
+    """Weights that pack (pk_0, ..., pk_{r-1}, dd) into one integer, for
+    the r = min(k, L + 1) residues a length-L family reaches (no height
+    passes L), so weight r, at index -2, is dd's: a counter is at most L,
+    so coordinate i is digit i in base L + 1.  The last weight, at index
+    -1, is 0: adding it counts nothing, as for the residue -1 of no peak."""
     base = length + 1
-    return [base ** i for i in range(k + 1)] + [0]
+    return [base ** i for i in range(min(k, base) + 1)] + [0]
 
 
 def _unpack(key: int, ndigits: int, base: int) -> tuple[int, ...]:

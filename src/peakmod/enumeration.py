@@ -47,12 +47,15 @@ every integer argument is, by :func:`peakmod.core._int_arg` (3.0 is 3;
 numbers are (:func:`peakmod.core.ascii_int`: ASCII digits, no "_").  A
 bad cap of either kind raises before anything is generated.
 The path walk lists its moves, one per level color, before the cap can
-act, so a family with 10**12 colors never reaches its first path.
+act, so a family with 10**12 colors never reaches its first path.  A
+length past ``sys.maxsize`` is refused with a ValueError, since no list
+could hold the steps of such a path.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from operator import itemgetter
@@ -146,11 +149,14 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
     """(path, key, held) for every path of the family, in canonical order.
 
     ``variant`` names the statistic (None: no statistic).  ``key`` packs
-    (pk_0, ..., pk_{k-1}, dd) over the blocks of the path but its latest
-    peak, whose residue is ``held`` (-1 for none), into one integer: see
-    :func:`peakmod.core._packing`.
+    the residue counters a path of this length can reach, and dd, over the
+    blocks of the path but its latest peak, whose residue is ``held`` (-1
+    for none), into one integer: see :func:`peakmod.core._packing`.
     """
     length = _int_arg("length", length, 0)
+    if length > sys.maxsize:  # no list could hold the steps of a path
+        raise ValueError(f"path length must be <= {sys.maxsize}, "
+                         f"got {length}")
     budget = _Budget(resolve_cap(max_objects))
     k = spec.k
     m = spec.end_height
@@ -196,7 +202,7 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
             elif block == PEAK:  # count the held peak and hold this one
                 nkey, nheld = key + weight[held], h % k
             else:  # DD
-                nkey, nheld = key + weight[k], held
+                nkey, nheld = key + weight[-2], held
             if nrem <= depth:  # read the rest of each path from its table
                 head = (*prefix, step)
                 freed = nkey + weight[nheld]
@@ -285,7 +291,7 @@ def _completions(spec: FamilySpec, length: int, rows: dict,
                         continue
                     block = rows[prev][kind][0]
                     if block == DD:
-                        sub = [(t, inc + weight[k], rel, after)
+                        sub = [(t, inc + weight[-2], rel, after)
                                for t, inc, rel, after in sub]
                     elif block == PEAK:  # release the held peak, hold h's
                         r = h % k
@@ -388,17 +394,22 @@ def family_histogram(spec: FamilySpec, length: int, variant: str = PLAIN,
     on the walk's own statistic, with its k set to spec.k."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    k = spec.k
+    k, length = spec.k, _int_arg("length", length, 0)
     walk = _walk(spec, length, max_objects, variant)
     if variant in STARRED:  # count the held peak too
+        # the walk refuses a length past any index before a weight is built
+        pairs = Counter(map(itemgetter(1, 2), walk))
         weight = _packing(k, length)
         tally = Counter()
-        for (key, held), c in Counter(map(itemgetter(1, 2), walk)).items():
+        for (key, held), c in pairs.items():
             tally[key + weight[held]] += c
     else:
         tally = Counter(map(itemgetter(1), walk))
-    counts = {_unpack(key, k + 1, length + 1): c
-              for key, c in tally.items()}
+    reached = min(k, length + 1)  # as _packing packs; the rest count 0
+    counts = {}
+    for key, c in tally.items():
+        digits = _unpack(key, reached + 1, length + 1)
+        counts[digits[:reached] + (0,) * (k - reached) + digits[-1:]] = c
     return Histogram(variant, k, counts, sum(counts.values()))
 
 

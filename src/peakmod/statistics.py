@@ -171,8 +171,9 @@ def label_features(path: LatticePath) -> dict[int, NodeLabel]:
     Keys are block start indices (the up-step of a peak, the first down of
     a double descent).  The rightmost peak gets ``r``; the j-th remaining
     peak at height i mod k, read left to right, gets ``i_j``; the j-th
-    double descent gets ``d_j``.  One pass over the steps finds them all,
-    as :func:`peaks` and :func:`double_descents` do, and makes each label
+    double descent gets ``d_j``.  One pass over the steps, folded over the
+    plain :func:`closing_rows` as :func:`stat_vector` is, finds the blocks
+    :func:`peaks` and :func:`double_descents` list, and makes each label
     unchecked.
     """
     if path.is_empty():
@@ -187,23 +188,19 @@ def label_features(path: LatticePath) -> dict[int, NodeLabel]:
     # the latest peak as (up-step index, residue), held back until a later
     # peak turns up; the one held at the end is the rightmost
     held = None
-    h, prev = path.start_height, ""
+    h, row = path.start_height, closing_rows(PLAIN, k)[""]
     for i, s in enumerate(path.steps):
-        kind = s.kind
-        if kind == "u":
-            h += 1
-        else:
-            if prev == "u":
-                if held is not None:
-                    j, res = held
-                    ordinals[res] += 1
-                    labels[j] = _node_label(LABEL_PEAK, res, ordinals[res])
-                held = (i - 1, h % k)
-            elif prev == "d":
-                dd += 1
-                labels[i - 1] = _node_label(LABEL_DD, None, dd)
-            h -= k
-        prev = kind
+        block, row, rise = row[s.kind]
+        if block is PEAK:
+            if held is not None:
+                j, res = held
+                ordinals[res] += 1
+                labels[j] = _node_label(LABEL_PEAK, res, ordinals[res])
+            held = (i - 1, h % k)
+        elif block is DD:
+            dd += 1
+            labels[i - 1] = _node_label(LABEL_DD, None, dd)
+        h += rise
     if held is None:
         raise ValueError("feature labels need a peak")
     labels[held[0]] = _node_label(LABEL_RIGHTMOST)

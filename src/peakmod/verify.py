@@ -123,13 +123,17 @@ class VerifyReport(_Frozen):
         return lines
 
 
+def _least(name: str) -> int:
+    """The least value of the suite parameter ``name``, which the CLI
+    applies to its flag too: 1 for ``k`` and ``max_k``, 0 for the rest."""
+    return 1 if name in ("k", "max_k") else 0
+
+
 def _report(suite: str, **bounds) -> VerifyReport:
     """The empty report of a suite, whose integer parameters are read at
-    entry by :func:`_int_arg` under the bounds ``cmd_verify`` applies to
-    their flags: at least 1 for ``k`` and ``max_k``, 0 for the rest."""
-    return VerifyReport(suite, {
-        name: _int_arg(name, x, 1 if name in ("k", "max_k") else 0)
-        for name, x in bounds.items()})
+    entry by :func:`_int_arg`, each at least :func:`_least` of its name."""
+    return VerifyReport(suite, {name: _int_arg(name, x, _least(name))
+                                for name, x in bounds.items()})
 
 
 # ---------------------------------------------------------------------------

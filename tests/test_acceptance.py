@@ -16,6 +16,7 @@ from peakmod import (
     histogram,
 )
 from peakmod.verify import (
+    _compositions,
     verify_ballot,
     verify_bijection,
     verify_closed_forms,
@@ -85,7 +86,7 @@ def test_criterion_08_ballot_closed_form():
         for n in range(1, 5):
             hist = histogram(gen_ballot(2, m, n), "plain_starred")
             vectors = set(hist.counts)
-            for s in _all_vectors(n, 3):
+            for s in _compositions(n, 3):
                 assert count_ballot_joint(2, ell, r, n, s) == \
                     hist.counts.get(s, 0), (m, n, s)
                 vectors.discard(s)
@@ -93,15 +94,6 @@ def test_criterion_08_ballot_closed_form():
     _passed(8, "ballot count formula matches brute force "
                "(k=2, m in 1..3, n<=4); the (2,1) family of down-size 2 "
                "has 7 paths")
-
-
-def _all_vectors(total, slots):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _all_vectors(total - first, slots - 1):
-            yield (first,) + rest
 
 
 def test_criterion_09_ballot_residue_recursion():

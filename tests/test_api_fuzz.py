@@ -73,6 +73,7 @@ from peakmod import (
     validate,
 )
 from peakmod.core import check_permutation, tree_from_json_text
+from peakmod.enumeration import k_dyck_family
 from peakmod.verify import SUITES
 
 MOTZKIN = FamilySpec(1, {1: 1})
@@ -330,6 +331,27 @@ def test_a_k_past_an_index_is_refused():
     tree = tree_from_json_text("{}", 10 ** 40 + 1)
     with pytest.raises(TreeError, match=r"^k must be < \d+ .*, got 10{40}$"):
         tree_to_path(tree, 10 ** 40)
+
+
+def test_a_length_past_an_index_is_refused():
+    # no list could hold the steps of such a path: the walk would never
+    # reach its first path, so the object cap could never act
+    with pytest.raises(ValueError,
+                       match=r"^path length must be <= \d+, got 10{40}$"):
+        list(gen_kac(FamilySpec(1), 10 ** 40))
+    # a k-Dyck family of down-size 1 has length k + 1
+    for variant in ("plain", "plain_starred"):
+        with pytest.raises(ValueError,
+                           match=r"^path length must be <= \d+, got 10{39}1$"):
+            family_histogram(*k_dyck_family(10 ** 40, 1), variant)
+
+
+@pytest.mark.parametrize("variant", ["plain", "weak_starred"])
+def test_a_family_histogram_keys_ints(variant):
+    # a length of 4.0 is read as 4, so no key is counted in floats
+    got = family_histogram(MOTZKIN, 4.0, variant)
+    assert got == family_histogram(MOTZKIN, 4, variant)
+    assert {x.__class__ for key in got.counts for x in key} == {int}
 
 
 def _least(param):

@@ -54,7 +54,7 @@ LOOSE = DASHED + ("--help", "--bogus", "--labels=1", "--labels=", "--m",
 
 def table(command):
     """(positional choices or (), {option string: (type, choices)})."""
-    _, _, positional, flags = cli._SUBCOMMANDS[command]
+    _, positional, flags = cli._SUBCOMMANDS[command]
     options = {name: (kind, choices) for strings, kind, _, choices, _
                in flags for name in strings.split()}
     return (positional[1] if positional else ()), options

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,25 @@ class TestExitCodes:
         assert err.startswith("peakmod: k must be < ")
         assert err.endswith(f", got {k}\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, length", [
+        (("enumerate", "--k", "1" * 40, "--down-size", "1"),
+         "1" * 39 + "2"),
+        (("histogram", "--k", "1" * 40, "--down-size", "1"), "1" * 39 + "2"),
+        (("enumerate", "--k", "1", "--length", "1" * 40), "1" * 40)])
+    def test_length_past_an_index_is_a_usage_error(self, capsys, argv,
+                                                   length):
+        # the walk would never reach a first path for the cap to count
+        code, out, err = run(capsys, *argv, "--limit", "1")
+        assert (code, out) == (2, "")
+        assert err == (f"peakmod: path length must be <= {sys.maxsize}, "
+                       f"got {length}\n")
+
+    def test_histogram_of_a_huge_k_packs_few_weights(self, capsys):
+        start = time.perf_counter()
+        got = run(capsys, "histogram", "--k", "100000", "--length", "5")
+        assert got == (0, '{"entries":[],"total":0}\n', "")
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.parametrize("argv", [("count", "series", "--order", "3"),
                                       ("map", "psi-inv", "--tree", "{}")])
     def test_k_at_the_largest_index_is_out_of_memory(self, capsys, argv):
@@ -706,9 +726,11 @@ class TestArgvReader:
 
     def test_table_defaults(self):
         args = cli.build_parser().parse_args(["render", "--path", "ud"])
-        assert args.flag_defaults == {
+        defaults = {
             "k": 1, "levels": None, "end_height": 0, "arity": None,
             "path": None, "tree": None, "format": "ascii", "labels": False}
+        assert cli._reader("render")[1] == defaults
+        assert vars(args) == {**defaults, "command": "render", "path": "ud"}
         assert vars(cli._read_argv(["render", "--path", "ud"])) == vars(args)
 
 

@@ -39,17 +39,9 @@ from peakmod import counting
 from peakmod.core import check_permutation
 from peakmod.counting import NonIntegerResultError, _exact_int, _lagrange_top
 from peakmod.statistics import PLAIN, PLAIN_STARRED, WEAK, WEAK_STARRED
+from peakmod.verify import _compositions
 
 from conftest import MOTZKIN, SCHROEDER
-
-
-def _vectors(total, slots):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _vectors(total - first, slots - 1):
-            yield (first,) + rest
 
 
 class TestCountJoint:
@@ -71,7 +63,7 @@ class TestCountJoint:
         for k in (1, 2, 3):
             for n in range(1, 5):
                 hist = histogram(gen_k_dyck(k, n), PLAIN)
-                for r in _vectors(n - 1, k + 1):
+                for r in _compositions(n - 1, k + 1):
                     assert count_joint(k, n, r) == hist.counts.get(r, 0)
 
 
@@ -169,7 +161,7 @@ class TestBallotJoint:
     def test_reduces_to_joint_at_height_zero(self):
         # at m = 0 the starred vector shifts the residue-0 slot by one
         for n in range(1, 5):
-            for s in _vectors(n, 3):
+            for s in _compositions(n, 3):
                 if s[0] == 0:
                     continue
                 assert count_ballot_joint(2, 0, 0, n, s) == \
@@ -181,7 +173,7 @@ class TestBallotJoint:
                 ell, r = divmod(m, k)
                 for n in range(1, 4):
                     hist = histogram(gen_ballot(k, m, n), PLAIN_STARRED)
-                    for s in _vectors(n, k + 1):
+                    for s in _compositions(n, k + 1):
                         assert count_ballot_joint(k, ell, r, n, s) == \
                             hist.counts.get(s, 0), (k, m, n, s)
 
@@ -200,7 +192,7 @@ class TestLagrange:
     def test_agrees_with_closed_form(self):
         for k in (1, 2):
             for n in range(1, 6):
-                for r in _vectors(n - 1, k + 1):
+                for r in _compositions(n - 1, k + 1):
                     assert lagrange_coefficient(k, n, r) == \
                         count_joint(k, n, r)
 
@@ -211,7 +203,7 @@ class TestLagrange:
         chunks = []
         for k, n in ((2, 10), (3, 8), (2, 8), (3, 6)):
             vectors = [r for total in (n - 2, n - 1, n)
-                       for r in _vectors(total, k + 1)]
+                       for r in _compositions(total, k + 1)]
             chunks += [(k, n, vectors[i::3]) for i in range(3)]
         random.Random(8).shuffle(chunks)
         assert any(a[0] == b[0] and a[1] != b[1]
@@ -355,7 +347,7 @@ class TestThreeWayAgreement:
                 g = solve_g(k, m, 4)
                 for n in range(1, 5):
                     coeff = g.coefficient(n)
-                    for s in _vectors(n, k + 1):
+                    for s in _compositions(n, k + 1):
                         assert coeff.get(s, 0) == \
                             count_ballot_joint(k, ell, r, n, s), (k, m, n, s)
 
@@ -364,7 +356,7 @@ class TestThreeWayAgreement:
             f = solve_f(k, 5)
             for n in range(1, 6):
                 coeff = f.coefficient(n)
-                for rv in _vectors(n - 1, k + 1):
+                for rv in _compositions(n - 1, k + 1):
                     assert coeff.get(rv, 0) == count_joint(k, n, rv)
 
 
@@ -376,7 +368,7 @@ class TestBeyondEnumeration:
             f = solve_f(k, 16)
             for n in range(1, 17):
                 coeff = f.coefficient(n)
-                for rv in _vectors(n - 1, k + 1):
+                for rv in _compositions(n - 1, k + 1):
                     assert coeff.get(rv, 0) == count_joint(k, n, rv), (k, n)
 
     def test_solve_g_equals_ballot_closed_form(self):
@@ -386,13 +378,13 @@ class TestBeyondEnumeration:
                 g = solve_g(k, m, 12)
                 for n in range(13):
                     coeff = g.coefficient(n)
-                    for s in _vectors(n, k + 1):
+                    for s in _compositions(n, k + 1):
                         assert coeff.get(s, 0) == \
                             count_ballot_joint(k, ell, r, n, s), (k, m, n, s)
 
     def test_lagrange_equals_joint_closed_form(self):
         for k, n in ((2, 8), (3, 6)):
-            for r in _vectors(n - 1, k + 1):
+            for r in _compositions(n - 1, k + 1):
                 assert lagrange_coefficient(k, n, r) == \
                     count_joint(k, n, r), (k, n, r)
 
@@ -401,7 +393,7 @@ class TestBeyondEnumeration:
         f = solve_f(k, order)
         for n in range(1, order + 1):
             assert f.coefficient(n) == {
-                rv: c for rv in _vectors(n - 1, k + 1)
+                rv: c for rv in _compositions(n - 1, k + 1)
                 if (c := count_joint(k, n, rv))}, (k, n)
 
     def test_solve_g_k3_equals_ballot_closed_form(self):
@@ -410,7 +402,7 @@ class TestBeyondEnumeration:
             g = solve_g(3, m, 10)
             for n in range(11):
                 assert g.coefficient(n) == {
-                    s: c for s in _vectors(n, 4)
+                    s: c for s in _compositions(n, 4)
                     if (c := count_ballot_joint(3, ell, r, n, s))}, (m, n)
 
 
@@ -632,7 +624,7 @@ class TestReferenceSolutions:
                 for i in range(k + 1):
                     phi = _tuple_product(phi, _marked_plus_one(t, i))
                 top = _tuple_power(phi, n).coefficient(n - 1)
-                for r in _vectors(n - 1, k + 1):
+                for r in _compositions(n - 1, k + 1):
                     assert top[r] % n == 0
                     assert lagrange_coefficient(k, n, r) == top[r] // n, (
                         k, n, r)

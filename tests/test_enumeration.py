@@ -35,7 +35,7 @@ from peakmod import enumeration
 from peakmod.core import DOWN, UP, _packing
 from peakmod.enumeration import _completions
 from peakmod.statistics import (PLAIN, PLAIN_STARRED, VARIANTS, WEAK,
-                                closing_rows)
+                                WEAK_STARRED, closing_rows)
 from peakmod.verify import _compositions
 
 from conftest import MOTZKIN, SCHROEDER, block_tallies, oracle_grid
@@ -411,6 +411,26 @@ class TestFamilyHistogram:
                 assert got == histogram(paths, variant), (spec, length)
                 assert got.counts == Counter(b[variant] for b in blocks)
                 assert got.variant == variant and got.k == spec.k
+
+    def test_a_k_past_the_length_packs_the_reached_residues(self):
+        # no peak of a length-L path is higher than L, so only residues
+        # below min(k, L + 1) are packed; the others read back as 0
+        for spec in (FamilySpec(5, {1: 1}), FamilySpec(9, {1: 1, 2: 1}, 2),
+                     FamilySpec(4, end_height=1), FamilySpec(6)):
+            for length in range(9):
+                paths = list(gen_kac(spec, length))
+                for variant in VARIANTS:
+                    got = family_histogram(spec, length, variant)
+                    assert got == histogram(paths, variant), (spec, length)
+                    assert got.k == spec.k
+        assert len(_packing(10 ** 5, 5)) == 8  # six residues, dd and 0
+
+    def test_a_huge_k_packs_few_weights(self):
+        start = time.perf_counter()
+        assert family_histogram(FamilySpec(10 ** 11), 5).counts == {}
+        got = family_histogram(FamilySpec(10 ** 5, {1: 1}), 3, WEAK_STARRED)
+        assert got.counts == {(1,) + (0,) * 10 ** 5: 1}
+        assert time.perf_counter() - start < 1.0
 
     def test_length_zero_is_the_empty_path(self):
         for spec in (FamilySpec(3), MOTZKIN, SCHROEDER):
