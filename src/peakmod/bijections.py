@@ -9,7 +9,10 @@ becomes the position-count vector (e_1, ..., e_{k+1}) of the tree.
 The maps run on a tree's (parent index, position, label) records, each
 parent before its children: :func:`path_to_tree` hands the records it
 builds to ``tree_from_records``, and :func:`tree_to_path` walks the
-records a tree keeps, so neither builds a tree node.
+records a tree keeps, so neither builds a tree node.  The builder lists
+them in text order (each node, then its children's subtrees by key, as in
+JSON text), and ``map psi`` writes the text from them in one pass, each
+label as its wire text from the scan of :func:`label_features`.
 
 The recursion is unrolled over one matching pass (``_closing_ups``).
 Take a factor Q of the path with right-peak blocks Q_0..Q_{kn-1} and
@@ -18,8 +21,9 @@ linked at position k+1.  Spine node w holds at position j+1 (j < k) the
 tree of the j-fold shift of block wk + ((j - i) mod k), and the ups
 separating window w are the ones closed by the w-th last down of Q.  So a
 shift is an index offset, never a rebuilt path: the builder keeps
-(start, end, shift) ranges on an explicit stack, and :func:`_walk` places
-each window back from the sizes of the subtrees before it.
+(start, end, shift) ranges, each with the spine node it is at, on an
+explicit stack, and :func:`_walk` places each window back from the sizes
+of the subtrees before it.
 
 The labeled variant transports the feature labels of the original path
 onto tree nodes: the root takes the rightmost peak's label, child i+1
@@ -42,7 +46,6 @@ from .core import (
     EmptyPathError,
     FamilySpec,
     LatticePath,
-    NodeLabel,
     PositionalTree,
     TreeError,
     _int_arg,
@@ -54,34 +57,38 @@ from .statistics import label_features
 from .transforms import _closing_ups, _permuted, _require_pure
 
 
-def _records(path: LatticePath, labels: dict[int, NodeLabel] | None
-             ) -> list[tuple[int, int, NodeLabel | None]]:
-    """The records of a pure path's tree, labeled when ``labels`` is the
-    path's :func:`label_features`."""
+def _records(path: LatticePath, labels: dict | None) -> list:
+    """The records of a pure path's tree in text order, labeled when
+    ``labels`` maps block indices to labels (:func:`label_features`)."""
     k = path.spec.k
     steps = path.steps
     closes = _closing_ups(path)[0]
+    # child slots j (at position j + 1), the last in text order first
+    slots = sorted(range(k + 1), key=lambda j: str(j + 1), reverse=True)
     records: list = []
-    # (start, end, shift, parent, pos) of the factors still to place
-    todo = [(0, len(steps), 0, -1, 0)] if steps else []
+    # (start, end, shift, parent, pos, w, n): spine node w of the factor
+    # steps[start:end], read with that shift, whose final down-run is d^n
+    # (n = 0 when not yet counted)
+    todo = [(0, len(steps), 0, -1, 0, 0, 0)] if steps else []
     while todo:
-        lo, hi, shift, parent, pos = todo.pop()
-        n = 1  # the factor opens with an up, so its final down-run is in it
-        while steps[hi - 1 - n].kind == "d":
-            n += 1
-        for w in range(n):
-            node = len(records)
-            block = hi - n - 1 if w == 0 else hi - w - 1
-            records.append((parent, pos,
-                            None if labels is None else labels[block]))
-            seps = closes[hi - 1 - w]
-            for j in range(k):
+        lo, hi, shift, parent, pos, w, n = todo.pop()
+        if not n:  # the factor opens with an up, so its final run is in it
+            n = 1
+            while steps[hi - 1 - n].kind == "d":
+                n += 1
+        node = len(records)
+        block = hi - n - 1 if w == 0 else hi - w - 1
+        records.append((parent, pos,
+                        None if labels is None else labels[block]))
+        seps = closes[hi - 1 - w]
+        for j in slots:
+            if j < k:
                 s = (j - shift) % k
                 begin = seps[s - 1] + 1 if s else lo
                 if begin < seps[s]:
-                    todo.append((begin, seps[s], j, node, j + 1))
-            lo = seps[-1] + 1
-            parent, pos = node, k + 1
+                    todo.append((begin, seps[s], j, node, j + 1, 0, 0))
+            elif w + 1 < n:  # the spine goes on at position k + 1
+                todo.append((seps[-1] + 1, hi, shift, node, k + 1, w + 1, n))
     return records
 
 
@@ -128,7 +135,7 @@ def _walk(spec: FamilySpec, records) -> LatticePath:
 
 def path_to_tree(path: LatticePath) -> PositionalTree | None:
     """Map a pure k-Dyck path to its (k+1)-ary tree (None when empty)."""
-    _require_pure(path, "path_to_tree")
+    _require_pure(path, "path_to_tree", from_zero=True)
     records = _records(path, None)
     return tree_from_records(path.spec.k + 1, records) if records else None
 
@@ -137,7 +144,7 @@ def path_to_labeled_tree(path: LatticePath) -> PositionalTree:
     """Like :func:`path_to_tree`, with original feature labels on nodes."""
     if path.is_empty():
         raise EmptyPathError("cannot label the tree of an empty path")
-    _require_pure(path, "path_to_labeled_tree")
+    _require_pure(path, "path_to_labeled_tree", from_zero=True)
     return tree_from_records(path.spec.k + 1,
                              _records(path, label_features(path)))
 
@@ -168,7 +175,7 @@ def permute_statistics(path: LatticePath,
     """
     spec = path.spec
     sig = check_permutation(sigma, spec.k + 1)
-    _require_pure(path, "permute_statistics")
+    _require_pure(path, "permute_statistics", from_zero=True)
     if path.is_empty():
         return path
     return _walk(pure_spec(spec.k), _permuted(_records(path, None), sig))

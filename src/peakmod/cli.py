@@ -33,8 +33,7 @@ import sys
 from types import SimpleNamespace
 
 from .bijections import (
-    path_to_labeled_tree,
-    path_to_tree,
+    _records,
     permute_statistics,
     tree_to_path,
 )
@@ -43,6 +42,7 @@ from .core import (
     PathError,
     TreeError,
     _int_arg,
+    _tree_text,
     ascii_int,
     parse_path,
     render_path,
@@ -74,7 +74,7 @@ from .render import (
     render_tree_ascii,
     render_tree_svg,
 )
-from .statistics import label_features
+from .statistics import _label_texts, label_features
 from .transforms import cyclic_shift, deutsch_involution, lift, \
     permute_subtrees
 from .verify import SUITES, _least
@@ -210,10 +210,11 @@ def _lift(args) -> None:
 
 
 def _psi(args) -> None:
+    # tree_to_json_text of the (labeled) tree, from records in text order
     path = _path(args)
-    tree = path_to_labeled_tree(path) if args.labels and path.steps \
-        else path_to_tree(path)
-    print(tree_to_json_text(tree))
+    labels = _label_texts(path) if args.labels and path.steps else None
+    records = _records(path, labels)
+    print(_tree_text(path.k + 1, records, str) if records else "null")
 
 
 def _permute_tree(args) -> None:

@@ -17,9 +17,10 @@ Trees here are "positional" m-ary trees: every child occupies an explicit
 slot in 1..m and slots may be skipped.  The empty tree (zero nodes) is
 represented by ``None`` throughout the package.  A :class:`PositionalTree`
 holds its (parent, position, label) records and builds its nodes only
-when ``children`` is read.  :func:`tree_to_json_text` writes JSON text
-from the records, each child's opening token taken from a per-arity
-table.  :func:`records_from_json_text` reads records back with the walk
+when ``children`` is read.  One emitter writes JSON text from records in
+text order (each node, then its children's subtrees by key) in one pass;
+:func:`tree_to_json_text` puts records of another order in it first.
+:func:`records_from_json_text` reads records back with the walk
 of :func:`tree_from_json`, over the C decoder's tuples of pairs; text the
 decoder cannot read, or whose tree the walk refuses, is read again on an
 explicit stack at any depth, whose dicts the same walk reads to word
@@ -579,6 +580,10 @@ LABEL_RIGHTMOST = "r"
 LABEL_PEAK = "peak"
 LABEL_DD = "dd"
 
+# the wire forms of peak and double-descent labels, from residue and ordinal
+_PEAK_TEXT = "p{}_{}".format
+_DD_TEXT = "dd_{}".format
+
 
 # repr recurses through nested lists and objects; a label nested deeper
 # than this is named by its type in the error message instead
@@ -633,8 +638,8 @@ class NodeLabel(_Frozen):
         if self.kind == LABEL_RIGHTMOST:
             return "r"
         if self.kind == LABEL_PEAK:
-            return f"p{self.residue}_{self.ordinal}"
-        return f"dd_{self.ordinal}"
+            return _PEAK_TEXT(self.residue, self.ordinal)
+        return _DD_TEXT(self.ordinal)
 
     def display(self) -> str:
         """Figure form: "r", "<i>_<j>", or "d_<j>"."""
@@ -842,44 +847,70 @@ _TABLED_ARITY = 64
 
 def tree_to_json_text(tree: PositionalTree | None) -> str:
     """The compact wire form: ``json.dumps(tree_to_json(tree),
-    sort_keys=True, separators=(",", ":"))``, written from the tree's
-    records on an explicit stack, so no node is built and depth is
-    unbounded.  Each child opens with a token read from the tables of
-    :func:`_key_tokens`, kept per arity up to ``_TABLED_ARITY`` and past it
-    made for the positions the records hold."""
+    sort_keys=True, separators=(",", ":"))``, written by :func:`_tree_text`
+    from the records, put in text order first when they are not, so no
+    node is built and depth is unbounded."""
     if tree is None:
         return "null"
     arity, records = tree.arity, tree._flat
-    rank, first, rest = _arity_tokens(arity) if arity <= _TABLED_ARITY \
-        else _key_tokens({pos for _, pos, _ in records[1:]})
-    # each node's children as (rank of key, record index)
+    return _tree_text(arity, records, NodeLabel.json_str) or _tree_text(
+        arity, _text_order(arity, records), NodeLabel.json_str)
+
+
+def _tree_text(arity: int, records, text) -> str | None:
+    """The JSON text of a tree whose records come in text order (each node,
+    then its children's subtrees in the order json.dumps sorts their keys,
+    "10" < "2"), each label as ``text(label)``, in one pass over a stack of
+    open nodes; None when they come in another order."""
+    rank, first, rest = _tokens(arity, records)
+    out = ["{"]
+    stack = [-1, 0]  # the open nodes, on a floor that closes them all
+    n = len(records)
+    for idx in range(1, n + 1):
+        parent, pos, _ = records[idx] if idx < n else _CLOSE_ALL
+        if parent == idx - 1:
+            out.append(first[rank[pos]])
+        else:
+            while stack[-1] > parent:  # close the nodes above parent
+                v = stack.pop()
+                label = records[v][2]  # "label" sorts after digits
+                out.append("}" if label is None else
+                           f'{"," if v < idx - 1 else ""}"label":"'
+                           f'{text(label)}"}}')
+            if parent < 0:
+                break
+            r = rank[pos]  # v is the sibling before, if parent is open
+            if stack[-1] != parent or rank[records[v][1]] >= r:
+                return None
+            out.append(rest[r])
+        stack.append(idx)
+    return "".join(out)
+
+
+_CLOSE_ALL = (-1, 0, None)
+
+
+def _text_order(arity: int, records) -> list:
+    """The records in text order, from each node's children sorted by key."""
+    rank = _tokens(arity, records)[0]
     kids: list[list] = [[] for _ in records]
     for idx in range(len(records) - 1, 0, -1):
         parent, pos, _ = records[idx]
         kids[parent].append((rank[pos], idx))
-    out = ["{"]
-    todo: list = [0]  # record indices of opened nodes, and text to emit
+    out: list = []
+    todo = [(-1, 0)]  # (new index of the parent, record index)
     while todo:
-        v = todo.pop()
-        if v.__class__ is str:
-            out.append(v)
-            continue
-        ks, label = kids[v], records[v][2]
-        end = "}" if label is None else f'"label":"{label.json_str()}"}}'
-        if not ks:
-            out.append(end)
-            continue
-        todo.append(end if label is None else "," + end)
-        if len(ks) > 1:
-            ks.sort()
-        for n in range(len(ks) - 1, 0, -1):
-            r, c = ks[n]
-            todo.append(c)
-            todo.append(rest[r])
-        r, c = ks[0]
-        todo.append(c)
-        todo.append(first[r])
-    return "".join(out)
+        parent, v = todo.pop()
+        _, pos, label = records[v]
+        todo.extend((len(out), c) for _, c in sorted(kids[v], reverse=True))
+        out.append((parent, pos, label))
+    return out
+
+
+def _tokens(arity: int, records) -> tuple:
+    """The :func:`_key_tokens` of the children the records can hold."""
+    return _arity_tokens(arity) if arity <= _TABLED_ARITY \
+        else _key_tokens({pos for _, pos, _ in records[1:]})
 
 
 @cache

@@ -21,7 +21,7 @@ its rows (:func:`closing_rows`), and the family walk of
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from .core import (
     LABEL_DD,
@@ -32,6 +32,8 @@ from .core import (
     NodeLabel,
     PositionalTree,
     TreeError,
+    _DD_TEXT,
+    _PEAK_TEXT,
     _Frozen,
     _int_arg,
     _node_label,
@@ -174,17 +176,26 @@ def label_features(path: LatticePath) -> dict[int, NodeLabel]:
     double descent gets ``d_j``.  One pass over the steps, folded over the
     plain :func:`closing_rows` as :func:`stat_vector` is, finds the blocks
     :func:`peaks` and :func:`double_descents` list, and makes each label
-    unchecked.
+    unchecked; ``map psi --labels`` shares it (:func:`_label_texts`).
     """
+    return _label_texts(path, _node_label(LABEL_RIGHTMOST),
+                        partial(_node_label, LABEL_PEAK),
+                        partial(_node_label, LABEL_DD, None))
+
+
+def _label_texts(path: LatticePath, rightmost="r", peak=_PEAK_TEXT,
+                 dd=_DD_TEXT) -> dict:
+    """The labels of :func:`label_features` as wire text, or as the makers
+    ``rightmost``, ``peak(residue, ordinal)`` and ``dd(ordinal)`` give."""
     if path.is_empty():
         raise EmptyPathError("cannot label an empty path")
     # validation admits a level step only where the spec has levels
     if path.spec.has_levels:
         raise ValueError("feature labels are defined on pure k-Dyck paths")
     k = path.spec.k
-    labels: dict[int, NodeLabel] = {}
+    labels: dict = {}
     ordinals = [0] * k
-    dd = 0
+    dds = 0
     # the latest peak as (up-step index, residue), held back until a later
     # peak turns up; the one held at the end is the rightmost
     held = None
@@ -195,15 +206,15 @@ def label_features(path: LatticePath) -> dict[int, NodeLabel]:
             if held is not None:
                 j, res = held
                 ordinals[res] += 1
-                labels[j] = _node_label(LABEL_PEAK, res, ordinals[res])
+                labels[j] = peak(res, ordinals[res])
             held = (i - 1, h % k)
         elif block is DD:
-            dd += 1
-            labels[i - 1] = _node_label(LABEL_DD, None, dd)
+            dds += 1
+            labels[i - 1] = dd(dds)
         h += rise
     if held is None:
         raise ValueError("feature labels need a peak")
-    labels[held[0]] = _node_label(LABEL_RIGHTMOST)
+    labels[held[0]] = rightmost
     return labels
 
 

@@ -41,6 +41,7 @@ from .core import (
     FamilySpec,
     LatticePath,
     NegativeHeightError,
+    PathError,
     PositionalTree,
     Step,
     WrongEndHeightError,
@@ -109,7 +110,8 @@ def _join(parts: Iterable[Sequence[Step]], ups: int,
     return steps
 
 
-def _require_pure(path: LatticePath, op: str) -> None:
+def _require_pure(path: LatticePath, op: str, from_zero: bool = False
+                  ) -> None:
     # validation admits a level step only where the spec has levels
     if path.spec.has_levels and any(s.kind == "l" for s in path.steps):
         raise ValueError(f"{op} requires a pure k-Dyck path without level "
@@ -117,6 +119,9 @@ def _require_pure(path: LatticePath, op: str) -> None:
     if path.spec.end_height != 0:
         raise WrongEndHeightError(
             f"{op} requires a path returning to its start height")
+    if from_zero and path.start_height:  # the tree maps read from 0
+        raise PathError(f"{op} requires a path starting at height 0, "
+                        f"got {path.start_height}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from peakmod import (
     NodeLabel,
     PositionalTree,
     TreeError,
+    gen_k_dyck,
     parse_path,
     path_to_labeled_tree,
     path_to_tree,
@@ -132,6 +133,43 @@ class TestDeepChains:
         assert want.count('"label"') == self.DEPTH
         assert run(capsys, "map", "psi", "--labels", "--k", "1", "--path",
                    render_path(path)) == (0, want + "\n", "")
+
+
+class TestPsiRoute:
+    """``map psi`` writes records it builds in text order, with each label
+    as its wire text; its stdout must be the library's tree text."""
+
+    def check(self, capsys, path):
+        argv = ("map", "psi", "--k", str(path.spec.k), "--path",
+                render_path(path))
+        want = tree_to_json_text(path_to_tree(path))
+        assert run(capsys, *argv) == (0, want + "\n", "")
+        want = tree_to_json_text(path_to_labeled_tree(path)
+                                 if path.steps else None)
+        assert run(capsys, *argv, "--labels") == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("k, max_n", [(1, 8), (2, 6), (3, 6)])
+    def test_every_small_path(self, capsys, k, max_n):
+        for n in range(max_n + 1):
+            for path in gen_k_dyck(k, n):
+                self.check(capsys, path)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 10, 11, 12])
+    def test_seeded_paths(self, capsys, k):
+        # from k = 9 on, keys sort as strings: "10" < "2"
+        rng = random.Random(f"map psi route:{k}")
+        for n in (500,) * 3 if k <= 3 else (1, 2, 7, 40, 200):
+            self.check(capsys, parse_path(uniform_path(rng, k, n),
+                                          FamilySpec(k)))
+
+    def test_a_hundred_thousand_deep_chain(self, capsys):
+        self.check(capsys, parse_path("u" * 10**5 + "d" * 10**5,
+                                      FamilySpec(1)))
+
+    def test_the_empty_path_prints_null(self, capsys):
+        for labels in ((), ("--labels",)):
+            assert run(capsys, "map", "psi", "--k", "2", "--path", "",
+                       *labels) == (0, "null\n", "")
 
 
 # (map arguments, exit code, stdout, stderr), each as the program gave it

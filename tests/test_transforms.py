@@ -9,6 +9,7 @@ from peakmod import (
     EmptyPathError,
     FamilySpec,
     LatticePath,
+    PathError,
     PositionalTree,
     WrongEndHeightError,
     WrongKError,
@@ -255,7 +256,8 @@ class TestLastPassageCuts:
 
 
 class TestRequirePure:
-    """The operations on pure k-Dyck paths refuse a level step."""
+    """The operations on pure k-Dyck paths refuse a level step, and the
+    tree maps, which read the steps from height 0, a lifted path."""
 
     OPS = {"path_to_tree": path_to_tree,
            "path_to_labeled_tree": path_to_labeled_tree,
@@ -273,6 +275,25 @@ class TestRequirePure:
                     op(p)
                 assert str(err.value) == (f"{name} requires a pure k-Dyck "
                                           "path without level steps")
+
+    def test_the_tree_maps_refuse_a_lifted_path(self):
+        # read from height 0 the witness would map to e-vector (0, 1, 2),
+        # while its statistic vector is (1, 0, 2)
+        witness = lift(dyck("uuuuuuududdd"), 1)
+        maps = {"path_to_tree": path_to_tree,
+                "path_to_labeled_tree": path_to_labeled_tree,
+                "permute_statistics": lambda p: permute_statistics(
+                    p, [1, 2, 3])}
+        for name, op in maps.items():
+            with pytest.raises(PathError) as err:
+                op(witness)
+            assert str(err.value) == (f"{name} requires a path starting at "
+                                      "height 0, got 1")
+            for p in [LatticePath(K2), *gen_k_dyck(2, 4)]:
+                for amount in (1, 2, 5):
+                    if p.steps or name != "path_to_labeled_tree":
+                        with pytest.raises(PathError, match=name):
+                            op(lift(p, amount))
 
     def test_a_level_family_without_level_steps_passes(self):
         p, q = parse_path("uudd", MOTZKIN), dyck("uudd", 1)
