@@ -17,9 +17,9 @@ Trees here are "positional" m-ary trees: every child occupies an explicit
 slot in 1..m and slots may be skipped.  The empty tree (zero nodes) is
 represented by ``None`` throughout the package.  A :class:`PositionalTree`
 holds its (parent, position, label) records and builds its nodes only
-when ``children`` is read.  One emitter writes JSON text from records in
-text order (each node, then its children's subtrees by key) in one pass;
-:func:`tree_to_json_text` puts records of another order in it first.
+when ``children`` is read.  One emitter writes JSON text in one pass from
+records in text order (each node, then its children's subtrees by key),
+and puts records of any other order in text order first.
 :func:`records_from_json_text` reads records back with the walk
 of :func:`tree_from_json`, over the C decoder's tuples of pairs; text the
 decoder cannot read, or whose tree the walk refuses, is read again on an
@@ -580,10 +580,6 @@ LABEL_RIGHTMOST = "r"
 LABEL_PEAK = "peak"
 LABEL_DD = "dd"
 
-# the wire forms of peak and double-descent labels, from residue and ordinal
-_PEAK_TEXT = "p{}_{}".format
-_DD_TEXT = "dd_{}".format
-
 
 # repr recurses through nested lists and objects; a label nested deeper
 # than this is named by its type in the error message instead
@@ -635,11 +631,7 @@ class NodeLabel(_Frozen):
 
     def json_str(self) -> str:
         """Wire form: "r", "p<i>_<j>", or "dd_<j>"."""
-        if self.kind == LABEL_RIGHTMOST:
-            return "r"
-        if self.kind == LABEL_PEAK:
-            return _PEAK_TEXT(self.residue, self.ordinal)
-        return _DD_TEXT(self.ordinal)
+        return _label_text(self.kind, self.residue, self.ordinal)
 
     def display(self) -> str:
         """Figure form: "r", "<i>_<j>", or "d_<j>"."""
@@ -667,6 +659,16 @@ class NodeLabel(_Frozen):
             except ValueError:  # more digits than int() reads
                 pass
         raise TreeError(f"unrecognized node label {text!r}")
+
+
+def _label_text(kind: str, residue: int | None = None,
+                ordinal: int | None = None) -> str:
+    """The wire form of the label of these fields, as :meth:`json_str`."""
+    if kind == LABEL_RIGHTMOST:
+        return "r"
+    if kind == LABEL_PEAK:
+        return f"p{residue}_{ordinal}"
+    return f"dd_{ordinal}"
 
 
 def _node_label(kind: str, residue: int | None = None,
@@ -848,21 +850,20 @@ _TABLED_ARITY = 64
 def tree_to_json_text(tree: PositionalTree | None) -> str:
     """The compact wire form: ``json.dumps(tree_to_json(tree),
     sort_keys=True, separators=(",", ":"))``, written by :func:`_tree_text`
-    from the records, put in text order first when they are not, so no
-    node is built and depth is unbounded."""
+    from the tree's records, so no node is built and depth is unbounded."""
     if tree is None:
         return "null"
-    arity, records = tree.arity, tree._flat
-    return _tree_text(arity, records, NodeLabel.json_str) or _tree_text(
-        arity, _text_order(arity, records), NodeLabel.json_str)
+    return _tree_text(tree.arity, tree._flat, NodeLabel.json_str)
 
 
-def _tree_text(arity: int, records, text) -> str | None:
-    """The JSON text of a tree whose records come in text order (each node,
-    then its children's subtrees in the order json.dumps sorts their keys,
-    "10" < "2"), each label as ``text(label)``, in one pass over a stack of
-    open nodes; None when they come in another order."""
-    rank, first, rest = _tokens(arity, records)
+def _tree_text(arity: int, records, text) -> str:
+    """The JSON text of the tree the records give, each label as
+    ``text(label)``, in one pass over a stack of open nodes when the
+    records come in text order (each node, then its children's subtrees in
+    the order json.dumps sorts their keys, "10" < "2"); records of another
+    order are put in text order first, by :func:`_text_order`."""
+    rank, first, rest = _arity_tokens(arity) if arity <= _TABLED_ARITY \
+        else _key_tokens({pos for _, pos, _ in records[1:]})
     out = ["{"]
     stack = [-1, 0]  # the open nodes, on a floor that closes them all
     n = len(records)
@@ -881,7 +882,7 @@ def _tree_text(arity: int, records, text) -> str | None:
                 break
             r = rank[pos]  # v is the sibling before, if parent is open
             if stack[-1] != parent or rank[records[v][1]] >= r:
-                return None
+                return _tree_text(arity, _text_order(records, rank), text)
             out.append(rest[r])
         stack.append(idx)
     return "".join(out)
@@ -890,9 +891,9 @@ def _tree_text(arity: int, records, text) -> str | None:
 _CLOSE_ALL = (-1, 0, None)
 
 
-def _text_order(arity: int, records) -> list:
-    """The records in text order, from each node's children sorted by key."""
-    rank = _tokens(arity, records)[0]
+def _text_order(records, rank) -> list:
+    """The records in text order, from each node's children sorted by the
+    ``rank`` of their keys."""
     kids: list[list] = [[] for _ in records]
     for idx in range(len(records) - 1, 0, -1):
         parent, pos, _ = records[idx]
@@ -902,15 +903,13 @@ def _text_order(arity: int, records) -> list:
     while todo:
         parent, v = todo.pop()
         _, pos, label = records[v]
-        todo.extend((len(out), c) for _, c in sorted(kids[v], reverse=True))
+        ks, new = kids[v], len(out)
+        if len(ks) > 1:
+            ks.sort(reverse=True)
+        for _, c in ks:
+            todo.append((new, c))
         out.append((parent, pos, label))
     return out
-
-
-def _tokens(arity: int, records) -> tuple:
-    """The :func:`_key_tokens` of the children the records can hold."""
-    return _arity_tokens(arity) if arity <= _TABLED_ARITY \
-        else _key_tokens({pos for _, pos, _ in records[1:]})
 
 
 @cache

@@ -21,7 +21,7 @@ its rows (:func:`closing_rows`), and the family walk of
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 
 from .core import (
     LABEL_DD,
@@ -32,10 +32,9 @@ from .core import (
     NodeLabel,
     PositionalTree,
     TreeError,
-    _DD_TEXT,
-    _PEAK_TEXT,
     _Frozen,
     _int_arg,
+    _label_text,
     _node_label,
     height_profile,
 )
@@ -178,15 +177,12 @@ def label_features(path: LatticePath) -> dict[int, NodeLabel]:
     :func:`peaks` and :func:`double_descents` list, and makes each label
     unchecked; ``map psi --labels`` shares it (:func:`_label_texts`).
     """
-    return _label_texts(path, _node_label(LABEL_RIGHTMOST),
-                        partial(_node_label, LABEL_PEAK),
-                        partial(_node_label, LABEL_DD, None))
+    return _label_texts(path, _node_label)
 
 
-def _label_texts(path: LatticePath, rightmost="r", peak=_PEAK_TEXT,
-                 dd=_DD_TEXT) -> dict:
-    """The labels of :func:`label_features` as wire text, or as the makers
-    ``rightmost``, ``peak(residue, ordinal)`` and ``dd(ordinal)`` give."""
+def _label_texts(path: LatticePath, make=_label_text) -> dict:
+    """The labels of :func:`label_features` as wire text, or as
+    ``make(kind, residue, ordinal)`` makes them."""
     if path.is_empty():
         raise EmptyPathError("cannot label an empty path")
     # validation admits a level step only where the spec has levels
@@ -195,7 +191,7 @@ def _label_texts(path: LatticePath, rightmost="r", peak=_PEAK_TEXT,
     k = path.spec.k
     labels: dict = {}
     ordinals = [0] * k
-    dds = 0
+    dd = 0
     # the latest peak as (up-step index, residue), held back until a later
     # peak turns up; the one held at the end is the rightmost
     held = None
@@ -206,15 +202,15 @@ def _label_texts(path: LatticePath, rightmost="r", peak=_PEAK_TEXT,
             if held is not None:
                 j, res = held
                 ordinals[res] += 1
-                labels[j] = peak(res, ordinals[res])
+                labels[j] = make(LABEL_PEAK, res, ordinals[res])
             held = (i - 1, h % k)
         elif block is DD:
-            dds += 1
-            labels[i - 1] = dd(dds)
+            dd += 1
+            labels[i - 1] = make(LABEL_DD, None, dd)
         h += rise
     if held is None:
         raise ValueError("feature labels need a peak")
-    labels[held[0]] = rightmost
+    labels[held[0]] = make(LABEL_RIGHTMOST)
     return labels
 
 
