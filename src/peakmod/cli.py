@@ -168,8 +168,9 @@ def _by_down_size(args) -> tuple[FamilySpec, int]:
 
 
 def _enumerate(family, args) -> None:
+    write = sys.stdout.write  # read per call, as print reads it
     for path in gen_kac(*family, max_objects=args.limit):
-        print(render_path(path))
+        write(render_path(path) + "\n")
 
 
 def _histogram(family, args) -> None:

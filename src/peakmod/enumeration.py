@@ -25,10 +25,16 @@ completion table built once per walk.  The table of a state (rem, h, kind
 of the previous step) lists every way to finish the path from it, in the
 walk's own order; an entry holds the tail's steps, the key it adds, whether
 its first peak releases the peak the prefix holds, and the residue held
-after it.  The walk yields the prefix plus each tail, and each path is still
-built and validated by :class:`LatticePath` and counted against the cap one
-by one.  A forced run (only downs, or only ups, can still reach the end
-height) is a one-entry table below R and walked like any state above it.
+after it.  The walk yields one batch per table it reaches: the prefix, the
+table's entries, and the prefix's key and held residue; the family's paths
+are the prefix plus each tail, in order.  :func:`gen_kac` counts each path
+against the cap as it yields it.  :func:`family_histogram` counts a whole
+table against the cap at once, still builds and validates every path of it
+by :class:`LatticePath`, and then adds the table's key increments at the
+batch's key: it tallies them once per table, one tally for the entries that
+keep the held peak and one for those that release it.  A forced run (only
+downs, or only ups, can still reach the end height) is a one-entry table
+below R and walked like any state above it.
 
 R is bounded by the tables' size, not by a depth alone: it is the largest
 depth up to length // 2 at which the completions over all table keys fit
@@ -58,7 +64,6 @@ import os
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from operator import itemgetter
 
 from .core import (DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step,
                    _Frozen, _int_arg, _packing, _unpack, ascii_int, level,
@@ -97,8 +102,8 @@ class _Budget:
         self.cap = cap
         self.used = 0
 
-    def tick(self) -> None:
-        self.used += 1
+    def tick(self, n: int = 1) -> None:
+        self.used += n
         if self.used > self.cap:
             raise ResourceLimitError(
                 f"object cap {self.cap} exceeded (set {ENV_MAX_OBJECTS} or "
@@ -141,23 +146,38 @@ def gen_kac(spec: FamilySpec, length: int,
     Up and down steps have length 1 and a level step of run-length a has
     length a.  Works for end_height 0 and for ballot-style end heights.
     """
-    return map(itemgetter(0), _walk(spec, length, max_objects, None))
+    length, budget = _family_args(length, max_objects)
+    for head, entries, _, _ in _walk(spec, length, None, [0]):
+        for entry in entries:
+            budget.tick()
+            yield LatticePath(spec, head + entry[0])
 
 
-def _walk(spec: FamilySpec, length: int, max_objects: int | None,
-          variant: str | None) -> Iterator[tuple[LatticePath, tuple, int]]:
-    """(path, key, held) for every path of the family, in canonical order.
-
-    ``variant`` names the statistic (None: no statistic).  ``key`` packs
-    the residue counters a path of this length can reach, and dd, over the
-    blocks of the path but its latest peak, whose residue is ``held`` (-1
-    for none), into one integer: see :func:`peakmod.core._packing`.
-    """
+def _family_args(length: int,
+                 max_objects: int | None) -> tuple[int, _Budget]:
+    """The length of a family walk, refused past ``sys.maxsize``, and its
+    budget, both read before anything is generated."""
     length = _int_arg("length", length, 0)
     if length > sys.maxsize:  # no list could hold the steps of a path
         raise ValueError(f"path length must be <= {sys.maxsize}, "
                          f"got {length}")
-    budget = _Budget(resolve_cap(max_objects))
+    return length, _Budget(resolve_cap(max_objects))
+
+
+def _walk(spec: FamilySpec, length: int, variant: str | None,
+          weight: list[int]) -> Iterator[tuple[tuple, list, int, int]]:
+    """(head, entries, key, held) for every completion table the walk
+    reaches, in canonical order: the family's paths are head + tail for
+    each entry (tail, inc, released, after) in turn.
+
+    ``variant`` names the statistic (None: no statistic) and ``weight``
+    is :func:`peakmod.core._packing` of it ([0] for none).  ``key`` packs
+    the residue counters a path of this length can reach, and dd, over the
+    blocks of head but its latest peak, whose residue is ``held`` (-1 for
+    none), into one integer.  An entry that keeps the held peak adds inc
+    to key and still holds it; one that releases it adds weight[held] +
+    inc and holds ``after``.  ``length`` is read by :func:`_family_args`.
+    """
     k = spec.k
     m = spec.end_height
     # (step, height change, length) in the canonical order u < d < levels
@@ -170,16 +190,13 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
     rows = closing_rows(variant, k)
     row_of = {p: [rows[p][kind][0] for kind in kinds] for p in rows}
     closes = [row_of[p] for p in kinds + [""]]
-    # a walk that tallies no statistic reads only weight[-1] = 0, in freed
-    weight = _packing(k, length) if variant else [0]
     key = 0
     # A state (rem, h) is kept only if the end height is still reachable:
     # heights move by +1 (u), -k (d) or 0 per unit of length.
     if length < m:
         return
     if length == 0:
-        budget.tick()
-        yield LatticePath(spec, ()), key, -1
+        yield (), [((), 0, False, -1)], key, -1
         return
     depth, tables = _completions(spec, length, rows, weight)
     prefix: list[Step] = []
@@ -203,17 +220,11 @@ def _walk(spec: FamilySpec, length: int, max_objects: int | None,
                 nkey, nheld = key + weight[held], h % k
             else:  # DD
                 nkey, nheld = key + weight[-2], held
-            if nrem <= depth:  # read the rest of each path from its table
-                head = (*prefix, step)
-                freed = nkey + weight[nheld]
-                for tail, inc, released, after in \
-                        tables.get((nrem, nh, step.kind), ()):
-                    budget.tick()
-                    path = LatticePath(spec, head + tail)
-                    if released:
-                        yield path, freed + inc, after
-                    else:
-                        yield path, nkey + inc, nheld
+            if nrem <= depth:  # the rest of each path is in a table
+                # (a state with no completion has none)
+                entries = tables.get((nrem, nh, step.kind))
+                if entries:
+                    yield (*prefix, step), entries, nkey, nheld
                 continue
             prefix.append(step)
             undo.append((i, row, held, key))
@@ -394,23 +405,51 @@ def family_histogram(spec: FamilySpec, length: int, variant: str = PLAIN,
     on the walk's own statistic, with its k set to spec.k."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    k, length = spec.k, _int_arg("length", length, 0)
-    walk = _walk(spec, length, max_objects, variant)
-    if variant in STARRED:  # count the held peak too
-        # the walk refuses a length past any index before a weight is built
-        pairs = Counter(map(itemgetter(1, 2), walk))
-        weight = _packing(k, length)
-        tally = Counter()
-        for (key, held), c in pairs.items():
-            tally[key + weight[held]] += c
-    else:
-        tally = Counter(map(itemgetter(1), walk))
+    k = spec.k
+    length, budget = _family_args(length, max_objects)
+    weight = _packing(k, length)
+    starred = variant in STARRED  # count the held peak too
+    tally: Counter = Counter()
+    tables: dict[int, tuple] = {}  # by id: the walk keeps its tables alive
+    for head, entries, key, held in _walk(spec, length, variant, weight):
+        budget.tick(len(entries))
+        for entry in entries:
+            LatticePath(spec, head + entry[0])
+        table = tables.get(id(entries))
+        if table is None:
+            table = tables[id(entries)] = _increments(entries, weight,
+                                                      starred)
+        kept, released = table
+        freed = key + weight[held]
+        if starred:
+            key = freed
+        for inc, c in kept.items():
+            tally[key + inc] += c
+        for inc, c in released.items():
+            tally[freed + inc] += c
     reached = min(k, length + 1)  # as _packing packs; the rest count 0
     counts = {}
     for key, c in tally.items():
         digits = _unpack(key, reached + 1, length + 1)
         counts[digits[:reached] + (0,) * (k - reached) + digits[-1:]] = c
     return Histogram(variant, k, counts, sum(counts.values()))
+
+
+def _increments(entries: list, weight: list[int],
+                starred: bool) -> tuple[dict, dict]:
+    """{increment: count} over the entries of a completion table that keep
+    the held peak, and over those that release it; a starred increment
+    also counts the peak an entry holds after it."""
+    kept: dict[int, int] = {}
+    released: dict[int, int] = {}
+    for _, inc, rel, after in entries:
+        if not rel:
+            kept[inc] = kept.get(inc, 0) + 1
+        else:
+            if starred:
+                inc += weight[after]
+            released[inc] = released.get(inc, 0) + 1
+    return kept, released
 
 
 def histogram(paths: Iterable[LatticePath], variant: str = PLAIN) -> Histogram:

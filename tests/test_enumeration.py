@@ -480,6 +480,40 @@ class TestFamilyHistogram:
         family_histogram(MOTZKIN, 6, WEAK)
         assert built == want
 
+    @pytest.mark.parametrize("spec, length", [
+        (FamilySpec(1), 8), (MOTZKIN, 6), (FamilySpec(2, {1: 2, 3: 1}, 2), 6),
+    ])
+    def test_one_validation_per_path_in_stream_order(self, monkeypatch,
+                                                     spec, length):
+        want = [p.steps for p in gen_kac(spec, length)]
+        built = []
+        init = LatticePath.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.steps)
+
+        monkeypatch.setattr(LatticePath, "__init__", recording)
+        for variant in VARIANTS:
+            built.clear()
+            family_histogram(spec, length, variant)
+            assert built == want, variant
+
+    def test_every_cap_below_the_size(self):
+        # twelve paths, read from several tables
+        spec, length = FamilySpec(2), 9
+        want = [p.steps for p in gen_kac(spec, length)]
+        assert len(want) == 12
+        assert len(list(enumeration._walk(spec, length, None, [0]))) > 1
+        for cap in range(len(want)):
+            for variant in VARIANTS:
+                with pytest.raises(ResourceLimitError):
+                    family_histogram(spec, length, variant, cap)
+            stream = gen_kac(spec, length, cap)
+            assert [next(stream).steps for _ in range(cap)] == want[:cap]
+            with pytest.raises(ResourceLimitError):
+                next(stream)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="unknown variant"):
             family_histogram(MOTZKIN, 3, "starred")
