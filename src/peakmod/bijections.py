@@ -63,10 +63,8 @@ def _records(path: LatticePath, labels: dict | None) -> list:
     k = path.spec.k
     steps = path.steps
     closes = _closing_ups(path)[0]
-    # child slots j (at position j + 1), the last in text order first;
-    # below position 10 keys sort as numbers
-    slots = range(k, -1, -1) if k < 9 else \
-        sorted(range(k + 1), key=lambda j: str(j + 1), reverse=True)
+    # child slots j (at position j + 1), the last in text order first
+    slots = sorted(range(k + 1), key=lambda j: str(j + 1), reverse=True)
     records: list = []
     # (start, end, shift, parent, pos, w, n): spine node w of the factor
     # steps[start:end], read with that shift, whose final down-run is d^n

@@ -22,27 +22,37 @@ The bottom of the walk's prefix tree repeats itself: the same (remaining
 length, height) states come up again and again.  So once the remaining
 length is at most a depth R, the walk reads the rest of the path from a
 completion table built once per walk.  The table of a state (rem, h, kind
-of the previous step) lists every way to finish the path from it, in the
-walk's own order; an entry holds the tail's steps, the key it adds, whether
-its first peak releases the peak the prefix holds, and the residue held
-after it.  The walk yields one batch per table it reaches: the prefix, the
-table's entries, and the prefix's key and held residue; the family's paths
-are the prefix plus each tail, in order.  :func:`gen_kac` counts each path
-against the cap as it yields it.  :func:`family_histogram` counts a whole
-table against the cap at once, still builds and validates every path of it
-by :class:`LatticePath`, and then adds the table's key increments at the
-batch's key: it tallies them once per table, one tally for the entries that
-keep the held peak and one for those that release it.  A forced run (only
-downs, or only ups, can still reach the end height) is a one-entry table
+of the previous step) holds every way to finish the path from it: the
+tails' steps in the walk's own order, and two {key increment: count}
+tallies, one over the tails that keep the peak the prefix holds and one
+over those whose first peak releases it (in a starred variant a released
+increment also counts the peak held after the tail).  The walk yields one
+batch per table it reaches: the prefix, the table, and the prefix's key
+and held residue; the family's paths are the prefix plus each tail, in
+order.  :func:`gen_kac` counts each path against the cap as it yields it.
+:func:`family_histogram` counts a whole table against the cap at once,
+still builds and validates every path of it by :class:`LatticePath`, and
+then adds the table's two tallies at the batch's key.  A forced run (only
+downs, or only ups, can still reach the end height) is a one-tail table
 below R and walked like any state above it.
 
-R is bounded by the tables' size, not by a depth alone: it is the largest
-depth up to length // 2 at which the completions over all table keys fit
+Only reachable states get a table.  Every move keeps (steps taken -
+height) in one residue class mod g = gcd(k + 1, run-lengths): an up adds 1
+to both, a down k + 1 to the difference, a level run its run-length.  So
+a state (rem, h) is kept only if (length - rem - h) % g == 0, and a family
+whose end height is not in that class comes back with no table at all,
+which the walk takes for an empty family at once.  A family empty for a
+reason the gcd cannot see (k = 10**6 with levels {3: 1} at length 200)
+is still walked through every prefix, as the cap counts only finished
+paths.  R is bounded by the
+tables' size, not by a depth alone: it is the largest depth up to
+length // 2 at which the completions over all table keys fit
 :data:`TABLE_ENTRIES`.  The completions are counted first by an integer
 recursion over run-lengths that takes a color count c_a as a
 multiplicity, so no color is listed before the bound is known: a run-length
 with more colors than the budget keeps R below it, and its colors are never
-put in a table.  The tables are built bottom-up from rem = 0 to R.
+put in a table.  The tables are built bottom-up from rem = 0 to R, each
+from its sub-tables.
 
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
@@ -64,6 +74,7 @@ import os
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from math import gcd
 
 from .core import (DOWN, UP, FamilySpec, LatticePath, PositionalTree, Step,
                    _Frozen, _int_arg, _packing, _unpack, ascii_int, level,
@@ -147,10 +158,10 @@ def gen_kac(spec: FamilySpec, length: int,
     length a.  Works for end_height 0 and for ballot-style end heights.
     """
     length, budget = _family_args(length, max_objects)
-    for head, entries, _, _ in _walk(spec, length, None, [0]):
-        for entry in entries:
+    for head, (tails, _, _), _, _ in _walk(spec, length, None, [0]):
+        for tail in tails:
             budget.tick()
-            yield LatticePath(spec, head + entry[0])
+            yield LatticePath(spec, head + tail)
 
 
 def _family_args(length: int,
@@ -165,18 +176,18 @@ def _family_args(length: int,
 
 
 def _walk(spec: FamilySpec, length: int, variant: str | None,
-          weight: list[int]) -> Iterator[tuple[tuple, list, int, int]]:
-    """(head, entries, key, held) for every completion table the walk
+          weight: list[int]) -> Iterator[tuple[tuple, tuple, int, int]]:
+    """(head, table, key, held) for every completion table the walk
     reaches, in canonical order: the family's paths are head + tail for
-    each entry (tail, inc, released, after) in turn.
+    each tail of the table (tails, kept, released) in turn.
 
     ``variant`` names the statistic (None: no statistic) and ``weight``
     is :func:`peakmod.core._packing` of it ([0] for none).  ``key`` packs
     the residue counters a path of this length can reach, and dd, over the
     blocks of head but its latest peak, whose residue is ``held`` (-1 for
-    none), into one integer.  An entry that keeps the held peak adds inc
-    to key and still holds it; one that releases it adds weight[held] +
-    inc and holds ``after``.  ``length`` is read by :func:`_family_args`.
+    none), into one integer.  A tail counted at inc in ``kept`` adds inc
+    to key and still holds the peak; one counted at inc in ``released``
+    adds weight[held] + inc.  ``length`` is read by :func:`_family_args`.
     """
     k = spec.k
     m = spec.end_height
@@ -191,14 +202,13 @@ def _walk(spec: FamilySpec, length: int, variant: str | None,
     row_of = {p: [rows[p][kind][0] for kind in kinds] for p in rows}
     closes = [row_of[p] for p in kinds + [""]]
     key = 0
-    # A state (rem, h) is kept only if the end height is still reachable:
-    # heights move by +1 (u), -k (d) or 0 per unit of length.
-    if length < m:
+    depth, tables = _completions(spec, length, rows, weight,
+                                 variant in STARRED)
+    if not tables:  # the family is empty
         return
-    if length == 0:
-        yield (), [((), 0, False, -1)], key, -1
+    if length == 0:  # the empty path, a state of no step before it
+        yield (), tables[0, 0, "u"], key, -1
         return
-    depth, tables = _completions(spec, length, rows, weight)
     prefix: list[Step] = []
     # per step in prefix: the next move to try after it, and the closes
     # row, held residue and key from before it
@@ -222,9 +232,9 @@ def _walk(spec: FamilySpec, length: int, variant: str | None,
                 nkey, nheld = key + weight[-2], held
             if nrem <= depth:  # the rest of each path is in a table
                 # (a state with no completion has none)
-                entries = tables.get((nrem, nh, step.kind))
-                if entries:
-                    yield (*prefix, step), entries, nkey, nheld
+                table = tables.get((nrem, nh, step.kind))
+                if table:
+                    yield (*prefix, step), table, nkey, nheld
                 continue
             prefix.append(step)
             undo.append((i, row, held, key))
@@ -243,22 +253,33 @@ def _walk(spec: FamilySpec, length: int, variant: str | None,
 # The most completions the tables of one walk hold, over all their keys.
 # On the oracle benchmark families (2-core x86-64, CPython 3.11) budgets
 # from 512 to 8,192 gave the same speed within noise; at 2,048 the largest
-# tables trace under 200 KiB.
+# tables trace under 80 KiB, as the kinds of one (rem, h) share its tails.
 TABLE_ENTRIES = 2048
 
 
 def _completions(spec: FamilySpec, length: int, rows: dict,
-                 weight: list[int]) -> tuple[int, dict]:
+                 weight: list[int], starred: bool) -> tuple[int, dict]:
     """The depth R of a walk's completion tables, and the tables.
 
-    ``tables[rem, h, kind]`` lists every completion of a prefix that ends
-    with a step of ``kind`` at height h with rem length left, in canonical
-    order, as (steps, key increment, whether it releases the held peak,
-    residue held after it).  Only states with a completion get a table,
-    and only those the walk can reach (h <= length - rem).
+    ``tables[rem, h, kind]`` holds every completion of a prefix that ends
+    with a step of ``kind`` at height h with rem length left, as (tails,
+    kept, released): the tails' steps in canonical order, and the
+    {key increment: count} tallies of the tails that keep the prefix's
+    held peak and of those that release it; ``starred`` adds the peak
+    held after a tail to its released increment.  A table is built from
+    its sub-tables' tallies: a dd block shifts both by weight[-2], a peak
+    at residue r shifts ``released`` by weight[r] and moves ``kept`` into
+    it (shifted by weight[r] too if starred), and c colors of a run-length
+    count each tail c times.  Only states with a completion get a table,
+    and only those the walk can reach from the start: h <= length - rem
+    and (length - rem - h) % gcd(k + 1, run-lengths) == 0.  An empty
+    family whose end height fails this gets no table.
     """
     k, m = spec.k, spec.end_height
     kinds = ("u", "d", "l") if spec.levels else ("u", "d")
+    g = gcd(k + 1, *(a for a, _ in spec.levels))
+    if m > length or (length - m) % g:
+        return length // 2, {}
     # counts[rem][h]: the completions from (rem, h), colors as a multiplicity
     counts = [{m: 1}]
     total = len(kinds)
@@ -275,7 +296,8 @@ def _completions(spec: FamilySpec, length: int, rows: dict,
             if a <= rem:
                 for h, c in counts[rem - a].items():
                     froms[h] += colors * c
-        layer = {h: c for h, c in froms.items() if h <= length - rem}
+        layer = {h: c for h, c in froms.items()
+                 if h <= length - rem and (length - rem - h) % g == 0}
         total += len(kinds) * sum(layer.values())
         if total > TABLE_ENTRIES:
             break
@@ -291,27 +313,31 @@ def _completions(spec: FamilySpec, length: int, rows: dict,
     groups = [("u", 1, 1, (UP,)), ("d", -k, 1, (DOWN,))]
     groups += [("l", 0, a, tuple(level(a, b) for b in range(1, c + 1)))
                for a, c in spec.levels if a <= depth]
-    tables = {(0, m, prev): [((), 0, False, -1)] for prev in kinds}
+    tables = {(0, m, prev): ([()], {0: 1}, {}) for prev in kinds}
     for rem in range(1, depth + 1):
         for h in counts[rem]:
+            subs = [(kind, steps, sub) for kind, rise, size, steps in groups
+                    if (sub := tables.get((rem - size, h + rise, kind)))]
+            tails = [(s,) + t for _, steps, sub in subs
+                     for s in steps for t in sub[0]]
             for prev in kinds:
-                out = []
-                for kind, rise, size, steps in groups:
-                    sub = tables.get((rem - size, h + rise, kind))
-                    if sub is None:
-                        continue
+                kept: dict[int, int] = {}
+                released: dict[int, int] = {}
+                for kind, steps, (_, sub_kept, sub_released) in subs:
                     block = rows[prev][kind][0]
-                    if block == DD:
-                        sub = [(t, inc + weight[-2], rel, after)
-                               for t, inc, rel, after in sub]
-                    elif block == PEAK:  # release the held peak, hold h's
-                        r = h % k
-                        sub = [(t, inc + weight[r], True, after) if rel
-                               else (t, inc, True, r)
-                               for t, inc, rel, after in sub]
-                    out += [((s,) + t, inc, rel, after)
-                            for s in steps for t, inc, rel, after in sub]
-                tables[rem, h, prev] = out
+                    if block == PEAK:  # release the held peak, hold h's
+                        r = weight[h % k]
+                        moves = ((sub_released, r, released),
+                                 (sub_kept, r if starred else 0, released))
+                    else:
+                        d = weight[-2] if block == DD else 0
+                        moves = ((sub_kept, d, kept),
+                                 (sub_released, d, released))
+                    for tally, d, into in moves:
+                        for inc, c in tally.items():
+                            inc += d
+                            into[inc] = into.get(inc, 0) + len(steps) * c
+                tables[rem, h, prev] = tails, kept, released
     return depth, tables
 
 
@@ -410,16 +436,11 @@ def family_histogram(spec: FamilySpec, length: int, variant: str = PLAIN,
     weight = _packing(k, length)
     starred = variant in STARRED  # count the held peak too
     tally: Counter = Counter()
-    tables: dict[int, tuple] = {}  # by id: the walk keeps its tables alive
-    for head, entries, key, held in _walk(spec, length, variant, weight):
-        budget.tick(len(entries))
-        for entry in entries:
-            LatticePath(spec, head + entry[0])
-        table = tables.get(id(entries))
-        if table is None:
-            table = tables[id(entries)] = _increments(entries, weight,
-                                                      starred)
-        kept, released = table
+    for head, (tails, kept, released), key, held in _walk(spec, length,
+                                                          variant, weight):
+        budget.tick(len(tails))
+        for tail in tails:
+            LatticePath(spec, head + tail)
         freed = key + weight[held]
         if starred:
             key = freed
@@ -433,23 +454,6 @@ def family_histogram(spec: FamilySpec, length: int, variant: str = PLAIN,
         digits = _unpack(key, reached + 1, length + 1)
         counts[digits[:reached] + (0,) * (k - reached) + digits[-1:]] = c
     return Histogram(variant, k, counts, sum(counts.values()))
-
-
-def _increments(entries: list, weight: list[int],
-                starred: bool) -> tuple[dict, dict]:
-    """{increment: count} over the entries of a completion table that keep
-    the held peak, and over those that release it; a starred increment
-    also counts the peak an entry holds after it."""
-    kept: dict[int, int] = {}
-    released: dict[int, int] = {}
-    for _, inc, rel, after in entries:
-        if not rel:
-            kept[inc] = kept.get(inc, 0) + 1
-        else:
-            if starred:
-                inc += weight[after]
-            released[inc] = released.get(inc, 0) + 1
-    return kept, released
 
 
 def histogram(paths: Iterable[LatticePath], variant: str = PLAIN) -> Histogram:

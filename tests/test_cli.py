@@ -326,6 +326,17 @@ class TestExitCodes:
                              "--tree", '{"label": 5}')
         assert code == 2 and out == "" and "label" in err
 
+    def test_a_closed_stdout_exits_0(self, monkeypatch):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["enumerate", "--k", "1", "--down-size", "2"]) == 0
+
     def test_argparse_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--bogus"])

@@ -517,6 +517,9 @@ class TestFamilyHistogram:
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="unknown variant"):
             family_histogram(MOTZKIN, 3, "starred")
+        with pytest.raises(ValueError) as exc:
+            histogram(gen_kac(MOTZKIN, 3), "bogus")
+        assert str(exc.value) == "unknown variant 'bogus'"
         with pytest.raises(ValueError, match="length must be >= 0"):
             family_histogram(MOTZKIN, -1)
         with pytest.raises(ValueError, match="--limit"):
@@ -602,10 +605,10 @@ class TestForcedRuns:
 
 
 def walk_tables(spec, length):
-    """The depth and tables the walk builds for a family; their entries
-    are the same in every variant."""
+    """The depth and tables the walk builds for a family; their tails are
+    the same in every variant."""
     return _completions(spec, length, closing_rows(None, spec.k),
-                        _packing(spec.k, length))
+                        _packing(spec.k, length), False)
 
 
 class TestTableBoundary:
@@ -622,8 +625,9 @@ class TestTableBoundary:
         length = max(depth + offset, 0)
         # a budget of exactly the entries up to depth makes R = depth, or
         # length // 2 if that is less
-        budget = sum(len(t) for (rem, _, _), t in
-                     walk_tables(spec, length)[1].items() if rem <= depth)
+        tables = walk_tables(spec, length)[1]
+        budget = sum(len(tails) for (rem, _, _), (tails, _, _) in
+                     tables.items() if rem <= depth)
         saved = enumeration.TABLE_ENTRIES
         enumeration.TABLE_ENTRIES = budget
         try:
@@ -634,8 +638,33 @@ class TestTableBoundary:
             for variant in VARIANTS:
                 assert family_histogram(spec, length, variant) == \
                     histogram(paths, variant), variant
+            if not tables:  # an empty family has no table
+                assert paths == []
+                for variant in VARIANTS:
+                    assert family_histogram(spec, length, variant).counts \
+                        == {}
         finally:
             enumeration.TABLE_ENTRIES = saved
+
+
+class TestEmptyFamilies:
+    """A family whose end height is not in the class that every move keeps
+    (steps taken - height) in, mod gcd(k + 1, run-lengths), gets no table,
+    so both consumers return at once even where the length is far past
+    what a walk could finish."""
+
+    @pytest.mark.parametrize("spec, length", [
+        (FamilySpec(1), 1001),
+        (FamilySpec(2), 62),
+        (FamilySpec(1, {2: 1}), 301),
+        (FamilySpec(3, end_height=2), 403),
+    ], ids=["k1", "k2", "k1-levels-2", "k3-ballot"])
+    def test_nothing_is_walked(self, spec, length):
+        assert walk_tables(spec, length)[1] == {}
+        assert list(gen_kac(spec, length)) == []
+        for variant in VARIANTS:
+            hist = family_histogram(spec, length, variant)
+            assert hist.counts == {} and hist.total == 0, variant
 
 
 class TestSizeArguments:

@@ -72,6 +72,11 @@ class TestDoubleDescents:
 
 
 class TestStatVector:
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError) as exc:
+            stat_vector(dyck("uud"), "bogus")
+        assert str(exc.value) == "unknown variant 'bogus'"
+
     def test_example_block(self):
         v = stat_vector(dyck(EXAMPLE_BLOCK))
         assert v.pk == (1, 1) and v.dd == 1

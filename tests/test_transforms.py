@@ -9,6 +9,7 @@ from peakmod import (
     EmptyPathError,
     FamilySpec,
     LatticePath,
+    NegativeHeightError,
     PathError,
     PositionalTree,
     WrongEndHeightError,
@@ -30,6 +31,8 @@ from peakmod import (
 )
 from peakmod.bijections import (path_to_labeled_tree, path_to_tree,
                                  permute_statistics)
+
+from peakmod.core import parse_steps
 
 from conftest import (
     EXAMPLE_BLOCK,
@@ -419,3 +422,37 @@ class TestSpecReuse:
                 assert {q.spec for q in dec.parts} == \
                     {FamilySpec(spec.k, spec.levels)}
                 assert dec.reassemble() == p
+
+
+class TestRefusedPaths:
+    """Paths each map refuses, worded as the map words them."""
+
+    def test_a_dip_below_the_start_height(self):
+        dips = [(cyclic_shift, LatticePath(K2, parse_steps("duu"), 2)),
+                (right_peak_decompose,
+                 LatticePath(FamilySpec(1), parse_steps("du"), 1)),
+                (deutsch_involution,
+                 LatticePath(FamilySpec(1), parse_steps("du"), 1))]
+        for op, path in dips:
+            with pytest.raises(NegativeHeightError) as exc:
+                op(path)
+            assert str(exc.value) == "path dips below its start height"
+
+    def test_a_ballot_path(self):
+        path = next(gen_ballot(1, 1, 1))
+        with pytest.raises(WrongEndHeightError) as exc:
+            cyclic_shift(path)
+        assert str(exc.value) == \
+            "cyclic_shift requires a path returning to its start height"
+        with pytest.raises(WrongEndHeightError) as exc:
+            last_step_decompose(path)
+        assert str(exc.value) == \
+            "last-step decomposition needs a height-0 family"
+
+    def test_no_down_step_before_the_level_suffix(self):
+        path = LatticePath(MOTZKIN, parse_steps("dul1_1"), 1)
+        with pytest.raises(ValueError) as exc:
+            last_step_decompose(path)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == \
+            "malformed path: expected a down-step before the level suffix"

@@ -17,6 +17,8 @@ from peakmod import (
     NodeLabel,
     RightPeakDecomposition,
     StatVector,
+    path_to_tree,
+    solve_f,
 )
 from peakmod.core import DOWN, UP, Step, level
 from peakmod.verify import VerifyReport
@@ -157,6 +159,14 @@ def test_frozen(cls, fields, text, name):
     assert value == make(cls, fields) and repr(value) == text
 
 
+def test_another_type_is_unequal():
+    # the tree and the series answer NotImplemented to a stranger, so the
+    # comparison falls back to identity
+    for value in (path_to_tree(UD), solve_f(1, 2)):
+        assert value != 1 and not value == 1
+        assert 1 != value and not 1 == value
+
+
 class TestDefaults:
     def test_defaults(self):
         assert Step("u") == Step("u", 1, 0) == UP
@@ -164,6 +174,11 @@ class TestDefaults:
         assert LatticePath(K1) == LatticePath(K1, (), 0)
         assert repr(NodeLabel("r")) == \
             "NodeLabel(kind='r', residue=None, ordinal=None)"
+
+    def test_unknown_label_kind(self):
+        with pytest.raises(ValueError) as exc:
+            NodeLabel("x")
+        assert str(exc.value) == "unknown label kind 'x'"
 
     def test_report_is_mutable(self):
         a, b = VerifyReport("figures", {}), VerifyReport("figures", {})
