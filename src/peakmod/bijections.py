@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
+from functools import lru_cache
 
 from .core import (
     DOWN,
@@ -57,14 +58,21 @@ from .statistics import label_features
 from .transforms import _closing_ups, _permuted, _require_pure
 
 
+@lru_cache(maxsize=16)  # a few arities, so a huge k is not kept for good
+def _slots(k: int) -> tuple[int, ...]:
+    """The child slots j (at position j + 1) of a (k+1)-ary node, the
+    last in text order first."""
+    return tuple(sorted(range(k + 1), key=lambda j: str(j + 1),
+                        reverse=True))
+
+
 def _records(path: LatticePath, labels: dict | None) -> list:
     """The records of a pure path's tree in text order, labeled when
     ``labels`` maps block indices to labels (:func:`label_features`)."""
     k = path.spec.k
     steps = path.steps
     closes = _closing_ups(path)[0]
-    # child slots j (at position j + 1), the last in text order first
-    slots = sorted(range(k + 1), key=lambda j: str(j + 1), reverse=True)
+    slots = _slots(k)
     records: list = []
     # (start, end, shift, parent, pos, w, n): spine node w of the factor
     # steps[start:end], read with that shift, whose final down-run is d^n

@@ -21,38 +21,31 @@ the paths of the same walk.
 The bottom of the walk's prefix tree repeats itself: the same (remaining
 length, height) states come up again and again.  So once the remaining
 length is at most a depth R, the walk reads the rest of the path from a
-completion table built once per walk.  The table of a state (rem, h, kind
-of the previous step) holds every way to finish the path from it: the
-tails' steps in the walk's own order, and two {key increment: count}
-tallies, one over the tails that keep the peak the prefix holds and one
-over those whose first peak releases it (in a starred variant a released
-increment also counts the peak held after the tail).  The walk yields one
-batch per table it reaches: the prefix, the table, and the prefix's key
-and held residue; the family's paths are the prefix plus each tail, in
-order.  :func:`gen_kac` counts each path against the cap as it yields it.
-:func:`family_histogram` counts a whole table against the cap at once,
-still builds and validates every path of it by :class:`LatticePath`, and
-then adds the table's two tallies at the batch's key.  A forced run (only
-downs, or only ups, can still reach the end height) is a one-tail table
-below R and walked like any state above it.
+completion table built once per walk: a state's tails in the walk's own
+order, and two {key increment: count} tallies, for the tails that keep
+the peak the prefix holds and for those that release it.  The walk
+yields one batch per table it reaches: the prefix, the table, and the
+prefix's key and held residue.  :func:`gen_kac` yields the prefix plus
+each tail, counting each path against the cap.  :func:`family_histogram`
+counts a whole table against the cap at once, still builds and validates
+every path of it by :class:`LatticePath`, and adds the two tallies at
+the batch's key.  A forced run (only downs, or only ups, can still reach
+the end height) is a one-tail table below R and walked like any state
+above it.
 
-Only reachable states get a table.  Every move keeps (steps taken -
-height) in one residue class mod g = gcd(k + 1, run-lengths): an up adds 1
-to both, a down k + 1 to the difference, a level run its run-length.  So
-a state (rem, h) is kept only if (length - rem - h) % g == 0, and a family
-whose end height is not in that class comes back with no table at all,
-which the walk takes for an empty family at once.  A family empty for a
-reason the gcd cannot see (k = 10**6 with levels {3: 1} at length 200)
-is still walked through every prefix, as the cap counts only finished
-paths.  R is bounded by the
-tables' size, not by a depth alone: it is the largest depth up to
-length // 2 at which the completions over all table keys fit
+Every move keeps (steps taken - height) in one class mod g = gcd(k + 1,
+run-lengths), so a family with (length - m) % g != 0 is empty: it gets no
+table and the walk returns at once.  A family empty for a reason the gcd
+cannot see (k = 10**6, levels {3: 1}, length 200) is still walked through
+every prefix, as the cap counts only finished paths.
+
+R is bounded by the tables' size, not by a depth alone: it is the largest
+depth up to length // 2 at which the completions over all table keys fit
 :data:`TABLE_ENTRIES`.  The completions are counted first by an integer
 recursion over run-lengths that takes a color count c_a as a
 multiplicity, so no color is listed before the bound is known: a run-length
 with more colors than the budget keeps R below it, and its colors are never
-put in a table.  The tables are built bottom-up from rem = 0 to R, each
-from its sub-tables.
+put in a table.  The tables are built bottom-up from rem = 0 to R.
 
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
@@ -261,19 +254,19 @@ def _completions(spec: FamilySpec, length: int, rows: dict,
                  weight: list[int], starred: bool) -> tuple[int, dict]:
     """The depth R of a walk's completion tables, and the tables.
 
-    ``tables[rem, h, kind]`` holds every completion of a prefix that ends
+    ``tables[rem, h, kind]`` holds the completions of a prefix that ends
     with a step of ``kind`` at height h with rem length left, as (tails,
-    kept, released): the tails' steps in canonical order, and the
-    {key increment: count} tallies of the tails that keep the prefix's
-    held peak and of those that release it; ``starred`` adds the peak
-    held after a tail to its released increment.  A table is built from
-    its sub-tables' tallies: a dd block shifts both by weight[-2], a peak
-    at residue r shifts ``released`` by weight[r] and moves ``kept`` into
-    it (shifted by weight[r] too if starred), and c colors of a run-length
-    count each tail c times.  Only states with a completion get a table,
-    and only those the walk can reach from the start: h <= length - rem
-    and (length - rem - h) % gcd(k + 1, run-lengths) == 0.  An empty
-    family whose end height fails this gets no table.
+    kept, released): the tails in canonical order and the {key increment:
+    count} tallies of those that keep the prefix's held peak and of those
+    that release it (``starred``: plus the peak held after the tail).
+    Each table is built from its sub-tables: a dd block shifts both
+    tallies by weight[-2], a peak at residue r shifts ``released`` by
+    weight[r] and moves ``kept`` into it (shifted too if starred), and c
+    colors count each tail c times.  Only states with a completion and
+    h <= length - rem get a table.  Such a state has (rem + h - m) % g ==
+    0 for g = gcd(k + 1, run-lengths), so the walk reaches it, with
+    (length - rem - h) % g == 0, exactly when (length - m) % g == 0: a
+    family failing that gets no table.
     """
     k, m = spec.k, spec.end_height
     kinds = ("u", "d", "l") if spec.levels else ("u", "d")
@@ -296,8 +289,7 @@ def _completions(spec: FamilySpec, length: int, rows: dict,
             if a <= rem:
                 for h, c in counts[rem - a].items():
                     froms[h] += colors * c
-        layer = {h: c for h, c in froms.items()
-                 if h <= length - rem and (length - rem - h) % g == 0}
+        layer = {h: c for h, c in froms.items() if h <= length - rem}
         total += len(kinds) * sum(layer.values())
         if total > TABLE_ENTRIES:
             break
