@@ -31,7 +31,6 @@ from peakmod import (
 )
 from peakmod.bijections import (path_to_labeled_tree, path_to_tree,
                                  permute_statistics)
-
 from peakmod.core import parse_steps
 
 from conftest import (
