@@ -27,8 +27,8 @@ P_{j+1} = P_j + q_j (f P_j), the x^d coefficient of every P_j needs only
 f_1..f_d, and f_n reads P_{k+1} and f below degree n.  Each coefficient
 of f and of the partial products is computed exactly once.  The two
 marker groups of g together make P_k, so g = P_k^ell * P_{r+1}: the
-ballot solvers finish the solver's own rows of P_1..P_k up to the order
-and build no marked product of their own.
+ballot solvers finish the solver's own rows of the P_j that g reads up
+to the order and build no marked product of their own.
 
 Inside the engine a series is a list of rows, one per power of x (or
 of f), and a row is a dict from an *outer* key to an integer of
@@ -41,7 +41,9 @@ sum_{i<j} e_i * B^i.  A marker is a pair (step, shift): multiplying by
 an outer marker adds B^i to the key, and by the inner one shifts the
 digits by W bits.  A row product is then ``out[k1 + k2] += v1 * v2``,
 one C big-integer product per pair of keys (Kronecker substitution in
-the inner marker).
+the inner marker).  A *ring* is one value (product-sum, constant row,
+markers): the row arithmetic and one marker per q_i, which each builder
+reads from it.
 
 - **Which marker is inner.**  The pure series are homogeneous: row d of
   every P_j and of g has marker degree d, f_n has degree n - 1, and
@@ -58,13 +60,13 @@ the inner marker).
 - **W.**  The engine multiplies only series it builds itself, from the
   color counts c_a >= 1 of a :class:`FamilySpec` and markers of
   coefficient 1, so every coefficient is positive and no sum of
-  products cancels to zero.  Each digit of a row, and each partial sum
-  that makes it, is therefore at most the row's value with every
-  marker at 1.  The engine takes its row arithmetic from the caller, as
-  it takes the markers, so a shadow run of the same functions on ints,
-  a row being its value with every marker at 1, gives those values for
-  every row the call builds.  W is the bit length of the largest: no
-  digit carries into the next or borrows from it.
+  products cancels to zero.  Every row it makes feeds a row of the
+  result, and is therefore at most that row: each digit of any row,
+  and each partial sum that makes it, is at most some result row's
+  value with every marker at 1.  A shadow run of the same builder on
+  the ring of ints, a row being its value with every marker at 1,
+  gives the result's values, and W is the bit length of the largest:
+  no digit carries into the next or borrows from it.
 
 A result keeps its packed rows, read by one walker, :func:`_row_keys`:
 into exponent tuples when ``coeffs`` is first read, and into the text and
@@ -235,10 +237,9 @@ def lagrange_coefficient(k: int, n: int, r: Sequence[int]) -> int:
 @lru_cache(maxsize=1)
 def _lagrange_top(k: int, n: int) -> Mapping[tuple[int, ...], int]:
     """[f^(n-1)] Phi(f)^n as a read-only marker polynomial."""
-    def build(ring, markers):
+    def build(ring):
         f = [ring[1](int(d == 1)) for d in range(n)]
-        phi = _marked_product(ring, f, markers)
-        return [phi, _series_pow(ring, phi, n)]
+        return _series_pow(ring, _marked_product(ring, f), n)
 
     rows, layout = _packed(build, k + 1, n, True)
     top = TruncSeries._from_rows(0, k + 1, rows[n - 1:], layout, n - 1)
@@ -249,28 +250,26 @@ def _lagrange_top(k: int, n: int) -> Mapping[tuple[int, ...], int]:
 # packed rows
 # ---------------------------------------------------------------------------
 
-def _packed(build: Callable[[tuple, list], list[list]], nmarkers: int,
-            base: int, homogeneous: bool) -> tuple[list[dict], tuple]:
+def _packed(build: Callable[[tuple], list], nmarkers: int, base: int,
+            homogeneous: bool) -> tuple[list[dict], tuple]:
     """The rows of the series that ``build`` makes, and their layout.
 
-    ``build(ring, markers)`` runs the engine on the rows of ``ring`` with
-    one (step, shift) per marker and returns the series it built, its
-    result last.  A first run on ``_INT_ROWS`` gives W, the bit length of
-    the largest row among the returned series.  That bounds every row the
-    run makes as long as each one left out, such as a partial product of
-    a power, is coefficientwise at most a returned one: a partial power
-    of a series with constant term 1 is at most the full power.  The
-    second run packs markers 0..j-1 into keys in base ``base`` and marker
-    j into W-bit digits, where j is the last marker, or the one before it
-    when the result is ``homogeneous`` and the last marker is dropped.
-    The layout is (j, base, W, homogeneous)."""
-    shadow = build(_INT_ROWS, [(0, 0)] * nmarkers)
-    width = max([v for rows in shadow for v in rows], default=0).bit_length()
+    ``build(ring)`` runs the engine on ``ring`` and returns its result.
+    It must keep one invariant: coefficients are positive, and every row
+    that feeds a result row is at most some row of the result.  A first
+    run on the ring of ints then gives W, the bit length of the largest
+    result row.  The second run packs markers 0..j-1 into keys in base
+    ``base`` and marker j into W-bit digits, where j is the last marker,
+    or the one before it when the result is ``homogeneous`` and the last
+    marker is dropped.  The layout is (j, base, W, homogeneous)."""
+    width = max(build((_int_dot, int, [None] * nmarkers)),
+                default=0).bit_length()
     outer = nmarkers - 1 - homogeneous
     markers = [(base ** i, 0) for i in range(outer)] + [(0, width)]
     if homogeneous:
         markers.append((0, 0))
-    return build(_DICT_ROWS, markers)[-1], (outer, base, width, homogeneous)
+    return (build((_poly_dot, lambda c: {0: c} if c else {}, markers)),
+            (outer, base, width, homogeneous))
 
 
 def _row_keys(row: dict, degree: int, layout: tuple) -> list[tuple]:
@@ -320,11 +319,6 @@ def _int_dot(pairs: Iterable[tuple], marker=None, start: int = 0) -> int:
     return start + sum([p * q for p, q in pairs])
 
 
-# the engine's row arithmetic: (product-sum, constant row c)
-_DICT_ROWS = (_poly_dot, lambda c: {0: c} if c else {})
-_INT_ROWS = (_int_dot, int)
-
-
 def _series_mul(ring: tuple, a: list, b: list) -> list:
     """The product of two packed series of one order."""
     dot = ring[0]
@@ -332,8 +326,9 @@ def _series_mul(ring: tuple, a: list, b: list) -> list:
 
 
 def _series_pow(ring: tuple, a: list, e: int) -> list:
-    """A packed series to the power e, by repeated squaring; the first
-    factor is taken as it is rather than multiplied into the series 1."""
+    """A packed series to the power e >= 1, by repeated squaring; the
+    first factor is taken as it is rather than multiplied into the
+    series 1."""
     out = None
     while e:
         if e & 1:
@@ -341,7 +336,7 @@ def _series_pow(ring: tuple, a: list, e: int) -> list:
         e >>= 1
         if e:
             a = _series_mul(ring, a, a)
-    return [ring[1](1)] + [ring[1](0)] * (len(a) - 1) if out is None else out
+    return out
 
 
 def _next_row(dot: Callable, rows: list, f: list, d: int,
@@ -351,11 +346,11 @@ def _next_row(dot: Callable, rows: list, f: list, d: int,
     return dot(zip(f[1:d + 1], reversed(rows[:d])), marker, rows[d])
 
 
-def _marked_product(ring: tuple, f: list,
-                    markers: Iterable[tuple[int, int]]) -> list:
-    """prod over the markers q of (q f + 1), for the packed series f."""
+def _marked_product(ring: tuple, f: list) -> list:
+    """prod over the markers q of ``ring`` of (q f + 1), for the packed
+    series f."""
     out = [ring[1](1)] + [ring[1](0)] * (len(f) - 1)
-    for q in markers:
+    for q in ring[2]:
         out = [_next_row(ring[0], out, f, d, q) for d in range(len(f))]
     return out
 
@@ -529,18 +524,17 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 
 def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]],
-           ring: tuple, markers: Sequence[tuple[int, int]]
-           ) -> tuple[list, list[list]]:
+           ring: tuple) -> tuple[list, list[list]]:
     """Solve f = sum_a c_a x^a (f + 1) + x^s prod_{i<=k} (q_i f + 1) as a
-    packed series on the rows of ``ring`` with the markers q_0..q_k;
-    return f and ``prods``.
+    packed series on ``ring``, whose markers are q_0..q_k; return f and
+    ``prods``.
 
     ``prods[j][d]`` is [x^d] P_j for P_0 = 1, P_{j+1} = P_j + q_j (f P_j).
     Since s >= 1 and every run-length a >= 1, f_n needs only f_1..f_{n-1}
     and rows d <= n - s of the partial products, so ``prods[j]`` for
     j >= 1 holds rows 0..max(0, order - s).  Row 0 of f is 0.
     """
-    dot, row = ring
+    dot, row, markers = ring
     one, zero, levels = row(1), row(0), [(a, row(c)) for a, c in levels]
     f = [zero]
     prods = [[one] + [zero] * order] + [[one] for _ in range(k + 1)]
@@ -552,7 +546,7 @@ def _solve(k: int, order: int, s: int, levels: Sequence[tuple[int, int]],
         fn = prods[k + 1][d] if d >= 0 else zero
         if levels:
             fn = dot(((c, one if a == n else f[n - a])
-                      for a, c in levels if a <= n), (0, 0), fn)
+                      for a, c in levels if a <= n), start=fn)
         f.append(fn)
     return f, prods
 
@@ -572,11 +566,9 @@ def _series(k: int, order: int, spec: FamilySpec | None,
         raise ValueError(f"k must be < {sys.maxsize}, got {k}")
     s, levels = (1, ()) if spec is None else (k + 1, spec.levels)
 
-    def build(ring, markers):
-        f, prods = _solve(k, order, s, levels, ring, markers)
-        if m is None:
-            return [*prods, f]
-        return [*prods, f, _ballot_product(ring, f, prods, k, m, markers)]
+    def build(ring):
+        f, prods = _solve(k, order, s, levels, ring)
+        return f if m is None else _ballot_product(ring, f, prods, k, m)
 
     rows, layout = _packed(build, k + 1, order + 1, spec is None)
     return TruncSeries._from_rows(order, k + 1, rows, layout,
@@ -603,19 +595,19 @@ def solve_f_kac(spec: FamilySpec, order: int) -> TruncSeries:
     return _series(spec.k, order, spec, None)
 
 
-def _ballot_product(ring: tuple, f: list, prods: list[list], k: int, m: int,
-                    markers: Sequence[tuple[int, int]]) -> list:
+def _ballot_product(ring: tuple, f: list, prods: list[list], k: int,
+                    m: int) -> list:
     """The ballot series g = P_k^ell * P_{r+1}, m = ell*k + r, from the
     packed solution f and the partial products of :func:`_solve`, whose
-    rows of P_1..P_k it first finishes up to the order.  When r + 1 = k,
-    g is P_k^(ell+1), one power: for k = 1, m = 3 that is two squarings
-    instead of a square and two products.  Every P_j has constant term 1,
-    so each partial product of the powers is coefficientwise at most g."""
-    for d in range(len(prods[1]), len(f)):
-        for j in range(k):
-            prods[j + 1].append(_next_row(ring[0], prods[j], f, d,
-                                          markers[j]))
+    rows of the P_j that g reads it first finishes up to the order:
+    P_1..P_{r+1} when ell = 0, else P_1..P_k.  Every row made then feeds
+    g.  When r + 1 = k, g is P_k^(ell+1), one power: for k = 1, m = 3
+    that is two squarings instead of a square and two products."""
+    dot, _, markers = ring
     ell, r = divmod(m, k)
+    for d in range(len(prods[1]), len(f)):
+        for j in range(k if ell else r + 1):
+            prods[j + 1].append(_next_row(dot, prods[j], f, d, markers[j]))
     g = prods[r + 1]
     if ell:
         g = (_series_pow(ring, g, ell + 1) if r + 1 == k

@@ -215,7 +215,10 @@ def _walk(spec: FamilySpec, length: int, variant: str | None,
             i += 1
             nrem = rem - size
             nh = h + rise
-            if nrem < 0 or nh < 0 or nh + nrem < m or nh - k * nrem > m:
+            # the fewest steps from nh to m: ups alone, or the fewest downs
+            # and the ups that make their drop land on m exactly
+            if nh < 0 or nrem < (m - nh if nh <= m
+                                 else m - nh - (k + 1) * ((m - nh) // k)):
                 continue
             if block is None:
                 nkey, nheld = key, held
@@ -341,7 +344,9 @@ def gen_trees(arity: int, n: int,
     Yields None for n = 0 (the empty tree).  The count matches the number
     of (arity-1)-Dyck paths of down-size n.  Trees come lazily: an
     explicit stack holds the nodes' slot-occupancy masks in breadth-first
-    order (a Łukasiewicz-style word), each tried in increasing order.
+    order (a Łukasiewicz-style word), each tried in increasing order.  A
+    mask that opens too many slots jumps to mask + (mask & -mask): every
+    mask it skips has more set bits, so opens too many as well.
     """
     arity, n = _int_arg("arity", arity, 1), _int_arg("n", n, 0)
     budget = _Budget(resolve_cap(max_objects))
@@ -349,24 +354,26 @@ def gen_trees(arity: int, n: int,
         budget.tick()
         yield None
         return
-    pops = [bin(mask).count("1") for mask in range(1 << arity)]
+    full = 1 << arity
     masks: list[int] = []  # bit j of a mask: position j+1 holds a child
     slots: list = []       # (parent, position, None); node i fills slot i-1
     mask = 0               # the next mask to try for node len(masks)
-    while mask < len(pops) or masks:
-        if mask == len(pops):
+    while mask < full or masks:
+        if mask == full:
             mask = masks.pop()
-            del slots[len(slots) - pops[mask]:]
-        elif len(masks) < len(slots) + pops[mask] < n:
+            del slots[len(slots) - mask.bit_count():]
+        elif (size := len(slots) + mask.bit_count()) >= n:
+            mask += (mask & -mask) - 1  # slots never reach n, so mask > 0
+        elif len(masks) < size:
             # the next node finds an open slot, and no slot is left over
             slots += [(len(masks), pos, None) for pos in range(1, arity + 1)
                       if mask >> (pos - 1) & 1]
             masks.append(mask)
             mask = -1
-        elif len(slots) + pops[mask] == len(masks) == n - 1:
+        elif size == len(masks) == n - 1:
             budget.tick()
             yield tree_from_records(arity, [(-1, 0, None)] + slots)
-            mask = len(pops) - 1  # the last node can only be a leaf
+            mask = full - 1  # the last node can only be a leaf
         mask += 1
 
 

@@ -154,6 +154,15 @@ class TestGenTrees:
         assert e_vector(first) == (10 ** 4 - 1, 0)
         assert sys.getrecursionlimit() == limit
 
+    def test_wide_arity_builds_no_mask_table(self):
+        # no list over the 2^arity masks: a mask opening too many slots
+        # jumps past every mask with more set bits
+        start = time.perf_counter()
+        assert next(gen_trees(64, 1)).node_count() == 1
+        trees = list(gen_trees(200, 2))
+        assert len(trees) == len(set(trees)) == 200
+        assert time.perf_counter() - start < 1.0
+
     def test_same_trees_as_subtree_products(self):
         # reference: a tree is a root over one smaller tree (or none) per
         # position, with the sizes summing to n - 1
@@ -665,6 +674,18 @@ class TestEmptyFamilies:
         for variant in VARIANTS:
             hist = family_histogram(spec, length, variant)
             assert hist.counts == {} and hist.total == 0, variant
+
+    def test_no_down_lands_on_the_end_height(self):
+        # the gcd class holds this family (gcd(k + 1, 3) = 1), but from any
+        # height above 0 the fewest steps back to 0 are k = 10**6, so the
+        # walk takes level steps only, and 200 is no multiple of 3
+        spec = FamilySpec(10 ** 6, {3: 1})
+        start = time.perf_counter()
+        assert list(gen_kac(spec, 200)) == []
+        for variant in VARIANTS:
+            hist = family_histogram(spec, 200, variant)
+            assert hist.counts == {} and hist.total == 0, variant
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSizeArguments:
