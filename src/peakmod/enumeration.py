@@ -216,7 +216,9 @@ def _walk(spec: FamilySpec, length: int, variant: str | None,
             nrem = rem - size
             nh = h + rise
             # the fewest steps from nh to m: ups alone, or the fewest downs
-            # and the ups that make their drop land on m exactly
+            # and the ups that make their drop land on m exactly; with the
+            # class test of _completions the bound is exact for families
+            # with no level step or with a run-length-1 level
             if nh < 0 or nrem < (m - nh if nh <= m
                                  else m - nh - (k + 1) * ((m - nh) // k)):
                 continue
