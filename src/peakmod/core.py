@@ -34,7 +34,8 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache, cached_property, lru_cache
-from operator import attrgetter, itemgetter, length_hint
+from itertools import accumulate, repeat
+from operator import attrgetter, itemgetter, length_hint, mul
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,7 @@ def _packing(k: int, length: int) -> list[int]:
     so coordinate i is digit i in base L + 1.  The last weight, at index
     -1, is 0: adding it counts nothing, as for the residue -1 of no peak."""
     base = length + 1
-    return [base ** i for i in range(min(k, base) + 1)] + [0]
+    return [*accumulate(repeat(base, min(k, base)), mul, initial=1), 0]
 
 
 def _unpack(key: int, ndigits: int, base: int) -> tuple[int, ...]:

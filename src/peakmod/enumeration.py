@@ -33,19 +33,18 @@ the batch's key.  A forced run (only downs, or only ups, can still reach
 the end height) is a one-tail table below R and walked like any state
 above it.
 
-Every move keeps (steps taken - height) in one class mod g = gcd(k + 1,
-run-lengths), so a family with (length - m) % g != 0 is empty: it gets no
-table and the walk returns at once.  A family empty for a reason the gcd
-cannot see (k = 10**6, levels {3: 1}, length 200) is still walked through
-every prefix, as the cap counts only finished paths.
+Every move keeps (steps taken - height) in one class mod g, the gcd of
+the run-lengths and, when a down fits in the length, of k + 1, so a
+family with (length - m) % g != 0 is empty: it gets no table and the walk
+returns at once.  With g = 0 (no level step and no room for a down) only
+length m has a path.
 
 R is bounded by the tables' size, not by a depth alone: it is the largest
 depth up to length // 2 at which the completions over all table keys fit
-:data:`TABLE_ENTRIES`.  The completions are counted first by an integer
-recursion over run-lengths that takes a color count c_a as a
-multiplicity, so no color is listed before the bound is known: a run-length
-with more colors than the budget keeps R below it, and its colors are never
-put in a table.  The tables are built bottom-up from rem = 0 to R.
+:data:`TABLE_ENTRIES`.  The tables are built in one pass from rem = 0 up,
+a layer of states per rem.  A layer's completions are counted from the
+tails of the layers below, c per tail for c colors, before the layer is
+built, so the pass stops at the first layer past the budget.
 
 A hard cap guards against runaway requests; generators raise
 :class:`ResourceLimitError` instead of exhausting memory.  The default cap
@@ -55,8 +54,9 @@ every integer argument is, by :func:`peakmod.core._int_arg` (3.0 is 3;
 2.5, "3" and -1 raise ValueError), and the variable as command-line
 numbers are (:func:`peakmod.core.ascii_int`: ASCII digits, no "_").  A
 bad cap of either kind raises before anything is generated.
-The path walk lists its moves, one per level color, before the cap can
-act, so a family with 10**12 colors never reaches its first path.  A
+The path walk lists its moves, one per color of each run-length that
+fits the length, before the cap can act, so 10**12 colors of such a run
+never reach a first path; a run longer than the path lists none.  A
 length past ``sys.maxsize`` is refused with a ValueError, since no list
 could hold the steps of such a path.
 """
@@ -186,7 +186,8 @@ def _walk(spec: FamilySpec, length: int, variant: str | None,
     m = spec.end_height
     # (step, height change, length) in the canonical order u < d < levels
     moves = [(UP, 1, 1), (DOWN, -k, 1)]
-    moves += [(s, 0, s.length) for s in spec.level_steps()]
+    moves += [(level(a, b), 0, a) for a, c in spec.levels if a <= length
+              for b in range(1, c + 1)]
     nmoves = len(moves)
     # closes[p][j]: the block that move j closes right after move p, or at
     # the start for p = nmoves; the moves of one kind share one row
@@ -268,59 +269,59 @@ def _completions(spec: FamilySpec, length: int, rows: dict,
     tallies by weight[-2], a peak at residue r shifts ``released`` by
     weight[r] and moves ``kept`` into it (shifted too if starred), and c
     colors count each tail c times.  Only states with a completion and
-    h <= length - rem get a table.  Such a state has (rem + h - m) % g ==
-    0 for g = gcd(k + 1, run-lengths), so the walk reaches it, with
-    (length - rem - h) % g == 0, exactly when (length - m) % g == 0: a
-    family failing that gets no table.
+    h <= length - rem get a table.
+
+    The tables are built in one pass, a layer of states per rem from 0
+    up: a layer's completions are counted from the tails of the layers
+    below, c per tail for c colors, before it is built, and R is the last
+    rem up to length // 2 at which all layers so far fit
+    :data:`TABLE_ENTRIES`.
+
+    Every move keeps (steps taken - height) in one class mod g, the gcd of
+    the run-lengths and, when a down fits (length - m >= k + 1), of k + 1:
+    a path with a down climbs k above its end.  So a state with a
+    completion has (rem + h - m) % g == 0, and the walk reaches it, with
+    (length - rem - h) % g == 0, only if (length - m) % g == 0: a family
+    failing that, or with g = 0 and length != m, is empty and gets no
+    table.  Past that test the layers do not run dry: every layer with
+    rem <= m holds h = m - rem, with level steps h = 0 comes back at least
+    every shortest run-length, and without them every layer holds h =
+    (m - rem) % (k + 1).  So the budget, not the length, bounds the pass.
     """
     k, m = spec.k, spec.end_height
     kinds = ("u", "d", "l") if spec.levels else ("u", "d")
-    g = gcd(k + 1, *(a for a, _ in spec.levels))
-    if m > length or (length - m) % g:
+    g = gcd(k + 1 if length - m > k else 0, *(a for a, _ in spec.levels))
+    if m > length or ((length - m) % g if g else length > m):
         return length // 2, {}
-    # counts[rem][h]: the completions from (rem, h), colors as a multiplicity
-    counts = [{m: 1}]
-    total = len(kinds)
-    span = max((a for a, _ in spec.levels), default=1)
-    empty = 0  # layers in a row without a completion
-    while len(counts) <= length // 2:
-        rem = len(counts)
-        froms: Counter = Counter()
-        for h, c in counts[rem - 1].items():
-            if h > 0:
-                froms[h - 1] += c  # an up step from h - 1 leads to h
-            froms[h + k] += c      # and a down step from h + k
-        for a, colors in spec.levels:
-            if a <= rem:
-                for h, c in counts[rem - a].items():
-                    froms[h] += colors * c
-        layer = {h: c for h, c in froms.items() if h <= length - rem}
-        total += len(kinds) * sum(layer.values())
-        if total > TABLE_ENTRIES:
-            break
-        counts.append(layer)
-        empty = 0 if layer else empty + 1
-        if empty == span:
-            # No step is longer than span, so every path has a state in
-            # these layers: the family is empty.  This bounds the loop by
-            # the budget, not by the length.
-            return length // 2, {}
-    depth = len(counts) - 1
     # (kind, height change, length, steps) in canonical order
     groups = [("u", 1, 1, (UP,)), ("d", -k, 1, (DOWN,))]
     groups += [("l", 0, a, tuple(level(a, b) for b in range(1, c + 1)))
-               for a, c in spec.levels if a <= depth]
+               for a, c in spec.levels if a <= length // 2]
+    layers = [{m: [()]}]  # layers[rem]: {h: the tails from (rem, h)}
     tables = {(0, m, prev): ([()], {0: 1}, {}) for prev in kinds}
-    for rem in range(1, depth + 1):
-        for h in counts[rem]:
-            subs = [(kind, steps, sub) for kind, rise, size, steps in groups
-                    if (sub := tables.get((rem - size, h + rise, kind)))]
-            tails = [(s,) + t for _, steps, sub in subs
-                     for s in steps for t in sub[0]]
+    total = len(kinds)
+    for rem in range(1, length // 2 + 1):
+        # subs[h]: the groups that lead from (rem, h) to a state with a
+        # completion, each with that state's table, in canonical order
+        subs: dict[int, list] = {}
+        for kind, rise, size, steps in groups:
+            for h in layers[rem - size] if size <= rem else ():
+                if 0 <= h - rise <= length - rem:
+                    subs.setdefault(h - rise, []).append(
+                        (kind, steps, tables[rem - size, h, kind]))
+        total += len(kinds) * sum(len(steps) * len(sub[0])
+                                  for group in subs.values()
+                                  for _, steps, sub in group)
+        if total > TABLE_ENTRIES:
+            break
+        layer = {}
+        for h, group in subs.items():
+            tails = layer[h] = [(s,) + t for _, steps, sub in group
+                                for s in steps for t in sub[0]]
             for prev in kinds:
                 kept: dict[int, int] = {}
                 released: dict[int, int] = {}
-                for kind, steps, (_, sub_kept, sub_released) in subs:
+                for kind, steps, (_, sub_kept, sub_released) in group:
                     block = rows[prev][kind][0]
                     if block == PEAK:  # release the held peak, hold h's
                         r = weight[h % k]
@@ -335,7 +336,8 @@ def _completions(spec: FamilySpec, length: int, rows: dict,
                             inc += d
                             into[inc] = into.get(inc, 0) + len(steps) * c
                 tables[rem, h, prev] = tails, kept, released
-    return depth, tables
+        layers.append(layer)
+    return len(layers) - 1, tables
 
 
 def gen_trees(arity: int, n: int,
@@ -449,7 +451,7 @@ def family_histogram(spec: FamilySpec, length: int, variant: str = PLAIN,
             tally[key + inc] += c
         for inc, c in released.items():
             tally[freed + inc] += c
-    reached = min(k, length + 1)  # as _packing packs; the rest count 0
+    reached = len(weight) - 2  # the residues _packing packs; the rest 0
     counts = {}
     for key, c in tally.items():
         digits = _unpack(key, reached + 1, length + 1)

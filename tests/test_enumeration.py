@@ -32,6 +32,7 @@ from peakmod import (
     validate,
 )
 from peakmod import enumeration
+from peakmod.cli import main
 from peakmod.core import DOWN, UP, _packing
 from peakmod.enumeration import _completions
 from peakmod.statistics import (PLAIN, PLAIN_STARRED, VARIANTS, WEAK,
@@ -686,6 +687,49 @@ class TestEmptyFamilies:
             hist = family_histogram(spec, 200, variant)
             assert hist.counts == {} and hist.total == 0, variant
         assert time.perf_counter() - start < 1.0
+
+    def test_no_sum_of_run_lengths_makes_the_length(self):
+        # no down fits in 201 steps at k = 10**6, so the class is mod
+        # gcd(4, 6) = 2 alone, and 201 is odd: no table, nothing walked
+        spec = FamilySpec(10 ** 6, {4: 1, 6: 1})
+        start = time.perf_counter()
+        assert walk_tables(spec, 201)[1] == {}
+        assert list(gen_kac(spec, 201)) == []
+        for variant in VARIANTS:
+            hist = family_histogram(spec, 201, variant)
+            assert hist.counts == {} and hist.total == 0, variant
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_family_with_no_move_but_ups(self):
+        # no level step and no room for a down: only length m has a path
+        spec = FamilySpec(5, end_height=3)
+        assert walk_tables(spec, 4)[1] == {}
+        assert list(gen_kac(spec, 4)) == []
+        assert [p.text() for p in gen_kac(spec, 3)] == ["uuu"]
+        for variant in VARIANTS:
+            assert family_histogram(spec, 4, variant).total == 0, variant
+            assert family_histogram(spec, 3, variant) == \
+                histogram(gen_kac(spec, 3), variant), variant
+
+    @pytest.mark.parametrize("argv, out", [
+        (["enumerate", "--length", "0", "--levels", "3:1000000000000"],
+         "\n"),
+        (["histogram", "--k", "2", "--levels", "5:1000000000000",
+          "--length", "4", "--variant", "weak"],
+         '{"entries":[],"total":0}\n'),
+    ], ids=["empty-path", "empty-family"])
+    def test_colors_of_runs_that_cannot_fit_are_not_listed(self, capsys,
+                                                           argv, out):
+        # 10**12 colors of a run longer than the path make no move
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+    def test_packing_weights_are_powers_of_the_base(self):
+        for k in range(1, 8):
+            for length in range(10):
+                assert _packing(k, length) == \
+                    [(length + 1) ** i
+                     for i in range(min(k, length + 1) + 1)] + [0]
 
 
 class TestSizeArguments:
