@@ -694,9 +694,10 @@ class PositionalTree:
 
     A tree made by :func:`tree_from_records` keeps its records and builds
     no node until ``children`` is first read; one made by this constructor
-    checks its children and lists its records on demand.  The package
-    reads the records in the order kept; :meth:`records` gives them in
-    canonical order, for ``==``, ``hash`` and every other caller.
+    checks its children and lists its records on demand, in canonical
+    order.  The package reads the records in the order kept; :meth:`records`
+    gives them in canonical order, for ``hash`` and every other caller, and
+    ``==`` compares them when the kept records differ.
     """
 
     def __init__(self, arity: int,
@@ -763,9 +764,20 @@ class PositionalTree:
         """(parent index, position, label) in breadth-first order.
 
         The root comes first as (-1, 0, label); siblings follow each other
-        in position order.  :func:`tree_from_records` inverts this.
+        in position order.  :func:`tree_from_records` inverts this.  Kept
+        records already in that order (the root's record (-1, 0, label),
+        then parents non-decreasing and sibling positions rising) come back
+        as a copy, with nothing sorted.
         """
         flat = self._flat
+        parent, pos, _ = flat[0]
+        if parent == -1 and pos == 0:
+            for p, q, _ in flat[1:]:
+                if p < parent or p == parent and q <= pos:
+                    break
+                parent, pos = p, q
+            else:
+                return list(flat)
         kids: list[list] = [[] for _ in flat]
         for idx in range(len(flat) - 1, 0, -1):
             parent, pos, _ = flat[idx]
@@ -784,8 +796,9 @@ class PositionalTree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PositionalTree):
             return NotImplemented
-        return self is other or (self.arity == other.arity
-                                 and self.records() == other.records())
+        # equal kept records give one tree, whatever their order
+        return self is other or (self.arity == other.arity and (
+            self._flat == other._flat or self.records() == other.records()))
 
     def __hash__(self) -> int:
         return hash((self.arity, tuple(self.records())))

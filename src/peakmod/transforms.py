@@ -283,24 +283,28 @@ def deutsch_involution(path: LatticePath) -> LatticePath:
     """Deutsch's involution on Dyck paths (k = 1 only).
 
     Maps P_0 u P_1 d to eta(P_1) u eta(P_0) d, exchanging the peak and
-    double-descent counts.  The factors wait on an explicit stack as index
-    ranges; each splits at the up-step its final down closes.
+    double-descent counts.  The image has as many steps as the path, so it
+    is placed in a list of up-steps: a factor steps[lo:hi] whose image
+    starts at offset ``at`` splits at the up-step p its final down closes,
+    writes that down at at + hi - lo - 1, and leaves eta(P_1) to start at
+    ``at`` and eta(P_0) after the up-step between them.  The factors wait
+    on an explicit stack as (lo, hi, at) ranges, so depth is unbounded.
     """
     if path.spec.k != 1:
         raise WrongKError("the involution is defined for k = 1")
     _require_pure(path, "deutsch_involution")
     closes = _closing_ups(path)[0]
-    steps: list[Step] = []
-    todo: list = [(0, len(path.steps))]
+    steps = [UP] * len(path.steps)
+    todo = [(0, len(steps), 0)] if steps else []  # nonempty factors only
     while todo:
-        item = todo.pop()
-        if isinstance(item, Step):
-            steps.append(item)
-        elif item[0] < item[1]:
-            lo, hi = item
-            (p,) = closes[hi - 1]
-            todo += [DOWN, (lo, p), UP, (p + 1, hi - 1)]
-    return LatticePath(path.spec, tuple(steps), path.start_height)
+        lo, hi, at = todo.pop()
+        (p,) = closes[hi - 1]
+        steps[at + hi - lo - 1] = DOWN
+        if p + 1 < hi - 1:
+            todo.append((p + 1, hi - 1, at))
+        if lo < p:
+            todo.append((lo, p, at + hi - p - 1))
+    return LatticePath(path.spec, steps, path.start_height)
 
 
 # ---------------------------------------------------------------------------

@@ -286,10 +286,11 @@ def _labels_agree(path: LatticePath, k: int, tree: PositionalTree) -> bool:
     position i+1 carries a residue-i peak label (i < k) or a
     double-descent label (i = k), and the root is the unique r."""
     labeled = path_to_labeled_tree(path)
-    records = labeled.records()
-    if labeled.arity != tree.arity or \
-            [r[:2] for r in records] != [r[:2] for r in tree.records()]:
+    # one builder lists both trees' records, so equal shapes keep equal
+    # records once the labels are stripped
+    if labeled.strip_labels() != tree:
         return False
+    records = labeled._flat
     if records[0][2].kind != LABEL_RIGHTMOST:
         return False
     for _, pos, lab in records[1:]:

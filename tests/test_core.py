@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,9 @@ from peakmod import (
     tree_to_json_text,
     validate,
 )
-from peakmod.core import DOWN, UP, Step, parse_steps
+from peakmod.bijections import path_to_tree, tree_to_path
+from peakmod.core import DOWN, UP, Step, parse_steps, tree_from_records
+from peakmod.enumeration import gen_trees
 
 from conftest import K1, K2, MOTZKIN, k_dyck_paths
 
@@ -648,6 +651,92 @@ class TestTrees:
                                (3, leaf)))
         from peakmod import e_vector
         assert sum(e_vector(t)) == t.node_count() - 1
+
+
+def _nested(arity, records):
+    """The tree of the records, made by the nested constructor."""
+    kids = [[] for _ in records]
+    for idx in range(len(records) - 1, -1, -1):
+        parent, pos, label = records[idx]
+        node = PositionalTree(arity, kids[idx], label)
+        if idx:
+            kids[parent].append((pos, node))
+    return node
+
+
+def _shuffled(records, rng):
+    """The records in a random order that keeps each parent before its
+    children, renumbered."""
+    kids = [[] for _ in records]
+    for idx, (parent, _, _) in enumerate(records[1:], 1):
+        kids[parent].append(idx)
+    order, ready = [], [0]
+    while ready:
+        v = ready.pop(rng.randrange(len(ready)))
+        order.append(v)
+        ready += kids[v]
+    new = {old: idx for idx, old in enumerate(order)}
+    return [(new.get(records[v][0], -1), records[v][1], records[v][2])
+            for v in order]
+
+
+class TestRecordOrders:
+    """A tree is one value whatever order its kept records come in: ``==``
+    compares the kept records first and canonical records after, and
+    ``records()`` passes canonical ones through."""
+
+    def test_every_order_gives_one_tree(self):
+        rng = random.Random(1)
+        for arity in range(2, 5):
+            for n in range(1, 5):
+                for t in gen_trees(arity, n):
+                    canon = t.records()
+                    json_tree = tree_from_json_text(tree_to_json_text(t),
+                                                    arity)
+                    nested = _nested(arity, canon)
+                    # breadth-first builders keep the canonical order
+                    for tree in (t, json_tree, nested):
+                        assert tree._flat == canon
+                    built = [
+                        path_to_tree(tree_to_path(t, arity - 1)),  # text
+                        json_tree,
+                        nested,
+                        tree_from_records(arity, _shuffled(canon, rng)),
+                        # the root's parent and position are ignored
+                        tree_from_records(arity, [(5, 2, None)] + canon[1:]),
+                    ]
+                    for tree in built:
+                        assert tree == t and t == tree
+                        assert hash(tree) == hash(t)
+                        assert tree.records() == canon
+
+    def test_one_moved_position_or_label_breaks_equality(self):
+        label = NodeLabel.parse("dd_1")
+        for arity in range(2, 5):
+            for n in range(1, 5):
+                for t in gen_trees(arity, n):
+                    canon = t.records()
+                    for idx, (parent, pos, _) in enumerate(canon):
+                        others = [canon[:idx] + [(parent, pos, label)]
+                                  + canon[idx + 1:]]
+                        taken = {q for p, q, _ in canon[1:] if p == parent}
+                        others += [canon[:idx] + [(parent, q, None)]
+                                   + canon[idx + 1:]
+                                   for q in range(1, arity + 1)
+                                   if idx and q not in taken]
+                        for records in others:
+                            assert tree_from_records(arity, records) != t
+
+    def test_siblings_out_of_order_are_sorted(self):
+        tree = tree_from_json_text('{"2":{},"1":{"label":"r"}}', 2)
+        assert tree.records() == [(-1, 0, None), (0, 1, NodeLabel.parse("r")),
+                                  (0, 2, None)]
+        assert tree == _nested(2, tree.records())
+
+    def test_records_are_a_copy(self):
+        tree = next(gen_trees(3, 3))
+        tree.records().append((0, 3, None))
+        assert tree.node_count() == 3 and len(tree.records()) == 3
 
 
 def _deep_chain(depth, arity=3, pos=1):

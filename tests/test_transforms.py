@@ -323,6 +323,32 @@ class TestDeutschInvolution:
                 sp, sq = stat_vector(p), stat_vector(q)
                 assert (sp.pk[0], sp.dd) == (sq.dd, sq.pk[0])
 
+    def test_matches_the_recursive_definition(self):
+        def eta(text):
+            # eta(P_0 u P_1 d) = eta(P_1) u eta(P_0) d, where the u is the
+            # up-step the final down closes
+            if not text:
+                return ""
+            h = 0
+            for i in range(len(text) - 1, -1, -1):
+                h += 1 if text[i] == "d" else -1
+                if h == 0:
+                    break
+            return eta(text[i + 1:-1]) + "u" + eta(text[:i]) + "d"
+
+        for n in range(10):
+            for p in gen_k_dyck(1, n):
+                assert deutsch_involution(p).text() == eta(p.text())
+
+    def test_chain_and_zigzag_at_depth(self):
+        # the steps are placed from a stack of index ranges, so a chain
+        # of 10^5 nested factors raises no RecursionError
+        n = 10 ** 5
+        chain = dyck("u" * n + "d" * n, 1)
+        zigzag = dyck("ud" * n, 1)
+        assert deutsch_involution(chain) == zigzag
+        assert deutsch_involution(zigzag) == chain
+
 
 def _chain(positions, arity=3):
     """A path-shaped tree: node at each listed position under its parent."""
